@@ -116,7 +116,6 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
             t_end=cfg.t_end,
             output_every=cfg.output_every,
             dealias=cfg.dealias,
-            isothermal=(cfg.model == "isothermal"),
         )
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from None
@@ -129,9 +128,9 @@ def _write_run_outputs(outdir: Path, cfg: RunConfig, traj: Trajectory) -> None:
 
     header = CSV_HEADER
     lines = [row.csv_line() for row in traj.diagnostics]
-    if cfg.model == "a1":
+    if cfg.params.model == "a1":
         header += ",reg_delta"
-        reg = repr(float(cfg.params.a1_reg))
+        reg = repr(float(cfg.params.reg_delta))
         lines = [line + "," + reg for line in lines]
     (outdir / "diagnostics.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
 
@@ -145,20 +144,20 @@ def _cmd_simulate(args) -> int:
     sim = _sim_config(cfg)
     outdir = Path(cfg.output_dir)
     with _locked_output(outdir):
-        if cfg.model == "a1":
+        if cfg.params.model == "a1":
             traj = model_a1.simulate(sim, init)
         else:
             traj = model_a2.simulate(sim, init)
         _write_run_outputs(outdir, cfg, traj)
     last = traj.diagnostics[-1]
-    print(f"model: {cfg.model}  steps: {last.step}/{sim.n_steps}  t: {last.t!r}")
+    print(f"model: {cfg.params.model}  steps: {last.step}/{sim.n_steps}  t: {last.t!r}")
     print(
         f"termination: {traj.termination}  E_drift_rel: {last.e_drift_rel!r}  "
         f"min_theta: {last.min_theta!r}"
     )
     print(f"outputs: {outdir}")
     if traj.termination != "completed":
-        print(f"error: run stopped early ({traj.termination})", file=sys.stderr)
+        print(f"error: run stopped early ({traj.termination}): {traj.message}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -179,6 +178,8 @@ def _cmd_picard_verify(args) -> int:
     cfg = _load_run_config(args)
     if cfg.picard is None:
         raise ConfigError("picard-verify requires a [picard] section in the config")
+    if cfg.params.model != "a2":
+        raise ConfigError(f"picard-verify linearizes model a2, not run.model = {cfg.params.model}")
     init = generate_initial(cfg)
     part = build_partition(cfg.grid)
     report = picard_iterate(

@@ -40,9 +40,8 @@ from . import fieldio
 from .grid import Field, GridSpec
 from .picard import PicardConfig
 from .rng import Xoshiro256StarStar
-from .thermo import ModelParams, ThermoState
+from .thermo import MODELS, ModelParams, ThermoState
 
-MODELS = ("a2", "a1", "isothermal")
 INIT_KINDS = ("tanh_stripe", "spinodal", "single_mode", "from_file")
 THETA_KINDS = ("constant", "constant_plus_sine", "from_file")
 
@@ -124,11 +123,13 @@ class ThetaInitSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs: grid, physics, marching, data, outputs."""
+    """Everything one run needs: grid, physics, marching, data, outputs.
+
+    The run's model ([run] model) and [physics] reg_delta live in params.
+    """
 
     grid: GridSpec
     params: ModelParams
-    model: str
     dt: float
     t_end: float
     output_every: int
@@ -140,8 +141,6 @@ class RunConfig:
     picard: PicardConfig | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"run.model must be one of {MODELS}, got {self.model!r}")
         if self.dt <= 0.0:
             raise ConfigError("run.dt must be positive")
         if self.t_end <= 0.0:
@@ -232,8 +231,8 @@ def loads_config(text: str) -> RunConfig:
             alpha=physics.get("alpha", float, 1.0),
             kappa=physics.get("kappa", float, 1.0),
             k_b=physics.get("k_b", float, 1.0),
-            model="A1" if model == "a1" else "A2",
-            a1_reg=physics.get("reg_delta", float, 1e-2),
+            model=model,
+            reg_delta=physics.get("reg_delta", float, 1e-2),
         )
     except ValueError as exc:
         if isinstance(exc, ConfigError):
@@ -288,7 +287,6 @@ def loads_config(text: str) -> RunConfig:
     return RunConfig(
         grid=grid,
         params=params,
-        model=model,
         dt=run.get("dt", float, 1e-3),
         t_end=run.get("t_end", float, 0.1),
         output_every=run.get("output_every", int, 10),
@@ -335,10 +333,10 @@ def canonical_text(cfg: RunConfig) -> str:
         _kv("alpha", p.alpha),
         _kv("kappa", p.kappa),
         _kv("k_b", p.k_b),
-        _kv("reg_delta", p.a1_reg),
+        _kv("reg_delta", p.reg_delta),
         "",
         "[run]",
-        _kv("model", cfg.model),
+        _kv("model", p.model),
         _kv("dt", cfg.dt),
         _kv("t_end", cfg.t_end),
         _kv("output_every", cfg.output_every),

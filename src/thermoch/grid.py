@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,15 +23,16 @@ import scipy.fft as _sfft
 __all__ = [
     "GridSpec",
     "Field",
-    "SpectralField",
-    "transform",
-    "inverse",
-    "derivative",
-    "dealias",
     "mean_and_inner",
     "mean",
     "inner",
     "l2_norm",
+    "fftn",
+    "ifftn_real",
+    "grad_arrays",
+    "laplacian_array",
+    "divergence_arrays",
+    "dealias_array",
 ]
 
 
@@ -144,83 +145,6 @@ class Field:
             raise ValueError(f"field contains {bad} non-finite values")
 
 
-@dataclass
-class SpectralField:
-    """Fourier coefficients of a real field (full complex layout).
-
-    Hermitian symmetry coeffs[k] == conj(coeffs[-k]) is checked on
-    construction; every operation in this module preserves it.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray
-    check: bool = field(default=True, repr=False)
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.grid.shape:
-            raise ValueError(
-                f"coeff shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("spectral field contains non-finite coefficients")
-        if self.check and not _is_hermitian(self.coeffs):
-            raise ValueError("coefficients break Hermitian symmetry (field not real)")
-
-
-def _reflect(c: np.ndarray) -> np.ndarray:
-    """Map coeffs[k] -> coeffs[-k] in the fftfreq index layout."""
-    out = c
-    for ax in range(c.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
-def _is_hermitian(c: np.ndarray, rtol: float = 1e-8) -> bool:
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return True
-    return bool(np.max(np.abs(c - np.conj(_reflect(c)))) <= rtol * scale)
-
-
-def transform(f: Field) -> SpectralField:
-    """Unnormalized forward FFT of a real field."""
-    coeffs = _sfft.fftn(f.values, workers=_fft_workers())
-    return SpectralField(f.grid, coeffs, check=False)
-
-
-def inverse(g: SpectralField) -> Field:
-    """Inverse FFT (carries the 1/n^dim factor); returns the real part.
-
-    The imaginary residue of a Hermitian-symmetric input is pure round-off.
-    """
-    vals = _sfft.ifftn(g.coeffs, workers=_fft_workers())
-    return Field(g.grid, vals.real)
-
-
-def derivative(g: SpectralField, op: str, axis: int = 0) -> SpectralField:
-    """Exact spectral derivative.
-
-    op is one of 'grad' (needs axis), 'laplacian', 'bilaplacian'.
-    """
-    grid = g.grid
-    if op == "grad":
-        if not 0 <= axis < grid.dim:
-            raise ValueError(f"axis {axis} out of range for dim {grid.dim}")
-        mult = 1j * grid.k_axes[axis] * grid.nyquist_masks[axis]
-        return SpectralField(grid, g.coeffs * mult, check=False)
-    if op == "laplacian":
-        return SpectralField(grid, g.coeffs * (-grid.k_squared), check=False)
-    if op == "bilaplacian":
-        return SpectralField(grid, g.coeffs * grid.k_squared**2, check=False)
-    raise ValueError(f"unknown derivative op {op!r}")
-
-
-def dealias(g: SpectralField) -> SpectralField:
-    """Zero every mode with any |k_i| beyond the 2/3 cutoff."""
-    return SpectralField(g.grid, g.coeffs * g.grid.dealias_mask, check=False)
-
-
 def mean_and_inner(f: Field, g: Field) -> tuple[float, float]:
     """(mean of f, quadrature inner product h^dim * sum(f*g))."""
     if f.grid != g.grid:
@@ -243,16 +167,22 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(inner(f, f)))
 
 
-# -- array-level helpers used by the heavier numerical modules ---------------
-# These avoid repeated Field/SpectralField wrapping in inner loops while
-# keeping the exact same conventions.
+# -- the spectral operator layer ----------------------------------------------
+# Plain arrays in and out.  Derivatives and dealiasing are multipliers on
+# fftn coefficients: 1j*k_axes[i]*nyquist_masks[i] (d/dx_i), -k_squared
+# (laplacian), k_squared**2 (bilaplacian) and dealias_mask (2/3 rule).
 
 
 def fftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward FFT of a real array."""
     return _sfft.fftn(values, workers=_fft_workers())
 
 
 def ifftn_real(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse FFT (carries the 1/n^dim factor), real part only.
+
+    The imaginary residue of Hermitian-symmetric coefficients is round-off.
+    """
     return _sfft.ifftn(coeffs, workers=_fft_workers()).real
 
 

@@ -9,9 +9,11 @@ temperature equation is the transported entropy balance
 
     theta d/dt[s] + div(s u) = theta div(kappa grad(theta)/theta) + production.
 
-Every reciprocal of phi is regularized as 1/phi ~ phi/(phi^2 + delta^2):
-odd, smooth, bounded by 1/(2 delta), and vanishing at phi = 0, which switches
-the transport off exactly where the mixture has no majority phase.  Expanding
+The variant is selected by ModelParams.model = "a1", and delta below is
+ModelParams.reg_delta.  Every reciprocal of phi is regularized as
+1/phi ~ phi/(phi^2 + delta^2) (thermo._regularized_recip): odd, smooth,
+bounded by 1/(2 delta), and vanishing at phi = 0, which switches the
+transport off exactly where the mixture has no majority phase.  Expanding
 theta d/dt[s] by the chain rule gives the pointwise coefficient
 theta ds/dtheta = k_b + theta dB/dtheta on the temperature rate; the update
 keeps the constant k_b part implicit (the same per-mode heat factor as the
@@ -28,7 +30,7 @@ overall scheme order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,9 @@ from .thermo import (
     ModelParams,
     SingularityError,
     ThermoState,
+    _argmin_index,
     _bracket_b,
+    _regularized_recip,
     chemical_potential,
     entropy_density,
 )
@@ -46,57 +50,44 @@ from .thermo import (
 
 @dataclass(frozen=True)
 class A1Extras:
-    """Per-step carry-over of the transport mode: cached velocity and the
-    reciprocal regularization width."""
+    """Per-step carry-over of the transport mode: the cached velocity."""
 
     velocity: tuple[Field, ...]
-    reg_delta: float
 
     def __post_init__(self):
-        if self.reg_delta < 0.0:
-            raise ValueError("reg_delta must be >= 0")
         grids = {u.grid for u in self.velocity}
         if len(grids) != 1:
             raise ValueError("velocity components must share one grid")
 
     @classmethod
-    def zero(cls, grid: GridSpec, reg_delta: float) -> "A1Extras":
-        comps = tuple(Field(grid, np.zeros(grid.shape)) for _ in range(grid.dim))
-        return cls(velocity=comps, reg_delta=reg_delta)
+    def zero(cls, grid: GridSpec) -> "A1Extras":
+        return cls(velocity=tuple(Field(grid, np.zeros(grid.shape)) for _ in range(grid.dim)))
 
 
-def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
-    if reg_delta == 0.0:
-        if float(np.min(np.abs(phi))) < 1e-8:
-            raise SingularityError(
-                "1/phi is singular: phi crosses zero and reg_delta = 0"
-            )
-        return 1.0 / phi
-    return phi / (phi**2 + reg_delta**2)
+def _require_a1(p: ModelParams) -> None:
+    if p.model != "a1":
+        raise ValueError(f"the transported step needs model 'a1', got {p.model!r}")
 
 
-def a1_coupling_flux(
-    s: ThermoState, p: ModelParams, reg_delta: float, dealias: bool = True
-) -> Field:
+def a1_coupling_flux(s: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     """div(s grad(theta) phi/(phi^2 + delta^2)) — the phase-equation coupling."""
     grid = s.grid
-    recip = _regularized_recip(s.phi.values, reg_delta)
+    recip = _regularized_recip(s.phi.values, p.reg_delta)
     entropy = entropy_density(s, p).values
     grad_theta = grad_arrays(grid, s.theta.values)
     comps = [entropy * gt * recip for gt in grad_theta]
     return Field(grid, divergence_arrays(grid, comps, mask=dealias))
 
 
-def a1_velocity(
-    s: ThermoState, mu: Field, p: ModelParams, reg_delta: float
-) -> tuple[Field, ...]:
+def a1_velocity(s: ThermoState, mu: Field, p: ModelParams) -> tuple[Field, ...]:
     """Reconstruct the mixture velocity from the state and its potential.
 
     Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
-    regularization width shrinks (checked in the tests at delta = 1e-5).
+    regularization width p.reg_delta shrinks (checked in the tests at
+    delta = 1e-5).
     """
     grid = s.grid
-    recip = _regularized_recip(s.phi.values, reg_delta)
+    recip = _regularized_recip(s.phi.values, p.reg_delta)
     entropy = entropy_density(s, p).values
     grad_mu = grad_arrays(grid, mu.values)
     grad_theta = grad_arrays(grid, s.theta.values)
@@ -119,7 +110,7 @@ def _require_invertible_entropy_slope(s: ThermoState, p: ModelParams):
     ds_dtheta = p.k_b / s.theta.values + db_dtheta
     worst = float(np.min(ds_dtheta))
     if worst <= 1e-10:
-        loc = np.unravel_index(int(np.argmin(ds_dtheta)), ds_dtheta.shape)
+        loc = _argmin_index(ds_dtheta)
         raise SingularityError(
             f"entropy slope ds/dtheta = {worst:.6e} at index {loc} is not "
             "invertible; the transported update cannot be solved for the rate"
@@ -130,55 +121,50 @@ def a1_step(
     s: ThermoState,
     p: ModelParams,
     dt: float,
-    reg_delta: float | None = None,
     *,
     extras: A1Extras | None = None,
     dealias: bool = True,
 ) -> tuple[ThermoState, A1Extras]:
     """One transported step; returns the new state and the refreshed carry.
 
-    The phase update is the fixed-background step plus the explicit coupling
-    flux; the temperature update is the fixed-background implicit solve with
-    the transported production form and the extra forcing -div(s u) evaluated
-    with the cached velocity.
+    p.model must be "a1".  The phase update is the fixed-background step
+    plus the explicit coupling flux; the temperature update is the
+    fixed-background implicit solve with the transported production form
+    and the extra forcing -div(s u) evaluated with the cached velocity.
     """
-    delta = p.a1_reg if reg_delta is None else reg_delta
-    p_eff = replace(p, model="A1", a1_reg=delta)
+    _require_a1(p)
     if extras is None:
-        extras = A1Extras.zero(s.grid, delta)
-    _require_invertible_entropy_slope(s, p_eff)
+        extras = A1Extras.zero(s.grid)
+    _require_invertible_entropy_slope(s, p)
 
     grid = s.grid
-    flux = a1_coupling_flux(s, p_eff, delta, dealias=dealias)
-    entropy = entropy_density(s, p_eff).values
+    flux = a1_coupling_flux(s, p, dealias=dealias)
+    entropy = entropy_density(s, p).values
     transported = [entropy * u.values for u in extras.velocity]
     div_su = divergence_arrays(grid, transported, mask=dealias)
 
     new_state = imex_step(
         s,
-        p_eff,
+        p,
         dt,
         dealias=dealias,
-        production="A1",
         f1_extra=flux.values,
         f2_extra=-div_su,
     )
-    mu_new = chemical_potential(new_state, p_eff, dealias=dealias)
-    new_velocity = a1_velocity(new_state, mu_new, p_eff, delta)
-    return new_state, A1Extras(velocity=new_velocity, reg_delta=delta)
+    mu_new = chemical_potential(new_state, p, dealias=dealias)
+    return new_state, A1Extras(velocity=a1_velocity(new_state, mu_new, p))
 
 
-def simulate(cfg: SimConfig, init: ThermoState, reg_delta: float | None = None) -> Trajectory:
-    """Run the transported model; diagnostics use the transported production."""
-    delta = cfg.params.a1_reg if reg_delta is None else reg_delta
-    p_eff = replace(cfg.params, model="A1", a1_reg=delta)
-    cfg_eff = replace(cfg, params=p_eff)
-    carry = {"extras": A1Extras.zero(cfg.grid, delta)}
+def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
+    """Run the transported model (cfg.params.model must be "a1");
+    diagnostics use the transported production."""
+    _require_a1(cfg.params)
+    carry = {"extras": A1Extras.zero(cfg.grid)}
 
     def step(state: ThermoState) -> ThermoState:
         new_state, carry["extras"] = a1_step(
-            state, p_eff, cfg.dt, delta, extras=carry["extras"], dealias=cfg.dealias
+            state, cfg.params, cfg.dt, extras=carry["extras"], dealias=cfg.dealias
         )
         return new_state
 
-    return march(cfg_eff, init, step)
+    return march(cfg, init, step)

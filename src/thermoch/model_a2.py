@@ -32,11 +32,13 @@ from .grid import Field, GridSpec, dealias_array, fftn, grad_arrays, ifftn_real,
 from .thermo import (
     ModelParams,
     PositivityError,
+    SingularityError,
     ThermoState,
+    _argmin_index,
     _bracket_b,
     bulk_potential,
     chemical_potential,
-    entropy_density,
+    force_square,
     total_energy,
 )
 
@@ -51,7 +53,6 @@ class SimConfig:
     t_end: float
     output_every: int = 1
     dealias: bool = True
-    isothermal: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.5):
@@ -71,12 +72,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded snapshots of one run, append-only while marching."""
+    """Recorded snapshots of one run, append-only while marching.
+
+    termination is "completed", "positivity", "singularity" or "non_finite";
+    message is the text of the error that stopped an early run.
+    """
 
     times: np.ndarray
     states: list[ThermoState]
     diagnostics: list[DiagnosticsRow]
     termination: str = "completed"
+    message: str = ""
 
     def __post_init__(self):
         if len(self.times) != len(self.states) or len(self.times) != len(self.diagnostics):
@@ -110,17 +116,16 @@ def rhs_f2(
     dphi_dt: Field,
     p: ModelParams,
     dealias: bool = True,
-    production: str = "A2",
 ) -> Field:
     """Explicit heat forcing for the expanded temperature equation.
 
     Four groups: alpha*(dphi/dt)^2; eps*theta grad(dphi/dt).grad(phi); the
     chain-rule bracket -theta*(dB/dphi dphi/dt + dB/dtheta dtheta/dt) with
     the lagged temperature rate from the state cache; and the dissipation
-    square |alpha grad(dphi/dt) + grad(mu)|^2.  The conduction part of the
-    entropy production cancels against the implicit heat operator and is
-    absent here by construction.  production="A1" augments the dissipation
-    square with the transported-entropy force s*grad(theta)*phi_reg.
+    square |alpha grad(dphi/dt) + grad(mu)|^2 from thermo.force_square, which
+    for model "a1" carries the transported-entropy force s*grad(theta)*phi_reg.
+    The conduction part of the entropy production cancels against the
+    implicit heat operator and is absent here by construction.
     """
     grid = state.grid
     phi, theta = state.phi.values, state.theta.values
@@ -135,17 +140,9 @@ def rhs_f2(
     bracket_rate = db_dphi * rate + db_dtheta * state.dtheta_dt_values()
 
     cross = np.zeros(grid.shape)
-    force_sq = np.zeros(grid.shape)
-    if production == "A1":
-        s = entropy_density(state, p).values
-        grad_theta = grad_arrays(grid, theta)
-        recip = phi / (phi**2 + p.a1_reg**2)
-        extra = [s * gt * recip for gt in grad_theta]
-    else:
-        extra = [np.zeros(grid.shape)] * grid.dim
     for i in range(grid.dim):
         cross += grad_rate[i] * grad_phi[i]
-        force_sq += (grad_mu[i] + p.alpha * grad_rate[i] + extra[i]) ** 2
+    force_sq = force_square(state, grad_mu, grad_rate, p)
 
     out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
     if dealias:
@@ -159,14 +156,15 @@ def imex_step(
     dt: float,
     *,
     dealias: bool = True,
-    isothermal: bool = False,
-    production: str = "A2",
     f1_extra: np.ndarray | None = None,
     f2_extra: np.ndarray | None = None,
     forced: tuple[Field | None, Field | None] | None = None,
 ) -> ThermoState:
     """Advance one step; returns the new state with fresh rate caches.
 
+    p.model "isothermal" stops after the phase update and keeps theta;
+    "a1" adds the transported-entropy force to the dissipation square (the
+    rest of the a1 step comes in through the extras, see model_a1.a1_step).
     ``forced`` replaces the assembled (f1, f2) with prescribed fields (None
     meaning zero) so the bare mode-wise recurrences can be tested against
     scalar closed forms.  ``f1_extra``/``f2_extra`` are added to the
@@ -193,7 +191,7 @@ def imex_step(
     new_phi = ifftn_real(grid, new_phi_hat)
     rate = (new_phi - phi) / dt
 
-    if isothermal:
+    if p.model == "isothermal":
         return ThermoState(
             Field(grid, new_phi),
             state.theta,
@@ -204,7 +202,7 @@ def imex_step(
     if forced is not None:
         f2_vals = np.zeros(grid.shape) if forced[1] is None else forced[1].values
     else:
-        f2_vals = rhs_f2(state, Field(grid, rate), p, dealias=dealias, production=production).values
+        f2_vals = rhs_f2(state, Field(grid, rate), p, dealias=dealias).values
         if f2_extra is not None:
             f2_vals = f2_vals + f2_extra
 
@@ -215,7 +213,7 @@ def imex_step(
     new_theta = ifftn_real(grid, new_theta_hat)
     tmin = float(np.min(new_theta))
     if tmin <= 0.0:
-        loc = np.unravel_index(int(np.argmin(new_theta)), new_theta.shape)
+        loc = _argmin_index(new_theta)
         raise PositivityError(
             f"temperature update lost positivity: min(theta) = {tmin:.6e} "
             f"at index {loc}; aborting from the last valid state",
@@ -246,18 +244,21 @@ def march(
     times = [0.0]
     states = [init]
     rows = [audit(init, init, cfg.dt, p, step=0, t=0.0, e_ref=e0)]
-    termination = "completed"
+    termination, message = "completed", ""
 
     state = init
     for j in range(1, cfg.n_steps + 1):
         prev = state
         try:
             state = step_fn(state)
-        except PositivityError:
-            termination = "positivity"
+        except PositivityError as exc:
+            termination, message = "positivity", str(exc)
             break
-        except (ValueError, FloatingPointError):
-            termination = "non_finite"
+        except SingularityError as exc:
+            termination, message = "singularity", str(exc)
+            break
+        except (ValueError, FloatingPointError) as exc:
+            termination, message = "non_finite", str(exc)
             break
         if j % cfg.output_every == 0 or j == cfg.n_steps:
             times.append(j * cfg.dt)
@@ -269,15 +270,17 @@ def march(
         states=states,
         diagnostics=rows,
         termination=termination,
+        message=message,
     )
 
 
 def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
-    """Run the fixed-background model (or its frozen-temperature reduction)."""
+    """Run the fixed-background model or, for model "isothermal", its
+    frozen-temperature reduction; model "a1" runs in model_a1.simulate."""
+    if cfg.params.model == "a1":
+        raise ValueError("model 'a1' is marched by model_a1.simulate")
 
     def step(s: ThermoState) -> ThermoState:
-        return imex_step(
-            s, cfg.params, cfg.dt, dealias=cfg.dealias, isothermal=cfg.isothermal
-        )
+        return imex_step(s, cfg.params, cfg.dt, dealias=cfg.dealias)
 
     return march(cfg, init, step)

@@ -389,6 +389,8 @@ def picard_iterate(
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
         raise ValueError("initial fields and partition must share one grid")
+    if p.model != "a2":
+        raise ValueError(f"the solution map linearizes model 'a2', got {p.model!r}")
     times = cfg.times
 
     phi_free = free_evolution(phi0, p, times)

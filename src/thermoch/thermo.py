@@ -41,6 +41,7 @@ from .grid import (
 )
 
 __all__ = [
+    "MODELS",
     "ModelParams",
     "ThermoState",
     "PositivityError",
@@ -50,6 +51,7 @@ __all__ = [
     "entropy_density",
     "internal_energy_density",
     "chemical_potential",
+    "force_square",
     "entropy_production",
     "total_energy",
     "verify_variational_identities",
@@ -69,13 +71,18 @@ class SingularityError(ValueError):
     """1/phi-type factor hit phi = 0 with no regularization enabled."""
 
 
+MODELS = ("a2", "a1", "isothermal")
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical and model-selection parameters.
+    """Physical parameters and the model selection.
 
-    model selects the temperature bookkeeping: "A2" evolves theta on a fixed
-    background, "A1" transports it with the mixture velocity. a1_reg is the
-    delta in the regularized reciprocal phi/(phi^2 + delta^2) used by A1.
+    model is the one variant knob, spelled as in the INI file: "a2" evolves
+    theta on a fixed background, "a1" transports the entropy with the
+    mixture velocity, "isothermal" freezes theta (the a2 phase equation
+    alone).  reg_delta is the delta in the regularized reciprocal
+    phi/(phi^2 + delta^2) that a1 uses for 1/phi.
     """
 
     eps: float
@@ -83,8 +90,8 @@ class ModelParams:
     alpha: float
     kappa: float
     k_b: float
-    model: Literal["A1", "A2"] = "A2"
-    a1_reg: float = 1e-2
+    model: Literal["a2", "a1", "isothermal"] = "a2"
+    reg_delta: float = 1e-2
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -97,10 +104,10 @@ class ModelParams:
             raise ValueError("kappa must be positive")
         if self.k_b <= 0.0:
             raise ValueError("k_b must be positive")
-        if self.model not in ("A1", "A2"):
-            raise ValueError(f"model must be 'A1' or 'A2', got {self.model!r}")
-        if self.a1_reg < 0.0:
-            raise ValueError("a1_reg must be >= 0")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        if self.reg_delta < 0.0:
+            raise ValueError("reg_delta must be >= 0")
 
 
 @dataclass
@@ -136,11 +143,16 @@ class ThermoState:
         return self.dtheta_dt.values
 
 
+def _argmin_index(values: np.ndarray) -> tuple[int, ...]:
+    """Grid index of the minimum of values, as plain ints."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
+
+
 def _require_positive_theta(theta: Field, context: str, state: "ThermoState | None" = None):
     vals = theta.values
     tmin = float(vals.min())
     if tmin <= 0.0:
-        loc = np.unravel_index(int(np.argmin(vals)), vals.shape)
+        loc = _argmin_index(vals)
         raise PositivityError(
             f"theta must stay positive; min(theta) = {tmin:.6e} at index {loc} ({context})",
             state=state,
@@ -235,6 +247,48 @@ def chemical_potential(state: ThermoState, p: ModelParams, dealias: bool = True)
     return Field(g, -div_flux + bulk)
 
 
+def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
+    """phi/(phi^2 + delta^2), the a1 stand-in for 1/phi; exact 1/phi at delta = 0."""
+    if reg_delta == 0.0:
+        if float(np.min(np.abs(phi))) < 1e-8:
+            raise SingularityError(
+                "1/phi is singular: phi crosses zero and reg_delta = 0"
+            )
+        return 1.0 / phi
+    return phi / (phi**2 + reg_delta**2)
+
+
+def force_square(
+    state: ThermoState,
+    grad_mu: list[np.ndarray],
+    grad_rate: list[np.ndarray],
+    p: ModelParams,
+    grad_theta: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The dissipation square |grad mu + alpha*grad(dphi/dt)|^2, summed over axes.
+
+    For model "a1" the force gains the transported-entropy coupling
+    s*grad(theta)*phi/(phi^2 + delta^2).  The heat forcing and the entropy
+    production both form the square here; grad_theta is computed when the
+    caller has not already.
+    """
+    g = state.grid
+    extra = None
+    if p.model == "a1":
+        recip = _regularized_recip(state.phi.values, p.reg_delta)
+        s = entropy_density(state, p).values
+        if grad_theta is None:
+            grad_theta = grad_arrays(g, state.theta.values)
+        extra = [s * gt * recip for gt in grad_theta]
+    out = np.zeros(g.shape)
+    for i in range(g.dim):
+        force = grad_mu[i] + p.alpha * grad_rate[i]
+        if extra is not None:
+            force = force + extra[i]
+        out += force**2
+    return out
+
+
 def entropy_production(
     state: ThermoState,
     mu: Field,
@@ -243,8 +297,8 @@ def entropy_production(
 ) -> Field:
     """Pointwise theta*Delta^* for the selected model; a sum of squares.
 
-    A2: |grad mu + alpha*grad dphi_dt|^2 + alpha*dphi_dt^2 + kappa|grad theta|^2/theta
-    A1: the first square gains the +s*grad(theta)/phi coupling (regularized).
+    force_square + alpha*dphi_dt^2 + kappa|grad theta|^2/theta, where the
+    force carries the a1 coupling when p.model is "a1".
     """
     g = state.grid
     _require_positive_theta(state.theta, "entropy_production", state)
@@ -252,24 +306,9 @@ def entropy_production(
     dphi_dt = state.dphi_dt_values()
     grad_mu = grad_arrays(g, mu.values)
     grad_theta = grad_arrays(g, theta)
-
-    force_sq = np.zeros(g.shape)
-    if p.model == "A1":
-        phi = state.phi.values
-        if p.a1_reg == 0.0:
-            if float(np.min(np.abs(phi))) < 1e-8:
-                raise SingularityError(
-                    "A1 entropy production needs |phi| bounded away from 0 or a1_reg > 0"
-                )
-            recip = 1.0 / phi
-        else:
-            recip = phi / (phi**2 + p.a1_reg**2)
-        s = entropy_density(state, p).values
-        for i in range(g.dim):
-            force_sq += (grad_mu[i] + p.alpha * grad_dphi_dt[i].values + s * grad_theta[i] * recip) ** 2
-    else:
-        for i in range(g.dim):
-            force_sq += (grad_mu[i] + p.alpha * grad_dphi_dt[i].values) ** 2
+    force_sq = force_square(
+        state, grad_mu, [f.values for f in grad_dphi_dt], p, grad_theta
+    )
 
     grad_theta_sq = np.zeros(g.shape)
     for gt in grad_theta:

@@ -1,12 +1,15 @@
 """Command-line behavior: orchestration, outputs, exit codes, determinism."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermoch
 from thermoch import fieldio
 from thermoch.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, LOCK_NAME, main
 from thermoch.diagnostics import CSV_HEADER
@@ -106,6 +109,20 @@ class TestSimulate:
         assert (out / "diagnostics.csv").is_file()
         assert not (out / LOCK_NAME).exists()
 
+    def test_a1_singularity_is_labeled_with_its_message(self, tmp_path, capsys):
+        # spinodal data around phi = 0 at eps = 0.1: ds/dtheta < 0 where
+        # |phi| < 0.74, so the transported update cannot be solved
+        out = tmp_path / "out"
+        text = GENTLE.format(out=out).replace("model = a2", "model = a1")
+        text = text.replace("mean = 0.1", "mean = 0.0")
+        text = text.replace("alpha = 0.5", "alpha = 0.5\neps = 0.1")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert "termination: singularity" in captured.out
+        assert "entropy slope" in captured.err
+        assert (out / "diagnostics.csv").is_file()
+
     def test_held_lock_exits_4_and_is_not_stolen(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -198,6 +215,12 @@ class TestAnalysisCommands:
         assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
         assert "[picard]" in capsys.readouterr().err
 
+    def test_picard_verify_requires_model_a2(self, tmp_path, capsys):
+        text = PICARD.format(out=tmp_path / "out").replace("model = a2", "model = isothermal")
+        cfg = write_config(tmp_path, text)
+        assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "run.model" in capsys.readouterr().err
+
     def test_besov_norm_prints_blocks_summing_to_total(self, tmp_path, capsys):
         grid = GridSpec(dim=2, n=32, box_len=2.0 * math.pi)
         rng = np.random.default_rng(5)
@@ -242,10 +265,14 @@ class TestParser:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, GENTLE.format(out=out))
+        # the child imports the package under test, installed or not
+        src = str(Path(thermoch.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-m", "thermoch.cli", "simulate", "--config", str(cfg)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == EXIT_OK
         assert "termination: completed" in proc.stdout

@@ -33,7 +33,7 @@ class TestLoadConfig:
     def test_minimal_fills_documented_defaults(self):
         cfg = loads_config(MINIMAL)
         assert cfg.grid == GridSpec(dim=1, n=128, box_len=2.0 * math.pi)
-        assert cfg.model == "a2"
+        assert cfg.params.model == "a2"
         assert cfg.dt == 1e-3
         assert cfg.t_end == 0.1
         assert cfg.output_every == 10
@@ -42,7 +42,7 @@ class TestLoadConfig:
         assert cfg.eps0 == 0.5
         p = cfg.params
         assert (p.eps, p.theta_bar, p.alpha, p.kappa, p.k_b) == (1.0,) * 5
-        assert p.model == "A2"
+        assert p.reg_delta == 0.01
         assert cfg.init.kind == "spinodal"
         assert (cfg.init.amplitude, cfg.init.seed, cfg.init.mean) == (0.01, 1, 0.0)
         assert cfg.theta_init.kind == "constant"
@@ -53,9 +53,8 @@ class TestLoadConfig:
             MINIMAL.replace("model = a2", "model = a1")
             + "\n[physics]\nreg_delta = 0.05\n"
         )
-        assert cfg.model == "a1"
-        assert cfg.params.model == "A1"
-        assert cfg.params.a1_reg == 0.05
+        assert cfg.params.model == "a1"
+        assert cfg.params.reg_delta == 0.05
 
     def test_unknown_key_error_names_it(self):
         with pytest.raises(ConfigError, match="epsilonn"):
@@ -126,8 +125,10 @@ class TestLoadConfig:
 
 
 class TestCanonicalForm:
-    def test_round_trip_is_identity(self):
-        cfg = loads_config(MINIMAL)
+    @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
+    def test_round_trip_is_identity(self, model):
+        cfg = loads_config(MINIMAL.replace("model = a2", f"model = {model}"))
+        assert cfg.params.model == model
         text = canonical_text(cfg)
         assert loads_config(text) == cfg
         assert canonical_text(loads_config(text)) == text

@@ -101,13 +101,11 @@ class TestAudit:
 class TestIsothermalCheck:
     def test_monotone_run_passes(self):
         rng = np.random.default_rng(6)
-        p = params(alpha=0.0)
+        p = params(alpha=0.0, model="isothermal")
         s = ThermoState(
             band_limited(GRID, rng, amp=0.05), Field(GRID, np.ones(GRID.shape))
         )
-        cfg = SimConfig(
-            grid=GRID, params=p, dt=1e-4, t_end=0.05, output_every=50, isothermal=True
-        )
+        cfg = SimConfig(grid=GRID, params=p, dt=1e-4, t_end=0.05, output_every=50)
         traj = simulate(cfg, s)
         rep = isothermal_decay_check(traj, p)
         assert rep.ok and rep.first_violation_step is None

@@ -1,5 +1,7 @@
 """Transported-temperature variant: coupling flux, velocity, stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
 
 
 def params(**kw):
-    base = dict(eps=1.0, theta_bar=1.0, alpha=0.5, kappa=1.0, k_b=1.0)
+    base = dict(eps=1.0, theta_bar=1.0, alpha=0.5, kappa=1.0, k_b=1.0, model="a1")
     base.update(kw)
     return ModelParams(**base)
 
@@ -55,7 +57,7 @@ class TestCouplingFlux:
         rng = np.random.default_rng(1)
         p = params()
         s = ThermoState(band_limited(GRID, rng), Field(GRID, np.full(GRID.shape, 1.3)))
-        flux = a1_coupling_flux(s, p, 1e-2)
+        flux = a1_coupling_flux(s, p)
         assert np.max(np.abs(flux.values)) == 0.0
 
     def test_linearization_about_pure_phase(self):
@@ -65,20 +67,20 @@ class TestCouplingFlux:
         x = GRID1.axes[0]
         theta = p.theta_bar + a * np.sin(x)
         s = ThermoState(Field(GRID1, np.ones(GRID1.shape)), Field(GRID1, theta))
-        flux = a1_coupling_flux(s, p, 1e-2)
+        flux = a1_coupling_flux(s, p)
         s_bar = p.k_b * (1.0 + np.log(p.theta_bar))  # entropy of the pure phase
         expected = s_bar * (-a * np.sin(x))
         err = np.max(np.abs(flux.values - expected)) / np.max(np.abs(expected))
         assert err < 0.05
 
     def test_zero_crossing_without_regularization(self):
-        p = params()
+        p = params(reg_delta=0.0)
         x = GRID1.axes[0]
         s = ThermoState(
             Field(GRID1, 0.9 * np.sin(x)), Field(GRID1, 1.0 + 0.1 * np.cos(x))
         )
         with pytest.raises(SingularityError, match="reg_delta"):
-            a1_coupling_flux(s, p, 0.0)
+            a1_coupling_flux(s, p)
 
     def test_mass_neutral(self):
         # the flux is a total divergence: its mean vanishes identically
@@ -88,7 +90,7 @@ class TestCouplingFlux:
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.3).values),
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.2).values),
         )
-        assert abs(mean(a1_coupling_flux(s, p, 1e-2))) < 1e-15
+        assert abs(mean(a1_coupling_flux(s, p))) < 1e-15
 
 
 class TestVelocity:
@@ -98,19 +100,19 @@ class TestVelocity:
             Field(GRID, np.ones(GRID.shape)), Field(GRID, np.full(GRID.shape, 1.0))
         )
         mu = chemical_potential(s, p)
-        u = a1_velocity(s, mu, p, 1e-2)
+        u = a1_velocity(s, mu, p)
         assert all(np.max(np.abs(ui.values)) == 0.0 for ui in u)
 
     def test_reassembly_identity_at_constant_theta(self):
         # -div(phi u) vs lap(mu) + alpha lap(dphi/dt), vanishing-delta limit
         rng = np.random.default_rng(3)
-        p = params(alpha=0.7)
+        p = params(alpha=0.7, reg_delta=1e-5)
         phi = Field(GRID, 1.0 + 0.3 * band_limited(GRID, rng, kmax_int=3).values / 0.1)
         assert float(np.min(np.abs(phi.values))) >= 0.5
         rate = band_limited(GRID, rng, amp=0.2, kmax_int=3)
         s = ThermoState(phi, Field(GRID, np.ones(GRID.shape)), dphi_dt=rate)
         mu = chemical_potential(s, p, dealias=False)
-        u = a1_velocity(s, mu, p, 1e-5)
+        u = a1_velocity(s, mu, p)
         minus_div_phi_u = -divergence(
             [s.phi.values * ui.values for ui in u]
         )
@@ -129,7 +131,7 @@ class TestVelocity:
             dphi_dt=band_limited(GRID, rng, amp=0.5),
         )
         mu = chemical_potential(s, p)
-        u = a1_velocity(s, mu, p, 1e-2)
+        u = a1_velocity(s, mu, p)
         kinetic = s.phi.values**2 * sum(ui.values**2 for ui in u)
         assert float(np.mean(kinetic)) >= 0.0
         assert np.min(kinetic) >= 0.0
@@ -151,7 +153,7 @@ class TestA1Step:
             Field(GRID, np.full(GRID.shape, 1.0)),
         )
         a1_state, extras = a1_step(s, p, 1e-4)
-        a2_state = imex_step(s, p, 1e-4)
+        a2_state = imex_step(s, replace(p, model="a2"), 1e-4)
         assert np.max(np.abs(a1_state.phi.values - a2_state.phi.values)) <= 1e-12
         assert np.max(np.abs(a1_state.theta.values - a2_state.theta.values)) <= 1e-12
         # the refreshed velocity is generally nonzero: it feeds the next step
@@ -166,8 +168,9 @@ class TestA1Step:
         init = ThermoState(phi, theta)
 
         def two_steps(delta):
-            state, extras = a1_step(init, p, 1e-4, delta)
-            state, _ = a1_step(state, p, 1e-4, delta, extras=extras)
+            p_delta = replace(p, reg_delta=delta)
+            state, extras = a1_step(init, p_delta, 1e-4)
+            state, _ = a1_step(state, p_delta, 1e-4, extras=extras)
             return state
 
         outs = [two_steps(d) for d in (2e-2, 1e-2, 5e-3)]
@@ -207,7 +210,7 @@ class TestSimulateA1:
         )
         cfg = SimConfig(grid=GRID, params=p, dt=1e-4, t_end=1e-3, output_every=10)
         t_a1 = simulate(cfg, init)
-        t_a2 = simulate_a2(cfg, init)
+        t_a2 = simulate_a2(replace(cfg, params=replace(p, model="a2")), init)
         assert t_a1.termination == "completed"
         gap = np.max(
             np.abs(t_a1.states[-1].theta.values - t_a2.states[-1].theta.values)
@@ -258,9 +261,18 @@ class TestSimulateA1:
 
 class TestExtras:
     def test_validation(self):
-        with pytest.raises(ValueError, match="reg_delta"):
-            A1Extras.zero(GRID, -1.0)
         z1 = Field(GRID1, np.zeros(GRID1.shape))
         z2 = Field(GRID, np.zeros(GRID.shape))
         with pytest.raises(ValueError, match="grid"):
-            A1Extras(velocity=(z1, z2), reg_delta=1e-2)
+            A1Extras(velocity=(z1, z2))
+
+
+class TestModelSelection:
+    def test_non_a1_params_rejected(self):
+        s = ThermoState(Field(GRID, np.ones(GRID.shape)), Field(GRID, np.ones(GRID.shape)))
+        cfg = SimConfig(grid=GRID, params=params(model="a2"), dt=1e-4, t_end=1e-3)
+        for model in ("a2", "isothermal"):
+            with pytest.raises(ValueError, match="'a1'"):
+                a1_step(s, params(model=model), 1e-4)
+        with pytest.raises(ValueError, match="'a1'"):
+            simulate(cfg, s)

@@ -10,6 +10,7 @@ from thermoch.model_a2 import SimConfig, Trajectory, imex_step, march, rhs_f1, r
 from thermoch.thermo import (
     ModelParams,
     PositivityError,
+    SingularityError,
     ThermoState,
     chemical_potential,
     entropy_production,
@@ -170,6 +171,14 @@ class TestRhsF2:
         expected_gap = -theta.values * db_dth * cache.values
         assert np.max(np.abs(with_cache.values - without.values - expected_gap)) < 1e-12
 
+    def test_a1_without_regularization_is_singular_at_phi_zero(self):
+        # phi = 0.9 sin(x) crosses zero; at reg_delta = 0 the a1 force needs 1/phi
+        p = params(model="a1", reg_delta=0.0)
+        x = GRID1.axes[0]
+        s = ThermoState(Field(GRID1, 0.9 * np.sin(x)), Field(GRID1, 1.0 + 0.1 * np.cos(x)))
+        with pytest.raises(SingularityError, match="reg_delta"):
+            rhs_f2(s, Field(GRID1, np.zeros(GRID1.shape)), p)
+
 
 class TestImexStep:
     def test_forced_phi_mode_decay_factor(self):
@@ -253,9 +262,9 @@ class TestImexStep:
 
     def test_isothermal_skips_temperature(self):
         rng = np.random.default_rng(9)
-        p = params(alpha=0.0)
+        p = params(alpha=0.0, model="isothermal")
         s = ThermoState(band_limited(GRID2, rng), Field(GRID2, np.ones(GRID2.shape)))
-        out = imex_step(s, p, 1e-3, isothermal=True)
+        out = imex_step(s, p, 1e-3)
         assert out.theta is s.theta
         assert out.dtheta_dt is None
 
@@ -319,6 +328,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="grid"):
             simulate(cfg, s)
 
+    def test_a1_params_rejected(self):
+        s = uniform_state(GRID2, phi=1.0, theta=1.0)
+        cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=0.1, t_end=1.0)
+        with pytest.raises(ValueError, match="model_a1"):
+            simulate(cfg, s)
+
 
 class TestMarch:
     def test_positivity_failure_truncates_with_label(self):
@@ -348,6 +363,20 @@ class TestMarch:
 
         traj = march(cfg, s, step)
         assert traj.termination == "non_finite"
+        assert traj.message == "values must be finite"
+        assert len(traj.states) == 1
+
+    def test_singularity_label_carries_message(self):
+        p = params()
+        s = uniform_state(GRID2, phi=1.0, theta=1.0)
+        cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=0.5, output_every=1)
+
+        def step(state):
+            raise SingularityError("entropy slope ds/dtheta = -1.0e+00")
+
+        traj = march(cfg, s, step)
+        assert traj.termination == "singularity"
+        assert "entropy slope" in traj.message
         assert len(traj.states) == 1
 
 

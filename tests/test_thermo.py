@@ -48,6 +48,18 @@ GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
 GRID2 = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
 
 
+class TestModelParams:
+    def test_model_is_spelled_as_in_the_config(self):
+        for model in ("a2", "a1", "isothermal"):
+            assert params(model=model).model == model
+        with pytest.raises(ValueError, match="model"):
+            params(model="A1")
+
+    def test_negative_reg_delta_rejected(self):
+        with pytest.raises(ValueError, match="reg_delta"):
+            params(reg_delta=-1.0)
+
+
 class TestBulkPotential:
     def test_frozen_point_value(self):
         # phi = 0.5, theta = theta_bar + 1: W = 0.5625/4 + (1/3)*0.25 exactly
@@ -167,7 +179,7 @@ class TestEntropyProduction:
 
     def test_nonnegative_sum_of_squares(self):
         rng = np.random.default_rng(31)
-        for model in ("A2", "A1"):
+        for model in ("a2", "a1"):
             p = params(model=model)
             phi = 1.0 + band_limited(GRID2, rng, amp=0.2)
             theta = 2.0 + band_limited(GRID2, rng, amp=0.4)
@@ -186,18 +198,18 @@ class TestEntropyProduction:
         phi = 1.0 + band_limited(GRID1, rng, amp=0.3)
         st = ThermoState(Field(GRID1, phi), Field(GRID1, np.full(GRID1.shape, 2.0)))
         rates = [Field(GRID1, band_limited(GRID1, rng))]
-        p2 = params(model="A2")
-        p1 = params(model="A1")
+        p2 = params(model="a2")
+        p1 = params(model="a1")
         mu = chemical_potential(st, p2)
         prod2 = entropy_production(st, mu, rates, p2).values
         prod1 = entropy_production(st, mu, rates, p1).values
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
 
     def test_a1_singularity_guard(self):
-        p = params(model="A1", a1_reg=0.0)
+        p = params(model="a1", reg_delta=0.0)
         st = uniform_state(GRID1, 0.0, 1.0)  # phi == 0 everywhere
         mu = chemical_potential(st, p)
-        with pytest.raises(SingularityError):
+        with pytest.raises(SingularityError, match="reg_delta"):
             entropy_production(st, mu, self._zero_rates(GRID1), p)
 
 
