@@ -11,8 +11,8 @@ Modules
 -------
 grid        periodic grids, FFT transforms, spectral derivatives
 thermo      free-energy functional, chemical potential, entropy production
-model_a2    gradient-flow variant: IMEX stepper and simulation driver
-model_a1    transported-entropy variant with a regularized mobility
+model_a1    a1 terms: transported-entropy coupling flux and mixture velocity
+model_a2    IMEX stepper and simulation driver for the a2, a1 and isothermal models
 picard      exact mode-wise propagators and contraction-mapping verification
 besov       dyadic partition of unity and frequency-block (Besov-type) norms
 diagnostics conservation/dissipation audits and CSV reporting

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-  simulate         march the configured model and write snapshots,
+  simulate         march the configured model (run.model: a2, a1 or
+                   isothermal, one driver for all three) and write snapshots,
                    diagnostics.csv, and plot-ready columns for the final state
   check-smallness  evaluate both admissibility inequalities on the initial data
   picard-verify    run the fixed-point iteration and report contraction ratios
@@ -24,12 +25,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import fieldio, model_a1, model_a2
+from . import fieldio
 from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
 from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
-from .model_a2 import SimConfig, Trajectory
+from .model_a2 import SimConfig, Trajectory, simulate
 from .picard import picard_iterate
 from .thermo import PositivityError
 
@@ -144,10 +145,7 @@ def _cmd_simulate(args) -> int:
     sim = _sim_config(cfg)
     outdir = Path(cfg.output_dir)
     with _locked_output(outdir):
-        if cfg.params.model == "a1":
-            traj = model_a1.simulate(sim, init)
-        else:
-            traj = model_a2.simulate(sim, init)
+        traj = simulate(sim, init)
         _write_run_outputs(outdir, cfg, traj)
     last = traj.diagnostics[-1]
     print(f"model: {cfg.params.model}  steps: {last.step}/{sim.n_steps}  t: {last.t!r}")

@@ -21,21 +21,23 @@ fixed-background model), carries theta dB/dtheta against the lagged rate, and
 aborts if ds/dtheta loses positivity anywhere, since the expansion is then no
 longer invertible for the rate.
 
-The transport velocity entering a step is the one cached at the end of the
-previous step (zero at t = 0, like the rate caches).  Consequences worth
-knowing: with grad(theta_0) = 0 the first step reduces to the fixed-background
-step exactly, and the velocity lag is first-order consistent, matching the
-overall scheme order.
+The transport velocity entering a step is recomputed from the state at the
+start of the step, u = a1_velocity(s, mu(s)), and is zero when the state has
+no rates yet (t = 0, like the rate caches).  Nothing is carried between
+steps, so a run restarted from any recorded state continues bit for bit.
+Consequences worth knowing: with grad(theta_0) = 0 the first step reduces to
+the fixed-background step exactly, and u lags the step by one rate, which is
+first-order consistent, matching the overall scheme order.
+
+The stepper is model_a2.imex_step for every model; this module holds only
+the a1 terms it adds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Field, GridSpec, divergence_arrays, grad_arrays
-from .model_a2 import SimConfig, Trajectory, imex_step, march
+from .grid import Field, divergence_arrays, grad_arrays
 from .thermo import (
     ModelParams,
     SingularityError,
@@ -46,27 +48,6 @@ from .thermo import (
     chemical_potential,
     entropy_density,
 )
-
-
-@dataclass(frozen=True)
-class A1Extras:
-    """Per-step carry-over of the transport mode: the cached velocity."""
-
-    velocity: tuple[Field, ...]
-
-    def __post_init__(self):
-        grids = {u.grid for u in self.velocity}
-        if len(grids) != 1:
-            raise ValueError("velocity components must share one grid")
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "A1Extras":
-        return cls(velocity=tuple(Field(grid, np.zeros(grid.shape)) for _ in range(grid.dim)))
-
-
-def _require_a1(p: ModelParams) -> None:
-    if p.model != "a1":
-        raise ValueError(f"the transported step needs model 'a1', got {p.model!r}")
 
 
 def a1_coupling_flux(s: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
@@ -117,54 +98,14 @@ def _require_invertible_entropy_slope(s: ThermoState, p: ModelParams):
         )
 
 
-def a1_step(
-    s: ThermoState,
-    p: ModelParams,
-    dt: float,
-    *,
-    extras: A1Extras | None = None,
-    dealias: bool = True,
-) -> tuple[ThermoState, A1Extras]:
-    """One transported step; returns the new state and the refreshed carry.
-
-    p.model must be "a1".  The phase update is the fixed-background step
-    plus the explicit coupling flux; the temperature update is the
-    fixed-background implicit solve with the transported production form
-    and the extra forcing -div(s u) evaluated with the cached velocity.
-    """
-    _require_a1(p)
-    if extras is None:
-        extras = A1Extras.zero(s.grid)
-    _require_invertible_entropy_slope(s, p)
-
+def entropy_transport(s: ThermoState, p: ModelParams, dealias: bool = True) -> np.ndarray:
+    """div(s u) with the velocity recomputed from the state; u = 0 while the
+    state has no rates."""
     grid = s.grid
-    flux = a1_coupling_flux(s, p, dealias=dealias)
+    if s.dphi_dt is None:
+        velocity = [np.zeros(grid.shape)] * grid.dim
+    else:
+        mu = chemical_potential(s, p, dealias=dealias)
+        velocity = [u.values for u in a1_velocity(s, mu, p)]
     entropy = entropy_density(s, p).values
-    transported = [entropy * u.values for u in extras.velocity]
-    div_su = divergence_arrays(grid, transported, mask=dealias)
-
-    new_state = imex_step(
-        s,
-        p,
-        dt,
-        dealias=dealias,
-        f1_extra=flux.values,
-        f2_extra=-div_su,
-    )
-    mu_new = chemical_potential(new_state, p, dealias=dealias)
-    return new_state, A1Extras(velocity=a1_velocity(new_state, mu_new, p))
-
-
-def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
-    """Run the transported model (cfg.params.model must be "a1");
-    diagnostics use the transported production."""
-    _require_a1(cfg.params)
-    carry = {"extras": A1Extras.zero(cfg.grid)}
-
-    def step(state: ThermoState) -> ThermoState:
-        new_state, carry["extras"] = a1_step(
-            state, cfg.params, cfg.dt, extras=carry["extras"], dealias=cfg.dealias
-        )
-        return new_state
-
-    return march(cfg, init, step)
+    return divergence_arrays(grid, [entropy * u for u in velocity], mask=dealias)

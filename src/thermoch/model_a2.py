@@ -1,4 +1,4 @@
-"""Semi-implicit pseudospectral marching for the fixed-background model.
+"""Semi-implicit pseudospectral marching for all three models.
 
 The evolved system, after expanding the temperature equation against the
 entropy's chain rule, reads
@@ -9,11 +9,17 @@ entropy's chain rule, reads
 where f1 collects the variable-coefficient fourth-order correction and the
 bulk term, and f2 collects the rate-quadratic heating, the chain-rule bracket
 of the entropy's bulk part, and the dissipation density.  Both constant-
-coefficient linear operators are inverted exactly per Fourier mode; f1 and f2
-are treated explicitly.  Within a step the phase field is updated first, its
-fresh backward difference feeds f2, and the temperature rate enters f2 lagged
-by one step (zero initially) — a Gauss-Seidel staggering consistent with the
-scheme's first-order accuracy.
+coefficient linear operators are inverted exactly per Fourier mode
+(phase_update, heat_update); f1 and f2 are treated explicitly.  Within a step
+the phase field is updated first, its fresh backward difference feeds f2,
+and the temperature rate enters f2 lagged by one step (zero initially) — a
+Gauss-Seidel staggering consistent with the scheme's first-order accuracy.
+
+ModelParams.model selects the variant.  "a2" is the system above (the
+fixed-background model).  "a1" is the same system plus the transport of
+entropy by the mixture velocity: f1 gains the coupling flux and f2 gains
+-div(s u), both from model_a1.  "isothermal" freezes theta and takes the
+phase update alone.  imex_step and simulate serve all three.
 
 The zero mode of the phase field is preserved exactly: f1 is a total
 Laplacian, so its mean vanishes identically and the update is skipped for
@@ -29,6 +35,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
 from .grid import Field, GridSpec, dealias_array, fftn, grad_arrays, ifftn_real, laplacian_array
+from .model_a1 import _require_invertible_entropy_slope, a1_coupling_flux, entropy_transport
 from .thermo import (
     ModelParams,
     PositivityError,
@@ -150,45 +157,66 @@ def rhs_f2(
     return Field(grid, out)
 
 
+def phase_update(
+    grid: GridSpec, p: ModelParams, dt: float, phi: np.ndarray, f1: np.ndarray
+) -> np.ndarray:
+    """Implicit per-mode solve of the phase equation with forcing f1; the
+    k = 0 mode is kept as it is.
+
+    Both solves return a compact copy: the real part of the inverse transform
+    is a view that would keep the whole complex buffer alive in every
+    recorded state.
+    """
+    k2 = grid.k_squared
+    mass_factor = 1.0 + p.alpha * k2
+    phi_hat = fftn(grid, phi)
+    new_phi_hat = (mass_factor * phi_hat + dt * fftn(grid, f1)) / (
+        mass_factor + dt * p.eps * p.theta_bar * k2**2
+    )
+    origin = (0,) * grid.dim
+    new_phi_hat[origin] = phi_hat[origin]
+    return np.ascontiguousarray(ifftn_real(grid, new_phi_hat))
+
+
+def heat_update(
+    grid: GridSpec, p: ModelParams, dt: float, theta: np.ndarray, f2: np.ndarray
+) -> np.ndarray:
+    """Implicit per-mode solve of the temperature equation with forcing f2."""
+    theta_hat = fftn(grid, theta)
+    new_theta_hat = (p.k_b * theta_hat + dt * fftn(grid, f2)) / (
+        p.k_b + dt * p.kappa * grid.k_squared
+    )
+    return np.ascontiguousarray(ifftn_real(grid, new_theta_hat))
+
+
 def imex_step(
     state: ThermoState,
     p: ModelParams,
     dt: float,
     *,
     dealias: bool = True,
-    f1_extra: np.ndarray | None = None,
-    f2_extra: np.ndarray | None = None,
-    forced: tuple[Field | None, Field | None] | None = None,
 ) -> ThermoState:
-    """Advance one step; returns the new state with fresh rate caches.
+    """Advance one step of model p.model; returns the new state with fresh
+    rate caches.
 
-    p.model "isothermal" stops after the phase update and keeps theta;
-    "a1" adds the transported-entropy force to the dissipation square (the
-    rest of the a1 step comes in through the extras, see model_a1.a1_step).
-    ``forced`` replaces the assembled (f1, f2) with prescribed fields (None
-    meaning zero) so the bare mode-wise recurrences can be tested against
-    scalar closed forms.  ``f1_extra``/``f2_extra`` are added to the
-    assembled forcings; the transported-coupling variant is built on them.
+    "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
+    requires an invertible entropy slope, then adds the coupling flux to f1
+    and -div(s u) to f2, with u recomputed from this state
+    (model_a1.entropy_transport).  "isothermal" stops after the phase update
+    and keeps theta.
     """
     grid = state.grid
     phi, theta = state.phi.values, state.theta.values
-    k2 = grid.k_squared
+    a1 = p.model == "a1"
 
-    if forced is not None:
-        f1_vals = np.zeros(grid.shape) if forced[0] is None else forced[0].values
-    else:
-        f1_vals = rhs_f1(state, p, dealias=dealias).values
-        if f1_extra is not None:
-            f1_vals = f1_vals + f1_extra
-
-    mass_factor = 1.0 + p.alpha * k2
-    phi_hat = fftn(grid, phi)
-    new_phi_hat = (mass_factor * phi_hat + dt * fftn(grid, f1_vals)) / (
-        mass_factor + dt * p.eps * p.theta_bar * k2**2
-    )
-    origin = (0,) * grid.dim
-    new_phi_hat[origin] = phi_hat[origin]
-    new_phi = ifftn_real(grid, new_phi_hat)
+    if a1:
+        _require_invertible_entropy_slope(state, p)
+        flux = a1_coupling_flux(state, p, dealias=dealias).values
+        div_su = entropy_transport(state, p, dealias=dealias)
+    f1 = rhs_f1(state, p, dealias=dealias).values
+    if a1:
+        f1 = f1 + flux
+    new_phi = phase_update(grid, p, dt, phi, f1)
     rate = (new_phi - phi) / dt
 
     if p.model == "isothermal":
@@ -199,18 +227,10 @@ def imex_step(
             dtheta_dt=None,
         )
 
-    if forced is not None:
-        f2_vals = np.zeros(grid.shape) if forced[1] is None else forced[1].values
-    else:
-        f2_vals = rhs_f2(state, Field(grid, rate), p, dealias=dealias).values
-        if f2_extra is not None:
-            f2_vals = f2_vals + f2_extra
-
-    theta_hat = fftn(grid, theta)
-    new_theta_hat = (p.k_b * theta_hat + dt * fftn(grid, f2_vals)) / (
-        p.k_b + dt * p.kappa * k2
-    )
-    new_theta = ifftn_real(grid, new_theta_hat)
+    f2 = rhs_f2(state, Field(grid, rate), p, dealias=dealias).values
+    if a1:
+        f2 = f2 - div_su
+    new_theta = heat_update(grid, p, dt, theta, f2)
     tmin = float(np.min(new_theta))
     if tmin <= 0.0:
         loc = _argmin_index(new_theta)
@@ -275,10 +295,7 @@ def march(
 
 
 def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
-    """Run the fixed-background model or, for model "isothermal", its
-    frozen-temperature reduction; model "a1" runs in model_a1.simulate."""
-    if cfg.params.model == "a1":
-        raise ValueError("model 'a1' is marched by model_a1.simulate")
+    """Run the model cfg.params.model selects ("a2", "a1" or "isothermal")."""
 
     def step(s: ThermoState) -> ThermoState:
         return imex_step(s, cfg.params, cfg.dt, dealias=cfg.dealias)

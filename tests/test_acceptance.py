@@ -22,9 +22,7 @@ from thermoch.grid import (
     ifftn_real,
     l2_norm,
 )
-from thermoch.model_a1 import a1_step
-from thermoch.model_a1 import simulate as a1_simulate
-from thermoch.model_a2 import SimConfig, imex_step, simulate
+from thermoch.model_a2 import SimConfig, heat_update, imex_step, phase_update, simulate
 from thermoch.picard import (
     PicardConfig,
     phi_apriori_ratios,
@@ -213,8 +211,12 @@ def test_criterion_08_heat_kernel_oracle():
         Field(GRID_1D, np.zeros(GRID_1D.shape)),
         Field(GRID_1D, 1.0 + b * np.cos(mode * x)),
     )
+    zero = np.zeros(GRID_1D.shape)
     for _ in range(round(t_end / dt)):
-        state = imex_step(state, p, dt, forced=(None, None))
+        state = ThermoState(
+            Field(GRID_1D, phase_update(GRID_1D, p, dt, state.phi.values, zero)),
+            Field(GRID_1D, heat_update(GRID_1D, p, dt, state.theta.values, zero)),
+        )
     assert np.max(np.abs(state.phi.values)) == 0.0
     amplitude = (state.theta.values.max() - state.theta.values.min()) / 2.0
     lam = p.kappa * mode**2 / p.k_b
@@ -338,7 +340,7 @@ def test_criterion_12_a1_a2_agreement():
     # grad(theta0) = 0 exactly: the transported coupling vanishes
     state = ThermoState(phi, Field(grid, np.ones(grid.shape)))
     a2_next = imex_step(state, replace(p, model="a2"), 1e-4)
-    a1_next, _ = a1_step(state, replace(p, reg_delta=1e-2), 1e-4)
+    a1_next = imex_step(state, replace(p, reg_delta=1e-2), 1e-4)
     assert np.max(np.abs(a1_next.phi.values - a2_next.phi.values)) <= 1e-10
     assert np.max(np.abs(a1_next.theta.values - a2_next.theta.values)) <= 1e-10
 
@@ -351,7 +353,7 @@ def test_criterion_12_a1_a2_agreement():
         cfg = SimConfig(
             grid=grid, params=replace(p, reg_delta=delta), dt=1e-4, t_end=5e-3, output_every=10**6
         )
-        traj = a1_simulate(cfg, state)
+        traj = simulate(cfg, state)
         assert traj.termination == "completed"
         finals[delta] = traj.states[-1]
     for attr in ("phi", "theta"):

@@ -15,15 +15,8 @@ from thermoch.grid import (
     laplacian_array,
     mean,
 )
-from thermoch.model_a1 import (
-    A1Extras,
-    a1_coupling_flux,
-    a1_step,
-    a1_velocity,
-    simulate,
-)
-from thermoch.model_a2 import SimConfig, imex_step
-from thermoch.model_a2 import simulate as simulate_a2
+from thermoch.model_a1 import a1_coupling_flux, a1_velocity
+from thermoch.model_a2 import SimConfig, imex_step, simulate
 from thermoch.thermo import (
     ModelParams,
     SingularityError,
@@ -152,12 +145,12 @@ class TestA1Step:
             band_limited(GRID, rng, amp=0.2),
             Field(GRID, np.full(GRID.shape, 1.0)),
         )
-        a1_state, extras = a1_step(s, p, 1e-4)
+        a1_state = imex_step(s, p, 1e-4)
         a2_state = imex_step(s, replace(p, model="a2"), 1e-4)
         assert np.max(np.abs(a1_state.phi.values - a2_state.phi.values)) <= 1e-12
         assert np.max(np.abs(a1_state.theta.values - a2_state.theta.values)) <= 1e-12
-        # the refreshed velocity is generally nonzero: it feeds the next step
-        assert isinstance(extras, A1Extras)
+        # the rate cache the next step recomputes the velocity from
+        assert a1_state.dphi_dt is not None
 
     def test_regularization_sensitivity_is_quadratic(self):
         rng = np.random.default_rng(6)
@@ -169,8 +162,8 @@ class TestA1Step:
 
         def two_steps(delta):
             p_delta = replace(p, reg_delta=delta)
-            state, extras = a1_step(init, p_delta, 1e-4)
-            state, _ = a1_step(state, p_delta, 1e-4, extras=extras)
+            state = imex_step(init, p_delta, 1e-4)
+            state = imex_step(state, p_delta, 1e-4)
             return state
 
         outs = [two_steps(d) for d in (2e-2, 1e-2, 5e-3)]
@@ -186,9 +179,9 @@ class TestA1Step:
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.1).values),
         )
         m0 = mean(s.phi)
-        state, extras = a1_step(s, p, 1e-4)
+        state = imex_step(s, p, 1e-4)
         for _ in range(20):
-            state, extras = a1_step(state, p, 1e-4, extras=extras)
+            state = imex_step(state, p, 1e-4)
         assert abs(mean(state.phi) - m0) <= 1e-14
 
     def test_entropy_slope_guard(self):
@@ -197,7 +190,7 @@ class TestA1Step:
             Field(GRID, np.zeros(GRID.shape)), Field(GRID, np.ones(GRID.shape))
         )
         with pytest.raises(SingularityError, match="ds/dtheta"):
-            a1_step(s, p, 1e-4)
+            imex_step(s, p, 1e-4)
 
 
 class TestSimulateA1:
@@ -210,7 +203,7 @@ class TestSimulateA1:
         )
         cfg = SimConfig(grid=GRID, params=p, dt=1e-4, t_end=1e-3, output_every=10)
         t_a1 = simulate(cfg, init)
-        t_a2 = simulate_a2(replace(cfg, params=replace(p, model="a2")), init)
+        t_a2 = simulate(replace(cfg, params=replace(p, model="a2")), init)
         assert t_a1.termination == "completed"
         gap = np.max(
             np.abs(t_a1.states[-1].theta.values - t_a2.states[-1].theta.values)
@@ -258,21 +251,3 @@ class TestSimulateA1:
             assert 1.6 < ratio < 2.6
         assert max(drifts) < 1e-2
 
-
-class TestExtras:
-    def test_validation(self):
-        z1 = Field(GRID1, np.zeros(GRID1.shape))
-        z2 = Field(GRID, np.zeros(GRID.shape))
-        with pytest.raises(ValueError, match="grid"):
-            A1Extras(velocity=(z1, z2))
-
-
-class TestModelSelection:
-    def test_non_a1_params_rejected(self):
-        s = ThermoState(Field(GRID, np.ones(GRID.shape)), Field(GRID, np.ones(GRID.shape)))
-        cfg = SimConfig(grid=GRID, params=params(model="a2"), dt=1e-4, t_end=1e-3)
-        for model in ("a2", "isothermal"):
-            with pytest.raises(ValueError, match="'a1'"):
-                a1_step(s, params(model=model), 1e-4)
-        with pytest.raises(ValueError, match="'a1'"):
-            simulate(cfg, s)

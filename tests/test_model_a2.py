@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real
-from thermoch.model_a2 import SimConfig, Trajectory, imex_step, march, rhs_f1, rhs_f2, simulate
+from thermoch.model_a2 import (
+    SimConfig,
+    Trajectory,
+    heat_update,
+    imex_step,
+    march,
+    phase_update,
+    rhs_f1,
+    rhs_f2,
+    simulate,
+)
 from thermoch.thermo import (
     ModelParams,
     PositivityError,
@@ -18,6 +28,7 @@ from thermoch.thermo import (
 
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
 GRID2 = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
+GRID64 = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
 
 
 def params(**kw):
@@ -189,14 +200,18 @@ class TestImexStep:
             Field(GRID1, 0.2 + a * np.sin(m * x)),
             Field(GRID1, np.full(GRID1.shape, 2.0)),
         )
-        zero = Field(GRID1, np.zeros(GRID1.shape))
-        out = imex_step(s, p, dt, forced=(zero, zero))
+        zero = np.zeros(GRID1.shape)
+        out = ThermoState(
+            Field(GRID1, phase_update(GRID1, p, dt, s.phi.values, zero)),
+            Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)),
+        )
         factor = (1.0 + p.alpha * m**2) / (
             (1.0 + p.alpha * m**2) + dt * p.eps * p.theta_bar * m**4
         )
         expected = 0.2 + factor * a * np.sin(m * x)
         assert np.max(np.abs(out.phi.values - expected)) < 1e-13
         assert np.max(np.abs(out.theta.values - 2.0)) < 1e-13
+        out = imex_step(s, p, dt)
         assert out.dphi_dt is not None and out.dtheta_dt is not None
 
     def test_forced_heat_mode_decay_factor(self):
@@ -207,7 +222,8 @@ class TestImexStep:
             Field(GRID1, np.zeros(GRID1.shape)),
             Field(GRID1, 1.5 + b * np.cos(m * x)),
         )
-        out = imex_step(s, p, dt, forced=(None, None))
+        zero = np.zeros(GRID1.shape)
+        out = ThermoState(s.phi, Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)))
         factor = p.k_b / (p.k_b + dt * p.kappa * m**2)
         expected = 1.5 + factor * b * np.cos(m * x)
         assert np.max(np.abs(out.theta.values - expected)) < 1e-14
@@ -222,8 +238,12 @@ class TestImexStep:
             Field(GRID1, 1.0 + b * np.cos(m * x)),
         )
         n = round(t_end / dt)
+        zero = np.zeros(GRID1.shape)
         for _ in range(n):
-            s = imex_step(s, p, dt, forced=(None, None))
+            s = ThermoState(
+                Field(GRID1, phase_update(GRID1, p, dt, s.phi.values, zero)),
+                Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)),
+            )
         amp = float(
             np.max(s.theta.values) - np.min(s.theta.values)
         ) / 2.0
@@ -253,12 +273,17 @@ class TestImexStep:
             assert np.all(theta_gain > 0.0) and np.all(theta_gain <= 1.0)
 
     def test_positivity_abort_carries_state(self):
+        # white noise at dt = 2e-4 drives theta to about -3.5 in one step
         p = params()
-        s = uniform_state(GRID2, phi=0.0, theta=1e-3)
-        sink = Field(GRID2, np.full(GRID2.shape, -10.0))
-        with pytest.raises(PositivityError, match="min\\(theta\\)") as err:
-            imex_step(s, p, 1e-2, forced=(None, sink))
-        assert err.value.state is s
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            s = ThermoState(
+                Field(GRID64, 0.01 * rng.standard_normal(GRID64.shape)),
+                Field(GRID64, np.ones(GRID64.shape)),
+            )
+            with pytest.raises(PositivityError, match="min\\(theta\\)") as err:
+                imex_step(s, p, 2e-4)
+            assert err.value.state is s
 
     def test_isothermal_skips_temperature(self):
         rng = np.random.default_rng(9)
@@ -328,11 +353,26 @@ class TestSimulate:
         with pytest.raises(ValueError, match="grid"):
             simulate(cfg, s)
 
-    def test_a1_params_rejected(self):
-        s = uniform_state(GRID2, phi=1.0, theta=1.0)
-        cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=0.1, t_end=1.0)
-        with pytest.raises(ValueError, match="model_a1"):
-            simulate(cfg, s)
+    @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
+    def test_split_run_is_bitwise_equal(self, model):
+        # a run resumed from its last recorded state (with its rate caches)
+        # continues exactly as the uninterrupted run
+        rng = np.random.default_rng(13)
+        p = params(model=model)
+        init = ThermoState(
+            Field(GRID2, 0.9 + band_limited(GRID2, rng, amp=0.05).values),
+            Field(GRID2, 1.0 + band_limited(GRID2, rng, amp=0.02).values),
+        )
+        dt, n = 1e-4, 20
+        whole = simulate(SimConfig(grid=GRID2, params=p, dt=dt, t_end=n * dt), init)
+        half = SimConfig(grid=GRID2, params=p, dt=dt, t_end=n // 2 * dt)
+        first = simulate(half, init)
+        second = simulate(half, first.states[-1])
+        for traj in (whole, first, second):
+            assert traj.termination == "completed"
+        a, b = whole.states[-1], second.states[-1]
+        assert np.array_equal(a.phi.values, b.phi.values)
+        assert np.array_equal(a.theta.values, b.theta.values)
 
 
 class TestMarch:
