@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, inner, l2_norm, mean
+from .grid import Field, GridSpec, grad_arrays, grad_from_hat, inner, irfftn, l2_norm, mean, rfftn
 from .thermo import (
     ModelParams,
     ThermoState,
@@ -109,9 +109,9 @@ def audit(
     # theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
     #                                           + kappa |grad(theta)|^2 / theta
     ds_dt = (entropy_density(curr, p).values - entropy_density(prev, p).values) / dt
-    theta_hat = fftn(grid, theta)
-    lap_theta = ifftn_real(grid, -grid.k_squared * theta_hat)
-    grad_theta = grad_arrays(grid, theta)
+    theta_hat = rfftn(grid, theta)
+    lap_theta = irfftn(grid, grid.half_lap * theta_hat)
+    grad_theta = grad_from_hat(grid, theta_hat)
     grad_theta_sq = sum(g * g for g in grad_theta)
     residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
     residual -= production
@@ -213,7 +213,7 @@ def caginalp_demo(
         density += (phi_vals**2 - 1.0) ** 2 / (8.0 * a_well)
         return float(np.sum(density) * (grid.box_len / grid.n) ** grid.dim)
 
-    k2 = grid.k_squared
+    k2 = -grid.half_lap
     phi_denom = 1.0 + dt * xi**4 * k2**2 / tau
     theta_denom = 1.0 + dt * conduct * k2
 
@@ -225,12 +225,12 @@ def caginalp_demo(
     lines.append(f"{0:>4} {0.0:>8.4f} {e0:>11.6f} {0.0:>13.3e}")
     for j in range(1, steps + 1):
         bulk = (phi**3 - phi) / (2.0 * a_well) - 2.0 * theta
-        f_hat = -xi**2 * k2 * fftn(grid, bulk)
-        phi_hat_new = (fftn(grid, phi) + dt * f_hat / tau) / phi_denom
-        phi_new = ifftn_real(grid, phi_hat_new)
+        f_hat = -xi**2 * k2 * rfftn(grid, bulk)
+        phi_hat_new = (rfftn(grid, phi) + dt * f_hat / tau) / phi_denom
+        phi_new = irfftn(grid, phi_hat_new)
         dphi_dt = (phi_new - phi) / dt
-        theta_hat = (fftn(grid, theta - dt * 0.5 * latent * dphi_dt)) / theta_denom
-        theta = ifftn_real(grid, theta_hat)
+        theta_hat = (rfftn(grid, theta - dt * 0.5 * latent * dphi_dt)) / theta_denom
+        theta = irfftn(grid, theta_hat)
         phi = phi_new
         if j % sample_every == 0 or j == steps:
             e = interface_energy(phi)

@@ -4,15 +4,20 @@ Conventions used throughout the package:
 
 * forward FFT is unnormalized, the inverse carries the 1/n^dim factor
   (numpy/pocketfft convention);
-* wavenumbers per axis are k = (2*pi/L) * {-n/2, ..., n/2 - 1};
-* odd derivatives zero the unpaired Nyquist mode so that real fields stay
-  real; even derivatives keep it (the multiplier is real there);
+* derivatives and dealiasing act on the half spectrum (rfftn/irfftn) through
+  the half_* multipliers cached per GridSpec; the full-lattice fftn and
+  k_axes serve only the frequency-block norms (besov);
+* wavenumbers per axis are k = (2*pi/L) * {-n/2, ..., n/2 - 1}; the half
+  lattice's last axis holds {0, ..., n/2}, its Nyquist bin stored as +n/2;
+* odd derivatives zero the unpaired Nyquist bin of every axis so that real
+  fields stay real; even derivatives keep it (the multiplier is real there);
 * the quadrature weight is h^dim with h = L/n, so inner(f, g) approximates
   the integral over the box and mean(f) is the plain average.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,19 +34,29 @@ __all__ = [
     "l2_norm",
     "fftn",
     "ifftn_real",
+    "rfftn",
+    "irfftn",
+    "grad_from_hat",
+    "div_hat",
     "grad_arrays",
     "laplacian_array",
     "divergence_arrays",
-    "dealias_array",
 ]
 
 
+@functools.cache
 def _fft_workers() -> int:
-    """Worker cap for the FFT kernels, from the THERMOCH_THREADS env var."""
+    """Worker cap for the FFT kernels, read from THERMOCH_THREADS once per process."""
     try:
         return max(1, int(os.environ.get("THERMOCH_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _along_axes(vectors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """vectors[i] reshaped to lie along axis i, broadcastable over the grid."""
+    dims = range(len(vectors))
+    return tuple(v.reshape([-1 if j == i else 1 for j in dims]) for i, v in enumerate(vectors))
 
 
 @dataclass(frozen=True)
@@ -80,32 +95,22 @@ class GridSpec:
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays per axis, broadcastable over the grid."""
-        x = np.arange(self.n) * self.h
-        out = []
-        for i in range(self.dim):
-            shape = [1] * self.dim
-            shape[i] = self.n
-            out.append(x.reshape(shape))
-        return tuple(out)
+        return _along_axes([np.arange(self.n) * self.h] * self.dim)
+
+    def _k_axes(self, half: bool) -> tuple[np.ndarray, ...]:
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.box_len
+        last = np.abs(k[: self.n // 2 + 1]) if half else k
+        return _along_axes([k] * (self.dim - 1) + [last])
 
     @cached_property
     def k_axes(self) -> tuple[np.ndarray, ...]:
         """Wavenumber arrays per axis ((2*pi/L)*integers), broadcastable."""
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.box_len
-        out = []
-        for i in range(self.dim):
-            shape = [1] * self.dim
-            shape[i] = self.n
-            out.append(k.reshape(shape))
-        return tuple(out)
+        return self._k_axes(half=False)
 
     @cached_property
     def k_squared(self) -> np.ndarray:
         """|k|^2 on the full lattice."""
-        k2 = np.zeros(self.shape)
-        for ki in self.k_axes:
-            k2 = k2 + ki**2
-        return k2
+        return sum(ki**2 for ki in self.k_axes)
 
     @cached_property
     def k_abs(self) -> np.ndarray:
@@ -114,15 +119,35 @@ class GridSpec:
     @cached_property
     def nyquist_masks(self) -> tuple[np.ndarray, ...]:
         """Per-axis boolean mask, True off the unpaired Nyquist plane."""
-        k_nyq = -np.pi * self.n / self.box_len  # fftfreq stores -n/2, not +n/2
-        return tuple(ki != k_nyq for ki in self.k_axes)
+        return tuple(np.abs(ki) != np.pi * self.n / self.box_len for ki in self.k_axes)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
+    def half_k_axes(self) -> tuple[np.ndarray, ...]:
+        """Wavenumbers per axis on the rfftn half lattice (last axis 0..n/2)."""
+        return self._k_axes(half=True)
+
+    @cached_property
+    def half_grad(self) -> tuple[np.ndarray, ...]:
+        """d/dx_i on the half lattice: 1j*k_i, zero on every axis' Nyquist bin."""
+        k_nyq = np.pi * self.n / self.box_len
+        return tuple(1j * ki * (np.abs(ki) != k_nyq) for ki in self.half_k_axes)
+
+    @cached_property
+    def half_lap(self) -> np.ndarray:
+        """-|k|^2 on the half lattice (the Laplacian)."""
+        return -sum(ki**2 for ki in self.half_k_axes)
+
+    @cached_property
+    def half_bilap(self) -> np.ndarray:
+        """|k|^4 on the half lattice (the bilaplacian)."""
+        return self.half_lap**2
+
+    @cached_property
+    def half_dealias_mask(self) -> np.ndarray:
         """2/3-rule mask: keep modes with |k_i| <= (2/3) k_max on every axis."""
         k_max = np.pi * self.n / self.box_len
-        keep = np.ones(self.shape, dtype=bool)
-        for ki in self.k_axes:
+        keep = np.ones(self.half_lap.shape, dtype=bool)
+        for ki in self.half_k_axes:
             keep &= np.abs(ki) <= (2.0 / 3.0) * k_max + 1e-12 * k_max
         return keep
 
@@ -169,12 +194,12 @@ def l2_norm(f: Field) -> float:
 
 # -- the spectral operator layer ----------------------------------------------
 # Plain arrays in and out.  Derivatives and dealiasing are multipliers on
-# fftn coefficients: 1j*k_axes[i]*nyquist_masks[i] (d/dx_i), -k_squared
-# (laplacian), k_squared**2 (bilaplacian) and dealias_mask (2/3 rule).
+# rfftn coefficients (half_grad, half_lap, half_bilap, half_dealias_mask);
+# the transforms go through the scipy.fft module attributes.
 
 
 def fftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT of a real array."""
+    """Unnormalized forward FFT of a real array on the full lattice."""
     return _sfft.fftn(values, workers=_fft_workers())
 
 
@@ -186,28 +211,36 @@ def ifftn_real(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     return _sfft.ifftn(coeffs, workers=_fft_workers()).real
 
 
+def rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward FFT of a real array onto the half lattice."""
+    return _sfft.rfftn(values, workers=_fft_workers())
+
+
+def irfftn(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of rfftn (carries the 1/n^dim factor): a real array."""
+    return _sfft.irfftn(coeffs, s=grid.shape, workers=_fft_workers())
+
+
+def grad_from_hat(grid: GridSpec, coeffs: np.ndarray) -> list[np.ndarray]:
+    """All gradient components of the field with half spectrum coeffs."""
+    return [irfftn(grid, coeffs * g) for g in grid.half_grad]
+
+
+def div_hat(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.ndarray:
+    """Half spectrum of the divergence of real components (optionally dealiased)."""
+    out = sum(rfftn(grid, v) * g for v, g in zip(comps, grid.half_grad))
+    return out * grid.half_dealias_mask if mask else out
+
+
 def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     """All gradient components of a real array, via one forward FFT."""
-    c = fftn(grid, values)
-    return [
-        ifftn_real(grid, c * (1j * grid.k_axes[i] * grid.nyquist_masks[i]))
-        for i in range(grid.dim)
-    ]
+    return grad_from_hat(grid, rfftn(grid, values))
 
 
 def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return ifftn_real(grid, fftn(grid, values) * (-grid.k_squared))
+    return irfftn(grid, rfftn(grid, values) * grid.half_lap)
 
 
 def divergence_arrays(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.ndarray:
     """Spectral divergence of a vector of real arrays (optionally dealiased)."""
-    out = np.zeros(grid.shape, dtype=complex)
-    for i, v in enumerate(comps):
-        out += fftn(grid, v) * (1j * grid.k_axes[i] * grid.nyquist_masks[i])
-    if mask:
-        out *= grid.dealias_mask
-    return ifftn_real(grid, out)
-
-
-def dealias_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return ifftn_real(grid, fftn(grid, values) * grid.dealias_mask)
+    return irfftn(grid, div_hat(grid, comps, mask))

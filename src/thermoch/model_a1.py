@@ -37,27 +37,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, divergence_arrays, grad_arrays
-from .thermo import (
-    ModelParams,
-    SingularityError,
-    ThermoState,
-    _argmin_index,
-    _bracket_b,
-    _regularized_recip,
-    chemical_potential,
-    entropy_density,
-)
+from .grid import Field, div_hat, grad_arrays, irfftn
+from .thermo import ModelParams, SingularityError, StateTerms, ThermoState, _argmin_index, _bracket_b
 
 
 def a1_coupling_flux(s: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     """div(s grad(theta) phi/(phi^2 + delta^2)) — the phase-equation coupling."""
-    grid = s.grid
-    recip = _regularized_recip(s.phi.values, p.reg_delta)
-    entropy = entropy_density(s, p).values
-    grad_theta = grad_arrays(grid, s.theta.values)
-    comps = [entropy * gt * recip for gt in grad_theta]
-    return Field(grid, divergence_arrays(grid, comps, mask=dealias))
+    coupling = StateTerms(s, p, dealias).coupling
+    return Field(s.grid, irfftn(s.grid, div_hat(s.grid, coupling, mask=dealias)))
 
 
 def a1_velocity(s: ThermoState, mu: Field, p: ModelParams) -> tuple[Field, ...]:
@@ -67,28 +54,25 @@ def a1_velocity(s: ThermoState, mu: Field, p: ModelParams) -> tuple[Field, ...]:
     regularization width p.reg_delta shrinks (checked in the tests at
     delta = 1e-5).
     """
-    grid = s.grid
-    recip = _regularized_recip(s.phi.values, p.reg_delta)
-    entropy = entropy_density(s, p).values
-    grad_mu = grad_arrays(grid, mu.values)
-    grad_theta = grad_arrays(grid, s.theta.values)
-    grad_rate = grad_arrays(grid, s.dphi_dt_values())
-    comps = []
-    for i in range(grid.dim):
-        ui = -(
-            grad_mu[i] * recip
-            + entropy * grad_theta[i] * recip**2
-            + p.alpha * grad_rate[i] * recip
-        )
-        comps.append(Field(grid, ui))
-    return tuple(comps)
+    u = _velocity(StateTerms(s, p), grad_arrays(s.grid, mu.values))
+    return tuple(Field(s.grid, ui) for ui in u)
 
 
-def _require_invertible_entropy_slope(s: ThermoState, p: ModelParams):
+def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
+    """u from grad(mu), the entropy, grad(theta) and the state's phase rate."""
+    recip = t.recip
+    grad_rate = grad_arrays(t.grid, t.state.dphi_dt_values())
+    return [
+        -(gm * recip + t.entropy * gt * recip**2 + t.p.alpha * gr * recip)
+        for gm, gt, gr in zip(grad_mu, t.grad_theta, grad_rate)
+    ]
+
+
+def _require_invertible_entropy_slope(t: StateTerms):
     """The chain-rule expansion divides by theta*ds/dtheta; require ds/dtheta
     > 1e-10 pointwise (the free energy's theta-convexity, checked at runtime)."""
-    _, _, db_dtheta = _bracket_b(s.phi.values, s.theta.values, p)
-    ds_dtheta = p.k_b / s.theta.values + db_dtheta
+    _, _, db_dtheta = _bracket_b(t.phi, t.theta, t.p)
+    ds_dtheta = t.p.k_b / t.theta + db_dtheta
     worst = float(np.min(ds_dtheta))
     if worst <= 1e-10:
         loc = _argmin_index(ds_dtheta)
@@ -98,14 +82,10 @@ def _require_invertible_entropy_slope(s: ThermoState, p: ModelParams):
         )
 
 
-def entropy_transport(s: ThermoState, p: ModelParams, dealias: bool = True) -> np.ndarray:
-    """div(s u) with the velocity recomputed from the state; u = 0 while the
-    state has no rates."""
-    grid = s.grid
-    if s.dphi_dt is None:
-        velocity = [np.zeros(grid.shape)] * grid.dim
-    else:
-        mu = chemical_potential(s, p, dealias=dealias)
-        velocity = [u.values for u in a1_velocity(s, mu, p)]
-    entropy = entropy_density(s, p).values
-    return divergence_arrays(grid, [entropy * u for u in velocity], mask=dealias)
+def entropy_transport_hat(t: StateTerms) -> np.ndarray:
+    """Spectrum of div(s u), u recomputed from the state with the step's mu.
+
+    u is zero while the state has no rates; the step then skips this term.
+    """
+    u = _velocity(t, t.grad_mu)
+    return div_hat(t.grid, [t.entropy * ui for ui in u], mask=t.dealias)

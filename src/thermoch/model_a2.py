@@ -34,17 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
-from .grid import Field, GridSpec, dealias_array, fftn, grad_arrays, ifftn_real, laplacian_array
-from .model_a1 import _require_invertible_entropy_slope, a1_coupling_flux, entropy_transport
+from .grid import Field, GridSpec, div_hat, grad_from_hat, irfftn, rfftn
+from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
     PositivityError,
     SingularityError,
+    StateTerms,
     ThermoState,
     _argmin_index,
     _bracket_b,
-    bulk_potential,
-    chemical_potential,
     force_square,
     total_energy,
 )
@@ -101,6 +100,16 @@ class Trajectory:
             raise ValueError("all states must share one grid")
 
 
+def _f1_hat(t: StateTerms) -> np.ndarray:
+    """Spectrum of f1 = lap(dW/dphi / (eps theta) - eps (theta - theta_bar) lap(phi))."""
+    grid, p = t.grid, t.p
+    lap_phi = irfftn(grid, t.phi_hat * grid.half_lap)
+    inner = t.bulk_hat - p.eps * rfftn(grid, (t.theta - p.theta_bar) * lap_phi)
+    if t.dealias:
+        inner = inner * grid.half_dealias_mask
+    return inner * grid.half_lap
+
+
 def rhs_f1(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     """Explicit phase forcing: the stiff eps*theta_bar lap^2 part is excluded.
 
@@ -108,22 +117,25 @@ def rhs_f1(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     the two outer Laplacians fuse into one.  Products are formed in real
     space and projected by the two-thirds rule before differentiating.
     """
-    grid = state.grid
-    phi, theta = state.phi.values, state.theta.values
-    lap_phi = laplacian_array(grid, phi)
-    _, dw_dphi, _ = bulk_potential(phi, theta, p)
-    inner_term = dw_dphi / (p.eps * theta) - p.eps * (theta - p.theta_bar) * lap_phi
-    if dealias:
-        inner_term = dealias_array(grid, inner_term)
-    return Field(grid, laplacian_array(grid, inner_term))
+    return Field(state.grid, irfftn(state.grid, _f1_hat(StateTerms(state, p, dealias))))
 
 
-def rhs_f2(
-    state: ThermoState,
-    dphi_dt: Field,
-    p: ModelParams,
-    dealias: bool = True,
-) -> Field:
+def _f2_hat(t: StateTerms, rate: np.ndarray, rate_hat: np.ndarray) -> np.ndarray:
+    """Spectrum of f2 for the phase rate `rate`, whose spectrum is rate_hat."""
+    grid, p, theta = t.grid, t.p, t.theta
+    grad_rate = grad_from_hat(grid, rate_hat)
+    _, db_dphi, db_dtheta = _bracket_b(t.phi, theta, p)
+    bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
+
+    cross = sum(gr * gp for gr, gp in zip(grad_rate, t.grad_phi))
+    force_sq = force_square(t, t.grad_mu, grad_rate)
+
+    out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
+    out_hat = rfftn(grid, out)
+    return out_hat * grid.half_dealias_mask if t.dealias else out_hat
+
+
+def rhs_f2(state: ThermoState, dphi_dt: Field, p: ModelParams, dealias: bool = True) -> Field:
     """Explicit heat forcing for the expanded temperature equation.
 
     Four groups: alpha*(dphi/dt)^2; eps*theta grad(dphi/dt).grad(phi); the
@@ -134,67 +146,30 @@ def rhs_f2(
     The conduction part of the entropy production cancels against the
     implicit heat operator and is absent here by construction.
     """
-    grid = state.grid
-    phi, theta = state.phi.values, state.theta.values
-    rate = dphi_dt.values
-
-    grad_phi = grad_arrays(grid, phi)
-    grad_rate = grad_arrays(grid, rate)
-    mu = chemical_potential(state, p, dealias=dealias)
-    grad_mu = grad_arrays(grid, mu.values)
-
-    _, db_dphi, db_dtheta = _bracket_b(phi, theta, p)
-    bracket_rate = db_dphi * rate + db_dtheta * state.dtheta_dt_values()
-
-    cross = np.zeros(grid.shape)
-    for i in range(grid.dim):
-        cross += grad_rate[i] * grad_phi[i]
-    force_sq = force_square(state, grad_mu, grad_rate, p)
-
-    out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
-    if dealias:
-        out = dealias_array(grid, out)
-    return Field(grid, out)
+    grid, rate = state.grid, dphi_dt.values
+    f2_hat = _f2_hat(StateTerms(state, p, dealias), rate, rfftn(grid, rate))
+    return Field(grid, irfftn(grid, f2_hat))
 
 
-def phase_update(
-    grid: GridSpec, p: ModelParams, dt: float, phi: np.ndarray, f1: np.ndarray
-) -> np.ndarray:
-    """Implicit per-mode solve of the phase equation with forcing f1; the
-    k = 0 mode is kept as it is.
-
-    Both solves return a compact copy: the real part of the inverse transform
-    is a view that would keep the whole complex buffer alive in every
-    recorded state.
-    """
-    k2 = grid.k_squared
-    mass_factor = 1.0 + p.alpha * k2
-    phi_hat = fftn(grid, phi)
-    new_phi_hat = (mass_factor * phi_hat + dt * fftn(grid, f1)) / (
-        mass_factor + dt * p.eps * p.theta_bar * k2**2
+def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> np.ndarray:
+    """Implicit per-mode solve of the phase equation: the half spectrum of the
+    new phi from those of phi and the forcing f1; the k = 0 mode is kept."""
+    mass_factor = 1.0 - p.alpha * grid.half_lap
+    new_phi_hat = (mass_factor * phi_hat + dt * f1_hat) / (
+        mass_factor + dt * p.eps * p.theta_bar * grid.half_bilap
     )
     origin = (0,) * grid.dim
     new_phi_hat[origin] = phi_hat[origin]
-    return np.ascontiguousarray(ifftn_real(grid, new_phi_hat))
+    return new_phi_hat
 
 
-def heat_update(
-    grid: GridSpec, p: ModelParams, dt: float, theta: np.ndarray, f2: np.ndarray
-) -> np.ndarray:
-    """Implicit per-mode solve of the temperature equation with forcing f2."""
-    theta_hat = fftn(grid, theta)
-    new_theta_hat = (p.k_b * theta_hat + dt * fftn(grid, f2)) / (
-        p.k_b + dt * p.kappa * grid.k_squared
-    )
-    return np.ascontiguousarray(ifftn_real(grid, new_theta_hat))
+def heat_update(grid: GridSpec, p: ModelParams, dt: float, theta_hat, f2_hat) -> np.ndarray:
+    """Implicit per-mode solve of the temperature equation, on half spectra."""
+    return (p.k_b * theta_hat + dt * f2_hat) / (p.k_b - dt * p.kappa * grid.half_lap)
 
 
 def imex_step(
-    state: ThermoState,
-    p: ModelParams,
-    dt: float,
-    *,
-    dealias: bool = True,
+    state: ThermoState, p: ModelParams, dt: float, *, dealias: bool = True
 ) -> ThermoState:
     """Advance one step of model p.model; returns the new state with fresh
     rate caches.
@@ -202,22 +177,22 @@ def imex_step(
     "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
     requires an invertible entropy slope, then adds the coupling flux to f1
     and -div(s u) to f2, with u recomputed from this state
-    (model_a1.entropy_transport).  "isothermal" stops after the phase update
-    and keeps theta.
+    (model_a1.entropy_transport_hat).  "isothermal" stops after the phase
+    update and keeps theta.  Every spectrum and derived field of the state
+    is formed once (one StateTerms), and f1, f2 reach the solves as spectra.
     """
     grid = state.grid
-    phi, theta = state.phi.values, state.theta.values
+    t = StateTerms(state, p, dealias)
     a1 = p.model == "a1"
 
     if a1:
-        _require_invertible_entropy_slope(state, p)
-        flux = a1_coupling_flux(state, p, dealias=dealias).values
-        div_su = entropy_transport(state, p, dealias=dealias)
-    f1 = rhs_f1(state, p, dealias=dealias).values
+        _require_invertible_entropy_slope(t)
+    f1_hat = _f1_hat(t)
     if a1:
-        f1 = f1 + flux
-    new_phi = phase_update(grid, p, dt, phi, f1)
-    rate = (new_phi - phi) / dt
+        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=dealias)
+    new_phi_hat = phase_update(grid, p, dt, t.phi_hat, f1_hat)
+    new_phi = irfftn(grid, new_phi_hat)
+    rate = (new_phi - t.phi) / dt
 
     if p.model == "isothermal":
         return ThermoState(
@@ -227,10 +202,10 @@ def imex_step(
             dtheta_dt=None,
         )
 
-    f2 = rhs_f2(state, Field(grid, rate), p, dealias=dealias).values
-    if a1:
-        f2 = f2 - div_su
-    new_theta = heat_update(grid, p, dt, theta, f2)
+    f2_hat = _f2_hat(t, rate, (new_phi_hat - t.phi_hat) / dt)
+    if a1 and state.dphi_dt is not None:
+        f2_hat = f2_hat - entropy_transport_hat(t)
+    new_theta = irfftn(grid, heat_update(grid, p, dt, t.theta_hat, f2_hat))
     tmin = float(np.min(new_theta))
     if tmin <= 0.0:
         loc = _argmin_index(new_theta)
@@ -244,7 +219,7 @@ def imex_step(
         Field(grid, new_phi),
         Field(grid, new_theta),
         dphi_dt=Field(grid, rate),
-        dtheta_dt=Field(grid, (new_theta - theta) / dt),
+        dtheta_dt=Field(grid, (new_theta - t.theta) / dt),
     )
 
 

@@ -29,7 +29,7 @@ from .besov import (
     chemin_lerner_norm_vector,
     check_smallness,
 )
-from .grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, l2_norm, laplacian_array
+from .grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, laplacian_array, rfftn
 from .model_a2 import SimConfig, rhs_f1, rhs_f2, simulate
 from .thermo import ModelParams, PositivityError, ThermoState
 
@@ -46,15 +46,15 @@ def _phi_rates_and_mass(grid: GridSpec, p: ModelParams) -> tuple[np.ndarray, np.
     The mode equation is (1 + alpha k^2) d/dt y + eps*theta_bar k^4 y = g_k,
     so the rate is eps*theta_bar k^4 / (1 + alpha k^2).
     """
-    mass = 1.0 + p.alpha * grid.k_squared
-    lam = p.eps * p.theta_bar * grid.k_squared**2 / mass
+    mass = 1.0 - p.alpha * grid.half_lap
+    lam = p.eps * p.theta_bar * grid.half_bilap / mass
     return lam, mass
 
 
 def _theta_rates_and_mass(grid: GridSpec, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode decay rate and mass factor of the linear heat flow."""
-    lam = p.kappa * grid.k_squared / p.k_b
-    mass = np.full(grid.shape, p.k_b)
+    lam = -p.kappa * grid.half_lap / p.k_b
+    mass = np.full(lam.shape, p.k_b)
     return lam, mass
 
 
@@ -84,8 +84,8 @@ def free_evolution(phi0: Field, p: ModelParams, times) -> list[Field]:
     times = _check_times(times)
     grid = phi0.grid
     lam, _ = _phi_rates_and_mass(grid, p)
-    hat0 = fftn(grid, phi0.values)
-    return [Field(grid, ifftn_real(grid, hat0 * np.exp(-t * lam))) for t in times]
+    hat0 = rfftn(grid, phi0.values)
+    return [Field(grid, irfftn(grid, hat0 * np.exp(-t * lam))) for t in times]
 
 
 def _etd_march(
@@ -103,15 +103,15 @@ def _etd_march(
     lam -> 0 limit dt * g_n/mass on undamped modes.
     """
     out = [y0]
-    y_hat = fftn(grid, y0.values)
+    y_hat = rfftn(grid, y0.values)
     positive = lam > 0.0
     safe = np.where(positive, lam, 1.0)
     for n in range(times.size - 1):
         dt = times[n + 1] - times[n]
         decay = np.exp(-lam * dt)
         weight = np.where(positive, -np.expm1(-lam * dt) / safe, dt)
-        y_hat = decay * y_hat + weight * fftn(grid, forcing[n].values) / mass
-        out.append(Field(grid, ifftn_real(grid, y_hat)))
+        y_hat = decay * y_hat + weight * rfftn(grid, forcing[n].values) / mass
+        out.append(Field(grid, irfftn(grid, y_hat)))
     return out
 
 
@@ -155,9 +155,12 @@ def _gradient_series(series) -> list[tuple[Field, ...]]:
     return rows
 
 
+def _laplacian(f: Field) -> Field:
+    return Field(f.grid, laplacian_array(f.grid, f.values))
+
+
 def _bilaplacian(f: Field) -> Field:
-    hat = fftn(f.grid, f.values)
-    return Field(f.grid, ifftn_real(f.grid, hat * f.grid.k_squared**2))
+    return Field(f.grid, irfftn(f.grid, rfftn(f.grid, f.values) * f.grid.half_bilap))
 
 
 @dataclass(frozen=True)
@@ -228,9 +231,7 @@ def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
             _gradient_series(rate_phi), times, s_lo, 2, part
         ),
         theta_sup=chemin_lerner_norm(dtheta, times, s_lo, math.inf, part),
-        theta_lap_int=chemin_lerner_norm(
-            [Field(grid, laplacian_array(grid, f.values)) for f in dtheta], times, s_lo, 1, part
-        ),
+        theta_lap_int=chemin_lerner_norm([_laplacian(f) for f in dtheta], times, s_lo, 1, part),
         theta_rate_int=chemin_lerner_norm(rate_theta, times, s_lo, 1, part),
     )
 
@@ -468,26 +469,16 @@ def free_flow_budget(
     grid = phi0.grid
     times = np.linspace(0.0, t_end, n_snapshots)
     lam, _ = _phi_rates_and_mass(grid, p)
-    hat0 = fftn(grid, phi0.values)
-    series, rates = [], []
-    for t in times:
-        hat = hat0 * np.exp(-t * lam)
-        series.append(Field(grid, ifftn_real(grid, hat)))
-        rates.append(Field(grid, ifftn_real(grid, -lam * hat)))
+    hat0 = rfftn(grid, phi0.values)
+    series = free_evolution(phi0, p, times)
+    rates = [Field(grid, irfftn(grid, -lam * (hat0 * np.exp(-t * lam)))) for t in times]
     s = grid.dim / 2.0
+    laps = [_laplacian(f) for f in series]
     return float(
         chemin_lerner_norm_vector(_gradient_series(series), times, s, 2, part)
-        + chemin_lerner_norm(
-            [Field(grid, laplacian_array(grid, f.values)) for f in series], times, s, 2, part
-        )
+        + chemin_lerner_norm(laps, times, s, 2, part)
         + chemin_lerner_norm([_bilaplacian(f) for f in series], times, s, 1, part)
-        + chemin_lerner_norm_vector(
-            _gradient_series([Field(grid, laplacian_array(grid, f.values)) for f in series]),
-            times,
-            s,
-            2,
-            part,
-        )
+        + chemin_lerner_norm_vector(_gradient_series(laps), times, s, 2, part)
         + chemin_lerner_norm(rates, times, s, 2, part)
         + chemin_lerner_norm_vector(_gradient_series(rates), times, s, 2, part)
     )
@@ -555,13 +546,11 @@ def phi_apriori_ratios(
     nu = p.eps * p.theta_bar
 
     phi0_n = besov_norm(phi0, s, part).total
-    lap_phi0_n = besov_norm(Field(grid, laplacian_array(grid, phi0.values)), s, part).total
+    lap_phi0_n = besov_norm(_laplacian(phi0), s, part).total
     g_l1 = chemin_lerner_norm(list(g), times, s, 1, part)
 
     sol_sup = chemin_lerner_norm(sol, times, s, math.inf, part)
-    lap_sup = chemin_lerner_norm(
-        [Field(grid, laplacian_array(grid, f.values)) for f in sol], times, s, math.inf, part
-    )
+    lap_sup = chemin_lerner_norm([_laplacian(f) for f in sol], times, s, math.inf, part)
     bilap_l1 = chemin_lerner_norm([_bilaplacian(f) for f in sol], times, s, 1, part)
     rates = _backward_rates(sol, times)
     rate_l1 = chemin_lerner_norm(rates, times, s, 1, part)
@@ -594,9 +583,7 @@ def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPa
     s = grid.dim / 2.0
 
     sup = chemin_lerner_norm(sol, times, s, math.inf, part)
-    lap_l1 = chemin_lerner_norm(
-        [Field(grid, laplacian_array(grid, f.values)) for f in sol], times, s, 1, part
-    )
+    lap_l1 = chemin_lerner_norm([_laplacian(f) for f in sol], times, s, 1, part)
     rate_l1 = chemin_lerner_norm(_backward_rates(sol, times), times, s, 1, part)
     theta0_n = besov_norm(theta0, s, part).total
     h_l1 = chemin_lerner_norm(list(h), times, s, 1, part)

@@ -24,6 +24,7 @@ never collapsed to -eps*theta*lap(phi) (the forms differ when grad theta != 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -31,19 +32,21 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    dealias_array,
+    div_hat,
     divergence_arrays,
-    fftn,
     grad_arrays,
-    ifftn_real,
+    grad_from_hat,
     inner,
+    irfftn,
     l2_norm,
+    rfftn,
 )
 
 __all__ = [
     "MODELS",
     "ModelParams",
     "ThermoState",
+    "StateTerms",
     "PositivityError",
     "SingularityError",
     "bulk_potential",
@@ -166,7 +169,7 @@ def _require_positive_theta(theta: Field, context: str, state: "ThermoState | No
 def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
     """W, dW/dphi, dW/dtheta as arrays (broadcasting over the inputs)."""
     dth = theta - p.theta_bar
-    c = dth**3 / 3.0
+    c = dth * dth * dth / 3.0
     w = 0.25 * (phi**2 - 1.0) ** 2 + c * phi**2
     dw_dphi = (phi**2 - 1.0) * phi + 2.0 * c * phi
     dw_dtheta = dth**2 * phi**2
@@ -182,42 +185,39 @@ def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
     db_dphi = dw_dphi / (p.eps * theta**2) - 2.0 * dth**2 * phi / (p.eps * theta)
     db_dtheta = (
         2.0 * dth**2 * phi**2 / (p.eps * theta**2)
-        - 2.0 * w / (p.eps * theta**3)
+        - 2.0 * w / (p.eps * (theta * theta * theta))
         - 2.0 * dth * phi**2 / (p.eps * theta)
     )
     return b, db_dphi, db_dtheta
 
 
-def _grad_phi_sq(state: ThermoState) -> np.ndarray:
-    g = state.grid
-    comps = grad_arrays(g, state.phi.values)
-    out = np.zeros(g.shape)
-    for c in comps:
-        out += c**2
-    return out
+def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
+    """Pointwise sum of squares of the components (|grad f|^2 for a gradient)."""
+    return sum(c * c for c in comps)
 
 
-def free_energy_density(state: ThermoState, p: ModelParams) -> Field:
-    """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta)."""
+def free_energy_density(state: ThermoState, p: ModelParams, grad_phi=None) -> Field:
+    """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta);
+    grad_phi, when given, is the caller's grad(phi) of this state."""
     _require_positive_theta(state.theta, "free_energy_density", state)
     phi, theta = state.phi.values, state.theta.values
     w, _, _ = bulk_potential(phi, theta, p)
     psi = (
-        0.5 * p.eps * theta * _grad_phi_sq(state)
+        0.5 * p.eps * theta * _sum_sq(grad_phi or grad_arrays(state.grid, phi))
         + w / (p.eps * theta)
         - p.k_b * theta * np.log(theta)
     )
     return Field(state.grid, psi)
 
 
-def entropy_density(state: ThermoState, p: ModelParams) -> Field:
-    """s = -d(psi)/d(theta), expanded in closed form."""
+def entropy_density(state: ThermoState, p: ModelParams, grad_phi=None) -> Field:
+    """s = -d(psi)/d(theta), expanded in closed form (grad_phi as above)."""
     _require_positive_theta(state.theta, "entropy_density", state)
     phi, theta = state.phi.values, state.theta.values
     w, _, _ = bulk_potential(phi, theta, p)
     dth = theta - p.theta_bar
     s = (
-        -0.5 * p.eps * _grad_phi_sq(state)
+        -0.5 * p.eps * _sum_sq(grad_phi or grad_arrays(state.grid, phi))
         + w / (p.eps * theta**2)
         - dth**2 * phi**2 / (p.eps * theta)
         + p.k_b * (1.0 + np.log(theta))
@@ -227,24 +227,16 @@ def entropy_density(state: ThermoState, p: ModelParams) -> Field:
 
 def internal_energy_density(state: ThermoState, p: ModelParams) -> Field:
     """e = psi + theta*s. The |grad phi|^2 contributions cancel exactly."""
-    psi = free_energy_density(state, p).values
-    s = entropy_density(state, p).values
+    grad_phi = grad_arrays(state.grid, state.phi.values)
+    psi = free_energy_density(state, p, grad_phi).values
+    s = entropy_density(state, p, grad_phi).values
     return Field(state.grid, psi + state.theta.values * s)
 
 
 def chemical_potential(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form."""
     _require_positive_theta(state.theta, "chemical_potential", state)
-    g = state.grid
-    phi, theta = state.phi.values, state.theta.values
-    grads = grad_arrays(g, phi)
-    flux = [p.eps * theta * gi for gi in grads]
-    div_flux = divergence_arrays(g, flux, mask=dealias)
-    _, dw_dphi, _ = bulk_potential(phi, theta, p)
-    bulk = dw_dphi / (p.eps * theta)
-    if dealias:
-        bulk = dealias_array(g, bulk)
-    return Field(g, -div_flux + bulk)
+    return Field(state.grid, irfftn(state.grid, StateTerms(state, p, dealias).mu_hat))
 
 
 def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
@@ -258,35 +250,76 @@ def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
     return phi / (phi**2 + reg_delta**2)
 
 
+class StateTerms:
+    """Spectra and derived fields of one state, each formed at most once.
+
+    A step shares one among all its terms; a standalone term builds its own.
+    Never kept in recorded states.  dealias applies the 2/3 rule to mu.
+    """
+
+    def __init__(self, state: ThermoState, p: ModelParams, dealias: bool = True):
+        self.state, self.p, self.dealias, self.grid = state, p, dealias, state.grid
+        self.phi, self.theta = state.phi.values, state.theta.values
+
+    @cached_property
+    def phi_hat(self) -> np.ndarray:
+        return rfftn(self.grid, self.phi)
+
+    @cached_property
+    def theta_hat(self) -> np.ndarray:
+        return rfftn(self.grid, self.theta)
+
+    @cached_property
+    def grad_phi(self) -> list[np.ndarray]:
+        return grad_from_hat(self.grid, self.phi_hat)
+
+    @cached_property
+    def grad_theta(self) -> list[np.ndarray]:
+        return grad_from_hat(self.grid, self.theta_hat)
+
+    @cached_property
+    def bulk_hat(self) -> np.ndarray:
+        """Spectrum of dW/dphi / (eps theta), shared by f1 and mu."""
+        _, dw_dphi, _ = bulk_potential(self.phi, self.theta, self.p)
+        return rfftn(self.grid, dw_dphi / (self.p.eps * self.theta))
+
+    @cached_property
+    def mu_hat(self) -> np.ndarray:
+        """Spectrum of mu = -div(eps theta grad phi) + dW/dphi / (eps theta)."""
+        flux = [self.p.eps * self.theta * g for g in self.grad_phi]
+        mu = self.bulk_hat - div_hat(self.grid, flux)
+        return mu * self.grid.half_dealias_mask if self.dealias else mu
+
+    @cached_property
+    def grad_mu(self) -> list[np.ndarray]:
+        return grad_from_hat(self.grid, self.mu_hat)
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        return entropy_density(self.state, self.p, self.grad_phi).values
+
+    @cached_property
+    def recip(self) -> np.ndarray:
+        return _regularized_recip(self.phi, self.p.reg_delta)
+
+    @cached_property
+    def coupling(self) -> list[np.ndarray]:
+        """a1's transported-entropy force s*grad(theta)*phi/(phi^2 + delta^2)."""
+        return [self.entropy * gt * self.recip for gt in self.grad_theta]
+
+
 def force_square(
-    state: ThermoState,
-    grad_mu: list[np.ndarray],
-    grad_rate: list[np.ndarray],
-    p: ModelParams,
-    grad_theta: list[np.ndarray] | None = None,
+    t: StateTerms, grad_mu: list[np.ndarray], grad_rate: list[np.ndarray]
 ) -> np.ndarray:
     """The dissipation square |grad mu + alpha*grad(dphi/dt)|^2, summed over axes.
 
-    For model "a1" the force gains the transported-entropy coupling
-    s*grad(theta)*phi/(phi^2 + delta^2).  The heat forcing and the entropy
-    production both form the square here; grad_theta is computed when the
-    caller has not already.
+    For model "a1" the force gains the coupling t.coupling.  The heat
+    forcing and the entropy production both form the square here.
     """
-    g = state.grid
-    extra = None
-    if p.model == "a1":
-        recip = _regularized_recip(state.phi.values, p.reg_delta)
-        s = entropy_density(state, p).values
-        if grad_theta is None:
-            grad_theta = grad_arrays(g, state.theta.values)
-        extra = [s * gt * recip for gt in grad_theta]
-    out = np.zeros(g.shape)
-    for i in range(g.dim):
-        force = grad_mu[i] + p.alpha * grad_rate[i]
-        if extra is not None:
-            force = force + extra[i]
-        out += force**2
-    return out
+    force = [gm + t.p.alpha * gr for gm, gr in zip(grad_mu, grad_rate)]
+    if t.p.model == "a1":
+        force = [f + c for f, c in zip(force, t.coupling)]
+    return _sum_sq(force)
 
 
 def entropy_production(
@@ -302,19 +335,11 @@ def entropy_production(
     """
     g = state.grid
     _require_positive_theta(state.theta, "entropy_production", state)
-    theta = state.theta.values
+    t = StateTerms(state, p)
     dphi_dt = state.dphi_dt_values()
     grad_mu = grad_arrays(g, mu.values)
-    grad_theta = grad_arrays(g, theta)
-    force_sq = force_square(
-        state, grad_mu, [f.values for f in grad_dphi_dt], p, grad_theta
-    )
-
-    grad_theta_sq = np.zeros(g.shape)
-    for gt in grad_theta:
-        grad_theta_sq += gt**2
-
-    out = force_sq + p.alpha * dphi_dt**2 + p.kappa * grad_theta_sq / theta
+    force_sq = force_square(t, grad_mu, [f.values for f in grad_dphi_dt])
+    out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
     return Field(g, out)
 
 
@@ -348,12 +373,12 @@ class VariationalReport:
 def _band_limited_direction(grid: GridSpec, rng: np.random.Generator) -> Field:
     """Random smooth unit-L2 field supported on |k_int| <= n/8 per axis."""
     raw = rng.standard_normal(grid.shape)
-    c = fftn(grid, raw)
+    c = rfftn(grid, raw)
     cut = 2.0 * np.pi * (grid.n // 8) / grid.box_len
-    keep = np.ones(grid.shape, dtype=bool)
-    for ki in grid.k_axes:
+    keep = np.ones(c.shape, dtype=bool)
+    for ki in grid.half_k_axes:
         keep &= np.abs(ki) <= cut + 1e-12
-    v = ifftn_real(grid, c * keep)
+    v = irfftn(grid, c * keep)
     f = Field(grid, v)
     nrm = l2_norm(f)
     return Field(grid, v / nrm) if nrm > 0 else f

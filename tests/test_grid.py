@@ -6,14 +6,18 @@ import pytest
 from thermoch.grid import (
     Field,
     GridSpec,
-    dealias_array,
+    _fft_workers,
+    divergence_arrays,
     fftn,
+    grad_arrays,
     ifftn_real,
     inner,
+    irfftn,
     l2_norm,
     laplacian_array,
     mean,
     mean_and_inner,
+    rfftn,
 )
 
 
@@ -124,6 +128,50 @@ class TestDerivatives:
             d = ifftn_real(g, fh * grad_symbol(g, ax))
             assert np.max(np.abs(d)) < 1e-13
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_pure_nyquist_field(self, dim, n):
+        # (-1)^(i+j+...) lives on the Nyquist bin of every axis, stored as
+        # -n/2 on the full axes and +n/2 on the half lattice's last axis
+        g = GridSpec(dim=dim, n=n, box_len=2.7)
+        f = np.ones(g.shape)
+        for ax in g.axes:
+            f = f * np.cos(np.pi * n * ax / g.box_len)
+        for d in grad_arrays(g, f):
+            assert np.array_equal(d, np.zeros(g.shape))
+        k_nyq = np.pi * n / g.box_len
+        expect = -dim * k_nyq**2 * f
+        assert np.max(np.abs(laplacian_array(g, f) - expect)) <= 1e-12 * np.max(np.abs(expect))
+        if dim > 1:
+            # Nyquist on the first axis only, a resolved mode on the last
+            k1 = 2.0 * np.pi / g.box_len
+            mixed = np.cos(k_nyq * g.axes[0]) * np.cos(k1 * g.axes[-1]) * np.ones(g.shape)
+            grads = grad_arrays(g, mixed)
+            assert np.max(np.abs(grads[0])) <= 1e-12 * k_nyq
+            slope = -k1 * np.cos(k_nyq * g.axes[0]) * np.sin(k1 * g.axes[-1])
+            assert np.max(np.abs(grads[-1] - slope)) <= 1e-12 * k_nyq
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+    def test_half_lattice_matches_full_lattice(self, dim, n):
+        rng = np.random.default_rng(dim)
+        g = GridSpec(dim=dim, n=n, box_len=1.3)
+        v = rng.standard_normal(g.shape)
+        comps = [rng.standard_normal(g.shape) for _ in range(dim)]
+        fh = fftn(g, v)
+        full_div = sum(fftn(g, c) * grad_symbol(g, i) for i, c in enumerate(comps))
+        cut = np.ones(g.shape, dtype=bool)
+        for k in g.k_axes:
+            cut &= np.abs(k) <= (2.0 / 3.0) * np.pi * n / g.box_len + 1e-12
+        pairs = [(a, ifftn_real(g, fh * grad_symbol(g, i))) for i, a in enumerate(grad_arrays(g, v))]
+        pairs += [
+            (laplacian_array(g, v), ifftn_real(g, -fh * g.k_squared)),
+            (divergence_arrays(g, comps), ifftn_real(g, full_div)),
+            (divergence_arrays(g, comps, mask=True), ifftn_real(g, full_div * cut)),
+            (irfftn(g, rfftn(g, v) * g.half_dealias_mask), ifftn_real(g, fh * cut)),
+            (irfftn(g, rfftn(g, v) * g.half_bilap), ifftn_real(g, fh * g.k_squared**2)),
+        ]
+        for got, want in pairs:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_mean_of_laplacian_is_zero(self):
         rng = np.random.default_rng(5)
         g = GridSpec(dim=2, n=32, box_len=2.0)
@@ -139,25 +187,39 @@ class TestDealias:
         for n in (16, 32, 64):
             g = GridSpec(dim=1, n=n, box_len=2.0 * np.pi)
             x = g.axes[0]
-            cut = dealias_array(g, np.sin(x) ** 2)
+            cut = irfftn(g, rfftn(g, np.sin(x) ** 2) * g.half_dealias_mask)
             expect = 0.5 * (1.0 - np.cos(2.0 * x))
             assert np.max(np.abs(cut - expect)) < 1e-12
 
     def test_dealias_is_projection(self):
         rng = np.random.default_rng(9)
         g = GridSpec(dim=2, n=32, box_len=1.0)
-        fh = fftn(g, random_field(g, rng).values)
-        once = fh * g.dealias_mask
-        twice = fh * g.dealias_mask * g.dealias_mask
+        fh = rfftn(g, random_field(g, rng).values)
+        once = fh * g.half_dealias_mask
+        twice = fh * g.half_dealias_mask * g.half_dealias_mask
         assert np.array_equal(once, twice)
 
     def test_cutoff_location(self):
         g = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
-        c = np.ones(g.shape, dtype=complex)
-        kept = (c * g.dealias_mask).real
-        k_int = np.rint(g.k_axes[0].ravel()).astype(int)
+        kept = g.half_dealias_mask
+        k_int = np.rint(g.half_k_axes[0].ravel()).astype(int)
         for idx, m in enumerate(k_int):
             assert kept.ravel()[idx] == (1.0 if abs(m) <= 21 else 0.0), m
+
+
+class TestThreads:
+    def test_read_once_and_bad_value_falls_back(self, monkeypatch):
+        try:
+            monkeypatch.setenv("THERMOCH_THREADS", "two")
+            _fft_workers.cache_clear()
+            assert _fft_workers() == 1
+            monkeypatch.setenv("THERMOCH_THREADS", "2")
+            assert _fft_workers() == 1  # parsed once per process
+            _fft_workers.cache_clear()
+            assert _fft_workers() == 2
+        finally:
+            monkeypatch.delenv("THERMOCH_THREADS")
+            _fft_workers.cache_clear()
 
 
 class TestQuadrature:

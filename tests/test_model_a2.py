@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real
+from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, irfftn, rfftn
 from thermoch.model_a2 import (
     SimConfig,
     Trajectory,
@@ -22,7 +22,11 @@ from thermoch.thermo import (
     PositivityError,
     SingularityError,
     ThermoState,
+    _bracket_b,
+    _regularized_recip,
+    bulk_potential,
     chemical_potential,
+    entropy_density,
     entropy_production,
 )
 
@@ -41,6 +45,15 @@ def uniform_state(grid, phi=0.0, theta=1.0):
     return ThermoState(
         Field(grid, np.full(grid.shape, float(phi))),
         Field(grid, np.full(grid.shape, float(theta))),
+    )
+
+
+def unforced_solves(grid, p, dt, state):
+    """Both implicit solves with zero forcing, on real arrays."""
+    zero = np.zeros(rfftn(grid, state.phi.values).shape)
+    return ThermoState(
+        Field(grid, irfftn(grid, phase_update(grid, p, dt, rfftn(grid, state.phi.values), zero))),
+        Field(grid, irfftn(grid, heat_update(grid, p, dt, rfftn(grid, state.theta.values), zero))),
     )
 
 
@@ -200,11 +213,7 @@ class TestImexStep:
             Field(GRID1, 0.2 + a * np.sin(m * x)),
             Field(GRID1, np.full(GRID1.shape, 2.0)),
         )
-        zero = np.zeros(GRID1.shape)
-        out = ThermoState(
-            Field(GRID1, phase_update(GRID1, p, dt, s.phi.values, zero)),
-            Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)),
-        )
+        out = unforced_solves(GRID1, p, dt, s)
         factor = (1.0 + p.alpha * m**2) / (
             (1.0 + p.alpha * m**2) + dt * p.eps * p.theta_bar * m**4
         )
@@ -222,8 +231,7 @@ class TestImexStep:
             Field(GRID1, np.zeros(GRID1.shape)),
             Field(GRID1, 1.5 + b * np.cos(m * x)),
         )
-        zero = np.zeros(GRID1.shape)
-        out = ThermoState(s.phi, Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)))
+        out = unforced_solves(GRID1, p, dt, s)
         factor = p.k_b / (p.k_b + dt * p.kappa * m**2)
         expected = 1.5 + factor * b * np.cos(m * x)
         assert np.max(np.abs(out.theta.values - expected)) < 1e-14
@@ -238,12 +246,8 @@ class TestImexStep:
             Field(GRID1, 1.0 + b * np.cos(m * x)),
         )
         n = round(t_end / dt)
-        zero = np.zeros(GRID1.shape)
         for _ in range(n):
-            s = ThermoState(
-                Field(GRID1, phase_update(GRID1, p, dt, s.phi.values, zero)),
-                Field(GRID1, heat_update(GRID1, p, dt, s.theta.values, zero)),
-            )
+            s = unforced_solves(GRID1, p, dt, s)
         amp = float(
             np.max(s.theta.values) - np.min(s.theta.values)
         ) / 2.0
@@ -433,3 +437,115 @@ class TestTrajectory:
             Trajectory(
                 times=np.array([0.0, 0.0]), states=[s, s], diagnostics=[row, row]
             )
+
+
+def c2c_oracle_step(state, p, dt):
+    """One imex_step on the full complex lattice with np.fft, each operator
+    transforming its own input: the reference for the half-spectrum step."""
+    grid = state.grid
+    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n) / grid.box_len
+    ks = [k1.reshape([-1 if j == i else 1 for j in range(grid.dim)]) for i in range(grid.dim)]
+    k_max = np.pi * grid.n / grid.box_len
+    ds = [1j * k * (k != -k_max) for k in ks]
+    k2 = sum(k * k for k in ks)
+    cut = np.ones(grid.shape, dtype=bool)
+    for k in ks:
+        cut &= np.abs(k) <= (2.0 / 3.0) * k_max + 1e-12
+    fwd = np.fft.fftn
+
+    def inv(c):
+        return np.fft.ifftn(c).real
+
+    def grad(v):
+        return [inv(fwd(v) * d) for d in ds]
+
+    def div(comps):
+        return inv(sum(fwd(c) * d for c, d in zip(comps, ds)) * cut)
+
+    phi, theta = state.phi.values, state.theta.values
+    _, dw_dphi, _ = bulk_potential(phi, theta, p)
+    bulk = inv(fwd(dw_dphi / (p.eps * theta)) * cut)
+    mu = bulk - div([p.eps * theta * g for g in grad(phi)])
+    lap_phi = inv(fwd(phi) * -k2)
+    inner = dw_dphi / (p.eps * theta) - p.eps * (theta - p.theta_bar) * lap_phi
+    f1 = inv(fwd(inner) * cut * -k2)
+    a1 = p.model == "a1"
+    if a1:
+        recip = _regularized_recip(phi, p.reg_delta)
+        s = entropy_density(state, p, grad(phi)).values
+        coupling = [s * g * recip for g in grad(theta)]
+        f1 = f1 + div(coupling)
+
+    mass = 1.0 + p.alpha * k2
+    phi_hat = fwd(phi)
+    new_hat = (mass * phi_hat + dt * fwd(f1)) / (mass + dt * p.eps * p.theta_bar * k2**2)
+    new_hat[(0,) * grid.dim] = phi_hat[(0,) * grid.dim]
+    new_phi = inv(new_hat)
+    rate = (new_phi - phi) / dt
+
+    grad_rate = grad(rate)
+    force = [gm + p.alpha * gr for gm, gr in zip(grad(mu), grad_rate)]
+    if a1:
+        force = [f + c for f, c in zip(force, coupling)]
+    _, db_dphi, db_dtheta = _bracket_b(phi, theta, p)
+    cross = sum(gr * gp for gr, gp in zip(grad_rate, grad(phi)))
+    out = (
+        p.alpha * rate**2
+        + p.eps * theta * cross
+        - theta * (db_dphi * rate + db_dtheta * state.dtheta_dt_values())
+        + sum(f * f for f in force)
+    )
+    f2 = inv(fwd(out) * cut)
+    if a1 and state.dphi_dt is not None:
+        old_rate = grad(state.dphi_dt.values)
+        u = [
+            -(gm * recip + s * gt * recip**2 + p.alpha * gr * recip)
+            for gm, gt, gr in zip(grad(mu), grad(theta), old_rate)
+        ]
+        f2 = f2 - div([s * ui for ui in u])
+    new_theta = inv((p.k_b * fwd(theta) + dt * fwd(f2)) / (p.k_b + dt * p.kappa * k2))
+    return new_phi, new_theta
+
+
+class TestHalfSpectrumStep:
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("model", ["a2", "a1"])
+    def test_matches_full_lattice_oracle(self, dim, n, model):
+        # the second step, so the rate caches and the a1 velocity are live
+        grid = GridSpec(dim=dim, n=n, box_len=2.0 * np.pi)
+        rng = np.random.default_rng(40 + dim)
+        p = params(model=model)
+        phi = Field(grid, 0.9 + band_limited(grid, rng, amp=0.05).values)
+        theta = Field(grid, 1.0 + band_limited(grid, rng, amp=0.02).values)
+        state = imex_step(ThermoState(phi, theta), p, 1e-4)
+        step = imex_step(state, p, 1e-4)
+        want_phi, want_theta = c2c_oracle_step(state, p, 1e-4)
+        for got, want, old in (
+            (step.phi.values, want_phi, state.phi.values),
+            (step.theta.values, want_theta, state.theta.values),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # the increment itself, not only the field, agrees
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want - old))
+
+    @pytest.mark.parametrize("model,budget", [("a2", 16), ("a1", 25)])
+    def test_fft_count_per_2d_step(self, monkeypatch, model, budget):
+        import scipy.fft
+
+        calls = []
+        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counted)
+        p = params(model=model)
+        rng = np.random.default_rng(5)
+        phi = Field(GRID2, 0.9 + band_limited(GRID2, rng, amp=0.05).values)
+        state = ThermoState(phi, Field(GRID2, np.ones(GRID2.shape)))
+        state = imex_step(state, p, 1e-4)
+        calls.clear()
+        imex_step(state, p, 1e-4)
+        assert 0 < len(calls) <= budget
