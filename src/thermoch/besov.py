@@ -24,16 +24,24 @@ Norms are the dyadic-lattice analogues of the continuum definitions
 
 with left-endpoint quadrature for rho = 1, a discrete max for rho = inf, and
 a left-endpoint ell^2 for rho = 2.
+
+Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
+entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
+(its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
+point lies in at most two consecutive blocks, so one ring index per point
+gives all block energies in one bincount pass (block_energies).  Only
+project_block uses the full-lattice symbols.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridSpec, fftn, laplacian_array, ifftn_real
+from .grid import Field, GridSpec, fftn, ifftn_real, laplacian_array, rfftn
 from .thermo import ModelParams
 
 __all__ = [
@@ -43,8 +51,11 @@ __all__ = [
     "CompositionReport",
     "build_partition",
     "project_block",
+    "half_spectra",
+    "block_energies",
     "besov_norm",
     "chemin_lerner_norm",
+    "chemin_lerner_norm_vector",
     "check_smallness",
     "composition_registry",
     "verify_composition_bound",
@@ -88,6 +99,24 @@ class DyadicPartition:
     def qs(self) -> list[int]:
         return list(range(self.q_min, self.q_max + 1))
 
+    @cached_property
+    def rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, w_lower, w_upper) per point of the flattened half lattice:
+        its symbols vanish outside blocks lower and lower + 1, and w_* are
+        their squares times the point's multiplicity and L^dim / N^2."""
+        g = self.grid
+        half = [s[..., : g.n // 2 + 1].ravel() for s in self.symbols]
+        sym = np.stack(half + [np.zeros_like(half[0])])  # an empty block on top
+        nonzero = sym != 0.0
+        lower = np.argmax(nonzero, axis=0)
+        points = np.arange(lower.size)
+        if np.any(nonzero.sum(axis=0) > 1 + nonzero[lower + 1, points]):
+            raise ValueError("a lattice point lies in more than two consecutive blocks")
+        mult = np.full(g.half_shape, 2.0)
+        mult[..., 0] = mult[..., -1] = 1.0
+        w = mult.ravel() * g.box_len**g.dim / float(g.size) ** 2
+        return lower, sym[lower, points] ** 2 * w, sym[lower + 1, points] ** 2 * w
+
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
     r = grid.k_abs
@@ -109,13 +138,39 @@ def project_block(f: Field, q: int, part: DyadicPartition) -> Field:
     return Field(f.grid, ifftn_real(f.grid, coeffs))
 
 
-def _block_l2_from_coeffs(coeffs: np.ndarray, part: DyadicPartition) -> np.ndarray:
-    """L2 norms of every block, from unnormalized FFT coefficients."""
-    g = part.grid
-    scale = math.sqrt(g.box_len**g.dim) / g.size
-    return np.array(
-        [scale * np.linalg.norm(sym * coeffs) for sym in part.symbols]
-    )
+def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
+    """n_times fields on grid as a stack of rfftn half spectra, shape
+    (n_times, *half_shape); a stack of that shape passes through."""
+    if isinstance(series, np.ndarray):
+        if series.shape != (n_times, *grid.half_shape):
+            raise ValueError(f"spectra of shape {series.shape} do not fit the grid and times")
+        return series
+    if len(series) != n_times:
+        raise ValueError("series and times length mismatch")
+    if any(f.grid != grid for f in series):
+        raise ValueError("a field lives on a different grid")
+    return np.stack([rfftn(grid, f.values) for f in series])
+
+
+def block_energies(hats: np.ndarray, part: DyadicPartition, weight=None) -> np.ndarray:
+    """Squared L2 norms of every dyadic block, in one ring-index pass.
+
+    hats holds half spectra, shape (..., *half_shape); weight, when given,
+    is an operator's |multiplier|^2 on the half lattice (grid.half_grad_sq
+    for the gradient, |k|^4 for the Laplacian).  Returns (..., n_blocks).
+    """
+    lower, w_lower, w_upper = part.rings
+    if weight is not None:
+        weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
+        w_lower, w_upper = w_lower * weight, w_upper * weight
+    n_blocks = len(part.symbols)
+    rows = np.square(np.abs(hats)).reshape(-1, lower.size)
+    stride = n_blocks + 1  # each row's spare last bin takes the empty top block
+    bins = (lower + stride * np.arange(len(rows))[:, None]).ravel()
+    out = np.bincount(bins, (rows * w_lower).ravel(), minlength=stride * len(rows))
+    out[1:] += np.bincount(bins, (rows * w_upper).ravel(), minlength=out.size)[:-1]
+    lead = hats.shape[: hats.ndim - part.grid.dim]
+    return out.reshape(-1, stride)[:, :n_blocks].reshape(lead + (n_blocks,))
 
 
 @dataclass
@@ -141,85 +196,53 @@ class BesovReport:
 
 
 def besov_norm(f: Field, s: float, part: DyadicPartition) -> BesovReport:
-    if f.grid != part.grid:
-        raise ValueError("field and partition grids differ")
-    block = _block_l2_from_coeffs(fftn(f.grid, f.values), part)
+    block = np.sqrt(block_energies(half_spectra([f], part.grid, 1)[0], part))
     weighted = [
         (q, float(2.0 ** (q * s) * block[i])) for i, q in enumerate(part.qs)
     ]
     return BesovReport(s=s, per_block=weighted, total=float(sum(v for _, v in weighted)))
 
 
-def _check_uniform_times(times: np.ndarray) -> float:
-    times = np.asarray(times, float)
-    if times.size < 2:
+def _time_then_blocks(energy: np.ndarray, times, s: float, rho, part: DyadicPartition) -> float:
+    """Per block, the time-L^rho of the block norms sqrt(energy[:, block]),
+    on uniformly spaced times; then their 2^(q s)-weighted sum."""
+    dts = np.diff(np.asarray(times, float))
+    if dts.size < 1:
         raise ValueError("need at least 2 snapshots for a time norm")
-    dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-10, atol=1e-14):
         raise ValueError("snapshot times must be uniformly spaced")
-    return float(dts[0])
-
-
-def _time_aggregate(v: np.ndarray, dt: float, rho) -> float:
-    """Discrete L^rho in time of one block series (left-endpoint for 1, 2)."""
     if rho == 1:
-        return float(dt * np.sum(v[:-1]))
-    if rho == 2:
-        return float(math.sqrt(dt * np.sum(v[:-1] ** 2)))
-    if rho in (np.inf, math.inf, "inf"):
-        return float(np.max(v))
-    raise ValueError(f"rho must be 1, 2 or inf, got {rho!r}")
+        agg = dts[0] * np.sum(np.sqrt(energy[:-1]), axis=0)
+    elif rho == 2:
+        agg = np.sqrt(dts[0] * np.sum(energy[:-1], axis=0))
+    elif rho in (np.inf, math.inf, "inf"):
+        agg = np.sqrt(np.max(energy, axis=0))
+    else:
+        raise ValueError(f"rho must be 1, 2 or inf, got {rho!r}")
+    return float(np.sum(2.0 ** (np.asarray(part.qs) * s) * agg))
 
 
-def chemin_lerner_norm(
-    series: list[Field],
-    times,
-    s: float,
-    rho,
-    part: DyadicPartition,
-) -> float:
+def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weight=None) -> float:
     """Time-then-frequency norm: ell^1 over blocks of time-L^rho block norms.
 
-    For rho = inf and a time-constant series this reduces to besov_norm; for
-    rho = 1 it equals the left-endpoint time integral of the instantaneous
-    besov norm (the sums commute exactly).
+    series is a list of fields or a stack of their half spectra; weight is
+    an operator weight as in block_energies.  For rho = inf and a
+    time-constant series this reduces to besov_norm; for rho = 1 it equals
+    the left-endpoint time integral of the instantaneous besov norm (the
+    sums commute exactly).
     """
-    dt = _check_uniform_times(times)
-    if len(series) != len(np.asarray(times)):
-        raise ValueError("series and times length mismatch")
-    blocks = np.stack(
-        [_block_l2_from_coeffs(fftn(f.grid, f.values), part) for f in series]
-    )  # shape (n_times, n_blocks)
-    total = 0.0
-    for i, q in enumerate(part.qs):
-        total += 2.0 ** (q * s) * _time_aggregate(blocks[:, i], dt, rho)
-    return float(total)
+    hats = half_spectra(series, part.grid, len(np.asarray(times)))
+    return _time_then_blocks(block_energies(hats, part, weight), times, s, rho, part)
 
 
-def chemin_lerner_norm_vector(
-    series: list[list[Field]],
-    times,
-    s: float,
-    rho,
-    part: DyadicPartition,
-) -> float:
+def chemin_lerner_norm_vector(series, times, s: float, rho, part: DyadicPartition) -> float:
     """Same norm for vector fields: block L2 is the ell^2 over components.
 
     ``series[j]`` holds the component fields at time ``times[j]``.
     """
-    dt = _check_uniform_times(times)
-    rows = []
-    for comps in series:
-        sq = None
-        for f in comps:
-            b = _block_l2_from_coeffs(fftn(f.grid, f.values), part)
-            sq = b**2 if sq is None else sq + b**2
-        rows.append(np.sqrt(sq))
-    blocks = np.stack(rows)  # shape (n_times, n_blocks)
-    total = 0.0
-    for i, q in enumerate(part.qs):
-        total += 2.0 ** (q * s) * _time_aggregate(blocks[:, i], dt, rho)
-    return float(total)
+    n = len(np.asarray(times))
+    energy = sum(block_energies(half_spectra(c, part.grid, n), part) for c in zip(*series))
+    return _time_then_blocks(energy, times, s, rho, part)
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * forward FFT is unnormalized, the inverse carries the 1/n^dim factor
   (numpy/pocketfft convention);
-* derivatives and dealiasing act on the half spectrum (rfftn/irfftn) through
-  the half_* multipliers cached per GridSpec; the full-lattice fftn and
-  k_axes serve only the frequency-block norms (besov);
+* derivatives, dealiasing and the frequency-block norms act on the half
+  spectrum (rfftn/irfftn) through the half_* multipliers cached per
+  GridSpec; the full-lattice fftn and k_axes serve only besov.project_block;
 * wavenumbers per axis are k = (2*pi/L) * {-n/2, ..., n/2 - 1}; the half
   lattice's last axis holds {0, ..., n/2}, its Nyquist bin stored as +n/2;
 * odd derivatives zero the unpaired Nyquist bin of every axis so that real
@@ -84,6 +84,10 @@ class GridSpec:
         return (self.n,) * self.dim
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        return self.shape[:-1] + (self.n // 2 + 1,)  # rfftn's last axis
+
+    @property
     def h(self) -> float:
         """Grid spacing L/n."""
         return self.box_len / self.n
@@ -131,6 +135,11 @@ class GridSpec:
         """d/dx_i on the half lattice: 1j*k_i, zero on every axis' Nyquist bin."""
         k_nyq = np.pi * self.n / self.box_len
         return tuple(1j * ki * (np.abs(ki) != k_nyq) for ki in self.half_k_axes)
+
+    @cached_property
+    def half_grad_sq(self) -> np.ndarray:
+        """sum_i |half_grad_i|^2: |grad f|^2 is this weight on |f_hat|^2."""
+        return sum(np.abs(g) ** 2 for g in self.half_grad)
 
     @cached_property
     def half_lap(self) -> np.ndarray:

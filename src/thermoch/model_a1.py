@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Field, div_hat, grad_arrays, irfftn
-from .thermo import ModelParams, SingularityError, StateTerms, ThermoState, _argmin_index, _bracket_b
+from .thermo import ModelParams, SingularityError, StateTerms, ThermoState, _argmin_index
 
 
 def a1_coupling_flux(s: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
@@ -71,7 +71,7 @@ def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
 def _require_invertible_entropy_slope(t: StateTerms):
     """The chain-rule expansion divides by theta*ds/dtheta; require ds/dtheta
     > 1e-10 pointwise (the free energy's theta-convexity, checked at runtime)."""
-    _, _, db_dtheta = _bracket_b(t.phi, t.theta, t.p)
+    _, db_dtheta = t.bracket_slopes
     ds_dtheta = t.p.k_b / t.theta + db_dtheta
     worst = float(np.min(ds_dtheta))
     if worst <= 1e-10:

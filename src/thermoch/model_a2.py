@@ -43,7 +43,6 @@ from .thermo import (
     StateTerms,
     ThermoState,
     _argmin_index,
-    _bracket_b,
     force_square,
     total_energy,
 )
@@ -124,7 +123,7 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, rate_hat: np.ndarray) -> np.ndarray
     """Spectrum of f2 for the phase rate `rate`, whose spectrum is rate_hat."""
     grid, p, theta = t.grid, t.p, t.theta
     grad_rate = grad_from_hat(grid, rate_hat)
-    _, db_dphi, db_dtheta = _bracket_b(t.phi, theta, p)
+    db_dphi, db_dtheta = t.bracket_slopes
     bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
 
     cross = sum(gr * gp for gr, gp in zip(grad_rate, t.grad_phi))

@@ -11,12 +11,21 @@ numerical checks of the linear a-priori estimates backing the construction.
 All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
 of the forcing at the snapshot times (left endpoints).
+
+The Picard loop carries the free flow and both corrections as stacks of
+rfftn half spectra, shape (n_times, *half_shape).  One application of the
+map inverts each snapshot's two absolute fields once, forms both forcings
+from one thermo.StateTerms and advances the corrections by one exact
+interval, so no forcing series is kept.  The iterate norm measures the
+spectra directly: rates are differences of snapshot spectra and every
+derivative is a weight on |f_hat|^2 (besov.block_energies), so k_norm makes
+no transform.  The public functions still take and return Field lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -25,13 +34,13 @@ from .besov import (
     DyadicPartition,
     SmallnessReport,
     besov_norm,
-    chemin_lerner_norm,
-    chemin_lerner_norm_vector,
     check_smallness,
+    chemin_lerner_norm,
+    half_spectra,
 )
-from .grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, laplacian_array, rfftn
-from .model_a2 import SimConfig, rhs_f1, rhs_f2, simulate
-from .thermo import ModelParams, PositivityError, ThermoState
+from .grid import Field, GridSpec, irfftn, l2_norm, laplacian_array, rfftn
+from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
+from .thermo import ModelParams, PositivityError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 
@@ -67,12 +76,13 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_series(series, grid: GridSpec, times: np.ndarray, label: str) -> None:
-    if len(series) != times.size:
-        raise ValueError(f"{label} series and times length mismatch")
-    for f in series:
-        if f.grid != grid:
-            raise ValueError(f"{label} series lives on a different grid")
+def _as_fields(grid: GridSpec, hats: np.ndarray) -> list[Field]:
+    return [Field(grid, irfftn(grid, h)) for h in hats]
+
+
+def _decay(hat0: np.ndarray, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Half spectra of the unforced flow hat0 * exp(-lam t) at every time."""
+    return hat0 * np.exp(-times.reshape(-1, *[1] * lam.ndim) * lam)
 
 
 def free_evolution(phi0: Field, p: ModelParams, times) -> list[Field]:
@@ -82,85 +92,59 @@ def free_evolution(phi0: Field, p: ModelParams, times) -> list[Field]:
     zero mode is constant for all time.
     """
     times = _check_times(times)
-    grid = phi0.grid
-    lam, _ = _phi_rates_and_mass(grid, p)
-    hat0 = rfftn(grid, phi0.values)
-    return [Field(grid, irfftn(grid, hat0 * np.exp(-t * lam))) for t in times]
+    lam, _ = _phi_rates_and_mass(phi0.grid, p)
+    return _as_fields(phi0.grid, _decay(rfftn(phi0.grid, phi0.values), lam, times))
 
 
-def _etd_march(
-    grid: GridSpec,
-    y0: Field,
-    forcing,
-    lam: np.ndarray,
-    mass: np.ndarray,
-    times: np.ndarray,
-) -> list[Field]:
-    """Exact mode-wise integration with forcing frozen per interval.
+def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(decay, gain) of one interval of exact mode-wise integration with
+    frozen forcing: y(t + dt) = decay * y(t) + gain * g.
 
-    Over [t_n, t_{n+1}] each mode solves y' = -lam y + g_n / mass, hence
-    y_{n+1} = e^{-lam dt} y_n + (1 - e^{-lam dt})/lam * g_n/mass, with the
-    lam -> 0 limit dt * g_n/mass on undamped modes.
+    Each mode solves y' = -lam y + g / mass, hence decay = e^{-lam dt} and
+    gain = (1 - e^{-lam dt})/(lam mass), with the lam -> 0 limit dt/mass on
+    undamped modes.
     """
-    out = [y0]
-    y_hat = rfftn(grid, y0.values)
     positive = lam > 0.0
-    safe = np.where(positive, lam, 1.0)
+    weight = np.where(positive, -np.expm1(-lam * dt) / np.where(positive, lam, 1.0), dt)
+    return np.exp(-lam * dt), weight / mass
+
+
+def _linear_solve(rates_and_mass, g, y0: Field, p: ModelParams, times) -> np.ndarray:
+    """Half spectra of the forced linear flow at every time, the forcing g
+    frozen on each interval."""
+    grid, times = y0.grid, _check_times(times)
+    lam, mass = rates_and_mass(grid, p)
+    g_hats = half_spectra(g, grid, times.size)
+    out = np.empty((times.size, *grid.half_shape), dtype=complex)
+    out[0] = rfftn(grid, y0.values)
     for n in range(times.size - 1):
-        dt = times[n + 1] - times[n]
-        decay = np.exp(-lam * dt)
-        weight = np.where(positive, -np.expm1(-lam * dt) / safe, dt)
-        y_hat = decay * y_hat + weight * rfftn(grid, forcing[n].values) / mass
-        out.append(Field(grid, irfftn(grid, y_hat)))
+        decay, gain = _etd_factors(lam, mass, times[n + 1] - times[n])
+        out[n + 1] = decay * out[n] + gain * g_hats[n]
     return out
 
 
 def linear_phi_solve(g, phi0: Field, p: ModelParams, times) -> list[Field]:
     """Damped bilaplacian flow with forcing, exact for piecewise-constant g."""
-    times = _check_times(times)
-    grid = phi0.grid
-    _check_series(g, grid, times, "forcing")
-    lam, mass = _phi_rates_and_mass(grid, p)
-    return _etd_march(grid, phi0, g, lam, mass, times)
+    return _as_fields(phi0.grid, _linear_solve(_phi_rates_and_mass, g, phi0, p, times))
 
 
 def linear_theta_solve(h, theta0: Field, p: ModelParams, times) -> list[Field]:
     """Linear heat flow with forcing, exact for piecewise-constant h."""
-    times = _check_times(times)
-    grid = theta0.grid
-    _check_series(h, grid, times, "forcing")
-    lam, mass = _theta_rates_and_mass(grid, p)
-    return _etd_march(grid, theta0, h, lam, mass, times)
+    return _as_fields(theta0.grid, _linear_solve(_theta_rates_and_mass, h, theta0, p, times))
 
 
 # --------------------------------------------------------------------------
 # the seven-term iterate norm
 
 
-def _backward_rates(series, times: np.ndarray) -> list[Field]:
-    """Backward-difference time derivatives; zero on the first snapshot."""
-    grid = series[0].grid
-    out = [Field(grid, np.zeros(grid.shape))]
-    for j in range(1, len(series)):
-        dt = times[j] - times[j - 1]
-        out.append(Field(grid, (series[j].values - series[j - 1].values) / dt))
+def _backward_rates(hats: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Backward-difference time derivatives of a stack of half spectra; zero
+    on the first snapshot."""
+    out = np.empty_like(hats)
+    out[0] = 0.0
+    np.subtract(hats[1:], hats[:-1], out=out[1:])
+    out[1:] *= (1.0 / np.diff(times)).reshape(-1, *[1] * (hats.ndim - 1))
     return out
-
-
-def _gradient_series(series) -> list[tuple[Field, ...]]:
-    rows = []
-    for f in series:
-        comps = grad_arrays(f.grid, f.values)
-        rows.append(tuple(Field(f.grid, c) for c in comps))
-    return rows
-
-
-def _laplacian(f: Field) -> Field:
-    return Field(f.grid, laplacian_array(f.grid, f.values))
-
-
-def _bilaplacian(f: Field) -> Field:
-    return Field(f.grid, irfftn(f.grid, rfftn(f.grid, f.values) * f.grid.half_bilap))
 
 
 @dataclass(frozen=True)
@@ -189,15 +173,7 @@ class KNormReport:
 
     @property
     def summands(self) -> dict[str, float]:
-        return {
-            "phi_sup": self.phi_sup,
-            "phi_bilap_int": self.phi_bilap_int,
-            "phi_rate_sq": self.phi_rate_sq,
-            "phi_rate_grad_sq": self.phi_rate_grad_sq,
-            "theta_sup": self.theta_sup,
-            "theta_lap_int": self.theta_lap_int,
-            "theta_rate_int": self.theta_rate_int,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def total(self) -> float:
@@ -207,6 +183,8 @@ class KNormReport:
 def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
+    dphi and dtheta are Field lists or stacks of half spectra of shape
+    (n_times, *half_shape); spectra are measured without any transform.
     Time derivatives are backward differences of the series (zero on the
     first snapshot, matching corrections that start from rest), so at least
     three snapshots are required for the rate terms to mean anything.
@@ -215,24 +193,25 @@ def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
     grid = part.grid
-    _check_series(dphi, grid, times, "phase")
-    _check_series(dtheta, grid, times, "temperature")
+    phi_hat = half_spectra(dphi, grid, times.size)
+    theta_hat = half_spectra(dtheta, grid, times.size)
+    phi_rate = _backward_rates(phi_hat, times)
     s_lo = grid.dim / 2.0
     s_hi = s_lo + 2.0
 
-    rate_phi = _backward_rates(dphi, times)
-    rate_theta = _backward_rates(dtheta, times)
+    # derivatives are weights on |f_hat|^2: |k|^8 for the bilaplacian, |k|^4
+    # for the Laplacian, half_grad_sq for the gradient
+    def norm(hats, s, rho, weight=None):
+        return chemin_lerner_norm(hats, times, s, rho, part, weight)
 
     return KNormReport(
-        phi_sup=chemin_lerner_norm(dphi, times, s_hi, math.inf, part),
-        phi_bilap_int=chemin_lerner_norm([_bilaplacian(f) for f in dphi], times, s_lo, 1, part),
-        phi_rate_sq=chemin_lerner_norm(rate_phi, times, s_lo, 2, part),
-        phi_rate_grad_sq=chemin_lerner_norm_vector(
-            _gradient_series(rate_phi), times, s_lo, 2, part
-        ),
-        theta_sup=chemin_lerner_norm(dtheta, times, s_lo, math.inf, part),
-        theta_lap_int=chemin_lerner_norm([_laplacian(f) for f in dtheta], times, s_lo, 1, part),
-        theta_rate_int=chemin_lerner_norm(rate_theta, times, s_lo, 1, part),
+        phi_sup=norm(phi_hat, s_hi, math.inf),
+        phi_bilap_int=norm(phi_hat, s_lo, 1, grid.half_bilap**2),
+        phi_rate_sq=norm(phi_rate, s_lo, 2),
+        phi_rate_grad_sq=norm(phi_rate, s_lo, 2, grid.half_grad_sq),
+        theta_sup=norm(theta_hat, s_lo, math.inf),
+        theta_lap_int=norm(theta_hat, s_lo, 1, grid.half_bilap),
+        theta_rate_int=norm(_backward_rates(theta_hat, times), s_lo, 1),
     )
 
 
@@ -310,10 +289,6 @@ class PicardReport:
     final_phi: Field
     final_theta: Field
 
-    @property
-    def ratios(self) -> list[float]:
-        return [r.ratio for r in self.rows]
-
     def to_csv(self) -> str:
         lines = [REPORT_CSV_HEADER]
         lines += [r.csv_line() for r in self.rows]
@@ -324,33 +299,42 @@ class PicardReport:
         return "\n".join(lines) + "\n"
 
 
-def _apply_solution_map(dphi, dtheta, phi_free, dtheta0: Field, p: ModelParams, times):
+def _solution_map(grid: GridSpec, dphi, dtheta, phi_free, dtheta0_hat, p: ModelParams, times):
     """One application of the solution map: freeze forcings, solve linear.
 
-    The forcings are the two expanded right-hand sides evaluated on the
-    absolute fields of the current iterate (free flow plus corrections),
-    with backward-difference rates; the new corrections solve the damped
-    bilaplacian / heat problems with initial data (0, dtheta0).
+    All series are stacks of half spectra.  The forcings are the two
+    expanded right-hand sides evaluated on the absolute fields of the
+    current iterate (free flow plus corrections), with backward-difference
+    rates; the new corrections solve the damped bilaplacian / heat problems
+    with initial data (0, dtheta0), one exact interval per snapshot.  A
+    snapshot inverts its two fields once and one StateTerms serves both
+    forcings.  The last state is validated but acts beyond the horizon.
     """
-    grid = phi_free[0].grid
-    phi_abs = [Field(grid, pl.values + dp.values) for pl, dp in zip(phi_free, dphi)]
-    theta_abs = [Field(grid, p.theta_bar + dth.values) for dth in dtheta]
-    rate_phi = _backward_rates(phi_abs, times)
-    rate_theta = _backward_rates(theta_abs, times)
-
-    f1, f2 = [], []
+    step = times[1] - times[0]  # uniform (PicardConfig.times)
+    phi_decay, phi_gain = _etd_factors(*_phi_rates_and_mass(grid, p), step)
+    theta_decay, theta_gain = _etd_factors(*_theta_rates_and_mass(grid, p), step)
+    new_dphi, new_dtheta = np.empty_like(dphi), np.empty_like(dtheta)
+    new_dphi[0], new_dtheta[0] = 0.0, dtheta0_hat
+    prev = None
     for j in range(times.size):
+        phi_hat = phi_free[j] + dphi[j]
+        now = (irfftn(grid, phi_hat), phi_hat, p.theta_bar + irfftn(grid, dtheta[j]))
+        dt = times[j] - times[j - 1] if j else 1.0  # the first rates are now - now = 0
+        rate, rate_hat, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
         state = ThermoState(
-            phi_abs[j], theta_abs[j], dphi_dt=rate_phi[j], dtheta_dt=rate_theta[j]
+            Field(grid, now[0]),
+            Field(grid, now[2]),
+            dphi_dt=Field(grid, rate),
+            dtheta_dt=Field(grid, theta_rate),
         )
-        f1.append(rhs_f1(state, p))
-        f2.append(rhs_f2(state, rate_phi[j], p))
-
-    zero = Field(grid, np.zeros(grid.shape))
-    return (
-        linear_phi_solve(f1, zero, p, times),
-        linear_theta_solve(f2, dtheta0, p, times),
-    )
+        if j + 1 < times.size:
+            terms = StateTerms(state, p)
+            new_dphi[j + 1] = phi_decay * new_dphi[j] + phi_gain * _f1_hat(terms)
+            new_dtheta[j + 1] = theta_decay * new_dtheta[j] + theta_gain * _f2_hat(
+                terms, rate, rate_hat
+            )
+        prev = now
+    return new_dphi, new_dtheta
 
 
 def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) -> float:
@@ -394,11 +378,10 @@ def picard_iterate(
         raise ValueError(f"the solution map linearizes model 'a2', got {p.model!r}")
     times = cfg.times
 
-    phi_free = free_evolution(phi0, p, times)
-    dtheta0 = Field(grid, theta0.values - p.theta_bar)
-    zero = Field(grid, np.zeros(grid.shape))
-    dphi = [zero] * times.size
-    dtheta = linear_theta_solve([zero] * times.size, dtheta0, p, times)
+    phi_free = _decay(rfftn(grid, phi0.values), _phi_rates_and_mass(grid, p)[0], times)
+    dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
+    dphi = np.zeros_like(phi_free)
+    dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
 
     rows: list[PicardRow] = []
     converged = diverged = False
@@ -406,10 +389,10 @@ def picard_iterate(
     bad_streak = 0
     for m in range(1, cfg.n_iter + 1):
         try:
-            new_dphi, new_dtheta = _apply_solution_map(dphi, dtheta, phi_free, dtheta0, p, times)
-            diff_phi = [Field(grid, a.values - b.values) for a, b in zip(new_dphi, dphi)]
-            diff_theta = [Field(grid, a.values - b.values) for a, b in zip(new_dtheta, dtheta)]
-            diff = k_norm(diff_phi, diff_theta, part, times).total
+            new_dphi, new_dtheta = _solution_map(
+                grid, dphi, dtheta, phi_free, dtheta0_hat, p, times
+            )
+            diff = k_norm(new_dphi - dphi, new_dtheta - dtheta, part, times).total
             size = k_norm(new_dphi, new_dtheta, part, times).total
         except (PositivityError, ValueError, FloatingPointError):
             # the iterate left the domain of the map (temperature through
@@ -436,8 +419,8 @@ def picard_iterate(
             diverged = True
             break
 
-    final_phi = Field(grid, phi_free[-1].values + dphi[-1].values)
-    final_theta = Field(grid, p.theta_bar + dtheta[-1].values)
+    final_phi = Field(grid, irfftn(grid, phi_free[-1] + dphi[-1]))
+    final_theta = Field(grid, p.theta_bar + irfftn(grid, dtheta[-1]))
     return PicardReport(
         rows=tuple(rows),
         converged=converged,
@@ -469,19 +452,12 @@ def free_flow_budget(
     grid = phi0.grid
     times = np.linspace(0.0, t_end, n_snapshots)
     lam, _ = _phi_rates_and_mass(grid, p)
-    hat0 = rfftn(grid, phi0.values)
-    series = free_evolution(phi0, p, times)
-    rates = [Field(grid, irfftn(grid, -lam * (hat0 * np.exp(-t * lam)))) for t in times]
+    hats = _decay(rfftn(grid, phi0.values), lam, times)
+    grad, lap_sq, rate_sq = grid.half_grad_sq, grid.half_bilap, lam * lam
+    terms = [(grad, 2), (lap_sq, 2), (lap_sq**2, 1), (lap_sq * grad, 2)]
+    terms += [(rate_sq, 2), (rate_sq * grad, 2)]  # the rate spectrum is -lam * hats, exactly
     s = grid.dim / 2.0
-    laps = [_laplacian(f) for f in series]
-    return float(
-        chemin_lerner_norm_vector(_gradient_series(series), times, s, 2, part)
-        + chemin_lerner_norm(laps, times, s, 2, part)
-        + chemin_lerner_norm([_bilaplacian(f) for f in series], times, s, 1, part)
-        + chemin_lerner_norm_vector(_gradient_series(laps), times, s, 2, part)
-        + chemin_lerner_norm(rates, times, s, 2, part)
-        + chemin_lerner_norm_vector(_gradient_series(rates), times, s, 2, part)
-    )
+    return float(sum(chemin_lerner_norm(hats, times, s, rho, part, w) for w, rho in terms))
 
 
 def find_t_chi(
@@ -541,27 +517,32 @@ def phi_apriori_ratios(
     """
     times = _check_times(times)
     grid = phi0.grid
-    sol = linear_phi_solve(g, phi0, p, times)
     s = grid.dim / 2.0
     nu = p.eps * p.theta_bar
 
-    phi0_n = besov_norm(phi0, s, part).total
-    lap_phi0_n = besov_norm(_laplacian(phi0), s, part).total
-    g_l1 = chemin_lerner_norm(list(g), times, s, 1, part)
+    def norm(hats, s, rho, weight=None):
+        return chemin_lerner_norm(hats, times, s, rho, part, weight)
 
-    sol_sup = chemin_lerner_norm(sol, times, s, math.inf, part)
-    lap_sup = chemin_lerner_norm([_laplacian(f) for f in sol], times, s, math.inf, part)
-    bilap_l1 = chemin_lerner_norm([_bilaplacian(f) for f in sol], times, s, 1, part)
-    rates = _backward_rates(sol, times)
-    rate_l1 = chemin_lerner_norm(rates, times, s, 1, part)
-    rate_l2 = chemin_lerner_norm(rates, times, s, 2, part)
-    rate_grad_l2 = chemin_lerner_norm_vector(_gradient_series(rates), times, s, 2, part)
+    g_hat = half_spectra(g, grid, times.size)
+    sol_hat = _linear_solve(_phi_rates_and_mass, g_hat, phi0, p, times)
+    rates = _backward_rates(sol_hat, times)
+
+    phi0_n = besov_norm(phi0, s, part).total
+    lap_phi0_n = besov_norm(Field(grid, laplacian_array(grid, phi0.values)), s, part).total
+    g_l1 = norm(g_hat, s, 1)
+
+    sol_sup = norm(sol_hat, s, math.inf)
+    lap_sup = norm(sol_hat, s, math.inf, grid.half_bilap)
+    bilap_l1 = norm(sol_hat, s, 1, grid.half_bilap**2)
+    rate_l1 = norm(rates, s, 1)
+    rate_l2 = norm(rates, s, 2)
+    rate_grad_l2 = norm(rates, s, 2, grid.half_grad_sq)
 
     r1 = sol_sup / (phi0_n + g_l1)
     r2 = p.alpha * lap_sup / (p.alpha * lap_phi0_n + g_l1)
     r3 = (nu * bilap_l1 + rate_l1) / (phi0_n + p.alpha * lap_phi0_n + g_l1)
     if p.alpha > 0.0:
-        g_l2_low = chemin_lerner_norm(list(g), times, s - 1.0, 2, part)
+        g_l2_low = norm(g_hat, s - 1.0, 2)
         r4 = (rate_l2 + math.sqrt(p.alpha) * rate_grad_l2) / (
             math.sqrt(nu) * lap_phi0_n + g_l2_low / math.sqrt(p.alpha)
         )
@@ -579,14 +560,18 @@ def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPa
     """
     times = _check_times(times)
     grid = theta0.grid
-    sol = linear_theta_solve(h, theta0, p, times)
     s = grid.dim / 2.0
 
-    sup = chemin_lerner_norm(sol, times, s, math.inf, part)
-    lap_l1 = chemin_lerner_norm([_laplacian(f) for f in sol], times, s, 1, part)
-    rate_l1 = chemin_lerner_norm(_backward_rates(sol, times), times, s, 1, part)
+    def norm(hats, rho, weight=None):
+        return chemin_lerner_norm(hats, times, s, rho, part, weight)
+
+    h_hat = half_spectra(h, grid, times.size)
+    sol_hat = _linear_solve(_theta_rates_and_mass, h_hat, theta0, p, times)
+    sup = norm(sol_hat, math.inf)
+    lap_l1 = norm(sol_hat, 1, grid.half_bilap)
+    rate_l1 = norm(_backward_rates(sol_hat, times), 1)
     theta0_n = besov_norm(theta0, s, part).total
-    h_l1 = chemin_lerner_norm(list(h), times, s, 1, part)
+    h_l1 = norm(h_hat, 1)
 
     lhs = p.k_b * sup + p.kappa * lap_l1 + p.k_b * rate_l1
     rhs = p.k_b * theta0_n + h_l1

@@ -177,18 +177,18 @@ def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
 
 
 def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
-    """B = W/(eps theta^2) - (theta-theta_bar)^2 phi^2/(eps theta), with
-    its phi- and theta-derivatives (the theta-equation's chain-rule bracket)."""
+    """dB/dphi and dB/dtheta of B = W/(eps theta^2) - (theta-theta_bar)^2
+    phi^2/(eps theta), the theta-equation's chain-rule bracket; B itself
+    enters no equation."""
     w, dw_dphi, _ = bulk_potential(phi, theta, p)
     dth = theta - p.theta_bar
-    b = w / (p.eps * theta**2) - dth**2 * phi**2 / (p.eps * theta)
     db_dphi = dw_dphi / (p.eps * theta**2) - 2.0 * dth**2 * phi / (p.eps * theta)
     db_dtheta = (
         2.0 * dth**2 * phi**2 / (p.eps * theta**2)
         - 2.0 * w / (p.eps * (theta * theta * theta))
         - 2.0 * dth * phi**2 / (p.eps * theta)
     )
-    return b, db_dphi, db_dtheta
+    return db_dphi, db_dtheta
 
 
 def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
@@ -293,6 +293,11 @@ class StateTerms:
     @cached_property
     def grad_mu(self) -> list[np.ndarray]:
         return grad_from_hat(self.grid, self.mu_hat)
+
+    @cached_property
+    def bracket_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dB/dphi, dB/dtheta) of the chain-rule bracket (_bracket_b)."""
+        return _bracket_b(self.phi, self.theta, self.p)
 
     @cached_property
     def entropy(self) -> np.ndarray:

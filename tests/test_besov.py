@@ -8,6 +8,7 @@ import pytest
 from thermoch.besov import (
     BesovReport,
     besov_norm,
+    block_energies,
     build_partition,
     check_smallness,
     chemin_lerner_norm,
@@ -16,7 +17,7 @@ from thermoch.besov import (
     project_block,
     verify_composition_bound,
 )
-from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, l2_norm
+from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, l2_norm, rfftn
 from thermoch.thermo import ModelParams
 
 
@@ -146,6 +147,84 @@ class TestBesovNorm:
         rep = besov_norm(random_field(GRID, rng), 0.5, PART)
         assert rep.total == pytest.approx(sum(v for _, v in rep.per_block), rel=1e-14)
         assert all(v >= 0.0 for _, v in rep.per_block)
+
+
+def full_lattice_blocks(grid, part, values, multiplier=None):
+    """Oracle: block L2 norms from np.fft.fftn and the full-lattice symbols."""
+    coeffs = np.fft.fftn(values)
+    if multiplier is not None:
+        coeffs = coeffs * multiplier
+    scale = math.sqrt(grid.box_len**grid.dim) / grid.size
+    return np.array([scale * np.linalg.norm(sym * coeffs) for sym in part.symbols])
+
+
+def nyquist_heavy_field(grid, rng):
+    """White noise plus energy on every axis' Nyquist plane and on their crossing."""
+    v = rng.standard_normal(grid.shape)
+    corner = np.ones(grid.shape)
+    for axis in range(grid.dim):
+        sign = (-1.0) ** np.arange(grid.n).reshape([-1 if j == axis else 1 for j in range(grid.dim)])
+        other = grid.axes[(axis + 1) % grid.dim]
+        v = v + sign * (3.0 + 2.0 * np.cos(2.0 * np.pi * other / grid.box_len))
+        corner = corner * sign
+    return v + 4.0 * corner
+
+
+HALF_GRIDS = [
+    GridSpec(dim=1, n=64, box_len=2.0 * np.pi),
+    GridSpec(dim=2, n=32, box_len=3.0),
+    GridSpec(dim=3, n=16, box_len=1.0),
+]
+
+
+class TestHalfLatticeBlocks:
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_matches_full_lattice_oracle(self, grid):
+        part = build_partition(grid)
+        rng = np.random.default_rng(50 + grid.dim)
+        v = nyquist_heavy_field(grid, rng)
+        nyq = np.abs(np.fft.fftn(v))[(grid.n // 2,) * grid.dim]
+        assert nyq > 1.0  # the corner Nyquist mode carries energy
+        got = np.sqrt(block_energies(rfftn(grid, v), part))
+        want = full_lattice_blocks(grid, part, v)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_weighted_matches_derivative_oracle(self, grid):
+        # |grad|^2 and |lap|^2 as weights against derivatives taken on the full lattice
+        part = build_partition(grid)
+        v = nyquist_heavy_field(grid, np.random.default_rng(60 + grid.dim))
+        hat = rfftn(grid, v)
+        grad_sq = sum(
+            full_lattice_blocks(grid, part, v, 1j * k * m) ** 2
+            for k, m in zip(grid.k_axes, grid.nyquist_masks)
+        )
+        got = block_energies(hat, part, grid.half_grad_sq)
+        assert np.all(np.abs(got - grad_sq) <= 1e-12 * grad_sq)
+        lap = full_lattice_blocks(grid, part, v, -grid.k_squared)
+        got = np.sqrt(block_energies(hat, part, grid.half_bilap))
+        assert np.all(np.abs(got - lap) <= 1e-12 * lap)
+
+    def test_stack_gives_one_row_per_snapshot(self):
+        rng = np.random.default_rng(70)
+        hats = np.stack([rfftn(GRID, rng.standard_normal(GRID.shape)) for _ in range(4)])
+        rows = block_energies(hats, PART)
+        assert rows.shape == (4, len(PART.symbols))
+        for hat, row in zip(hats, rows):
+            assert np.array_equal(block_energies(hat, PART), row)
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS + [GRID], ids=lambda g: f"{g.dim}d-{g.n}")
+    def test_every_point_in_at_most_two_consecutive_blocks(self, grid):
+        part = build_partition(grid)
+        nonzero = np.stack([sym != 0.0 for sym in part.symbols])
+        count = nonzero.sum(axis=0)
+        assert count.min() >= 1 and count.max() <= 2
+        lower = np.argmax(nonzero, axis=0)
+        upper = np.minimum(lower + 1, len(part.symbols) - 1)
+        pairs = np.take_along_axis(nonzero, upper[None], axis=0)[0]
+        assert np.all(count == 1 + (pairs & (upper > lower)))
+        half_lower, _, _ = part.rings
+        assert np.array_equal(half_lower, lower[..., : grid.n // 2 + 1].ravel())
 
 
 class TestBernstein:

@@ -184,6 +184,26 @@ class TestA1Step:
             state = imex_step(state, p, 1e-4)
         assert abs(mean(state.phi) - m0) <= 1e-14
 
+    def test_bracket_slopes_formed_once_per_step(self, monkeypatch):
+        # the slope guard and the heat forcing share the state's dB/dphi, dB/dtheta
+        import thermoch.thermo as thermo
+
+        calls = []
+        original = thermo._bracket_b
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(thermo, "_bracket_b", counted)
+        rng = np.random.default_rng(8)
+        s = ThermoState(
+            Field(GRID, 0.9 + band_limited(GRID, rng, amp=0.05).values),
+            Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.02).values),
+        )
+        imex_step(s, params(), 1e-4)
+        assert len(calls) == 1
+
     def test_entropy_slope_guard(self):
         p = params(eps=0.1)
         s = ThermoState(

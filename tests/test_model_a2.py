@@ -191,7 +191,7 @@ class TestRhsF2:
         )
         from thermoch.thermo import _bracket_b
 
-        _, _, db_dth = _bracket_b(phi.values, theta.values, p)
+        _, db_dth = _bracket_b(phi.values, theta.values, p)
         expected_gap = -theta.values * db_dth * cache.values
         assert np.max(np.abs(with_cache.values - without.values - expected_gap)) < 1e-12
 
@@ -487,7 +487,7 @@ def c2c_oracle_step(state, p, dt):
     force = [gm + p.alpha * gr for gm, gr in zip(grad(mu), grad_rate)]
     if a1:
         force = [f + c for f, c in zip(force, coupling)]
-    _, db_dphi, db_dtheta = _bracket_b(phi, theta, p)
+    db_dphi, db_dtheta = _bracket_b(phi, theta, p)
     cross = sum(gr * gp for gr, gp in zip(grad_rate, grad(phi)))
     out = (
         p.alpha * rate**2

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from thermoch.besov import build_partition, besov_norm, check_smallness
-from thermoch.grid import Field, GridSpec, l2_norm, laplacian_array
+from thermoch.grid import Field, GridSpec, l2_norm, laplacian_array, rfftn
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
     REPORT_CSV_HEADER,
+    _decay,
+    _phi_rates_and_mass,
+    _solution_map,
+    _theta_rates_and_mass,
     find_t_chi,
     free_evolution,
     free_flow_budget,
@@ -210,6 +214,122 @@ class TestKNorm:
         assert sum(rep.summands.values()) == rep.total
 
 
+def old_formula_k_norm(dphi, dtheta, part, times):
+    """Oracle: the seven summands with every derivative taken in real space by
+    full-lattice np.fft and block norms from np.fft.fftn times the symbols."""
+    grid = part.grid
+    scale = math.sqrt(grid.box_len**grid.dim) / grid.size
+
+    def apply(values, multiplier):
+        return np.fft.ifftn(np.fft.fftn(values) * multiplier).real
+
+    def blocks(values):
+        coeffs = np.fft.fftn(values)
+        return np.array([scale * np.linalg.norm(sym * coeffs) for sym in part.symbols])
+
+    def chemin_lerner(series, s, rho, vector=False):
+        rows = np.array(
+            [np.sqrt(sum(blocks(c) ** 2 for c in f)) if vector else blocks(f) for f in series]
+        )
+        dt = times[1] - times[0]
+        total = 0.0
+        for i, q in enumerate(part.qs):
+            v = rows[:, i]
+            agg = {1: dt * np.sum(v[:-1]), 2: math.sqrt(dt * np.sum(v[:-1] ** 2))}.get(
+                rho, np.max(v)
+            )
+            total += 2.0 ** (q * s) * agg
+        return total
+
+    def rates(series):
+        return [0.0 * series[0]] + [
+            (b - a) / (t1 - t0) for a, b, t0, t1 in zip(series, series[1:], times, times[1:])
+        ]
+
+    def grad(values):
+        return [apply(values, 1j * k * m) for k, m in zip(grid.k_axes, grid.nyquist_masks)]
+
+    k2 = grid.k_squared
+    phi = [f.values for f in dphi]
+    theta = [f.values for f in dtheta]
+    s_lo = grid.dim / 2.0
+    return {
+        "phi_sup": chemin_lerner(phi, s_lo + 2.0, math.inf),
+        "phi_bilap_int": chemin_lerner([apply(v, k2**2) for v in phi], s_lo, 1),
+        "phi_rate_sq": chemin_lerner(rates(phi), s_lo, 2),
+        "phi_rate_grad_sq": chemin_lerner([grad(r) for r in rates(phi)], s_lo, 2, vector=True),
+        "theta_sup": chemin_lerner(theta, s_lo, math.inf),
+        "theta_lap_int": chemin_lerner([apply(v, -k2) for v in theta], s_lo, 1),
+        "theta_rate_int": chemin_lerner(rates(theta), s_lo, 1),
+    }
+
+
+def nyquist_series(grid, rng, n, amp):
+    """Random smooth snapshots, each with energy on the Nyquist planes."""
+    sign = (-1.0) ** np.arange(grid.n)
+    out = []
+    for _ in range(n):
+        v = band_limited(grid, rng, amp=amp, kmax=6.0).values
+        for axis in range(grid.dim):
+            v = v + 0.3 * amp * rng.uniform(0.5, 1.5) * np.moveaxis(
+                np.broadcast_to(sign, grid.shape), -1, axis
+            )
+        out.append(Field(grid, v))
+    return out
+
+
+class TestSpectralKNorm:
+    @pytest.mark.parametrize("grid", [GRID1, GRID2], ids=["1d", "2d"])
+    def test_fields_match_old_formula(self, grid):
+        part = build_partition(grid)
+        rng = np.random.default_rng(11)
+        times = np.linspace(0.0, 0.05, 6)
+        dphi = nyquist_series(grid, rng, times.size, 0.2)
+        dtheta = nyquist_series(grid, rng, times.size, 0.1)
+        got = k_norm(dphi, dtheta, part, times).summands
+        want = old_formula_k_norm(dphi, dtheta, part, times)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert value > 0.0
+            assert abs(got[name] - value) <= 1e-12 * value, name
+
+    def test_spectra_give_the_same_report_without_transforms(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        times = np.linspace(0.0, 0.05, 5)
+        dphi = nyquist_series(GRID2, rng, times.size, 0.2)
+        dtheta = nyquist_series(GRID2, rng, times.size, 0.1)
+        want = k_norm(dphi, dtheta, PART2, times)
+        phi_hat = np.stack([rfftn(GRID2, f.values) for f in dphi])
+        theta_hat = np.stack([rfftn(GRID2, f.values) for f in dtheta])
+        calls = count_transforms(monkeypatch)
+        got = k_norm(phi_hat, theta_hat, PART2, times)
+        assert calls == []
+        for name, value in want.summands.items():
+            assert got.summands[name] == pytest.approx(value, rel=1e-14)
+
+    def test_spectra_of_wrong_shape_rejected(self):
+        times = np.linspace(0.0, 0.1, 3)
+        bad = np.zeros((3,) + GRID2.shape, dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            k_norm(bad, bad, PART2, times)
+
+
+def count_transforms(monkeypatch):
+    """Count every scipy.fft transform call from here on."""
+    import scipy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
 class TestPicardConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="chi"):
@@ -300,6 +420,20 @@ class TestPicardIterate:
         data = [ln for ln in lines[1:] if not ln.startswith("#")]
         assert all(len(ln.split(",")) == 5 for ln in data)
         assert any("smallness report" in ln for ln in lines)
+
+    def test_solution_map_transform_budget(self, monkeypatch):
+        # one application: at most 15 transforms per snapshot on a 2D grid
+        phi0, theta0, p = admissible_data()
+        times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
+        phi_free = _decay(rfftn(GRID2, phi0.values), _phi_rates_and_mass(GRID2, p)[0], times)
+        dtheta0_hat = rfftn(GRID2, theta0.values - p.theta_bar)
+        dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(GRID2, p)[0], times)
+        calls = count_transforms(monkeypatch)
+        new_dphi, new_dtheta = _solution_map(
+            GRID2, np.zeros_like(phi_free), dtheta, phi_free, dtheta0_hat, p, times
+        )
+        assert 0 < len(calls) <= 15 * times.size
+        assert new_dphi.shape == new_dtheta.shape == (times.size, *GRID2.half_shape)
 
     def test_grid_mismatch_rejected(self):
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
