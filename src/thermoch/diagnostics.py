@@ -2,7 +2,13 @@
 
 Every quantity here is a deterministic function of a pair of consecutive
 states, the step size, and the model parameters, so that re-running a
-simulation reproduces the diagnostics stream byte for byte.  The central
+simulation reproduces the diagnostics stream byte for byte.  An audit reads
+the thermo.StateTerms of its two states: model_a2.march builds one per
+state and hands the same terms to the next step, so the audit transforms
+only what no step needs (the undealiased grad mu and lap theta) and reads
+the previous state's entropy from its terms.  The terms are formed from the
+state's values alone, so sharing them changes no step, and a run continued
+from a recorded state stays bit for bit the uninterrupted run.  The central
 check is a discrete residual of the entropy balance
 
     theta * ds/dt + theta * div(q / theta) - production,   q = -kappa grad(theta),
@@ -19,16 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, grad_arrays, grad_from_hat, inner, irfftn, l2_norm, mean, rfftn
-from .thermo import (
-    ModelParams,
-    ThermoState,
-    bulk_potential,
-    chemical_potential,
-    entropy_density,
-    entropy_production,
-    total_energy,
-)
+from .grid import Field, GridSpec, grad_arrays, inner, irfftn, l2_norm, mean, rfftn
+from .thermo import ModelParams, StateTerms, bulk_potential, entropy_production, total_energy
 
 CSV_HEADER = (
     "step,t,mass,E_tot,E_drift_rel,min_theta,min_entropy_production,cd_residual_l2"
@@ -66,53 +64,43 @@ class DiagnosticsRow:
         )
 
 
-def _entropy_production_field(state: ThermoState, p: ModelParams) -> np.ndarray:
-    grid = state.grid
-    mu = chemical_potential(state, p, dealias=False)
-    grad_rate = [Field(grid, g) for g in grad_arrays(grid, state.dphi_dt_values())]
-    return entropy_production(state, mu, grad_rate, p).values
-
-
 def audit(
-    prev: ThermoState,
-    curr: ThermoState,
+    prev: StateTerms,
+    curr: StateTerms,
     dt: float,
-    p: ModelParams,
     *,
     step: int = 0,
     t: float = 0.0,
     e_ref: float | None = None,
 ) -> DiagnosticsRow:
-    """Audit the transition prev -> curr taken with step size dt.
+    """Audit the transition prev.state -> curr.state taken with step size dt.
 
-    ``e_ref`` is the energy the drift is measured against; the marching loop
-    passes the initial energy, and by default the previous state's energy is
-    used so a standalone pair still yields a meaningful number.
+    The model parameters are curr's.  ``e_ref`` is the energy the drift is
+    measured against; the marching loop passes the initial energy, and by
+    default the previous state's energy is used so a standalone pair still
+    yields a meaningful number.
     """
     if prev.grid != curr.grid:
         raise ValueError("audit requires both states on the same grid")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = curr.grid
-    theta = curr.theta.values
+    grid, p, theta = curr.grid, curr.p, curr.theta
 
     volume = grid.box_len**grid.dim
-    mass = volume * mean(curr.phi)
-    e_tot = total_energy(curr, p)
+    mass = volume * mean(curr.state.phi)
+    e_tot = total_energy(curr.state, p, curr)
     if e_ref is None:
-        e_ref = total_energy(prev, p)
+        e_ref = total_energy(prev.state, prev.p, prev)
     e_drift_rel = abs(e_tot - e_ref) / max(abs(e_ref), 1e-30)
 
-    production = _entropy_production_field(curr, p)
+    production = entropy_production(curr).values
 
     # theta * ds/dt + theta * div(q/theta) with everything evaluated at curr;
     # theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
     #                                           + kappa |grad(theta)|^2 / theta
-    ds_dt = (entropy_density(curr, p).values - entropy_density(prev, p).values) / dt
-    theta_hat = rfftn(grid, theta)
-    lap_theta = irfftn(grid, grid.half_lap * theta_hat)
-    grad_theta = grad_from_hat(grid, theta_hat)
-    grad_theta_sq = sum(g * g for g in grad_theta)
+    ds_dt = (curr.entropy - prev.entropy) / dt
+    lap_theta = irfftn(grid, grid.half_lap * curr.theta_hat)
+    grad_theta_sq = sum(g * g for g in curr.grad_theta)
     residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
     residual -= production
 

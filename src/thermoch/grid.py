@@ -28,6 +28,7 @@ import scipy.fft as _sfft
 __all__ = [
     "GridSpec",
     "Field",
+    "NonFiniteError",
     "mean_and_inner",
     "mean",
     "inner",
@@ -161,6 +162,10 @@ class GridSpec:
         return keep
 
 
+class NonFiniteError(ValueError):
+    """A field holds NaN or infinite values."""
+
+
 @dataclass
 class Field:
     """Real scalar field sampled on a GridSpec lattice (C-order values)."""
@@ -176,7 +181,7 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             bad = int(np.count_nonzero(~np.isfinite(self.values)))
-            raise ValueError(f"field contains {bad} non-finite values")
+            raise NonFiniteError(f"field contains {bad} non-finite values")
 
 
 def mean_and_inner(f: Field, g: Field) -> tuple[float, float]:

@@ -61,10 +61,9 @@ def a1_velocity(s: ThermoState, mu: Field, p: ModelParams) -> tuple[Field, ...]:
 def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
     """u from grad(mu), the entropy, grad(theta) and the state's phase rate."""
     recip = t.recip
-    grad_rate = grad_arrays(t.grid, t.state.dphi_dt_values())
     return [
         -(gm * recip + t.entropy * gt * recip**2 + t.p.alpha * gr * recip)
-        for gm, gt, gr in zip(grad_mu, t.grad_theta, grad_rate)
+        for gm, gt, gr in zip(grad_mu, t.grad_theta, t.grad_rate)
     ]
 
 

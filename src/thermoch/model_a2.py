@@ -29,12 +29,13 @@ round-off accident.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
-from .grid import Field, GridSpec, div_hat, grad_from_hat, irfftn, rfftn
+from .grid import Field, GridSpec, NonFiniteError, div_hat, grad_from_hat, irfftn, rfftn
 from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
@@ -80,7 +81,8 @@ class Trajectory:
     """Recorded snapshots of one run, append-only while marching.
 
     termination is "completed", "positivity", "singularity" or "non_finite";
-    message is the text of the error that stopped an early run.
+    message is the text of the error that stopped an early run, whose last
+    recorded state is its last valid one.
     """
 
     times: np.ndarray
@@ -167,28 +169,26 @@ def heat_update(grid: GridSpec, p: ModelParams, dt: float, theta_hat, f2_hat) ->
     return (p.k_b * theta_hat + dt * f2_hat) / (p.k_b - dt * p.kappa * grid.half_lap)
 
 
-def imex_step(
-    state: ThermoState, p: ModelParams, dt: float, *, dealias: bool = True
-) -> ThermoState:
-    """Advance one step of model p.model; returns the new state with fresh
-    rate caches.
+def imex_step(t: StateTerms, dt: float) -> ThermoState:
+    """Advance t.state by one step of model t.p.model; returns the new state
+    with fresh rate caches.
 
     "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
     requires an invertible entropy slope, then adds the coupling flux to f1
     and -div(s u) to f2, with u recomputed from this state
     (model_a1.entropy_transport_hat).  "isothermal" stops after the phase
     update and keeps theta.  Every spectrum and derived field of the state
-    is formed once (one StateTerms), and f1, f2 reach the solves as spectra.
+    is formed once, in t (march audits with the same t), and f1, f2 reach
+    the solves as spectra; t.dealias selects the 2/3 rule.
     """
-    grid = state.grid
-    t = StateTerms(state, p, dealias)
+    grid, p, state = t.grid, t.p, t.state
     a1 = p.model == "a1"
 
     if a1:
         _require_invertible_entropy_slope(t)
     f1_hat = _f1_hat(t)
     if a1:
-        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=dealias)
+        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=t.dealias)
     new_phi_hat = phase_update(grid, p, dt, t.phi_hat, f1_hat)
     new_phi = irfftn(grid, new_phi_hat)
     rate = (new_phi - t.phi) / dt
@@ -222,42 +222,66 @@ def imex_step(
     )
 
 
+# The errors that end a march early, with their termination labels.
+_LABELS = {
+    PositivityError: "positivity",
+    SingularityError: "singularity",
+    NonFiniteError: "non_finite",
+    FloatingPointError: "non_finite",
+}
+_NUMERICAL = tuple(_LABELS)
+
+
 def march(
     cfg: SimConfig,
     init: ThermoState,
     step_fn,
 ) -> Trajectory:
-    """Shared marching loop: calls step_fn(state) repeatedly, records
-    snapshots every output_every steps (plus the initial and final ones),
-    and converts numerical failures into labeled early termination."""
+    """Shared marching loop: calls step_fn(terms) repeatedly with the
+    StateTerms of the current state, records snapshots every output_every
+    steps (plus the initial and final ones), and converts numerical failures
+    into labeled early termination.
+
+    One StateTerms per state serves the step that starts from the state and
+    the audit of the step that produced it; a state's terms are dropped,
+    all but its entropy, before the next audit.  A run that stops early
+    records its last valid state with its audit row, unless it is already
+    recorded.  Only the labeled errors (_NUMERICAL) stop a run; any other
+    exception propagates.
+    """
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
     p = cfg.params
-    e0 = total_energy(init, p)
+    terms = StateTerms(init, p, cfg.dealias)
+    e0 = total_energy(init, p, terms)
+    times, states, rows = [], [], []
 
-    times = [0.0]
-    states = [init]
-    rows = [audit(init, init, cfg.dt, p, step=0, t=0.0, e_ref=e0)]
+    def record(j: int, prev: StateTerms, curr: StateTerms):
+        row = audit(prev, curr, cfg.dt, step=j, t=j * cfg.dt, e_ref=e0)
+        times.append(j * cfg.dt)
+        states.append(curr.state)
+        rows.append(row)
+
+    record(0, terms, terms)
     termination, message = "completed", ""
-
-    state = init
+    # phi and theta of the state before terms.state, for a last-state audit
+    before = init.phi, init.theta
     for j in range(1, cfg.n_steps + 1):
-        prev = state
         try:
-            state = step_fn(state)
-        except PositivityError as exc:
-            termination, message = "positivity", str(exc)
+            new = StateTerms(step_fn(terms), p, cfg.dealias)
+            if j % cfg.output_every == 0 or j == cfg.n_steps:
+                terms.keep_only_entropy()
+                record(j, terms, new)
+        except _NUMERICAL as exc:
+            termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
+            message = str(exc)
             break
-        except SingularityError as exc:
-            termination, message = "singularity", str(exc)
-            break
-        except (ValueError, FloatingPointError) as exc:
-            termination, message = "non_finite", str(exc)
-            break
-        if j % cfg.output_every == 0 or j == cfg.n_steps:
-            times.append(j * cfg.dt)
-            states.append(state)
-            rows.append(audit(prev, state, cfg.dt, p, step=j, t=j * cfg.dt, e_ref=e0))
+        before, terms = (terms.state.phi, terms.state.theta), new
+
+    if termination != "completed" and rows[-1].step != j - 1:
+        # a state whose own audit fails stays unrecorded
+        with contextlib.suppress(*_NUMERICAL):
+            record(j - 1, StateTerms(ThermoState(*before), p, cfg.dealias), terms)
 
     return Trajectory(
         times=np.asarray(times),
@@ -270,8 +294,4 @@ def march(
 
 def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
     """Run the model cfg.params.model selects ("a2", "a1" or "isothermal")."""
-
-    def step(s: ThermoState) -> ThermoState:
-        return imex_step(s, cfg.params, cfg.dt, dealias=cfg.dealias)
-
-    return march(cfg, init, step)
+    return march(cfg, init, lambda t: imex_step(t, cfg.dt))

@@ -176,11 +176,12 @@ def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
     return w, dw_dphi, dw_dtheta
 
 
-def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
+def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams, bulk):
     """dB/dphi and dB/dtheta of B = W/(eps theta^2) - (theta-theta_bar)^2
-    phi^2/(eps theta), the theta-equation's chain-rule bracket; B itself
-    enters no equation."""
-    w, dw_dphi, _ = bulk_potential(phi, theta, p)
+    phi^2/(eps theta), the theta-equation's chain-rule bracket; bulk starts
+    with W and dW/dphi of (phi, theta), as bulk_potential returns them.  B
+    itself enters no equation."""
+    w, dw_dphi = bulk[:2]
     dth = theta - p.theta_bar
     db_dphi = dw_dphi / (p.eps * theta**2) - 2.0 * dth**2 * phi / (p.eps * theta)
     db_dtheta = (
@@ -196,41 +197,40 @@ def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
     return sum(c * c for c in comps)
 
 
-def free_energy_density(state: ThermoState, p: ModelParams, grad_phi=None) -> Field:
+def free_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
     """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta);
-    grad_phi, when given, is the caller's grad(phi) of this state."""
+    terms, when given, are this state's StateTerms (grad phi and W reused)."""
     _require_positive_theta(state.theta, "free_energy_density", state)
-    phi, theta = state.phi.values, state.theta.values
-    w, _, _ = bulk_potential(phi, theta, p)
+    t = terms or StateTerms(state, p)
+    theta = t.theta
     psi = (
-        0.5 * p.eps * theta * _sum_sq(grad_phi or grad_arrays(state.grid, phi))
-        + w / (p.eps * theta)
+        0.5 * p.eps * theta * _sum_sq(t.grad_phi)
+        + t.bulk[0] / (p.eps * theta)
         - p.k_b * theta * np.log(theta)
     )
     return Field(state.grid, psi)
 
 
-def entropy_density(state: ThermoState, p: ModelParams, grad_phi=None) -> Field:
-    """s = -d(psi)/d(theta), expanded in closed form (grad_phi as above)."""
+def entropy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
+    """s = -d(psi)/d(theta), expanded in closed form (terms as above)."""
     _require_positive_theta(state.theta, "entropy_density", state)
-    phi, theta = state.phi.values, state.theta.values
-    w, _, _ = bulk_potential(phi, theta, p)
+    t = terms or StateTerms(state, p)
+    phi, theta = t.phi, t.theta
     dth = theta - p.theta_bar
     s = (
-        -0.5 * p.eps * _sum_sq(grad_phi or grad_arrays(state.grid, phi))
-        + w / (p.eps * theta**2)
+        -0.5 * p.eps * _sum_sq(t.grad_phi)
+        + t.bulk[0] / (p.eps * theta**2)
         - dth**2 * phi**2 / (p.eps * theta)
         + p.k_b * (1.0 + np.log(theta))
     )
     return Field(state.grid, s)
 
 
-def internal_energy_density(state: ThermoState, p: ModelParams) -> Field:
+def internal_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
     """e = psi + theta*s. The |grad phi|^2 contributions cancel exactly."""
-    grad_phi = grad_arrays(state.grid, state.phi.values)
-    psi = free_energy_density(state, p, grad_phi).values
-    s = entropy_density(state, p, grad_phi).values
-    return Field(state.grid, psi + state.theta.values * s)
+    t = terms or StateTerms(state, p)
+    psi = free_energy_density(state, p, t).values
+    return Field(state.grid, psi + t.theta * t.entropy)
 
 
 def chemical_potential(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
@@ -253,8 +253,12 @@ def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
 class StateTerms:
     """Spectra and derived fields of one state, each formed at most once.
 
-    A step shares one among all its terms; a standalone term builds its own.
-    Never kept in recorded states.  dealias applies the 2/3 rule to mu.
+    model_a2.march builds one per state for the step that starts from it and
+    for diagnostics.audit of the step that produced it; a standalone term
+    builds its own.  Formed from the state's values alone and never kept in
+    recorded states, so a run continued from a recorded state stays bit for
+    bit the uninterrupted run.  dealias applies the 2/3 rule to the step's
+    mu (mu_hat, grad_mu); the audit's production reads mu_hat_raw.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams, dealias: bool = True):
@@ -278,30 +282,46 @@ class StateTerms:
         return grad_from_hat(self.grid, self.theta_hat)
 
     @cached_property
-    def bulk_hat(self) -> np.ndarray:
-        """Spectrum of dW/dphi / (eps theta), shared by f1 and mu."""
-        _, dw_dphi, _ = bulk_potential(self.phi, self.theta, self.p)
-        return rfftn(self.grid, dw_dphi / (self.p.eps * self.theta))
+    def grad_rate(self) -> list[np.ndarray]:
+        """grad(dphi/dt) of the state's rate cache (zero at t = 0)."""
+        return grad_arrays(self.grid, self.state.dphi_dt_values())
 
     @cached_property
-    def mu_hat(self) -> np.ndarray:
+    def bulk(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W, dW/dphi) of the state from bulk_potential; no term reads dW/dtheta."""
+        w, dw_dphi, _ = bulk_potential(self.phi, self.theta, self.p)
+        return w, dw_dphi
+
+    @cached_property
+    def bulk_hat(self) -> np.ndarray:
+        """Spectrum of dW/dphi / (eps theta), shared by f1 and mu."""
+        return rfftn(self.grid, self.bulk[1] / (self.p.eps * self.theta))
+
+    @cached_property
+    def mu_hat_raw(self) -> np.ndarray:
         """Spectrum of mu = -div(eps theta grad phi) + dW/dphi / (eps theta)."""
         flux = [self.p.eps * self.theta * g for g in self.grad_phi]
-        mu = self.bulk_hat - div_hat(self.grid, flux)
+        return self.bulk_hat - div_hat(self.grid, flux)
+
+    @property
+    def mu_hat(self) -> np.ndarray:
+        """mu_hat_raw, under the 2/3 rule when dealias is set (not kept)."""
+        mu = self.mu_hat_raw
         return mu * self.grid.half_dealias_mask if self.dealias else mu
 
     @cached_property
     def grad_mu(self) -> list[np.ndarray]:
+        """grad mu of the step (from mu_hat)."""
         return grad_from_hat(self.grid, self.mu_hat)
 
     @cached_property
     def bracket_slopes(self) -> tuple[np.ndarray, np.ndarray]:
         """(dB/dphi, dB/dtheta) of the chain-rule bracket (_bracket_b)."""
-        return _bracket_b(self.phi, self.theta, self.p)
+        return _bracket_b(self.phi, self.theta, self.p, self.bulk)
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return entropy_density(self.state, self.p, self.grad_phi).values
+        return entropy_density(self.state, self.p, self).values
 
     @cached_property
     def recip(self) -> np.ndarray:
@@ -311,6 +331,12 @@ class StateTerms:
     def coupling(self) -> list[np.ndarray]:
         """a1's transported-entropy force s*grad(theta)*phi/(phi^2 + delta^2)."""
         return [self.entropy * gt * self.recip for gt in self.grad_theta]
+
+    def keep_only_entropy(self) -> None:
+        """Form the entropy and drop every other formed term (march keeps a
+        state's terms past its step only for the next audit's ds/dt)."""
+        fresh = StateTerms(self.state, self.p, self.dealias)
+        self.__dict__ = {**vars(fresh), "entropy": self.entropy}
 
 
 def force_square(
@@ -327,30 +353,27 @@ def force_square(
     return _sum_sq(force)
 
 
-def entropy_production(
-    state: ThermoState,
-    mu: Field,
-    grad_dphi_dt: list[Field],
-    p: ModelParams,
-) -> Field:
-    """Pointwise theta*Delta^* for the selected model; a sum of squares.
+def entropy_production(t: StateTerms) -> Field:
+    """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
+    sum of squares.
 
-    force_square + alpha*dphi_dt^2 + kappa|grad theta|^2/theta, where the
-    force carries the a1 coupling when p.model is "a1".
+    force_square of the undealiased grad mu and the state's grad(dphi/dt),
+    + alpha*dphi_dt^2 + kappa|grad theta|^2/theta; the force carries the a1
+    coupling when the model is "a1".
     """
-    g = state.grid
-    _require_positive_theta(state.theta, "entropy_production", state)
-    t = StateTerms(state, p)
-    dphi_dt = state.dphi_dt_values()
-    grad_mu = grad_arrays(g, mu.values)
-    force_sq = force_square(t, grad_mu, [f.values for f in grad_dphi_dt])
+    _require_positive_theta(t.state.theta, "entropy_production", t.state)
+    p, dphi_dt = t.p, t.state.dphi_dt_values()
+    # the step's grad mu is the undealiased one when dealias is off
+    grad_mu = grad_from_hat(t.grid, t.mu_hat_raw) if t.dealias else t.grad_mu
+    force_sq = force_square(t, grad_mu, t.grad_rate)
     out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
-    return Field(g, out)
+    return Field(t.grid, out)
 
 
-def total_energy(state: ThermoState, p: ModelParams) -> float:
-    """Integral of the internal energy density over the box."""
-    e = internal_energy_density(state, p)
+def total_energy(state: ThermoState, p: ModelParams, terms=None) -> float:
+    """Integral of the internal energy density over the box (terms as in
+    free_energy_density)."""
+    e = internal_energy_density(state, p, terms)
     return float(np.sum(e.values)) * state.grid.h**state.grid.dim
 
 

@@ -34,8 +34,8 @@ from thermoch.picard import (
 from thermoch.rng import Xoshiro256StarStar
 from thermoch.thermo import (
     ModelParams,
+    StateTerms,
     ThermoState,
-    chemical_potential,
     entropy_production,
     verify_variational_identities,
 )
@@ -172,13 +172,8 @@ def test_criterion_05_entropy_production_nonnegative(refinement_runs):
         assert min(r.min_entropy_production for r in traj.diagnostics) >= -1e-10
         # both production forms, pointwise over every recorded snapshot
         for state in traj.states:
-            grads = [
-                Field(state.grid, g)
-                for g in grad_arrays(state.grid, state.dphi_dt_values())
-            ]
             for form in (p, replace(p, model="a1")):
-                mu = chemical_potential(state, form)
-                production = entropy_production(state, mu, grads, form)
+                production = entropy_production(StateTerms(state, form))
                 assert float(production.values.min()) >= -1e-10
 
 
@@ -198,7 +193,7 @@ def test_criterion_07_isothermal_energy_decay():
     )
     energy = ginzburg_landau_energy(state.phi, p)
     for _ in range(10_000):
-        state = imex_step(state, p, 1e-4)
+        state = imex_step(StateTerms(state, p), 1e-4)
         new_energy = ginzburg_landau_energy(state.phi, p)
         assert new_energy - energy <= 1e-10
         energy = new_energy
@@ -343,8 +338,8 @@ def test_criterion_12_a1_a2_agreement():
 
     # grad(theta0) = 0 exactly: the transported coupling vanishes
     state = ThermoState(phi, Field(grid, np.ones(grid.shape)))
-    a2_next = imex_step(state, replace(p, model="a2"), 1e-4)
-    a1_next = imex_step(state, replace(p, reg_delta=1e-2), 1e-4)
+    a2_next = imex_step(StateTerms(state, replace(p, model="a2")), 1e-4)
+    a1_next = imex_step(StateTerms(state, replace(p, reg_delta=1e-2)), 1e-4)
     assert np.max(np.abs(a1_next.phi.values - a2_next.phi.values)) <= 1e-10
     assert np.max(np.abs(a1_next.theta.values - a2_next.theta.values)) <= 1e-10
 

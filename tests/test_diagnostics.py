@@ -14,7 +14,7 @@ from thermoch.diagnostics import (
 )
 from thermoch.grid import Field, GridSpec, fftn, ifftn_real, mean
 from thermoch.model_a2 import SimConfig, Trajectory, simulate
-from thermoch.thermo import ModelParams, ThermoState
+from thermoch.thermo import ModelParams, StateTerms, ThermoState
 
 GRID = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
 
@@ -47,7 +47,8 @@ class TestAudit:
     def test_stationary_pure_phase(self):
         p = params(theta_bar=1.4)
         s = uniform_state(GRID, 1.0, 1.4)
-        row = audit(s, s, 1e-3, p, step=5, t=5e-3)
+        terms = StateTerms(s, p)
+        row = audit(terms, terms, 1e-3, step=5, t=5e-3)
         assert row.step == 5 and row.t == 5e-3
         assert row.e_drift_rel == 0.0
         assert row.cd_residual_l2 <= 1e-12
@@ -59,7 +60,7 @@ class TestAudit:
         p = params()
         phi = Field(GRID, 0.2 + 0.1 * rng.standard_normal(GRID.shape))
         s = ThermoState(phi, Field(GRID, np.ones(GRID.shape)))
-        row = audit(s, s, 1e-3, p)
+        row = audit(StateTerms(s, p), StateTerms(s, p), 1e-3)
         volume = GRID.box_len**GRID.dim
         assert row.mass == pytest.approx(mean(phi) * volume, abs=1e-14)
 
@@ -67,10 +68,11 @@ class TestAudit:
         p = params()
         s1 = uniform_state(GRID, 1.0, 1.0)
         s2 = uniform_state(GridSpec(dim=1, n=32, box_len=2 * np.pi), 1.0, 1.0)
+        t1, t2 = StateTerms(s1, p), StateTerms(s2, p)
         with pytest.raises(ValueError, match="grid"):
-            audit(s1, s2, 1e-3, p)
+            audit(t1, t2, 1e-3)
         with pytest.raises(ValueError, match="dt"):
-            audit(s1, s1, 0.0, p)
+            audit(t1, t1, 0.0)
 
     def test_pure_heat_residual_refines_with_dt(self):
         # phi stays exactly zero, so the audit residual is the heat-equation
@@ -92,8 +94,8 @@ class TestAudit:
         p = params()
         rng = np.random.default_rng(4)
         s = ThermoState(band_limited(GRID, rng), Field(GRID, np.ones(GRID.shape)))
-        a = audit(s, s, 1e-3, p, step=1, t=1e-3).csv_line()
-        b = audit(s, s, 1e-3, p, step=1, t=1e-3).csv_line()
+        a = audit(StateTerms(s, p), StateTerms(s, p), 1e-3, step=1, t=1e-3).csv_line()
+        b = audit(StateTerms(s, p), StateTerms(s, p), 1e-3, step=1, t=1e-3).csv_line()
         assert a == b
         assert len(a.split(",")) == len(CSV_HEADER.split(","))
 

@@ -20,6 +20,7 @@ from thermoch.model_a2 import SimConfig, imex_step, simulate
 from thermoch.thermo import (
     ModelParams,
     SingularityError,
+    StateTerms,
     ThermoState,
     chemical_potential,
 )
@@ -145,8 +146,8 @@ class TestA1Step:
             band_limited(GRID, rng, amp=0.2),
             Field(GRID, np.full(GRID.shape, 1.0)),
         )
-        a1_state = imex_step(s, p, 1e-4)
-        a2_state = imex_step(s, replace(p, model="a2"), 1e-4)
+        a1_state = imex_step(StateTerms(s, p), 1e-4)
+        a2_state = imex_step(StateTerms(s, replace(p, model="a2")), 1e-4)
         assert np.max(np.abs(a1_state.phi.values - a2_state.phi.values)) <= 1e-12
         assert np.max(np.abs(a1_state.theta.values - a2_state.theta.values)) <= 1e-12
         # the rate cache the next step recomputes the velocity from
@@ -162,8 +163,8 @@ class TestA1Step:
 
         def two_steps(delta):
             p_delta = replace(p, reg_delta=delta)
-            state = imex_step(init, p_delta, 1e-4)
-            state = imex_step(state, p_delta, 1e-4)
+            state = imex_step(StateTerms(init, p_delta), 1e-4)
+            state = imex_step(StateTerms(state, p_delta), 1e-4)
             return state
 
         outs = [two_steps(d) for d in (2e-2, 1e-2, 5e-3)]
@@ -179,9 +180,9 @@ class TestA1Step:
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.1).values),
         )
         m0 = mean(s.phi)
-        state = imex_step(s, p, 1e-4)
+        state = imex_step(StateTerms(s, p), 1e-4)
         for _ in range(20):
-            state = imex_step(state, p, 1e-4)
+            state = imex_step(StateTerms(state, p), 1e-4)
         assert abs(mean(state.phi) - m0) <= 1e-14
 
     def test_bracket_slopes_formed_once_per_step(self, monkeypatch):
@@ -201,7 +202,7 @@ class TestA1Step:
             Field(GRID, 0.9 + band_limited(GRID, rng, amp=0.05).values),
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.02).values),
         )
-        imex_step(s, params(), 1e-4)
+        imex_step(StateTerms(s, params()), 1e-4)
         assert len(calls) == 1
 
     def test_entropy_slope_guard(self):
@@ -210,7 +211,7 @@ class TestA1Step:
             Field(GRID, np.zeros(GRID.shape)), Field(GRID, np.ones(GRID.shape))
         )
         with pytest.raises(SingularityError, match="ds/dtheta"):
-            imex_step(s, p, 1e-4)
+            imex_step(StateTerms(s, p), 1e-4)
 
 
 class TestSimulateA1:

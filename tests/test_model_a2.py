@@ -1,11 +1,22 @@
 """IMEX integrator: forcing assembly, mode-wise updates, marching loop."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, irfftn, rfftn
+from thermoch.diagnostics import audit
+from thermoch.grid import (
+    Field,
+    GridSpec,
+    NonFiniteError,
+    fftn,
+    grad_arrays,
+    ifftn_real,
+    irfftn,
+    rfftn,
+)
 from thermoch.model_a2 import (
     SimConfig,
     Trajectory,
@@ -21,13 +32,13 @@ from thermoch.thermo import (
     ModelParams,
     PositivityError,
     SingularityError,
+    StateTerms,
     ThermoState,
     _bracket_b,
     _regularized_recip,
     bulk_potential,
-    chemical_potential,
-    entropy_density,
     entropy_production,
+    total_energy,
 )
 
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
@@ -135,9 +146,7 @@ class TestRhsF2:
         s = ThermoState(band_limited(GRID2, rng), Field(GRID2, np.ones(GRID2.shape)))
         zero_rate = Field(GRID2, np.zeros(GRID2.shape))
         f2 = rhs_f2(s, zero_rate, p, dealias=False)
-        mu = chemical_potential(s, p, dealias=False)
-        grad_rate = [Field(GRID2, z) for z in grad_arrays(GRID2, np.zeros(GRID2.shape))]
-        production = entropy_production(s, mu, grad_rate, p)
+        production = entropy_production(StateTerms(s, p, dealias=False))
         assert np.min(f2.values) >= 0.0
         assert np.max(np.abs(f2.values - production.values)) < 1e-12
 
@@ -191,7 +200,9 @@ class TestRhsF2:
         )
         from thermoch.thermo import _bracket_b
 
-        _, db_dth = _bracket_b(phi.values, theta.values, p)
+        _, db_dth = _bracket_b(
+            phi.values, theta.values, p, bulk_potential(phi.values, theta.values, p)
+        )
         expected_gap = -theta.values * db_dth * cache.values
         assert np.max(np.abs(with_cache.values - without.values - expected_gap)) < 1e-12
 
@@ -220,7 +231,7 @@ class TestImexStep:
         expected = 0.2 + factor * a * np.sin(m * x)
         assert np.max(np.abs(out.phi.values - expected)) < 1e-13
         assert np.max(np.abs(out.theta.values - 2.0)) < 1e-13
-        out = imex_step(s, p, dt)
+        out = imex_step(StateTerms(s, p), dt)
         assert out.dphi_dt is not None and out.dtheta_dt is not None
 
     def test_forced_heat_mode_decay_factor(self):
@@ -262,7 +273,7 @@ class TestImexStep:
         s = ThermoState(phi, Field(GRID2, np.ones(GRID2.shape)))
         m0 = float(np.mean(s.phi.values))
         for _ in range(1000):
-            s = imex_step(s, p, 1e-4)
+            s = imex_step(StateTerms(s, p), 1e-4)
         assert abs(float(np.mean(s.phi.values)) - m0) <= 1e-13
 
     def test_amplification_factors_unconditionally_stable(self):
@@ -286,14 +297,14 @@ class TestImexStep:
                 Field(GRID64, np.ones(GRID64.shape)),
             )
             with pytest.raises(PositivityError, match="min\\(theta\\)") as err:
-                imex_step(s, p, 2e-4)
+                imex_step(StateTerms(s, p), 2e-4)
             assert err.value.state is s
 
     def test_isothermal_skips_temperature(self):
         rng = np.random.default_rng(9)
         p = params(alpha=0.0, model="isothermal")
         s = ThermoState(band_limited(GRID2, rng), Field(GRID2, np.ones(GRID2.shape)))
-        out = imex_step(s, p, 1e-3)
+        out = imex_step(StateTerms(s, p), 1e-3)
         assert out.theta is s.theta
         assert out.dtheta_dt is None
 
@@ -386,11 +397,11 @@ class TestMarch:
         cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=1.0, output_every=1)
         calls = {"n": 0}
 
-        def step(state):
+        def step(terms):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise PositivityError("boom", state=state)
-            return state
+                raise PositivityError("boom", state=terms.state)
+            return terms.state
 
         with np.errstate(all="ignore"):
             traj = march(cfg, s, step)
@@ -402,20 +413,89 @@ class TestMarch:
         s = uniform_state(GRID2, phi=1.0, theta=1.0)
         cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=0.5, output_every=1)
 
-        def step(state):
-            raise ValueError("values must be finite")
+        def step(terms):
+            raise NonFiniteError("values must be finite")
 
         traj = march(cfg, s, step)
         assert traj.termination == "non_finite"
         assert traj.message == "values must be finite"
         assert len(traj.states) == 1
 
+    def test_plain_value_error_propagates(self):
+        # a ValueError that is no labeled failure is a bug, not a non-finite state
+        p = params()
+        s = uniform_state(GRID2, phi=1.0, theta=1.0)
+        cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=0.5, output_every=1)
+
+        def step(terms):
+            raise ValueError("shapes do not match")
+
+        with pytest.raises(ValueError, match="shapes do not match"):
+            march(cfg, s, step)
+
+    def test_early_stop_records_last_valid_state(self):
+        p = params()
+        rng = np.random.default_rng(12)
+        s = ThermoState(band_limited(GRID2, rng, amp=0.05), Field(GRID2, np.ones(GRID2.shape)))
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=1e-3, output_every=5)
+        produced = []
+
+        def step(terms):
+            if len(produced) == 2:
+                raise PositivityError("boom", state=terms.state)
+            produced.append(imex_step(terms, cfg.dt))
+            return produced[-1]
+
+        traj = march(cfg, s, step)
+        assert traj.termination == "positivity"
+        assert [row.step for row in traj.diagnostics] == [0, 2]
+        assert traj.states[0] is s and traj.states[1] is produced[1]
+        assert traj.times[1] == 2 * cfg.dt
+        e0 = total_energy(s, p)
+        want = audit(
+            StateTerms(produced[0], p), StateTerms(produced[1], p), cfg.dt,
+            step=2, t=2 * cfg.dt, e_ref=e0,
+        )
+        assert traj.diagnostics[1] == want
+
+    def test_failure_at_a_recorded_step_adds_no_row(self):
+        p = params()
+        s = uniform_state(GRID2, phi=1.0, theta=1.0)
+        cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=1.0, output_every=2)
+        calls = {"n": 0}
+
+        def step(terms):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise PositivityError("boom", state=terms.state)
+            return terms.state
+
+        traj = march(cfg, s, step)
+        assert [row.step for row in traj.diagnostics] == [0, 2]
+
+    def test_last_state_that_cannot_be_audited_stays_unrecorded(self):
+        # at reg_delta = 0 a phase field crossing zero has no a1 production
+        p = params(model="a1", reg_delta=0.0)
+        s = uniform_state(GRID2, phi=1.0, theta=1.0)
+        phi = np.sin(GRID2.axes[0]) * np.ones(GRID2.shape)
+        crossing = ThermoState(Field(GRID2, phi), s.theta)
+        cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=1.0, output_every=5)
+        calls = {"n": 0}
+
+        def step(terms):
+            calls["n"] += 1
+            return imex_step(terms, cfg.dt) if calls["n"] == 3 else crossing
+
+        traj = march(cfg, s, step)
+        assert traj.termination == "singularity"
+        assert [row.step for row in traj.diagnostics] == [0]
+
     def test_singularity_label_carries_message(self):
         p = params()
         s = uniform_state(GRID2, phi=1.0, theta=1.0)
         cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=0.5, output_every=1)
 
-        def step(state):
+        def step(terms):
             raise SingularityError("entropy slope ds/dtheta = -1.0e+00")
 
         traj = march(cfg, s, step)
@@ -472,7 +552,14 @@ def c2c_oracle_step(state, p, dt):
     a1 = p.model == "a1"
     if a1:
         recip = _regularized_recip(phi, p.reg_delta)
-        s = entropy_density(state, p, grad(phi)).values
+        w = bulk_potential(phi, theta, p)[0]
+        dth = theta - p.theta_bar
+        s = (
+            -0.5 * p.eps * sum(g * g for g in grad(phi))
+            + w / (p.eps * theta**2)
+            - dth**2 * phi**2 / (p.eps * theta)
+            + p.k_b * (1.0 + np.log(theta))
+        )
         coupling = [s * g * recip for g in grad(theta)]
         f1 = f1 + div(coupling)
 
@@ -487,7 +574,7 @@ def c2c_oracle_step(state, p, dt):
     force = [gm + p.alpha * gr for gm, gr in zip(grad(mu), grad_rate)]
     if a1:
         force = [f + c for f, c in zip(force, coupling)]
-    db_dphi, db_dtheta = _bracket_b(phi, theta, p)
+    db_dphi, db_dtheta = _bracket_b(phi, theta, p, bulk_potential(phi, theta, p))
     cross = sum(gr * gp for gr, gp in zip(grad_rate, grad(phi)))
     out = (
         p.alpha * rate**2
@@ -507,6 +594,22 @@ def c2c_oracle_step(state, p, dt):
     return new_phi, new_theta
 
 
+def count_transforms(monkeypatch) -> list:
+    """Make every scipy.fft transform append to the returned list."""
+    import scipy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
 class TestHalfSpectrumStep:
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
     @pytest.mark.parametrize("model", ["a2", "a1"])
@@ -517,8 +620,8 @@ class TestHalfSpectrumStep:
         p = params(model=model)
         phi = Field(grid, 0.9 + band_limited(grid, rng, amp=0.05).values)
         theta = Field(grid, 1.0 + band_limited(grid, rng, amp=0.02).values)
-        state = imex_step(ThermoState(phi, theta), p, 1e-4)
-        step = imex_step(state, p, 1e-4)
+        state = imex_step(StateTerms(ThermoState(phi, theta), p), 1e-4)
+        step = imex_step(StateTerms(state, p), 1e-4)
         want_phi, want_theta = c2c_oracle_step(state, p, 1e-4)
         for got, want, old in (
             (step.phi.values, want_phi, state.phi.values),
@@ -530,22 +633,73 @@ class TestHalfSpectrumStep:
 
     @pytest.mark.parametrize("model,budget", [("a2", 16), ("a1", 25)])
     def test_fft_count_per_2d_step(self, monkeypatch, model, budget):
-        import scipy.fft
-
-        calls = []
-        for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
-            original = getattr(scipy.fft, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.fft, name, counted)
+        calls = count_transforms(monkeypatch)
         p = params(model=model)
         rng = np.random.default_rng(5)
         phi = Field(GRID2, 0.9 + band_limited(GRID2, rng, amp=0.05).values)
         state = ThermoState(phi, Field(GRID2, np.ones(GRID2.shape)))
-        state = imex_step(state, p, 1e-4)
+        state = imex_step(StateTerms(state, p), 1e-4)
         calls.clear()
-        imex_step(state, p, 1e-4)
+        imex_step(StateTerms(state, p), 1e-4)
         assert 0 < len(calls) <= budget
+
+
+def smooth_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    return ThermoState(
+        Field(grid, 0.9 + band_limited(grid, rng, amp=0.05).values),
+        Field(grid, 1.0 + band_limited(grid, rng, amp=0.02).values),
+    )
+
+
+class TestSharedTerms:
+    """march builds one StateTerms per state for both the step and the audit."""
+
+    @pytest.mark.parametrize("output_every", [1, 3])
+    @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
+    def test_rows_equal_standalone_audits(self, model, output_every):
+        # a stale or misplaced cache would give a row of the wrong pair
+        p = params(model=model)
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=7e-4, output_every=output_every)
+        produced = [init]
+
+        def step(terms):
+            produced.append(imex_step(terms, cfg.dt))
+            return produced[-1]
+
+        traj = march(cfg, init, step)
+        assert traj.termination == "completed"
+        e0 = total_energy(init, p)
+        for state, row in zip(traj.states, traj.diagnostics):
+            j = row.step
+            assert state is produced[j]
+            prev = StateTerms(produced[max(j - 1, 0)], p)
+            want = audit(prev, StateTerms(state, p), cfg.dt, step=j, t=row.t, e_ref=e0)
+            for got_v, want_v in zip(astuple(row), astuple(want)):
+                assert got_v == pytest.approx(want_v, rel=1e-12, abs=0.0)
+
+    def test_transforms_per_step_and_audit(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        n = 10
+        cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=1e-4, t_end=n * 1e-4)
+        traj = simulate(cfg, smooth_state(GRID2, 10))
+        assert traj.termination == "completed" and len(traj.diagnostics) == n + 1
+        assert 0 < len(calls) <= 33 * n
+
+    def test_one_bulk_potential_and_entropy_per_state(self, monkeypatch):
+        import thermoch.thermo as thermo
+
+        counts = {"bulk_potential": 0, "entropy_density": 0}
+        for name in counts:
+            original = getattr(thermo, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(thermo, name, counted)
+        cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=1e-4, t_end=1e-3)
+        traj = simulate(cfg, smooth_state(GRID2, 11))
+        assert traj.termination == "completed" and len(traj.states) == 11
+        assert counts == {"bulk_potential": 11, "entropy_density": 11}

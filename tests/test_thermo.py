@@ -8,6 +8,7 @@ from thermoch.thermo import (
     ModelParams,
     PositivityError,
     SingularityError,
+    StateTerms,
     ThermoState,
     bulk_potential,
     chemical_potential,
@@ -167,14 +168,10 @@ class TestChemicalPotential:
 
 
 class TestEntropyProduction:
-    def _zero_rates(self, grid):
-        return [Field(grid, np.zeros(grid.shape)) for _ in range(grid.dim)]
-
     def test_uniform_stationary_state_is_zero(self):
         p = params()
         st = uniform_state(GRID2, 0.5, 2.0)
-        mu = chemical_potential(st, p)
-        prod = entropy_production(st, mu, self._zero_rates(GRID2), p).values
+        prod = entropy_production(StateTerms(st, p)).values
         assert np.max(np.abs(prod)) < 1e-20
 
     def test_nonnegative_sum_of_squares(self):
@@ -188,29 +185,28 @@ class TestEntropyProduction:
                 Field(GRID2, theta),
                 dphi_dt=Field(GRID2, band_limited(GRID2, rng)),
             )
-            mu = chemical_potential(st, p)
-            rates = [Field(GRID2, band_limited(GRID2, rng)) for _ in range(2)]
-            prod = entropy_production(st, mu, rates, p).values
+            prod = entropy_production(StateTerms(st, p)).values
             assert prod.min() >= 0.0
 
     def test_a1_equals_a2_when_theta_constant(self):
         rng = np.random.default_rng(32)
         phi = 1.0 + band_limited(GRID1, rng, amp=0.3)
-        st = ThermoState(Field(GRID1, phi), Field(GRID1, np.full(GRID1.shape, 2.0)))
-        rates = [Field(GRID1, band_limited(GRID1, rng))]
+        st = ThermoState(
+            Field(GRID1, phi),
+            Field(GRID1, np.full(GRID1.shape, 2.0)),
+            dphi_dt=Field(GRID1, band_limited(GRID1, rng)),
+        )
         p2 = params(model="a2")
         p1 = params(model="a1")
-        mu = chemical_potential(st, p2)
-        prod2 = entropy_production(st, mu, rates, p2).values
-        prod1 = entropy_production(st, mu, rates, p1).values
+        prod2 = entropy_production(StateTerms(st, p2)).values
+        prod1 = entropy_production(StateTerms(st, p1)).values
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
 
     def test_a1_singularity_guard(self):
         p = params(model="a1", reg_delta=0.0)
         st = uniform_state(GRID1, 0.0, 1.0)  # phi == 0 everywhere
-        mu = chemical_potential(st, p)
         with pytest.raises(SingularityError, match="reg_delta"):
-            entropy_production(st, mu, self._zero_rates(GRID1), p)
+            entropy_production(StateTerms(st, p))
 
 
 class TestVariationalIdentities:
