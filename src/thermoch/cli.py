@@ -3,17 +3,17 @@
 Subcommands:
 
   simulate         march the configured model (run.model: a2, a1 or
-                   isothermal, one driver for all three) and write snapshots,
-                   diagnostics.csv, and plot-ready columns for the final state
+                   isothermal) and stream snapshots and diagnostics.csv,
+                   then plot-ready columns for the final state
   check-smallness  evaluate both admissibility inequalities on the initial data
   picard-verify    run the fixed-point iteration and report contraction ratios
   besov-norm       print the per-block norm table for a stored field
   demo-caginalp    print the energy-drift demonstration for the classic model
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(positivity loss, early termination, fixed-point divergence), 4 I/O error
-(held lock, unreadable files).  The output directory is guarded by a
-sentinel lock file so two runs cannot interleave writes.
+(positivity loss, singularity, early termination, fixed-point divergence),
+4 I/O error (held lock, unreadable files).  The output directory is guarded
+by a sentinel lock file so two runs cannot interleave writes.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
 from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
-from .model_a2 import SimConfig, Trajectory, simulate
+from .model_a2 import SimConfig, simulate
 from .picard import picard_iterate
-from .thermo import PositivityError
+from .thermo import PositivityError, SingularityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,31 +122,27 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
         raise ConfigError(f"run: {exc}") from None
 
 
-def _write_run_outputs(outdir: Path, cfg: RunConfig, traj: Trajectory) -> None:
-    for state, row in zip(traj.states, traj.diagnostics):
-        fieldio.write_field(outdir / f"phi_{row.step:08d}.bin", state.phi)
-        fieldio.write_field(outdir / f"theta_{row.step:08d}.bin", state.theta)
-
-    header = CSV_HEADER
-    lines = [row.csv_line() for row in traj.diagnostics]
-    if cfg.params.model == "a1":
-        header += ",reg_delta"
-        reg = repr(float(cfg.params.reg_delta))
-        lines = [line + "," + reg for line in lines]
-    (outdir / "diagnostics.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
-
-    fieldio.write_plot(outdir / "phi_final.dat", traj.states[-1].phi)
-    fieldio.write_plot(outdir / "theta_final.dat", traj.states[-1].theta)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     init = generate_initial(cfg)
     sim = _sim_config(cfg)
     outdir = Path(cfg.output_dir)
-    with _locked_output(outdir):
-        traj = simulate(sim, init)
-        _write_run_outputs(outdir, cfg, traj)
+    header, suffix = CSV_HEADER, ""
+    if cfg.params.model == "a1":
+        header, suffix = header + ",reg_delta", "," + repr(float(cfg.params.reg_delta))
+    with _locked_output(outdir), open(outdir / "diagnostics.csv", "w") as csv:
+        csv.write(header + "\n")
+
+        def write_state(state, row):
+            # snapshots first, then the flushed row, so every row on disk has them
+            fieldio.write_field(outdir / f"phi_{row.step:08d}.bin", state.phi)
+            fieldio.write_field(outdir / f"theta_{row.step:08d}.bin", state.theta)
+            csv.write(row.csv_line() + suffix + "\n")
+            csv.flush()
+
+        traj = simulate(sim, init, write_state)
+        fieldio.write_plot(outdir / "phi_final.dat", traj.states[-1].phi)
+        fieldio.write_plot(outdir / "theta_final.dat", traj.states[-1].theta)
     last = traj.diagnostics[-1]
     print(f"model: {cfg.params.model}  steps: {last.step}/{sim.n_steps}  t: {last.t!r}")
     print(
@@ -221,7 +217,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except PositivityError as exc:
+    except (PositivityError, SingularityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FieldIOError, OSError) as exc:

@@ -70,14 +70,11 @@ def write_csv(path: str | Path, f: Field) -> None:
 def write_plot(path: str | Path, f: Field) -> None:
     """Gnuplot-ready columns; 3d fields emit the z=0 slice."""
     g = f.grid
-    x = np.arange(g.n) * g.h
+    xs = [repr(x) for x in (np.arange(g.n) * g.h).tolist()]
+    plane = f.values if g.dim < 3 else f.values[:, :, 0]
     with open(path, "w") as fh:
         if g.dim == 1:
-            for i in range(g.n):
-                fh.write(f"{float(x[i])!r} {float(f.values[i])!r}\n")
-        else:
-            plane = f.values if g.dim == 2 else f.values[:, :, 0]
-            for i in range(g.n):
-                for j in range(g.n):
-                    fh.write(f"{float(x[i])!r} {float(x[j])!r} {float(plane[i, j])!r}\n")
-                fh.write("\n")
+            fh.writelines(f"{x} {v!r}\n" for x, v in zip(xs, plane.tolist()))
+            return
+        for xi, row in zip(xs, plane.tolist()):
+            fh.writelines([*(f"{xi} {xj} {v!r}\n" for xj, v in zip(xs, row)), "\n"])

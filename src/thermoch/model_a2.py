@@ -78,7 +78,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded snapshots of one run, append-only while marching.
+    """Recorded snapshots of one run; with a march sink, the last one only.
 
     termination is "completed", "positivity", "singularity" or "non_finite";
     message is the text of the error that stopped an early run, whose last
@@ -236,6 +236,7 @@ def march(
     cfg: SimConfig,
     init: ThermoState,
     step_fn,
+    sink=None,
 ) -> Trajectory:
     """Shared marching loop: calls step_fn(terms) repeatedly with the
     StateTerms of the current state, records snapshots every output_every
@@ -248,19 +249,26 @@ def march(
     records its last valid state with its audit row, unless it is already
     recorded.  Only the labeled errors (_NUMERICAL) stop a run; any other
     exception propagates.
+
+    With no sink, the returned Trajectory keeps every recorded state.  With
+    one, sink(state, row) is called for each recorded state, in step order,
+    as soon as its row is formed (the last valid state of an early stop
+    included), and the Trajectory keeps only the last; an exception the
+    sink raises propagates.
     """
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
     p = cfg.params
     terms = StateTerms(init, p, cfg.dealias)
     e0 = total_energy(init, p, terms)
-    times, states, rows = [], [], []
+    recorded = []  # (state, row) pairs; with a sink, the last one only
 
     def record(j: int, prev: StateTerms, curr: StateTerms):
         row = audit(prev, curr, cfg.dt, step=j, t=j * cfg.dt, e_ref=e0)
-        times.append(j * cfg.dt)
-        states.append(curr.state)
-        rows.append(row)
+        if sink is not None:
+            sink(curr.state, row)
+            recorded.clear()
+        recorded.append((curr.state, row))
 
     record(0, terms, terms)
     termination, message = "completed", ""
@@ -278,13 +286,14 @@ def march(
             break
         before, terms = (terms.state.phi, terms.state.theta), new
 
-    if termination != "completed" and rows[-1].step != j - 1:
+    if termination != "completed" and recorded[-1][1].step != j - 1:
         # a state whose own audit fails stays unrecorded
         with contextlib.suppress(*_NUMERICAL):
             record(j - 1, StateTerms(ThermoState(*before), p, cfg.dealias), terms)
 
+    states, rows = map(list, zip(*recorded))
     return Trajectory(
-        times=np.asarray(times),
+        times=np.asarray([row.t for row in rows]),
         states=states,
         diagnostics=rows,
         termination=termination,
@@ -292,6 +301,7 @@ def march(
     )
 
 
-def simulate(cfg: SimConfig, init: ThermoState) -> Trajectory:
-    """Run the model cfg.params.model selects ("a2", "a1" or "isothermal")."""
-    return march(cfg, init, lambda t: imex_step(t, cfg.dt))
+def simulate(cfg: SimConfig, init: ThermoState, sink=None) -> Trajectory:
+    """Run the model cfg.params.model selects ("a2", "a1" or "isothermal");
+    sink is march's: with one, the Trajectory keeps only the last state."""
+    return march(cfg, init, lambda t: imex_step(t, cfg.dt), sink)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import thermoch
-from thermoch import fieldio
+from thermoch import cli, fieldio
 from thermoch.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, LOCK_NAME, main
+from thermoch.config import generate_initial, load_config
 from thermoch.diagnostics import CSV_HEADER
 from thermoch.grid import Field, GridSpec
+from thermoch.model_a2 import simulate
 
 GENTLE = """
 [grid]
@@ -42,6 +44,13 @@ def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def gentle_a1(out) -> str:
+    text = GENTLE.format(out=out).replace("model = a2", "model = a1")
+    text = text.replace("amplitude = 0.001", "amplitude = 0.0001")
+    text = text.replace("mean = 0.1", "mean = 0.9")
+    return text.replace("dt = 0.0002", "dt = 0.0001").replace("t_end = 0.002", "t_end = 0.0005")
 
 
 class TestSimulate:
@@ -88,13 +97,7 @@ class TestSimulate:
 
     def test_a1_diagnostics_gains_reg_delta_column(self, tmp_path):
         out = tmp_path / "out"
-        text = GENTLE.format(out=out).replace("model = a2", "model = a1")
-        text = text.replace("amplitude = 0.001", "amplitude = 0.0001")
-        text = text.replace("mean = 0.1", "mean = 0.9")
-        text = text.replace("dt = 0.0002", "dt = 0.0001").replace(
-            "t_end = 0.002", "t_end = 0.0005"
-        )
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, gentle_a1(out))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER + ",reg_delta"
@@ -122,6 +125,28 @@ class TestSimulate:
         assert "termination: singularity" in captured.out
         assert "entropy slope" in captured.err
         assert (out / "diagnostics.csv").is_file()
+
+    def test_step0_singularity_exits_3_without_traceback(self, tmp_path, capsys):
+        # at reg_delta = 0 the step-0 audit of a phase field crossing zero
+        # has no a1 entropy production
+        grid = GridSpec(dim=2, n=32, box_len=2.0 * math.pi)
+        x, y = np.meshgrid(*grid.axes, indexing="ij")
+        fieldio.write_field(tmp_path / "phi0.bin", Field(grid, 0.9 * np.sin(x)))
+        fieldio.write_field(tmp_path / "theta0.bin", Field(grid, 1.0 + 0.02 * np.cos(y)))
+        out = tmp_path / "out"
+        text = GENTLE.format(out=out).replace("model = a2", "model = a1")
+        text = text.replace("alpha = 0.5", "alpha = 0.5\nreg_delta = 0.0")
+        text = text.replace(
+            "kind = spinodal\namplitude = 0.001\nseed = 7\nmean = 0.1",
+            f"kind = from_file\npath = {tmp_path / 'phi0.bin'}\n\n"
+            f"[theta_init]\nkind = from_file\npath = {tmp_path / 'theta0.bin'}",
+        )
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+        assert not (out / LOCK_NAME).exists()
 
     def test_held_lock_exits_4_and_is_not_stolen(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -159,6 +184,88 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert len(lines) == 4
+
+
+def csv_steps(path) -> list[int]:
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith(CSV_HEADER)
+    return [int(line.split(",", 1)[0]) for line in lines[1:]]
+
+
+def bins_of(out) -> list[str]:
+    return sorted(p.name for p in out.glob("*.bin"))
+
+
+def pair_names(steps) -> list[str]:
+    return sorted(f"{name}_{step:08d}.bin" for step in steps for name in ("phi", "theta"))
+
+
+class TestStreaming:
+    """simulate writes each recorded state and its row as the run reaches it."""
+
+    @pytest.mark.parametrize("model", ["a2", "a1"])
+    def test_outputs_equal_what_simulate_records(self, tmp_path, model):
+        out = tmp_path / "out"
+        text = GENTLE.format(out=out) if model == "a2" else gentle_a1(out)
+        cfg = write_config(tmp_path, text.replace("output_every = 5", "output_every = 2"))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+
+        run = load_config(cfg)
+        traj = simulate(cli._sim_config(run), generate_initial(run))
+        assert len(traj.states) > 2
+        want = tmp_path / "want"
+        want.mkdir()
+        for state, row in zip(traj.states, traj.diagnostics):
+            fieldio.write_field(want / f"phi_{row.step:08d}.bin", state.phi)
+            fieldio.write_field(want / f"theta_{row.step:08d}.bin", state.theta)
+        fieldio.write_plot(want / "phi_final.dat", traj.states[-1].phi)
+        assert bins_of(out) == bins_of(want)
+        for name in bins_of(want) + ["phi_final.dat"]:
+            assert (out / name).read_bytes() == (want / name).read_bytes()
+
+        header, suffix = CSV_HEADER, ""
+        if model == "a1":
+            header, suffix = CSV_HEADER + ",reg_delta", ",0.01"
+        rows = "".join(row.csv_line() + suffix + "\n" for row in traj.diagnostics)
+        assert (out / "diagnostics.csv").read_bytes() == (header + "\n" + rows).encode()
+
+    def test_each_row_is_on_disk_with_its_pair_when_sunk(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, GENTLE.format(out=out))
+        real, seen = cli.simulate, []
+
+        def spying(sim, init, sink):
+            def wrapped(state, row):
+                sink(state, row)
+                on_disk = fieldio.read_field(out / f"theta_{row.step:08d}.bin")
+                seen.append(
+                    (csv_steps(out / "diagnostics.csv"), bins_of(out),
+                     np.array_equal(on_disk.values, state.theta.values))
+                )
+
+            return real(sim, init, wrapped)
+
+        monkeypatch.setattr(cli, "simulate", spying)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert len(seen) == 3
+        for k, (steps, bins, same) in enumerate(seen, start=1):
+            assert steps == [0, 5, 10][:k]
+            assert bins == pair_names(steps)
+            assert same
+
+    def test_early_stop_leaves_a_pair_for_every_row(self, tmp_path, capsys):
+        # this data loses positivity in step 2, so the last valid state,
+        # step 1, is no output step and is recorded as the run stops
+        out = tmp_path / "out"
+        text = GENTLE.format(out=out).replace("amplitude = 0.001", "amplitude = 0.05")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
+        assert "termination: positivity" in capsys.readouterr().out
+        steps = csv_steps(out / "diagnostics.csv")
+        assert steps == [0, 1]
+        assert bins_of(out) == pair_names(steps)
+        final = (out / "theta_final.dat").read_text().split()
+        assert float(final[2]) == fieldio.read_field(out / "theta_00000001.bin").values[0, 0]
 
 
 PICARD = """

@@ -127,3 +127,29 @@ class TestColumnarFormats:
         write_plot(path, f)
         row = path.read_text().split("\n\n")[0].splitlines()[1].split()
         assert float(row[2]) == f.values[0, 1, 0]
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_plot_bytes_equal_per_point_formatting(self, tmp_path, dim, n):
+        grid = GridSpec(dim=dim, n=n, box_len=0.7)
+        rng = np.random.default_rng(10 + dim)
+        values = rng.normal(size=grid.shape) * 10.0 ** rng.integers(-300, 300, grid.shape)
+        values.flat[:3] = (-0.0, 0.1, 1e16)
+        f = Field(grid, values)
+        path = tmp_path / "f.dat"
+        write_plot(path, f)
+        assert path.read_bytes() == per_point_plot(f).encode()
+
+
+def per_point_plot(f: Field) -> str:
+    """The columns write_plot writes, formatted point by point."""
+    g = f.grid
+    x = np.arange(g.n) * g.h
+    if g.dim == 1:
+        return "".join(f"{float(x[i])!r} {float(f.values[i])!r}\n" for i in range(g.n))
+    plane = f.values if g.dim == 2 else f.values[:, :, 0]
+    out = []
+    for i in range(g.n):
+        for j in range(g.n):
+            out.append(f"{float(x[i])!r} {float(x[j])!r} {float(plane[i, j])!r}\n")
+        out.append("\n")
+    return "".join(out)

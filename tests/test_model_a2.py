@@ -504,6 +504,33 @@ class TestMarch:
         assert len(traj.states) == 1
 
 
+    @pytest.mark.parametrize("stop_at", [None, 5])
+    def test_sink_gets_every_record_and_trajectory_keeps_the_last(self, stop_at):
+        p = params()
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=7e-4, output_every=3)
+        calls = {"n": 0}
+
+        def step(terms):
+            calls["n"] += 1
+            if calls["n"] == stop_at:
+                raise PositivityError("boom", state=terms.state)
+            return imex_step(terms, cfg.dt)
+
+        whole = march(cfg, init, step)
+        calls["n"], sunk = 0, []
+        traj = march(cfg, init, step, lambda state, row: sunk.append((state, row)))
+        assert traj.termination == whole.termination
+        assert len(traj.states) == len(traj.diagnostics) == len(traj.times) == 1
+        assert [row for _, row in sunk] == whole.diagnostics
+        for (state, _), want in zip(sunk, whole.states, strict=True):
+            assert np.array_equal(state.phi.values, want.phi.values)
+            assert np.array_equal(state.theta.values, want.theta.values)
+        assert traj.states[0] is sunk[-1][0]
+        assert traj.diagnostics[0] == whole.diagnostics[-1]
+        assert traj.times[0] == whole.times[-1]
+
+
 class TestTrajectory:
     def test_alignment_validation(self):
         p = params()
