@@ -5,10 +5,12 @@ states, the step size, and the model parameters, so that re-running a
 simulation reproduces the diagnostics stream byte for byte.  An audit reads
 the thermo.StateTerms of its two states: model_a2.march builds one per
 state and hands the same terms to the next step, so the audit transforms
-only what no step needs (the undealiased grad mu and lap theta) and reads
-the previous state's entropy from its terms.  The terms are formed from the
-state's values alone, so sharing them changes no step, and a run continued
-from a recorded state stays bit for bit the uninterrupted run.  The central
+only what no step needs (the undealiased grad mu, lap theta and, outside
+a1, grad theta) and reads the previous state's entropy from its terms.  The
+terms start from what the state carries from its step (its spectra and
+grad(dphi/dt)) and are otherwise formed from the state's values, so
+sharing them changes no step, and a run continued from a recorded state
+stays bit for bit the uninterrupted run.  The central
 check is a discrete residual of the entropy balance
 
     theta * ds/dt + theta * div(q / theta) - production,   q = -kappa grad(theta),

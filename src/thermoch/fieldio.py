@@ -55,18 +55,6 @@ def read_field(path: str | Path) -> Field:
     return Field(grid, values.copy())
 
 
-def write_csv(path: str | Path, f: Field) -> None:
-    """One row per grid point: x[,y[,z]],value."""
-    g = f.grid
-    coords = np.meshgrid(*(np.arange(g.n) * g.h for _ in range(g.dim)), indexing="ij")
-    cols = [c.ravel() for c in coords] + [f.values.ravel()]
-    header = ",".join("xyz"[: g.dim]) + ",value"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def write_plot(path: str | Path, f: Field) -> None:
     """Gnuplot-ready columns; 3d fields emit the z=0 slice."""
     g = f.grid

@@ -23,8 +23,10 @@ longer invertible for the rate.
 
 The transport velocity entering a step is recomputed from the state at the
 start of the step, u = a1_velocity(s, mu(s)), and is zero when the state has
-no rates yet (t = 0, like the rate caches).  Nothing is carried between
-steps, so a run restarted from any recorded state continues bit for bit.
+no rates yet (t = 0, like the rate caches).  Its grad(dphi/dt) is the one
+the step that produced the state formed, (grad phi_new - grad phi)/dt,
+which the state carries (ThermoState.carried) and records, so a run
+restarted from any recorded state continues bit for bit.
 Consequences worth knowing: with grad(theta_0) = 0 the first step reduces to
 the fixed-background step exactly, and u lags the step by one rate, which is
 first-order consistent, matching the overall scheme order.

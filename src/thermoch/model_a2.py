@@ -121,10 +121,9 @@ def rhs_f1(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
     return Field(state.grid, irfftn(state.grid, _f1_hat(StateTerms(state, p, dealias))))
 
 
-def _f2_hat(t: StateTerms, rate: np.ndarray, rate_hat: np.ndarray) -> np.ndarray:
-    """Spectrum of f2 for the phase rate `rate`, whose spectrum is rate_hat."""
+def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
+    """Spectrum of f2 for the phase rate `rate`, whose gradient is grad_rate."""
     grid, p, theta = t.grid, t.p, t.theta
-    grad_rate = grad_from_hat(grid, rate_hat)
     db_dphi, db_dtheta = t.bracket_slopes
     bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
 
@@ -148,7 +147,8 @@ def rhs_f2(state: ThermoState, dphi_dt: Field, p: ModelParams, dealias: bool = T
     implicit heat operator and is absent here by construction.
     """
     grid, rate = state.grid, dphi_dt.values
-    f2_hat = _f2_hat(StateTerms(state, p, dealias), rate, rfftn(grid, rate))
+    grad_rate = grad_from_hat(grid, rfftn(grid, rate))
+    f2_hat = _f2_hat(StateTerms(state, p, dealias), rate, grad_rate)
     return Field(grid, irfftn(grid, f2_hat))
 
 
@@ -180,6 +180,9 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     update and keeps theta.  Every spectrum and derived field of the state
     is formed once, in t (march audits with the same t), and f1, f2 reach
     the solves as spectra; t.dealias selects the 2/3 rule.
+
+    f2's rate gradient is (grad phi_new - grad phi)/dt; the new state
+    carries it and the other terms the step formed of it (ThermoState.carried).
     """
     grid, p, state = t.grid, t.p, t.state
     a1 = p.model == "a1"
@@ -194,17 +197,22 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     rate = (new_phi - t.phi) / dt
 
     if p.model == "isothermal":
-        return ThermoState(
+        new = ThermoState(
             Field(grid, new_phi),
             state.theta,
             dphi_dt=Field(grid, rate),
             dtheta_dt=None,
         )
+        new.carried["phi_hat"] = new_phi_hat
+        return new
 
-    f2_hat = _f2_hat(t, rate, (new_phi_hat - t.phi_hat) / dt)
+    grad_phi = grad_from_hat(grid, new_phi_hat)
+    grad_rate = [(gn - g) / dt for gn, g in zip(grad_phi, t.grad_phi)]
+    f2_hat = _f2_hat(t, rate, grad_rate)
     if a1 and state.dphi_dt is not None:
         f2_hat = f2_hat - entropy_transport_hat(t)
-    new_theta = irfftn(grid, heat_update(grid, p, dt, t.theta_hat, f2_hat))
+    new_theta_hat = heat_update(grid, p, dt, t.theta_hat, f2_hat)
+    new_theta = irfftn(grid, new_theta_hat)
     tmin = float(np.min(new_theta))
     if tmin <= 0.0:
         loc = _argmin_index(new_theta)
@@ -214,12 +222,16 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
             state=state,
         )
 
-    return ThermoState(
+    new = ThermoState(
         Field(grid, new_phi),
         Field(grid, new_theta),
         dphi_dt=Field(grid, rate),
         dtheta_dt=Field(grid, (new_theta - t.theta) / dt),
     )
+    new.carried.update(
+        phi_hat=new_phi_hat, theta_hat=new_theta_hat, grad_phi=grad_phi, grad_rate=grad_rate
+    )
+    return new
 
 
 # The errors that end a march early, with their termination labels.
@@ -245,7 +257,9 @@ def march(
 
     One StateTerms per state serves the step that starts from the state and
     the audit of the step that produced it; a state's terms are dropped,
-    all but its entropy, before the next audit.  A run that stops early
+    all but its entropy and the terms it carries, before the next audit.  A
+    recorded state drops its carried grad_phi, which StateTerms re-forms bit
+    for bit from the carried phi_hat.  A run that stops early
     records its last valid state with its audit row, unless it is already
     recorded.  Only the labeled errors (_NUMERICAL) stop a run; any other
     exception propagates.
@@ -265,6 +279,7 @@ def march(
 
     def record(j: int, prev: StateTerms, curr: StateTerms):
         row = audit(prev, curr, cfg.dt, step=j, t=j * cfg.dt, e_ref=e0)
+        curr.state.carried.pop("grad_phi", None)  # curr keeps its own
         if sink is not None:
             sink(curr.state, row)
             recorded.clear()
@@ -272,8 +287,7 @@ def march(
 
     record(0, terms, terms)
     termination, message = "completed", ""
-    # phi and theta of the state before terms.state, for a last-state audit
-    before = init.phi, init.theta
+    before = init  # the state before terms.state, for a last-state audit
     for j in range(1, cfg.n_steps + 1):
         try:
             new = StateTerms(step_fn(terms), p, cfg.dealias)
@@ -284,12 +298,12 @@ def march(
             termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
             message = str(exc)
             break
-        before, terms = (terms.state.phi, terms.state.theta), new
+        before, terms = terms.state, new
 
     if termination != "completed" and recorded[-1][1].step != j - 1:
         # a state whose own audit fails stays unrecorded
         with contextlib.suppress(*_NUMERICAL):
-            record(j - 1, StateTerms(ThermoState(*before), p, cfg.dealias), terms)
+            record(j - 1, StateTerms(before, p, cfg.dealias), terms)
 
     states, rows = map(list, zip(*recorded))
     return Trajectory(

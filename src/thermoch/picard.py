@@ -307,32 +307,38 @@ def _solution_map(grid: GridSpec, dphi, dtheta, phi_free, dtheta0_hat, p: ModelP
     current iterate (free flow plus corrections), with backward-difference
     rates; the new corrections solve the damped bilaplacian / heat problems
     with initial data (0, dtheta0), one exact interval per snapshot.  A
-    snapshot inverts its two fields once and one StateTerms serves both
-    forcings.  The last state is validated but acts beyond the horizon.
+    snapshot inverts its two fields once, and one StateTerms, started from
+    the phase spectrum the iterate holds, serves both forcings; the rate
+    gradient is the difference of consecutive snapshot gradients, as in
+    model_a2.imex_step.  The last state is validated but acts beyond the
+    horizon.
     """
     step = times[1] - times[0]  # uniform (PicardConfig.times)
     phi_decay, phi_gain = _etd_factors(*_phi_rates_and_mass(grid, p), step)
     theta_decay, theta_gain = _etd_factors(*_theta_rates_and_mass(grid, p), step)
     new_dphi, new_dtheta = np.empty_like(dphi), np.empty_like(dtheta)
     new_dphi[0], new_dtheta[0] = 0.0, dtheta0_hat
-    prev = None
+    prev = prev_grad = None
     for j in range(times.size):
         phi_hat = phi_free[j] + dphi[j]
-        now = (irfftn(grid, phi_hat), phi_hat, p.theta_bar + irfftn(grid, dtheta[j]))
+        now = (irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, dtheta[j]))
         dt = times[j] - times[j - 1] if j else 1.0  # the first rates are now - now = 0
-        rate, rate_hat, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
+        rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
         state = ThermoState(
             Field(grid, now[0]),
-            Field(grid, now[2]),
+            Field(grid, now[1]),
             dphi_dt=Field(grid, rate),
             dtheta_dt=Field(grid, theta_rate),
         )
         if j + 1 < times.size:
+            state.carried["phi_hat"] = phi_hat
             terms = StateTerms(state, p)
+            grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
             new_dphi[j + 1] = phi_decay * new_dphi[j] + phi_gain * _f1_hat(terms)
             new_dtheta[j + 1] = theta_decay * new_dtheta[j] + theta_gain * _f2_hat(
-                terms, rate, rate_hat
+                terms, rate, grad_rate
             )
+            prev_grad = terms.grad_phi
         prev = now
     return new_dphi, new_dtheta
 

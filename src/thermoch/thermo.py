@@ -23,7 +23,7 @@ never collapsed to -eps*theta*lap(phi) (the forms differ when grad theta != 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Literal
 
@@ -119,12 +119,20 @@ class ThermoState:
 
     dphi_dt / dtheta_dt hold backward differences from the last completed
     step; they are None (treated as zero) at t = 0.
+
+    carried holds terms of this state that the step producing it already
+    formed, keyed by their StateTerms names (phi_hat, theta_hat, grad_phi,
+    grad_rate); StateTerms starts from them.  It is not an init argument,
+    so ThermoState(...) and dataclasses.replace start with none and never
+    inherit terms of other values.  A recorded state keeps the ones a
+    continued run needs to stay bit for bit the uninterrupted run.
     """
 
     phi: Field
     theta: Field
     dphi_dt: Field | None = None
     dtheta_dt: Field | None = None
+    carried: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.phi.grid != self.theta.grid:
@@ -255,15 +263,19 @@ class StateTerms:
 
     model_a2.march builds one per state for the step that starts from it and
     for diagnostics.audit of the step that produced it; a standalone term
-    builds its own.  Formed from the state's values alone and never kept in
-    recorded states, so a run continued from a recorded state stays bit for
-    bit the uninterrupted run.  dealias applies the 2/3 rule to the step's
-    mu (mu_hat, grad_mu); the audit's production reads mu_hat_raw.
+    builds its own.  It starts from the terms the state carries
+    (ThermoState.carried: the spectra and gradients the producing step
+    formed) and forms the rest from the state's values.  The carried terms
+    a continued run reads are recorded with the state, so a run continued
+    from a recorded state stays bit for bit the uninterrupted run.  dealias
+    applies the 2/3 rule to the step's mu (mu_hat, grad_mu); the audit's
+    production reads mu_hat_raw.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams, dealias: bool = True):
         self.state, self.p, self.dealias, self.grid = state, p, dealias, state.grid
         self.phi, self.theta = state.phi.values, state.theta.values
+        self.__dict__.update(state.carried)  # cached_property reads these first
 
     @cached_property
     def phi_hat(self) -> np.ndarray:
@@ -283,7 +295,8 @@ class StateTerms:
 
     @cached_property
     def grad_rate(self) -> list[np.ndarray]:
-        """grad(dphi/dt) of the state's rate cache (zero at t = 0)."""
+        """grad(dphi/dt) of the state's rate cache (zero at t = 0); a
+        stepped state carries the step's (grad phi_new - grad phi)/dt."""
         return grad_arrays(self.grid, self.state.dphi_dt_values())
 
     @cached_property
@@ -333,8 +346,9 @@ class StateTerms:
         return [self.entropy * gt * self.recip for gt in self.grad_theta]
 
     def keep_only_entropy(self) -> None:
-        """Form the entropy and drop every other formed term (march keeps a
-        state's terms past its step only for the next audit's ds/dt)."""
+        """Form the entropy and drop every other formed term but those the
+        state carries (march keeps a state's terms past its step only for
+        the next audit's ds/dt)."""
         fresh = StateTerms(self.state, self.p, self.dealias)
         self.__dict__ = {**vars(fresh), "entropy": self.entropy}
 

@@ -11,7 +11,6 @@ from thermoch.fieldio import (
     VERSION,
     FieldIOError,
     read_field,
-    write_csv,
     write_field,
     write_plot,
 )
@@ -90,16 +89,6 @@ class TestBinaryFormat:
 
 
 class TestColumnarFormats:
-    def test_csv_rows_cover_the_lattice(self, tmp_path):
-        f = random_field(2, 8, seed=6)
-        path = tmp_path / "f.csv"
-        write_csv(path, f)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,y,value"
-        assert len(lines) == 1 + 64
-        x, y, v = (float(s) for s in lines[1].split(","))
-        assert (x, y, v) == (0.0, 0.0, f.values[0, 0])
-
     def test_plot_1d_two_columns(self, tmp_path):
         f = random_field(1, 8, seed=7)
         path = tmp_path / "f.dat"
