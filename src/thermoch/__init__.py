@@ -9,7 +9,7 @@ norms, data-smallness reports, and a fixed-point contraction verifier.
 
 Modules
 -------
-grid        periodic grids, FFT transforms, spectral derivatives
+grid        periodic grids, half-spectrum FFTs, spectral derivatives
 thermo      free-energy functional, chemical potential, entropy production
 model_a1    a1 terms: transported-entropy coupling flux and mixture velocity
 model_a2    IMEX stepper and simulation driver for the a2, a1 and isothermal models
@@ -17,7 +17,7 @@ picard      exact mode-wise propagators and contraction-mapping verification
 besov       dyadic partition of unity and frequency-block (Besov-type) norms
 diagnostics conservation/dissipation audits and CSV reporting
 config      INI run configuration: parse, validate, canonicalize
-fieldio     binary/CSV/gnuplot field serialization
+fieldio     binary/gnuplot field serialization
 rng         xoshiro256** generator for bit-reproducible initial data
 cli         command-line entry point (``thermoch``)
 """

@@ -29,8 +29,9 @@ Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
 (its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
 point lies in at most two consecutive blocks, so one ring index per point
-gives all block energies in one bincount pass (block_energies).  Only
-project_block uses the full-lattice symbols.
+gives all block energies in one bincount pass (block_energies).  The
+symbols are sampled on the half lattice too; being radial, they take the
+same value on a point and its conjugate partner.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridSpec, fftn, ifftn_real, laplacian_array, rfftn
+from .grid import Field, GridSpec, irfftn, laplacian_array, rfftn
 from .thermo import ModelParams
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "block_energies",
     "besov_norm",
     "chemin_lerner_norm",
-    "chemin_lerner_norm_vector",
     "check_smallness",
     "composition_registry",
     "verify_composition_bound",
@@ -84,7 +84,7 @@ def chi_bump(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Lattice samples of the dyadic symbols for one grid.
+    """Half-lattice samples of the dyadic symbols for one grid.
 
     symbols[0] is the low block (q = -1); symbols[i] for i >= 1 holds the
     ring symbol phi_{i-1}. They sum to 1 at every lattice frequency.
@@ -105,8 +105,8 @@ class DyadicPartition:
         its symbols vanish outside blocks lower and lower + 1, and w_* are
         their squares times the point's multiplicity and L^dim / N^2."""
         g = self.grid
-        half = [s[..., : g.n // 2 + 1].ravel() for s in self.symbols]
-        sym = np.stack(half + [np.zeros_like(half[0])])  # an empty block on top
+        flat = [s.ravel() for s in self.symbols]
+        sym = np.stack(flat + [np.zeros_like(flat[0])])  # an empty block on top
         nonzero = sym != 0.0
         lower = np.argmax(nonzero, axis=0)
         points = np.arange(lower.size)
@@ -119,7 +119,7 @@ class DyadicPartition:
 
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
-    r = grid.k_abs
+    r = np.sqrt(-grid.half_lap)
     r_max = float(np.max(r))
     q_max = 0
     while 0.75 * 2.0 ** (q_max + 1) < r_max:
@@ -134,8 +134,8 @@ def project_block(f: Field, q: int, part: DyadicPartition) -> Field:
     """The q-th frequency block of f, back in physical space."""
     if not part.q_min <= q <= part.q_max:
         raise ValueError(f"block {q} outside partition range [{part.q_min}, {part.q_max}]")
-    coeffs = fftn(f.grid, f.values) * part.symbols[q - part.q_min]
-    return Field(f.grid, ifftn_real(f.grid, coeffs))
+    coeffs = rfftn(f.grid, f.values) * part.symbols[q - part.q_min]
+    return Field(f.grid, irfftn(f.grid, coeffs))
 
 
 def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
@@ -233,16 +233,6 @@ def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weig
     """
     hats = half_spectra(series, part.grid, len(np.asarray(times)))
     return _time_then_blocks(block_energies(hats, part, weight), times, s, rho, part)
-
-
-def chemin_lerner_norm_vector(series, times, s: float, rho, part: DyadicPartition) -> float:
-    """Same norm for vector fields: block L2 is the ell^2 over components.
-
-    ``series[j]`` holds the component fields at time ``times[j]``.
-    """
-    n = len(np.asarray(times))
-    energy = sum(block_energies(half_spectra(c, part.grid, n), part) for c in zip(*series))
-    return _time_then_blocks(energy, times, s, rho, part)
 
 
 # --------------------------------------------------------------------------

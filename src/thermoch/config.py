@@ -240,14 +240,11 @@ def loads_config(text: str) -> RunConfig:
         raise ConfigError(f"physics: {exc}") from None
 
     kind = init_sec.get("kind", str, "spinodal")
-    if kind not in INIT_KINDS:
-        raise ConfigError(f"init.kind must be one of {INIT_KINDS}, got {kind!r}")
     defaults = {
         "tanh_stripe": {"width": grid.box_len / 16.0},
         "spinodal": {"amplitude": 0.01, "seed": 1, "mean": 0.0},
         "single_mode": {"k": 1, "amplitude": 0.01},
-        "from_file": {},
-    }[kind]
+    }.get(kind, {})
     init = InitSpec(
         kind=kind,
         width=init_sec.get("width", float, defaults.get("width")),
@@ -259,8 +256,6 @@ def loads_config(text: str) -> RunConfig:
     )
 
     theta_kind = theta_sec.get("kind", str, "constant")
-    if theta_kind not in THETA_KINDS:
-        raise ConfigError(f"theta_init.kind must be one of {THETA_KINDS}, got {theta_kind!r}")
     theta_defaults = {"constant_plus_sine": {"a": 0.1, "k": 1}}.get(theta_kind, {})
     theta_init = ThetaInitSpec(
         kind=theta_kind,

@@ -6,7 +6,7 @@ Conventions used throughout the package:
   (numpy/pocketfft convention);
 * derivatives, dealiasing and the frequency-block norms act on the half
   spectrum (rfftn/irfftn) through the half_* multipliers cached per
-  GridSpec; the full-lattice fftn and k_axes serve only besov.project_block;
+  GridSpec;
 * wavenumbers per axis are k = (2*pi/L) * {-n/2, ..., n/2 - 1}; the half
   lattice's last axis holds {0, ..., n/2}, its Nyquist bin stored as +n/2;
 * odd derivatives zero the unpaired Nyquist bin of every axis so that real
@@ -17,8 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,8 +31,6 @@ __all__ = [
     "mean",
     "inner",
     "l2_norm",
-    "fftn",
-    "ifftn_real",
     "rfftn",
     "irfftn",
     "grad_from_hat",
@@ -43,15 +39,6 @@ __all__ = [
     "laplacian_array",
     "divergence_arrays",
 ]
-
-
-@functools.cache
-def _fft_workers() -> int:
-    """Worker cap for the FFT kernels, read from THERMOCH_THREADS once per process."""
-    try:
-        return max(1, int(os.environ.get("THERMOCH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _along_axes(vectors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -102,34 +89,11 @@ class GridSpec:
         """Coordinate arrays per axis, broadcastable over the grid."""
         return _along_axes([np.arange(self.n) * self.h] * self.dim)
 
-    def _k_axes(self, half: bool) -> tuple[np.ndarray, ...]:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.box_len
-        last = np.abs(k[: self.n // 2 + 1]) if half else k
-        return _along_axes([k] * (self.dim - 1) + [last])
-
-    @cached_property
-    def k_axes(self) -> tuple[np.ndarray, ...]:
-        """Wavenumber arrays per axis ((2*pi/L)*integers), broadcastable."""
-        return self._k_axes(half=False)
-
-    @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k|^2 on the full lattice."""
-        return sum(ki**2 for ki in self.k_axes)
-
-    @cached_property
-    def k_abs(self) -> np.ndarray:
-        return np.sqrt(self.k_squared)
-
-    @cached_property
-    def nyquist_masks(self) -> tuple[np.ndarray, ...]:
-        """Per-axis boolean mask, True off the unpaired Nyquist plane."""
-        return tuple(np.abs(ki) != np.pi * self.n / self.box_len for ki in self.k_axes)
-
     @cached_property
     def half_k_axes(self) -> tuple[np.ndarray, ...]:
         """Wavenumbers per axis on the rfftn half lattice (last axis 0..n/2)."""
-        return self._k_axes(half=True)
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n) / self.box_len
+        return _along_axes([k] * (self.dim - 1) + [np.abs(k[: self.n // 2 + 1])])
 
     @cached_property
     def half_grad(self) -> tuple[np.ndarray, ...]:
@@ -212,27 +176,14 @@ def l2_norm(f: Field) -> float:
 # the transforms go through the scipy.fft module attributes.
 
 
-def fftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT of a real array on the full lattice."""
-    return _sfft.fftn(values, workers=_fft_workers())
-
-
-def ifftn_real(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse FFT (carries the 1/n^dim factor), real part only.
-
-    The imaginary residue of Hermitian-symmetric coefficients is round-off.
-    """
-    return _sfft.ifftn(coeffs, workers=_fft_workers()).real
-
-
 def rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Unnormalized forward FFT of a real array onto the half lattice."""
-    return _sfft.rfftn(values, workers=_fft_workers())
+    return _sfft.rfftn(values)
 
 
 def irfftn(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of rfftn (carries the 1/n^dim factor): a real array."""
-    return _sfft.irfftn(coeffs, s=grid.shape, workers=_fft_workers())
+    return _sfft.irfftn(coeffs, s=grid.shape)
 
 
 def grad_from_hat(grid: GridSpec, coeffs: np.ndarray) -> list[np.ndarray]:

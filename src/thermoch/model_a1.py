@@ -22,7 +22,7 @@ aborts if ds/dtheta loses positivity anywhere, since the expansion is then no
 longer invertible for the rate.
 
 The transport velocity entering a step is recomputed from the state at the
-start of the step, u = a1_velocity(s, mu(s)), and is zero when the state has
+start of the step, u = _velocity(terms, grad mu), and is zero when the state has
 no rates yet (t = 0, like the rate caches).  Its grad(dphi/dt) is the one
 the step that produced the state formed, (grad phi_new - grad phi)/dt,
 which the state carries (ThermoState.carried) and records, so a run
@@ -39,29 +39,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Field, div_hat, grad_arrays, irfftn
-from .thermo import ModelParams, SingularityError, StateTerms, ThermoState, _argmin_index
+from .grid import div_hat
+from .thermo import SingularityError, StateTerms, _argmin_index
 
 
-def a1_coupling_flux(s: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
-    """div(s grad(theta) phi/(phi^2 + delta^2)) — the phase-equation coupling."""
-    coupling = StateTerms(s, p, dealias).coupling
-    return Field(s.grid, irfftn(s.grid, div_hat(s.grid, coupling, mask=dealias)))
-
-
-def a1_velocity(s: ThermoState, mu: Field, p: ModelParams) -> tuple[Field, ...]:
-    """Reconstruct the mixture velocity from the state and its potential.
+def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
+    """u from grad(mu), the entropy, grad(theta) and the state's phase rate.
 
     Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
     regularization width p.reg_delta shrinks (checked in the tests at
     delta = 1e-5).
     """
-    u = _velocity(StateTerms(s, p), grad_arrays(s.grid, mu.values))
-    return tuple(Field(s.grid, ui) for ui in u)
-
-
-def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
-    """u from grad(mu), the entropy, grad(theta) and the state's phase rate."""
     recip = t.recip
     return [
         -(gm * recip + t.entropy * gt * recip**2 + t.p.alpha * gr * recip)

@@ -102,7 +102,10 @@ class Trajectory:
 
 
 def _f1_hat(t: StateTerms) -> np.ndarray:
-    """Spectrum of f1 = lap(dW/dphi / (eps theta) - eps (theta - theta_bar) lap(phi))."""
+    """Spectrum of f1 = lap(dW/dphi / (eps theta) - eps (theta - theta_bar) lap(phi)),
+    the explicit phase forcing without the stiff eps*theta_bar lap^2 part; the
+    products are formed in real space and, under t.dealias, projected by the
+    two-thirds rule before the outer Laplacian."""
     grid, p = t.grid, t.p
     lap_phi = irfftn(grid, t.phi_hat * grid.half_lap)
     inner = t.bulk_hat - p.eps * rfftn(grid, (t.theta - p.theta_bar) * lap_phi)
@@ -111,18 +114,16 @@ def _f1_hat(t: StateTerms) -> np.ndarray:
     return inner * grid.half_lap
 
 
-def rhs_f1(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
-    """Explicit phase forcing: the stiff eps*theta_bar lap^2 part is excluded.
-
-    f1 = -eps lap((theta - theta_bar) lap(phi)) + lap(dW/dphi / (eps theta));
-    the two outer Laplacians fuse into one.  Products are formed in real
-    space and projected by the two-thirds rule before differentiating.
-    """
-    return Field(state.grid, irfftn(state.grid, _f1_hat(StateTerms(state, p, dealias))))
-
-
 def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
-    """Spectrum of f2 for the phase rate `rate`, whose gradient is grad_rate."""
+    """Spectrum of the explicit heat forcing f2 for the phase rate `rate`,
+    whose gradient is grad_rate.
+
+    Four groups: alpha*rate^2; eps*theta grad(rate).grad(phi); the chain-rule
+    bracket -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged
+    temperature rate; and the dissipation square of thermo.force_square.  The
+    conduction part of the production cancels against the implicit heat
+    operator and is absent by construction.
+    """
     grid, p, theta = t.grid, t.p, t.theta
     db_dphi, db_dtheta = t.bracket_slopes
     bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
@@ -133,23 +134,6 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
     out_hat = rfftn(grid, out)
     return out_hat * grid.half_dealias_mask if t.dealias else out_hat
-
-
-def rhs_f2(state: ThermoState, dphi_dt: Field, p: ModelParams, dealias: bool = True) -> Field:
-    """Explicit heat forcing for the expanded temperature equation.
-
-    Four groups: alpha*(dphi/dt)^2; eps*theta grad(dphi/dt).grad(phi); the
-    chain-rule bracket -theta*(dB/dphi dphi/dt + dB/dtheta dtheta/dt) with
-    the lagged temperature rate from the state cache; and the dissipation
-    square |alpha grad(dphi/dt) + grad(mu)|^2 from thermo.force_square, which
-    for model "a1" carries the transported-entropy force s*grad(theta)*phi_reg.
-    The conduction part of the entropy production cancels against the
-    implicit heat operator and is absent here by construction.
-    """
-    grid, rate = state.grid, dphi_dt.values
-    grad_rate = grad_from_hat(grid, rfftn(grid, rate))
-    f2_hat = _f2_hat(StateTerms(state, p, dealias), rate, grad_rate)
-    return Field(grid, irfftn(grid, f2_hat))
 
 
 def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> np.ndarray:
@@ -298,7 +282,10 @@ def march(
             termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
             message = str(exc)
             break
-        before, terms = terms.state, new
+        prev, terms = terms.state, new
+        before = ThermoState(prev.phi, prev.theta)  # the audit reads only its entropy
+        if "phi_hat" in prev.carried:
+            before.carried["phi_hat"] = prev.carried["phi_hat"]
 
     if termination != "completed" and recorded[-1][1].step != j - 1:
         # a state whose own audit fails stays unrecorded

@@ -19,7 +19,7 @@ from one thermo.StateTerms and advances the corrections by one exact
 interval, so no forcing series is kept.  The iterate norm measures the
 spectra directly: rates are differences of snapshot spectra and every
 derivative is a weight on |f_hat|^2 (besov.block_energies), so k_norm makes
-no transform.  The public functions still take and return Field lists.
+no transform.  The public functions still take Field lists.
 """
 
 from __future__ import annotations
@@ -76,24 +76,9 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _as_fields(grid: GridSpec, hats: np.ndarray) -> list[Field]:
-    return [Field(grid, irfftn(grid, h)) for h in hats]
-
-
 def _decay(hat0: np.ndarray, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Half spectra of the unforced flow hat0 * exp(-lam t) at every time."""
     return hat0 * np.exp(-times.reshape(-1, *[1] * lam.ndim) * lam)
-
-
-def free_evolution(phi0: Field, p: ModelParams, times) -> list[Field]:
-    """Unforced damped bilaplacian flow, exact per mode.
-
-    Every mode decays by exp(-t * eps*theta_bar k^4 / (1 + alpha k^2)); the
-    zero mode is constant for all time.
-    """
-    times = _check_times(times)
-    lam, _ = _phi_rates_and_mass(phi0.grid, p)
-    return _as_fields(phi0.grid, _decay(rfftn(phi0.grid, phi0.values), lam, times))
 
 
 def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +106,6 @@ def _linear_solve(rates_and_mass, g, y0: Field, p: ModelParams, times) -> np.nda
         decay, gain = _etd_factors(lam, mass, times[n + 1] - times[n])
         out[n + 1] = decay * out[n] + gain * g_hats[n]
     return out
-
-
-def linear_phi_solve(g, phi0: Field, p: ModelParams, times) -> list[Field]:
-    """Damped bilaplacian flow with forcing, exact for piecewise-constant g."""
-    return _as_fields(phi0.grid, _linear_solve(_phi_rates_and_mass, g, phi0, p, times))
-
-
-def linear_theta_solve(h, theta0: Field, p: ModelParams, times) -> list[Field]:
-    """Linear heat flow with forcing, exact for piecewise-constant h."""
-    return _as_fields(theta0.grid, _linear_solve(_theta_rates_and_mass, h, theta0, p, times))
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""Full-lattice reference for the tests, and the helpers several test files share.
+
+thermoch forms every derivative, block norm and step on rfftn half spectra.
+The tests check it against the full complex lattice formed here: wavenumbers
+k = (2*pi/L) * {-n/2, ..., n/2 - 1} per axis in fftfreq order, the Nyquist
+planes, the unnormalized scipy.fft.fftn forward transform and the real part
+of scipy.fft.ifftn as its inverse.
+"""
+
+import functools
+
+import numpy as np
+import scipy.fft
+
+from thermoch.besov import chi_bump
+from thermoch.grid import Field
+
+FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
+
+
+def fftn(values):
+    """Unnormalized forward FFT of a real array on the full lattice."""
+    return scipy.fft.fftn(values)
+
+
+def ifftn_real(coeffs):
+    """Inverse FFT (carries the 1/n^dim factor), real part only."""
+    return scipy.fft.ifftn(coeffs).real
+
+
+@functools.cache
+def k_axes(grid):
+    """Wavenumber arrays per axis ((2*pi/L)*integers), broadcastable over the grid."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n) / grid.box_len
+    dims = range(grid.dim)
+    return tuple(k.reshape([-1 if j == i else 1 for j in dims]) for i in dims)
+
+
+def k_squared(grid):
+    """|k|^2 on the full lattice."""
+    return sum(ki**2 for ki in k_axes(grid))
+
+
+def k_abs(grid):
+    return np.sqrt(k_squared(grid))
+
+
+def nyquist_masks(grid):
+    """Per-axis boolean mask, True off the unpaired Nyquist plane."""
+    return tuple(np.abs(ki) != np.pi * grid.n / grid.box_len for ki in k_axes(grid))
+
+
+def grad_symbol(grid, axis):
+    """The solvers' d/dx_axis multiplier (Nyquist plane zeroed)."""
+    return 1j * k_axes(grid)[axis] * nyquist_masks(grid)[axis]
+
+
+def full_symbols(part):
+    """The dyadic symbols of part sampled on the full lattice."""
+    r = k_abs(part.grid)
+    symbols = [chi_bump(r)]
+    for q in range(part.q_max + 1):
+        symbols.append(chi_bump(r / 2.0 ** (q + 1)) - chi_bump(r / 2.0**q))
+    return symbols
+
+
+def band_limited(grid, rng, amp=0.1, kmax_int=4, zero_mean=True):
+    """White noise cut to |k_i| <= 2*pi*kmax_int/L on every axis, its mean
+    removed (unless zero_mean is False) and its max |value| scaled to amp."""
+    c = fftn(rng.standard_normal(grid.shape))
+    keep = np.ones(grid.shape, dtype=bool)
+    cut = 2.0 * np.pi * kmax_int / grid.box_len
+    for ki in k_axes(grid):
+        keep &= np.abs(ki) <= cut + 1e-12
+    v = ifftn_real(c * keep)
+    if zero_mean:
+        v -= v.mean()
+    return Field(grid, amp * v / max(np.max(np.abs(v)), 1e-30))
+
+
+def count_transforms(monkeypatch) -> list:
+    """Make every scipy.fft transform append its name to the returned list."""
+    calls = []
+    for name in FFT_NAMES:
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared
 from thermoch.besov import (
     BesovReport,
     besov_norm,
@@ -17,7 +18,7 @@ from thermoch.besov import (
     project_block,
     verify_composition_bound,
 )
-from thermoch.grid import Field, GridSpec, fftn, grad_arrays, ifftn_real, l2_norm, rfftn
+from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn
 from thermoch.thermo import ModelParams
 
 
@@ -27,16 +28,6 @@ PART = build_partition(GRID)
 
 def random_field(grid, rng, amp=1.0):
     return Field(grid, amp * rng.standard_normal(grid.shape))
-
-
-def band_limited(grid, rng, kmax_int, amp=1.0):
-    c = fftn(grid, rng.standard_normal(grid.shape))
-    keep = np.ones(grid.shape, dtype=bool)
-    cut = 2.0 * np.pi * kmax_int / grid.box_len
-    for ki in grid.k_axes:
-        keep &= np.abs(ki) <= cut + 1e-12
-    v = ifftn_real(grid, c * keep)
-    return Field(grid, amp * v / max(np.max(np.abs(v)), 1e-30))
 
 
 class TestPartition:
@@ -51,14 +42,14 @@ class TestPartition:
     def test_partition_of_unity_on_lattice(self):
         for grid in (GRID, GridSpec(dim=1, n=128, box_len=3.0), GridSpec(dim=3, n=16, box_len=1.0)):
             part = build_partition(grid)
-            total = np.zeros(grid.shape)
+            total = np.zeros(grid.half_shape)
             for sym in part.symbols:
                 total += sym
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_ring_supports(self):
         part = PART
-        r = GRID.k_abs
+        r = np.sqrt(-GRID.half_lap)
         for i, q in enumerate(part.qs):
             if q == -1:
                 continue
@@ -155,7 +146,7 @@ def full_lattice_blocks(grid, part, values, multiplier=None):
     if multiplier is not None:
         coeffs = coeffs * multiplier
     scale = math.sqrt(grid.box_len**grid.dim) / grid.size
-    return np.array([scale * np.linalg.norm(sym * coeffs) for sym in part.symbols])
+    return np.array([scale * np.linalg.norm(sym * coeffs) for sym in full_symbols(part)])
 
 
 def nyquist_heavy_field(grid, rng):
@@ -196,12 +187,11 @@ class TestHalfLatticeBlocks:
         v = nyquist_heavy_field(grid, np.random.default_rng(60 + grid.dim))
         hat = rfftn(grid, v)
         grad_sq = sum(
-            full_lattice_blocks(grid, part, v, 1j * k * m) ** 2
-            for k, m in zip(grid.k_axes, grid.nyquist_masks)
+            full_lattice_blocks(grid, part, v, grad_symbol(grid, i)) ** 2 for i in range(grid.dim)
         )
         got = block_energies(hat, part, grid.half_grad_sq)
         assert np.all(np.abs(got - grad_sq) <= 1e-12 * grad_sq)
-        lap = full_lattice_blocks(grid, part, v, -grid.k_squared)
+        lap = full_lattice_blocks(grid, part, v, -k_squared(grid))
         got = np.sqrt(block_energies(hat, part, grid.half_bilap))
         assert np.all(np.abs(got - lap) <= 1e-12 * lap)
 
@@ -216,7 +206,7 @@ class TestHalfLatticeBlocks:
     @pytest.mark.parametrize("grid", HALF_GRIDS + [GRID], ids=lambda g: f"{g.dim}d-{g.n}")
     def test_every_point_in_at_most_two_consecutive_blocks(self, grid):
         part = build_partition(grid)
-        nonzero = np.stack([sym != 0.0 for sym in part.symbols])
+        nonzero = np.stack([sym != 0.0 for sym in full_symbols(part)])
         count = nonzero.sum(axis=0)
         assert count.min() >= 1 and count.max() <= 2
         lower = np.argmax(nonzero, axis=0)
@@ -225,6 +215,12 @@ class TestHalfLatticeBlocks:
         assert np.all(count == 1 + (pairs & (upper > lower)))
         half_lower, _, _ = part.rings
         assert np.array_equal(half_lower, lower[..., : grid.n // 2 + 1].ravel())
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS + [GRID], ids=lambda g: f"{g.dim}d-{g.n}")
+    def test_symbols_are_the_full_lattice_ones_sliced(self, grid):
+        part = build_partition(grid)
+        for half, full in zip(part.symbols, full_symbols(part), strict=True):
+            assert np.array_equal(half, full[..., : grid.n // 2 + 1])
 
 
 class TestBernstein:
@@ -299,18 +295,6 @@ class TestCheminLerner:
         expect = (1.0 - math.exp(-lam * T)) / lam * besov_norm(Field(GRID, base), 1.0, PART).total
         assert cl == pytest.approx(expect, rel=1e-2)
 
-    def test_vector_variant_reduces_to_scalar(self):
-        from thermoch.besov import chemin_lerner_norm_vector
-
-        rng = np.random.default_rng(33)
-        times = np.linspace(0.0, 0.5, 6)
-        series = [random_field(GRID, rng) for _ in times]
-        zero = Field(GRID, np.zeros(GRID.shape))
-        vec = [(f, zero) for f in series]
-        a = chemin_lerner_norm_vector(vec, times, 1.0, 2, PART)
-        b = chemin_lerner_norm(series, times, 1.0, 2, PART)
-        assert a == pytest.approx(b, rel=1e-12)
-
     def test_nonuniform_times_rejected(self):
         f = Field(GRID, np.zeros(GRID.shape))
         with pytest.raises(ValueError, match="uniform"):
@@ -367,7 +351,7 @@ class TestSmallness:
 class TestComposition:
     def test_identity_is_exact(self):
         rng = np.random.default_rng(41)
-        u = band_limited(GRID, rng, kmax_int=6, amp=0.5)
+        u = band_limited(GRID, rng, amp=0.5, kmax_int=6, zero_mean=False)
         rep = verify_composition_bound(u, "identity", 1.0, PART)
         assert rep.ratio == pytest.approx(1.0, rel=1e-12)
 
@@ -394,7 +378,7 @@ class TestComposition:
         tb = 2.0
 
         def sample():
-            u = band_limited(GRID, rng, kmax_int=8, amp=float(rng.uniform(0.05, 0.9)))
+            u = band_limited(GRID, rng, float(rng.uniform(0.05, 0.9)), 8, zero_mean=False)
             return u
 
         for name in names:
@@ -429,8 +413,8 @@ class TestProductContinuity:
 
         def pair():
             return (
-                band_limited(GRID, rng, kmax_int=10, amp=float(rng.uniform(0.2, 2.0))),
-                band_limited(GRID, rng, kmax_int=10, amp=float(rng.uniform(0.2, 2.0))),
+                band_limited(GRID, rng, float(rng.uniform(0.2, 2.0)), 10, zero_mean=False),
+                band_limited(GRID, rng, float(rng.uniform(0.2, 2.0)), 10, zero_mean=False),
             )
 
         def ratio(f, g):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spectral_oracle import fftn
 from thermoch import fieldio
 from thermoch.config import (
     ConfigError,
@@ -14,7 +15,7 @@ from thermoch.config import (
     loads_config,
     with_seed,
 )
-from thermoch.grid import Field, GridSpec, fftn
+from thermoch.grid import Field, GridSpec
 from thermoch.thermo import PositivityError
 
 MINIMAL = """
@@ -63,6 +64,11 @@ class TestLoadConfig:
     def test_unknown_section_error_names_it(self):
         with pytest.raises(ConfigError, match=r"\[outputs\]"):
             loads_config(MINIMAL + "\n[outputs]\ndir = x\n")
+
+    @pytest.mark.parametrize("section", ["init", "theta_init"])
+    def test_unknown_kind_error_names_the_field(self, section):
+        with pytest.raises(ConfigError, match=rf"^{section}\.kind must be one of"):
+            loads_config(MINIMAL + f"\n[{section}]\nkind = bogus\n")
 
     def test_zero_dt_rejected_with_field_name(self):
         with pytest.raises(ConfigError, match="dt must be positive"):
@@ -214,7 +220,7 @@ class TestGenerateInitial:
     def test_single_mode_excites_exactly_two_coefficients(self):
         cfg = loads_config(MINIMAL_2D + "\n[init]\nkind = single_mode\nk = 3\namplitude = 0.25\n")
         phi = generate_initial(cfg).phi
-        coeffs = fftn(cfg.grid, phi.values)
+        coeffs = fftn(phi.values)
         big = np.abs(coeffs) > 1e-9 * np.abs(coeffs).max()
         assert big.sum() == 2
         assert sorted(idx[0] for idx in np.argwhere(big)) == [3, 32 - 3]

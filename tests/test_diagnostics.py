@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_oracle import band_limited
 from thermoch.diagnostics import (
     CSV_HEADER,
     DiagnosticsRow,
@@ -12,7 +13,7 @@ from thermoch.diagnostics import (
     ginzburg_landau_energy,
     isothermal_decay_check,
 )
-from thermoch.grid import Field, GridSpec, fftn, ifftn_real, mean
+from thermoch.grid import Field, GridSpec, mean
 from thermoch.model_a2 import SimConfig, Trajectory, simulate
 from thermoch.thermo import ModelParams, StateTerms, ThermoState
 
@@ -30,17 +31,6 @@ def uniform_state(grid, phi, theta):
         Field(grid, np.full(grid.shape, float(phi))),
         Field(grid, np.full(grid.shape, float(theta))),
     )
-
-
-def band_limited(grid, rng, amp=0.1, kmax_int=4):
-    c = fftn(grid, rng.standard_normal(grid.shape))
-    keep = np.ones(grid.shape, dtype=bool)
-    cut = 2.0 * np.pi * kmax_int / grid.box_len
-    for ki in grid.k_axes:
-        keep &= np.abs(ki) <= cut + 1e-12
-    v = ifftn_real(grid, c * keep)
-    v -= v.mean()
-    return Field(grid, amp * v / np.max(np.abs(v)))
 
 
 class TestAudit:

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
+from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared
 from thermoch.grid import (
     Field,
     GridSpec,
-    _fft_workers,
     divergence_arrays,
-    fftn,
     grad_arrays,
-    ifftn_real,
     inner,
     irfftn,
     l2_norm,
@@ -23,11 +21,6 @@ from thermoch.grid import (
 
 def random_field(grid, rng, amp=1.0):
     return Field(grid, amp * rng.standard_normal(grid.shape))
-
-
-def grad_symbol(grid, axis):
-    """The solvers' d/dx_axis multiplier (Nyquist plane zeroed)."""
-    return 1j * grid.k_axes[axis] * grid.nyquist_masks[axis]
 
 
 class TestGridSpec:
@@ -43,9 +36,11 @@ class TestGridSpec:
             GridSpec(dim=dim, n=n, box_len=L)
 
     def test_wavenumber_range(self):
-        g = GridSpec(dim=1, n=16, box_len=2.0 * np.pi)
-        k = np.sort(g.k_axes[0].ravel())
-        assert np.array_equal(k, np.arange(-8, 8))
+        # full axes hold -n/2..n/2-1; the half lattice's last axis 0..n/2
+        g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+        first, last = (np.sort(k.ravel()) for k in g.half_k_axes)
+        assert np.array_equal(first, np.arange(-8, 8))
+        assert np.array_equal(last, np.arange(0, 9))
 
 
 class TestTransformRoundTrip:
@@ -54,7 +49,7 @@ class TestTransformRoundTrip:
         rng = np.random.default_rng(7 + dim)
         g = GridSpec(dim=dim, n=n, box_len=3.7)
         f = random_field(g, rng)
-        back = ifftn_real(g, fftn(g, f.values))
+        back = irfftn(g, rfftn(g, f.values))
         assert np.max(np.abs(back - f.values)) < 1e-12
 
     def test_parseval_100_trials(self):
@@ -64,7 +59,7 @@ class TestTransformRoundTrip:
         for _ in range(100):
             f = random_field(g, rng)
             lhs = inner(f, f)
-            ghat = fftn(g, f.values)
+            ghat = fftn(f.values)
             rhs = g.box_len**g.dim / g.size**2 * np.sum(np.abs(ghat) ** 2)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -76,14 +71,10 @@ class TestTransformRoundTrip:
             Field(g, vals)
 
 
-def spectral_sine(grid, m, axis=0):
-    """Exact coefficients of sin(m * 2 pi x_axis / L): only modes +-m populated."""
-    c = np.zeros(grid.shape, dtype=complex)
-    idx_p = [0] * grid.dim
-    idx_m = [0] * grid.dim
-    idx_p[axis], idx_m[axis] = m, -m % grid.n
-    c[tuple(idx_p)] = -0.5j * grid.size
-    c[tuple(idx_m)] = +0.5j * grid.size
+def spectral_sine(grid, m):
+    """Exact half spectrum of sin(m * 2 pi x_last / L): only mode +m stored."""
+    c = np.zeros(grid.half_shape, dtype=complex)
+    c[(0,) * (grid.dim - 1) + (m,)] = -0.5j * grid.size
     return c
 
 
@@ -95,9 +86,9 @@ class TestDerivatives:
         x = g.axes[0]
         for m in (1, 3, 7):
             fh = spectral_sine(g, m)
-            d1 = ifftn_real(g, fh * grad_symbol(g, 0))
-            d2 = ifftn_real(g, fh * (-g.k_squared))
-            d4 = ifftn_real(g, fh * g.k_squared**2)
+            d1 = irfftn(g, fh * g.half_grad[0])
+            d2 = irfftn(g, fh * g.half_lap)
+            d4 = irfftn(g, fh * g.half_bilap)
             assert np.max(np.abs(d1 - m * np.cos(m * x))) < 1e-12 * m
             assert np.max(np.abs(d2 + m**2 * np.sin(m * x))) < 1e-12 * m**2
             assert np.max(np.abs(d4 - m**4 * np.sin(m * x))) < 1e-12 * m**4
@@ -115,17 +106,15 @@ class TestDerivatives:
     def test_laplacian_twice_equals_bilaplacian(self):
         rng = np.random.default_rng(3)
         g = GridSpec(dim=2, n=32, box_len=1.0)
-        fh = fftn(g, random_field(g, rng).values)
-        twice = fh * (-g.k_squared) * (-g.k_squared)
-        once = fh * g.k_squared**2
+        fh = rfftn(g, random_field(g, rng).values)
+        twice = fh * g.half_lap * g.half_lap
+        once = fh * g.half_bilap
         scale = np.max(np.abs(once)) or 1.0
         assert np.max(np.abs(twice - once)) < 1e-12 * scale
 
     def test_grad_of_constant_is_zero(self):
         g = GridSpec(dim=3, n=8, box_len=1.0)
-        fh = fftn(g, np.full(g.shape, 4.25))
-        for ax in range(3):
-            d = ifftn_real(g, fh * grad_symbol(g, ax))
+        for d in grad_arrays(g, np.full(g.shape, 4.25)):
             assert np.max(np.abs(d)) < 1e-13
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
@@ -156,18 +145,18 @@ class TestDerivatives:
         g = GridSpec(dim=dim, n=n, box_len=1.3)
         v = rng.standard_normal(g.shape)
         comps = [rng.standard_normal(g.shape) for _ in range(dim)]
-        fh = fftn(g, v)
-        full_div = sum(fftn(g, c) * grad_symbol(g, i) for i, c in enumerate(comps))
+        fh = fftn(v)
+        full_div = sum(fftn(c) * grad_symbol(g, i) for i, c in enumerate(comps))
         cut = np.ones(g.shape, dtype=bool)
-        for k in g.k_axes:
+        for k in k_axes(g):
             cut &= np.abs(k) <= (2.0 / 3.0) * np.pi * n / g.box_len + 1e-12
-        pairs = [(a, ifftn_real(g, fh * grad_symbol(g, i))) for i, a in enumerate(grad_arrays(g, v))]
+        pairs = [(a, ifftn_real(fh * grad_symbol(g, i))) for i, a in enumerate(grad_arrays(g, v))]
         pairs += [
-            (laplacian_array(g, v), ifftn_real(g, -fh * g.k_squared)),
-            (divergence_arrays(g, comps), ifftn_real(g, full_div)),
-            (divergence_arrays(g, comps, mask=True), ifftn_real(g, full_div * cut)),
-            (irfftn(g, rfftn(g, v) * g.half_dealias_mask), ifftn_real(g, fh * cut)),
-            (irfftn(g, rfftn(g, v) * g.half_bilap), ifftn_real(g, fh * g.k_squared**2)),
+            (laplacian_array(g, v), ifftn_real(-fh * k_squared(g))),
+            (divergence_arrays(g, comps), ifftn_real(full_div)),
+            (divergence_arrays(g, comps, mask=True), ifftn_real(full_div * cut)),
+            (irfftn(g, rfftn(g, v) * g.half_dealias_mask), ifftn_real(fh * cut)),
+            (irfftn(g, rfftn(g, v) * g.half_bilap), ifftn_real(fh * k_squared(g) ** 2)),
         ]
         for got, want in pairs:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -205,21 +194,6 @@ class TestDealias:
         k_int = np.rint(g.half_k_axes[0].ravel()).astype(int)
         for idx, m in enumerate(k_int):
             assert kept.ravel()[idx] == (1.0 if abs(m) <= 21 else 0.0), m
-
-
-class TestThreads:
-    def test_read_once_and_bad_value_falls_back(self, monkeypatch):
-        try:
-            monkeypatch.setenv("THERMOCH_THREADS", "two")
-            _fft_workers.cache_clear()
-            assert _fft_workers() == 1
-            monkeypatch.setenv("THERMOCH_THREADS", "2")
-            assert _fft_workers() == 1  # parsed once per process
-            _fft_workers.cache_clear()
-            assert _fft_workers() == 2
-        finally:
-            monkeypatch.delenv("THERMOCH_THREADS")
-            _fft_workers.cache_clear()
 
 
 class TestQuadrature:

@@ -5,22 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from spectral_oracle import count_transforms, full_symbols, grad_symbol, k_abs, k_squared
 from thermoch.besov import build_partition, besov_norm, check_smallness
-from thermoch.grid import Field, GridSpec, l2_norm, laplacian_array, rfftn
+from thermoch.grid import Field, GridSpec, irfftn, laplacian_array, rfftn
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
     REPORT_CSV_HEADER,
     _decay,
+    _linear_solve,
     _phi_rates_and_mass,
     _solution_map,
     _theta_rates_and_mass,
     find_t_chi,
-    free_evolution,
     free_flow_budget,
     k_norm,
-    linear_phi_solve,
-    linear_theta_solve,
     phi_apriori_ratios,
     picard_iterate,
     theta_apriori_ratios,
@@ -45,24 +44,30 @@ def zero(grid):
 
 def band_limited(grid, rng, amp=0.1, kmax=3.0):
     coeffs = np.zeros(grid.shape, dtype=complex)
-    keep = (grid.k_abs > 0) & (grid.k_abs <= kmax + 1e-12)
+    keep = (k_abs(grid) > 0) & (k_abs(grid) <= kmax + 1e-12)
     coeffs[keep] = rng.standard_normal(keep.sum()) + 1j * rng.standard_normal(keep.sum())
     v = np.fft.ifftn(coeffs).real
     v *= amp / max(np.max(np.abs(v)), 1e-300)
     return Field(grid, v)
 
 
+def free_hats(f, p, times):
+    """Half spectra of the unforced damped bilaplacian flow of f, as
+    picard_iterate starts it."""
+    return _decay(rfftn(f.grid, f.values), _phi_rates_and_mass(f.grid, p)[0], np.asarray(times))
+
+
 class TestFreeEvolution:
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(0)
         f = band_limited(GRID1, rng, amp=0.5, kmax=10.0)
-        out = free_evolution(f, params(), [0.0])
-        assert np.max(np.abs(out[0].values - f.values)) < 1e-14
+        out = free_hats(f, params(), [0.0])
+        assert np.max(np.abs(irfftn(GRID1, out[0]) - f.values)) < 1e-14
 
     def test_zero_mode_constant_forever(self):
         f = Field(GRID2, np.full(GRID2.shape, 0.7))
-        for s in free_evolution(f, params(), [0.1, 1.0, 10.0]):
-            assert np.max(np.abs(s.values - 0.7)) < 1e-13
+        for h in free_hats(f, params(), [0.1, 1.0, 10.0]):
+            assert np.max(np.abs(irfftn(GRID2, h) - 0.7)) < 1e-13
 
     def test_single_mode_matches_scalar_exponential(self):
         x = GRID1.axes[0]
@@ -70,13 +75,14 @@ class TestFreeEvolution:
         f = Field(GRID1, np.cos(3 * x))
         times = np.linspace(0.0, 0.1, 11)
         lam = p.eps * p.theta_bar * 3.0**4 / (1.0 + p.alpha * 3.0**2)
-        for s, t in zip(free_evolution(f, p, times), times):
-            assert np.max(np.abs(s.values - math.exp(-lam * t) * np.cos(3 * x))) < 1e-14
+        for h, t in zip(free_hats(f, p, times), times):
+            exact = math.exp(-lam * t) * np.cos(3 * x)
+            assert np.max(np.abs(irfftn(GRID1, h) - exact)) < 1e-14
 
     def test_times_must_increase(self):
         f = zero(GRID1)
         with pytest.raises(ValueError, match="increasing"):
-            free_evolution(f, params(), [0.0, 0.2, 0.1])
+            _linear_solve(_phi_rates_and_mass, [f] * 3, f, params(), [0.0, 0.2, 0.1])
 
 
 class TestLinearSolvers:
@@ -85,9 +91,8 @@ class TestLinearSolvers:
         f = band_limited(GRID1, rng, amp=0.3, kmax=8.0)
         p = params()
         times = np.linspace(0.0, 0.05, 21)
-        forced = linear_phi_solve([zero(GRID1)] * len(times), f, p, times)
-        free = free_evolution(f, p, times)
-        gap = max(np.max(np.abs(a.values - b.values)) for a, b in zip(forced, free))
+        forced = _linear_solve(_phi_rates_and_mass, [zero(GRID1)] * len(times), f, p, times)
+        gap = np.max(np.abs(irfftn(GRID1, forced) - irfftn(GRID1, free_hats(f, p, times))))
         assert gap < 1e-12
 
     def test_constant_forcing_single_mode_closed_form(self):
@@ -95,58 +100,59 @@ class TestLinearSolvers:
         p = params(eps=0.8, theta_bar=1.5, alpha=0.3)
         times = np.linspace(0.0, 0.2, 9)
         g = [Field(GRID1, 0.7 * np.sin(2 * x)) for _ in times]
-        sol = linear_phi_solve(g, zero(GRID1), p, times)
+        sol = _linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha * 4.0
         lam = p.eps * p.theta_bar * 16.0 / mass
-        for s, t in zip(sol, times):
+        for h, t in zip(sol, times):
             exact = (0.7 / (lam * mass)) * (1.0 - math.exp(-lam * t)) * np.sin(2 * x)
-            assert np.max(np.abs(s.values - exact)) < 1e-12
+            assert np.max(np.abs(irfftn(GRID1, h) - exact)) < 1e-12
 
     def test_nonuniform_times_still_exact_for_constant_forcing(self):
         x = GRID1.axes[0]
         p = params()
         times = np.array([0.0, 0.013, 0.05, 0.0721, 0.2])
         g = [Field(GRID1, np.cos(x)) for _ in times]
-        sol = linear_phi_solve(g, zero(GRID1), p, times)
+        sol = _linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha
         lam = p.eps * p.theta_bar / mass
-        for s, t in zip(sol, times):
+        for h, t in zip(sol, times):
             exact = (1.0 / (lam * mass)) * (1.0 - math.exp(-lam * t)) * np.cos(x)
-            assert np.max(np.abs(s.values - exact)) < 1e-12
+            assert np.max(np.abs(irfftn(GRID1, h) - exact)) < 1e-12
 
     def test_zero_mode_forcing_integrates_linearly(self):
         p = params(k_b=3.0)
         times = np.linspace(0.0, 1.0, 6)
         h = [Field(GRID1, np.full(GRID1.shape, 0.6)) for _ in times]
-        sol = linear_theta_solve(h, zero(GRID1), p, times)
-        for s, t in zip(sol, times):
-            assert np.max(np.abs(s.values - 0.6 * t / p.k_b)) < 1e-13
+        sol = _linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
+        for y, t in zip(sol, times):
+            assert np.max(np.abs(irfftn(GRID1, y) - 0.6 * t / p.k_b)) < 1e-13
 
     def test_heat_decay_single_mode_exact(self):
         x = GRID1.axes[0]
         p = params(kappa=2.0, k_b=3.0)
         times = np.linspace(0.0, 0.5, 6)
-        sol = linear_theta_solve([zero(GRID1)] * 6, Field(GRID1, np.cos(2 * x)), p, times)
-        for s, t in zip(sol, times):
+        theta0 = Field(GRID1, np.cos(2 * x))
+        sol = _linear_solve(_theta_rates_and_mass, [zero(GRID1)] * 6, theta0, p, times)
+        for y, t in zip(sol, times):
             exact = math.exp(-p.kappa * 4.0 * t / p.k_b) * np.cos(2 * x)
-            assert np.max(np.abs(s.values - exact)) < 1e-14
+            assert np.max(np.abs(irfftn(GRID1, y) - exact)) < 1e-14
 
     def test_constant_heat_forcing_approaches_steady_state_monotonically(self):
         x = GRID1.axes[0]
         p = params(kappa=2.0, k_b=1.0)
         times = np.linspace(0.0, 2.0, 21)
         h = [Field(GRID1, 0.5 * np.cos(x)) for _ in times]
-        sol = linear_theta_solve(h, zero(GRID1), p, times)
+        sol = _linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
         steady = 0.5 / p.kappa * np.cos(x)
-        gaps = [np.max(np.abs(s.values - steady)) for s in sol]
+        gaps = [np.max(np.abs(irfftn(GRID1, y) - steady)) for y in sol]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_forcing_grid_mismatch_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="length mismatch"):
-            linear_phi_solve([zero(GRID1)] * 2, zero(GRID1), params(), times)
+            _linear_solve(_phi_rates_and_mass, [zero(GRID1)] * 2, zero(GRID1), params(), times)
         with pytest.raises(ValueError, match="grid"):
-            linear_theta_solve([zero(GRID2)] * 3, zero(GRID1), params(), times)
+            _linear_solve(_theta_rates_and_mass, [zero(GRID2)] * 3, zero(GRID1), params(), times)
 
 
 class TestKNorm:
@@ -219,13 +225,14 @@ def old_formula_k_norm(dphi, dtheta, part, times):
     full-lattice np.fft and block norms from np.fft.fftn times the symbols."""
     grid = part.grid
     scale = math.sqrt(grid.box_len**grid.dim) / grid.size
+    symbols = full_symbols(part)
 
     def apply(values, multiplier):
         return np.fft.ifftn(np.fft.fftn(values) * multiplier).real
 
     def blocks(values):
         coeffs = np.fft.fftn(values)
-        return np.array([scale * np.linalg.norm(sym * coeffs) for sym in part.symbols])
+        return np.array([scale * np.linalg.norm(sym * coeffs) for sym in symbols])
 
     def chemin_lerner(series, s, rho, vector=False):
         rows = np.array(
@@ -247,9 +254,9 @@ def old_formula_k_norm(dphi, dtheta, part, times):
         ]
 
     def grad(values):
-        return [apply(values, 1j * k * m) for k, m in zip(grid.k_axes, grid.nyquist_masks)]
+        return [apply(values, grad_symbol(grid, i)) for i in range(grid.dim)]
 
-    k2 = grid.k_squared
+    k2 = k_squared(grid)
     phi = [f.values for f in dphi]
     theta = [f.values for f in dtheta]
     s_lo = grid.dim / 2.0
@@ -312,22 +319,6 @@ class TestSpectralKNorm:
         bad = np.zeros((3,) + GRID2.shape, dtype=complex)
         with pytest.raises(ValueError, match="shape"):
             k_norm(bad, bad, PART2, times)
-
-
-def count_transforms(monkeypatch):
-    """Count every scipy.fft transform call from here on."""
-    import scipy.fft
-
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
-        original = getattr(scipy.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
-    return calls
 
 
 class TestPicardConfig:
@@ -434,6 +425,7 @@ class TestPicardIterate:
             GRID2, np.zeros_like(phi_free), dtheta, phi_free, dtheta0_hat, p, times
         )
         assert 0 < len(calls) <= 12 * (times.size - 1) + 2
+        assert set(calls) <= {"rfftn", "irfftn"}
         assert new_dphi.shape == new_dtheta.shape == (times.size, *GRID2.half_shape)
 
     def test_grid_mismatch_rejected(self):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from thermoch.grid import Field, GridSpec, fftn, ifftn_real
+from spectral_oracle import band_limited, fftn, ifftn_real, k_squared
+from thermoch.grid import Field, GridSpec
 from thermoch.thermo import (
     ModelParams,
     PositivityError,
@@ -32,17 +33,6 @@ def uniform_state(grid, phi_val, theta_val):
         Field(grid, np.full(grid.shape, float(phi_val))),
         Field(grid, np.full(grid.shape, float(theta_val))),
     )
-
-
-def band_limited(grid, rng, amp=1.0, kmax_int=4):
-    raw = rng.standard_normal(grid.shape)
-    c = fftn(grid, raw)
-    keep = np.ones(grid.shape, dtype=bool)
-    cut = 2.0 * np.pi * kmax_int / grid.box_len
-    for ki in grid.k_axes:
-        keep &= np.abs(ki) <= cut + 1e-12
-    v = ifftn_real(grid, c * keep)
-    return amp * v / max(np.max(np.abs(v)), 1e-30)
 
 
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
@@ -116,8 +106,8 @@ class TestDensities:
         # (the gradient contributions cancel); independent oracle for e
         rng = np.random.default_rng(4)
         p = params(eps=0.7, theta_bar=1.4, k_b=0.9)
-        phi = band_limited(GRID2, rng, amp=0.8)
-        theta = 2.0 + band_limited(GRID2, rng, amp=0.5)
+        phi = band_limited(GRID2, rng, 0.8, zero_mean=False).values
+        theta = 2.0 + band_limited(GRID2, rng, 0.5, zero_mean=False).values
         st = ThermoState(Field(GRID2, phi), Field(GRID2, theta))
         e = internal_energy_density(st, p).values
         w, _, _ = bulk_potential(phi, theta, p)
@@ -148,11 +138,11 @@ class TestChemicalPotential:
     def test_divergence_form_differs_from_naive_at_nonconstant_theta(self):
         rng = np.random.default_rng(8)
         p = params()
-        phi = band_limited(GRID1, rng, amp=0.5)
-        theta = 1.5 + band_limited(GRID1, rng, amp=0.3)
+        phi = band_limited(GRID1, rng, 0.5, zero_mean=False).values
+        theta = 1.5 + band_limited(GRID1, rng, 0.3, zero_mean=False).values
         st = ThermoState(Field(GRID1, phi), Field(GRID1, theta))
         mu = chemical_potential(st, p, dealias=False).values
-        lap_phi = ifftn_real(GRID1, fftn(GRID1, phi) * (-GRID1.k_squared))
+        lap_phi = ifftn_real(fftn(phi) * (-k_squared(GRID1)))
         _, dw_dphi, _ = bulk_potential(phi, theta, p)
         naive = -p.eps * theta * lap_phi + dw_dphi / (p.eps * theta)
         # div(theta grad phi) = theta lap(phi) + grad(theta).grad(phi): the forms
@@ -178,23 +168,23 @@ class TestEntropyProduction:
         rng = np.random.default_rng(31)
         for model in ("a2", "a1"):
             p = params(model=model)
-            phi = 1.0 + band_limited(GRID2, rng, amp=0.2)
-            theta = 2.0 + band_limited(GRID2, rng, amp=0.4)
+            phi = 1.0 + band_limited(GRID2, rng, 0.2, zero_mean=False).values
+            theta = 2.0 + band_limited(GRID2, rng, 0.4, zero_mean=False).values
             st = ThermoState(
                 Field(GRID2, phi),
                 Field(GRID2, theta),
-                dphi_dt=Field(GRID2, band_limited(GRID2, rng)),
+                dphi_dt=band_limited(GRID2, rng, 1.0, zero_mean=False),
             )
             prod = entropy_production(StateTerms(st, p)).values
             assert prod.min() >= 0.0
 
     def test_a1_equals_a2_when_theta_constant(self):
         rng = np.random.default_rng(32)
-        phi = 1.0 + band_limited(GRID1, rng, amp=0.3)
+        phi = 1.0 + band_limited(GRID1, rng, 0.3, zero_mean=False).values
         st = ThermoState(
             Field(GRID1, phi),
             Field(GRID1, np.full(GRID1.shape, 2.0)),
-            dphi_dt=Field(GRID1, band_limited(GRID1, rng)),
+            dphi_dt=band_limited(GRID1, rng, 1.0, zero_mean=False),
         )
         p2 = params(model="a2")
         p1 = params(model="a1")
@@ -212,8 +202,8 @@ class TestEntropyProduction:
 class TestVariationalIdentities:
     def _random_state(self, seed):
         rng = np.random.default_rng(seed)
-        phi = band_limited(GRID2, rng, amp=0.9)
-        theta = 2.0 + band_limited(GRID2, rng, amp=1.0)
+        phi = band_limited(GRID2, rng, 0.9, zero_mean=False).values
+        theta = 2.0 + band_limited(GRID2, rng, 1.0, zero_mean=False).values
         return ThermoState(Field(GRID2, phi), Field(GRID2, theta))
 
     def test_residuals_small(self):
