@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridSpec, irfftn, laplacian_array, rfftn
+from .grid import Field, GridSpec, laplacian_array, rfftn
 from .thermo import ModelParams
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "SmallnessReport",
     "CompositionReport",
     "build_partition",
-    "project_block",
     "half_spectra",
     "block_energies",
     "besov_norm",
@@ -128,14 +127,6 @@ def build_partition(grid: GridSpec) -> DyadicPartition:
     for q in range(q_max + 1):
         symbols.append(chi_bump(r / 2.0 ** (q + 1)) - chi_bump(r / 2.0**q))
     return DyadicPartition(grid=grid, q_min=-1, q_max=q_max, symbols=tuple(symbols))
-
-
-def project_block(f: Field, q: int, part: DyadicPartition) -> Field:
-    """The q-th frequency block of f, back in physical space."""
-    if not part.q_min <= q <= part.q_max:
-        raise ValueError(f"block {q} outside partition range [{part.q_min}, {part.q_max}]")
-    coeffs = rfftn(f.grid, f.values) * part.symbols[q - part.q_min]
-    return Field(f.grid, irfftn(f.grid, coeffs))
 
 
 def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:

@@ -116,7 +116,6 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
             dt=cfg.dt,
             t_end=cfg.t_end,
             output_every=cfg.output_every,
-            dealias=cfg.dealias,
         )
     except ValueError as exc:
         raise ConfigError(f"run: {exc}") from None

@@ -11,8 +11,8 @@ Sections, keys and defaults (a missing section means all defaults):
   [physics]     eps = 1.0, theta_bar = 1.0, alpha = 1.0, kappa = 1.0,
                 k_b = 1.0, reg_delta = 0.01
   [run]         model (required: a2 | a1 | isothermal), dt = 0.001,
-                t_end = 0.1, output_every = 10, dealias = true,
-                output_dir = out, eps0 = 0.5
+                t_end = 0.1, output_every = 10, output_dir = out,
+                eps0 = 0.5
   [init]        kind = spinodal (tanh_stripe | spinodal | single_mode |
                 from_file); tanh_stripe: width = box_len/16;
                 spinodal: amplitude = 0.01, seed = 1, mean = 0.0;
@@ -21,6 +21,10 @@ Sections, keys and defaults (a missing section means all defaults):
                 constant_plus_sine: a = 0.1, k = 1; from_file: path
   [picard]      optional; chi (required), t_end (required), n_iter = 8,
                 tol = 1e-10, dt (optional)
+
+Every run applies the 2/3 rule to the step's nonlinear terms; there is no
+key for it, so a config that sets one (such as [run] dealias) is rejected as
+an unknown key.
 
 A parsed config serializes back to one canonical text (fixed section and
 key order, repr floats) and reparses to an equal value; configs are the
@@ -48,7 +52,7 @@ THETA_KINDS = ("constant", "constant_plus_sine", "from_file")
 _SCHEMA = {
     "grid": ("dim", "n", "box_len"),
     "physics": ("eps", "theta_bar", "alpha", "kappa", "k_b", "reg_delta"),
-    "run": ("model", "dt", "t_end", "output_every", "dealias", "output_dir", "eps0"),
+    "run": ("model", "dt", "t_end", "output_every", "output_dir", "eps0"),
     "init": ("kind", "width", "amplitude", "seed", "mean", "k", "path"),
     "theta_init": ("kind", "a", "k", "path"),
     "picard": ("chi", "t_end", "n_iter", "tol", "dt"),
@@ -133,7 +137,6 @@ class RunConfig:
     dt: float
     t_end: float
     output_every: int
-    dealias: bool
     output_dir: str
     init: InitSpec
     theta_init: ThetaInitSpec
@@ -157,13 +160,6 @@ class RunConfig:
 
 def _typed(section: str, key: str, raw: str, kind: type):
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise ConfigError(
@@ -187,9 +183,6 @@ class _Section:
                 raise ConfigError(f"missing required key {self.name}.{key}")
             return default
         return _typed(self.name, key, self.raw[key], kind)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.raw
 
 
 def loads_config(text: str) -> RunConfig:
@@ -285,7 +278,6 @@ def loads_config(text: str) -> RunConfig:
         dt=run.get("dt", float, 1e-3),
         t_end=run.get("t_end", float, 0.1),
         output_every=run.get("output_every", int, 10),
-        dealias=run.get("dealias", bool, True),
         output_dir=run.get("output_dir", str, "out"),
         init=init,
         theta_init=theta_init,
@@ -306,8 +298,6 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def _kv(key: str, value) -> str:
-    if isinstance(value, bool):
-        return f"{key} = {'true' if value else 'false'}"
     if isinstance(value, float):
         return f"{key} = {value!r}"
     return f"{key} = {value}"
@@ -335,7 +325,6 @@ def canonical_text(cfg: RunConfig) -> str:
         _kv("dt", cfg.dt),
         _kv("t_end", cfg.t_end),
         _kv("output_every", cfg.output_every),
-        _kv("dealias", cfg.dealias),
         _kv("output_dir", cfg.output_dir),
         _kv("eps0", cfg.eps0),
         "",

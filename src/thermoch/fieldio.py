@@ -28,7 +28,8 @@ _HEADER = struct.Struct("<4sIIId")
 
 
 class FieldIOError(IOError):
-    """Raised for malformed field files (bad magic/version/shape)."""
+    """Raised for malformed field files (bad magic/version/grid/shape, or
+    non-finite values)."""
 
 
 def write_field(path: str | Path, f: Field) -> None:
@@ -47,12 +48,15 @@ def read_field(path: str | Path) -> Field:
         raise FieldIOError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FieldIOError(f"{path}: unsupported version {version}")
-    grid = GridSpec(dim=int(dim), n=int(n), box_len=float(box_len))
-    expect = _HEADER.size + 8 * grid.size
-    if len(raw) != expect:
-        raise FieldIOError(f"{path}: expected {expect} bytes, got {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
-    return Field(grid, values.copy())
+    try:
+        grid = GridSpec(dim=int(dim), n=int(n), box_len=float(box_len))
+        expect = _HEADER.size + 8 * grid.size
+        if len(raw) != expect:
+            raise FieldIOError(f"{path}: expected {expect} bytes, got {len(raw)}")
+        values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
+        return Field(grid, values.copy())
+    except ValueError as exc:  # an invalid header grid or a non-finite payload
+        raise FieldIOError(f"{path}: {exc}") from None
 
 
 def write_plot(path: str | Path, f: Field) -> None:

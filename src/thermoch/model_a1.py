@@ -77,4 +77,4 @@ def entropy_transport_hat(t: StateTerms) -> np.ndarray:
     u is zero while the state has no rates; the step then skips this term.
     """
     u = _velocity(t, t.grad_mu)
-    return div_hat(t.grid, [t.entropy * ui for ui in u], mask=t.dealias)
+    return div_hat(t.grid, [t.entropy * ui for ui in u], mask=True)

@@ -58,7 +58,6 @@ class SimConfig:
     dt: float
     t_end: float
     output_every: int = 1
-    dealias: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.5):
@@ -104,14 +103,12 @@ class Trajectory:
 def _f1_hat(t: StateTerms) -> np.ndarray:
     """Spectrum of f1 = lap(dW/dphi / (eps theta) - eps (theta - theta_bar) lap(phi)),
     the explicit phase forcing without the stiff eps*theta_bar lap^2 part; the
-    products are formed in real space and, under t.dealias, projected by the
-    two-thirds rule before the outer Laplacian."""
+    products are formed in real space and projected by the two-thirds rule
+    before the outer Laplacian."""
     grid, p = t.grid, t.p
     lap_phi = irfftn(grid, t.phi_hat * grid.half_lap)
     inner = t.bulk_hat - p.eps * rfftn(grid, (t.theta - p.theta_bar) * lap_phi)
-    if t.dealias:
-        inner = inner * grid.half_dealias_mask
-    return inner * grid.half_lap
+    return inner * grid.half_dealias_mask * grid.half_lap
 
 
 def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
@@ -132,8 +129,7 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     force_sq = force_square(t, t.grad_mu, grad_rate)
 
     out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
-    out_hat = rfftn(grid, out)
-    return out_hat * grid.half_dealias_mask if t.dealias else out_hat
+    return rfftn(grid, out) * grid.half_dealias_mask
 
 
 def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> np.ndarray:
@@ -163,7 +159,7 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     (model_a1.entropy_transport_hat).  "isothermal" stops after the phase
     update and keeps theta.  Every spectrum and derived field of the state
     is formed once, in t (march audits with the same t), and f1, f2 reach
-    the solves as spectra; t.dealias selects the 2/3 rule.
+    the solves as spectra under the 2/3 rule.
 
     f2's rate gradient is (grad phi_new - grad phi)/dt; the new state
     carries it and the other terms the step formed of it (ThermoState.carried).
@@ -175,7 +171,7 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
         _require_invertible_entropy_slope(t)
     f1_hat = _f1_hat(t)
     if a1:
-        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=t.dealias)
+        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=True)
     new_phi_hat = phase_update(grid, p, dt, t.phi_hat, f1_hat)
     new_phi = irfftn(grid, new_phi_hat)
     rate = (new_phi - t.phi) / dt
@@ -257,7 +253,7 @@ def march(
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
     p = cfg.params
-    terms = StateTerms(init, p, cfg.dealias)
+    terms = StateTerms(init, p)
     e0 = total_energy(init, p, terms)
     recorded = []  # (state, row) pairs; with a sink, the last one only
 
@@ -274,7 +270,7 @@ def march(
     before = init  # the state before terms.state, for a last-state audit
     for j in range(1, cfg.n_steps + 1):
         try:
-            new = StateTerms(step_fn(terms), p, cfg.dealias)
+            new = StateTerms(step_fn(terms), p)
             if j % cfg.output_every == 0 or j == cfg.n_steps:
                 terms.keep_only_entropy()
                 record(j, terms, new)
@@ -290,7 +286,7 @@ def march(
     if termination != "completed" and recorded[-1][1].step != j - 1:
         # a state whose own audit fails stays unrecorded
         with contextlib.suppress(*_NUMERICAL):
-            record(j - 1, StateTerms(before, p, cfg.dealias), terms)
+            record(j - 1, StateTerms(before, p), terms)
 
     states, rows = map(list, zip(*recorded))
     return Trajectory(

@@ -137,7 +137,13 @@ class ThermoState:
     def __post_init__(self):
         if self.phi.grid != self.theta.grid:
             raise ValueError("phi and theta live on different grids")
-        _require_positive_theta(self.theta, context="state construction")
+        tmin = float(self.theta.values.min())
+        if tmin <= 0.0:
+            loc = _argmin_index(self.theta.values)
+            raise PositivityError(
+                f"theta must stay positive; min(theta) = {tmin:.6e} at index {loc} "
+                "(state construction)"
+            )
 
     @property
     def grid(self) -> GridSpec:
@@ -157,17 +163,6 @@ class ThermoState:
 def _argmin_index(values: np.ndarray) -> tuple[int, ...]:
     """Grid index of the minimum of values, as plain ints."""
     return tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
-
-
-def _require_positive_theta(theta: Field, context: str, state: "ThermoState | None" = None):
-    vals = theta.values
-    tmin = float(vals.min())
-    if tmin <= 0.0:
-        loc = _argmin_index(vals)
-        raise PositivityError(
-            f"theta must stay positive; min(theta) = {tmin:.6e} at index {loc} ({context})",
-            state=state,
-        )
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +203,6 @@ def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
 def free_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
     """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta);
     terms, when given, are this state's StateTerms (grad phi and W reused)."""
-    _require_positive_theta(state.theta, "free_energy_density", state)
     t = terms or StateTerms(state, p)
     theta = t.theta
     psi = (
@@ -221,7 +215,6 @@ def free_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field
 
 def entropy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
     """s = -d(psi)/d(theta), expanded in closed form (terms as above)."""
-    _require_positive_theta(state.theta, "entropy_density", state)
     t = terms or StateTerms(state, p)
     phi, theta = t.phi, t.theta
     dth = theta - p.theta_bar
@@ -241,10 +234,10 @@ def internal_energy_density(state: ThermoState, p: ModelParams, terms=None) -> F
     return Field(state.grid, psi + t.theta * t.entropy)
 
 
-def chemical_potential(state: ThermoState, p: ModelParams, dealias: bool = True) -> Field:
-    """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form."""
-    _require_positive_theta(state.theta, "chemical_potential", state)
-    return Field(state.grid, irfftn(state.grid, StateTerms(state, p, dealias).mu_hat))
+def chemical_potential(state: ThermoState, p: ModelParams) -> Field:
+    """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form
+    (the undealiased StateTerms.mu_hat)."""
+    return Field(state.grid, irfftn(state.grid, StateTerms(state, p).mu_hat))
 
 
 def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
@@ -267,13 +260,13 @@ class StateTerms:
     (ThermoState.carried: the spectra and gradients the producing step
     formed) and forms the rest from the state's values.  The carried terms
     a continued run reads are recorded with the state, so a run continued
-    from a recorded state stays bit for bit the uninterrupted run.  dealias
-    applies the 2/3 rule to the step's mu (mu_hat, grad_mu); the audit's
-    production reads mu_hat_raw.
+    from a recorded state stays bit for bit the uninterrupted run.  It holds
+    one mu spectrum, mu_hat, undealiased; the step's grad_mu applies the 2/3
+    rule to it, and the audit's production takes the gradient of mu_hat.
     """
 
-    def __init__(self, state: ThermoState, p: ModelParams, dealias: bool = True):
-        self.state, self.p, self.dealias, self.grid = state, p, dealias, state.grid
+    def __init__(self, state: ThermoState, p: ModelParams):
+        self.state, self.p, self.grid = state, p, state.grid
         self.phi, self.theta = state.phi.values, state.theta.values
         self.__dict__.update(state.carried)  # cached_property reads these first
 
@@ -311,21 +304,15 @@ class StateTerms:
         return rfftn(self.grid, self.bulk[1] / (self.p.eps * self.theta))
 
     @cached_property
-    def mu_hat_raw(self) -> np.ndarray:
+    def mu_hat(self) -> np.ndarray:
         """Spectrum of mu = -div(eps theta grad phi) + dW/dphi / (eps theta)."""
         flux = [self.p.eps * self.theta * g for g in self.grad_phi]
         return self.bulk_hat - div_hat(self.grid, flux)
 
-    @property
-    def mu_hat(self) -> np.ndarray:
-        """mu_hat_raw, under the 2/3 rule when dealias is set (not kept)."""
-        mu = self.mu_hat_raw
-        return mu * self.grid.half_dealias_mask if self.dealias else mu
-
     @cached_property
     def grad_mu(self) -> list[np.ndarray]:
-        """grad mu of the step (from mu_hat)."""
-        return grad_from_hat(self.grid, self.mu_hat)
+        """grad mu of the step: the gradient of mu_hat under the 2/3 rule."""
+        return grad_from_hat(self.grid, self.mu_hat * self.grid.half_dealias_mask)
 
     @cached_property
     def bracket_slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +336,7 @@ class StateTerms:
         """Form the entropy and drop every other formed term but those the
         state carries (march keeps a state's terms past its step only for
         the next audit's ds/dt)."""
-        fresh = StateTerms(self.state, self.p, self.dealias)
+        fresh = StateTerms(self.state, self.p)
         self.__dict__ = {**vars(fresh), "entropy": self.entropy}
 
 
@@ -375,11 +362,8 @@ def entropy_production(t: StateTerms) -> Field:
     + alpha*dphi_dt^2 + kappa|grad theta|^2/theta; the force carries the a1
     coupling when the model is "a1".
     """
-    _require_positive_theta(t.state.theta, "entropy_production", t.state)
     p, dphi_dt = t.p, t.state.dphi_dt_values()
-    # the step's grad mu is the undealiased one when dealias is off
-    grad_mu = grad_from_hat(t.grid, t.mu_hat_raw) if t.dealias else t.grad_mu
-    force_sq = force_square(t, grad_mu, t.grad_rate)
+    force_sq = force_square(t, grad_from_hat(t.grid, t.mu_hat), t.grad_rate)
     out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
     return Field(t.grid, out)
 
@@ -486,10 +470,9 @@ def verify_variational_identities(
         s_of(phi + h_step * dphi, theta + h_step * dtheta)
         - s_of(phi - h_step * dphi, theta - h_step * dtheta)
     ) / (2.0 * h_step)
-    mu_nd = chemical_potential(state, p, dealias=False).values
     grads = grad_arrays(g, phi)
     transport = divergence_arrays(g, [p.eps * theta * gi * dphi for gi in grads])
-    resid = de - (mu_nd * dphi + transport + theta * ds)
+    resid = de - (mu * dphi + transport + theta * ds)
     energy_rate_res = l2_norm(Field(g, resid))
 
     return VariationalReport(entropy_res, gateaux_res, energy_rate_res, h_step)

@@ -8,12 +8,15 @@ of scipy.fft.ifftn as its inverse.
 """
 
 import functools
+import math
+import struct
 
 import numpy as np
 import scipy.fft
 
 from thermoch.besov import chi_bump
-from thermoch.grid import Field
+from thermoch.fieldio import MAGIC, VERSION
+from thermoch.grid import Field, irfftn, rfftn
 
 FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2")
 
@@ -64,6 +67,22 @@ def full_symbols(part):
     return symbols
 
 
+def dealias(grid, values):
+    """values under the 2/3 rule: modes with |k_i| <= (2/3) k_max on every axis kept."""
+    cut = np.ones(grid.shape, dtype=bool)
+    for ki in k_axes(grid):
+        cut &= np.abs(ki) <= (2.0 / 3.0) * np.pi * grid.n / grid.box_len + 1e-12
+    return ifftn_real(fftn(values) * cut)
+
+
+def project_block(f, q, part):
+    """The q-th frequency block of f, back in physical space."""
+    if not part.q_min <= q <= part.q_max:
+        raise ValueError(f"block {q} outside partition range [{part.q_min}, {part.q_max}]")
+    coeffs = rfftn(f.grid, f.values) * part.symbols[q - part.q_min]
+    return Field(f.grid, irfftn(f.grid, coeffs))
+
+
 def band_limited(grid, rng, amp=0.1, kmax_int=4, zero_mean=True):
     """White noise cut to |k_i| <= 2*pi*kmax_int/L on every axis, its mean
     removed (unless zero_mean is False) and its max |value| scaled to amp."""
@@ -76,6 +95,23 @@ def band_limited(grid, rng, amp=0.1, kmax_int=4, zero_mean=True):
     if zero_mean:
         v -= v.mean()
     return Field(grid, amp * v / max(np.max(np.abs(v)), 1e-30))
+
+
+def malformed_field_files(directory) -> dict:
+    """Field files whose header and size agree but whose content is invalid:
+    a header grid with n = 12, one with dim = 0, and a 1D n = 8 payload
+    holding a NaN.  Returns {name: path}."""
+    files = {}
+    for name, dim, n, payload in [
+        ("n12.bin", 1, 12, [0.0] * 12),
+        ("dim0.bin", 0, 8, [0.0]),
+        ("nan.bin", 1, 8, [0.0] * 7 + [math.nan]),
+    ]:
+        path = directory / name
+        header = struct.pack("<4sIIId", MAGIC, VERSION, dim, n, 2.0 * math.pi)
+        path.write_bytes(header + struct.pack(f"<{len(payload)}d", *payload))
+        files[name] = path
+    return files
 
 
 def count_transforms(monkeypatch) -> list:

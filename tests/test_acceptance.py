@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectral_oracle import band_limited, fftn
-from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump, project_block
+from spectral_oracle import band_limited, fftn, project_block
+from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump
 from thermoch.cli import EXIT_OK, main
 from thermoch.diagnostics import ginzburg_landau_energy
 from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, rfftn

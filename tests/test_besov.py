@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared
+from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared, project_block
 from thermoch.besov import (
     BesovReport,
     besov_norm,
@@ -15,7 +15,6 @@ from thermoch.besov import (
     chemin_lerner_norm,
     chi_bump,
     composition_registry,
-    project_block,
     verify_composition_bound,
 )
 from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn

@@ -1,5 +1,6 @@
 """Command-line behavior: orchestration, outputs, exit codes, determinism."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import thermoch
+from spectral_oracle import malformed_field_files
 from thermoch import cli, fieldio
 from thermoch.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, LOCK_NAME, main
 from thermoch.config import generate_initial, load_config
@@ -169,13 +171,17 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
-    def test_from_file_missing_field_exits_4(self, tmp_path):
-        text = GENTLE.format(out=tmp_path / "out").replace(
-            "kind = spinodal\namplitude = 0.001\nseed = 7\nmean = 0.1",
-            f"kind = from_file\npath = {tmp_path / 'ghost.bin'}",
-        )
-        cfg = write_config(tmp_path, text)
-        assert main(["simulate", "--config", str(cfg)]) == EXIT_IO
+    def test_from_file_missing_field_exits_4(self, tmp_path, capsys):
+        # a missing file, then malformed ones: an invalid header grid, a NaN payload
+        paths = [tmp_path / "ghost.bin", *malformed_field_files(tmp_path).values()]
+        for path, command in itertools.product(paths, ["simulate", "check-smallness"]):
+            text = GENTLE.format(out=tmp_path / "out").replace(
+                "kind = spinodal\namplitude = 0.001\nseed = 7\nmean = 0.1",
+                f"kind = from_file\npath = {path}",
+            )
+            cfg = write_config(tmp_path, text)
+            assert main([command, "--config", str(cfg)]) == EXIT_IO
+            assert str(path) in capsys.readouterr().err
 
     def test_isothermal_model_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -344,9 +350,12 @@ class TestAnalysisCommands:
         assert math.isclose(sum(blocks), total, rel_tol=1e-9)
 
     def test_besov_norm_missing_file_exits_4(self, tmp_path, capsys):
-        code = main(["besov-norm", "--field", str(tmp_path / "ghost.bin")])
-        assert code == EXIT_IO
-        assert "ghost.bin" in capsys.readouterr().err
+        # a missing file, then malformed ones: an invalid header grid, a NaN payload
+        paths = [tmp_path / "ghost.bin", *malformed_field_files(tmp_path).values()]
+        for path in paths:
+            code = main(["besov-norm", "--field", str(path)])
+            assert code == EXIT_IO
+            assert str(path) in capsys.readouterr().err
 
     def test_demo_caginalp_prints_drift_table(self, capsys):
         assert main(["demo-caginalp"]) == EXIT_OK

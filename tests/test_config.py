@@ -38,7 +38,6 @@ class TestLoadConfig:
         assert cfg.dt == 1e-3
         assert cfg.t_end == 0.1
         assert cfg.output_every == 10
-        assert cfg.dealias is True
         assert cfg.output_dir == "out"
         assert cfg.eps0 == 0.5
         p = cfg.params
@@ -58,8 +57,13 @@ class TestLoadConfig:
         assert cfg.params.reg_delta == 0.05
 
     def test_unknown_key_error_names_it(self):
-        with pytest.raises(ConfigError, match="epsilonn"):
-            loads_config(MINIMAL + "\n[physics]\nepsilonn = 2.0\n")
+        # the 2/3 rule is always on, so a config that sets dealias is rejected
+        for extra, key in [
+            ("\n[physics]\nepsilonn = 2.0\n", "epsilonn"),
+            ("dealias = false\n", "dealias"),  # MINIMAL ends in its [run] section
+        ]:
+            with pytest.raises(ConfigError, match=key):
+                loads_config(MINIMAL + extra)
 
     def test_unknown_section_error_names_it(self):
         with pytest.raises(ConfigError, match=r"\[outputs\]"):
@@ -156,7 +160,6 @@ class TestCanonicalForm:
         text = canonical_text(loads_config(MINIMAL))
         assert "box_len = 6.283185307179586" in text
         assert "dt = 0.001" in text
-        assert "dealias = true" in text
 
     def test_only_relevant_init_keys_emitted(self):
         text = canonical_text(

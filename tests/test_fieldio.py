@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from spectral_oracle import malformed_field_files
 from thermoch.fieldio import (
     MAGIC,
     VERSION,
@@ -79,6 +80,16 @@ class TestBinaryFormat:
         path.write_bytes(b"TH")
         with pytest.raises(FieldIOError, match="truncated"):
             read_field(path)
+
+    @pytest.mark.parametrize(
+        "name,match",
+        [("n12.bin", "power of two"), ("dim0.bin", "dim must be"), ("nan.bin", "non-finite")],
+    )
+    def test_invalid_grid_or_payload_rejected(self, tmp_path, name, match):
+        path = malformed_field_files(tmp_path)[name]
+        with pytest.raises(FieldIOError, match=match) as err:
+            read_field(path)
+        assert str(path) in str(err.value)
 
     def test_read_result_is_writable_copy(self, tmp_path):
         f = random_field(1, 8, seed=5)

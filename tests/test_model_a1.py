@@ -39,7 +39,7 @@ def params(**kw):
 def coupling_flux(s, p):
     """The a1 step's phase-equation coupling div(s grad(theta) phi/(phi^2 + delta^2))."""
     t = StateTerms(s, p)
-    return Field(s.grid, irfftn(s.grid, div_hat(s.grid, t.coupling, mask=t.dealias)))
+    return Field(s.grid, irfftn(s.grid, div_hat(s.grid, t.coupling, mask=True)))
 
 
 def velocity(s, mu, p):
@@ -106,7 +106,7 @@ class TestVelocity:
         assert float(np.min(np.abs(phi.values))) >= 0.5
         rate = band_limited(GRID, rng, amp=0.2, kmax_int=3)
         s = ThermoState(phi, Field(GRID, np.ones(GRID.shape)), dphi_dt=rate)
-        mu = chemical_potential(s, p, dealias=False)
+        mu = chemical_potential(s, p)
         u = velocity(s, mu, p)
         minus_div_phi_u = -divergence(
             [s.phi.values * ui for ui in u]

@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from spectral_oracle import band_limited, count_transforms, k_squared
+from spectral_oracle import band_limited, count_transforms, dealias, k_squared
 from thermoch.diagnostics import audit
 from thermoch.grid import Field, GridSpec, NonFiniteError, grad_arrays, irfftn, rfftn
 from thermoch.model_a2 import (
@@ -29,7 +29,7 @@ from thermoch.thermo import (
     _bracket_b,
     _regularized_recip,
     bulk_potential,
-    entropy_production,
+    chemical_potential,
     total_energy,
 )
 
@@ -65,9 +65,9 @@ def f1_values(state, p):
     return irfftn(state.grid, _f1_hat(StateTerms(state, p)))
 
 
-def f2_values(state, rate, p, dealias=True):
+def f2_values(state, rate, p):
     """f2 in real space for the phase rate array `rate`, from the spectrum the step forms."""
-    terms = StateTerms(state, p, dealias)
+    terms = StateTerms(state, p)
     return irfftn(state.grid, _f2_hat(terms, rate, grad_arrays(state.grid, rate)))
 
 
@@ -132,15 +132,17 @@ class TestRhsF1:
 class TestRhsF2:
     def test_static_state_is_dissipation_square(self):
         # no rates anywhere: f2 collapses to |grad mu|^2, the first summand
-        # of the entropy production at zero phase rate and constant theta
+        # of the entropy production at zero phase rate and constant theta,
+        # with the 2/3 rule applied to mu and to the square as the step does
         rng = np.random.default_rng(5)
         p = params()
         s = ThermoState(band_limited(GRID2, rng), Field(GRID2, np.ones(GRID2.shape)))
         zero_rate = np.zeros(GRID2.shape)
-        f2 = f2_values(s, zero_rate, p, dealias=False)
-        production = entropy_production(StateTerms(s, p, dealias=False))
+        f2 = f2_values(s, zero_rate, p)
+        mu = chemical_potential(s, p).values
+        expected = dealias(GRID2, sum(g * g for g in grad_arrays(GRID2, dealias(GRID2, mu))))
         assert np.min(f2) >= 0.0
-        assert np.max(np.abs(f2 - production.values)) < 1e-12
+        assert np.max(np.abs(f2 - expected)) < 1e-12
 
     def test_manufactured_reassembly(self):
         # hand-assembled formula on smooth fields with prescribed rates
@@ -151,7 +153,7 @@ class TestRhsF2:
         rate_phi = band_limited(GRID2, rng, amp=0.5)
         rate_theta = band_limited(GRID2, rng, amp=0.5)
         s = ThermoState(phi, Field(GRID2, theta_vals), dtheta_dt=rate_theta)
-        f2 = f2_values(s, rate_phi.values, p, dealias=False)
+        f2 = f2_values(s, rate_phi.values, p)
 
         ph, th, rp = phi.values, theta_vals, rate_phi.values
         dth = th - p.theta_bar
@@ -170,12 +172,13 @@ class TestRhsF2:
         for i, comp in enumerate(flux):
             div_flux += grad_arrays(GRID2, comp)[i]
         mu = -div_flux + dwdphi / (p.eps * th)
-        grads_mu = grad_arrays(GRID2, mu)
+        grads_mu = grad_arrays(GRID2, dealias(GRID2, mu))
         grads_rate = grad_arrays(GRID2, rp)
         expected = p.alpha * rp**2 - th * (db_dphi * rp + db_dth * rate_theta.values)
         for i in range(2):
             expected += p.eps * th * grads_rate[i] * grads_phi[i]
             expected += (grads_mu[i] + p.alpha * grads_rate[i]) ** 2
+        expected = dealias(GRID2, expected)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(f2 - expected)) < 1e-10 * scale
 
@@ -186,16 +189,14 @@ class TestRhsF2:
         theta = Field(GRID2, 1.0 + band_limited(GRID2, rng, amp=0.2).values)
         rate_phi = band_limited(GRID2, rng, amp=0.5)
         cache = band_limited(GRID2, rng, amp=1.0)
-        without = f2_values(ThermoState(phi, theta), rate_phi.values, p, dealias=False)
-        with_cache = f2_values(
-            ThermoState(phi, theta, dtheta_dt=cache), rate_phi.values, p, dealias=False
-        )
+        without = f2_values(ThermoState(phi, theta), rate_phi.values, p)
+        with_cache = f2_values(ThermoState(phi, theta, dtheta_dt=cache), rate_phi.values, p)
         from thermoch.thermo import _bracket_b
 
         _, db_dth = _bracket_b(
             phi.values, theta.values, p, bulk_potential(phi.values, theta.values, p)
         )
-        expected_gap = -theta.values * db_dth * cache.values
+        expected_gap = dealias(GRID2, -theta.values * db_dth * cache.values)
         assert np.max(np.abs(with_cache - without - expected_gap)) < 1e-12
 
     def test_a1_without_regularization_is_singular_at_phi_zero(self):

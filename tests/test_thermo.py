@@ -141,7 +141,7 @@ class TestChemicalPotential:
         phi = band_limited(GRID1, rng, 0.5, zero_mean=False).values
         theta = 1.5 + band_limited(GRID1, rng, 0.3, zero_mean=False).values
         st = ThermoState(Field(GRID1, phi), Field(GRID1, theta))
-        mu = chemical_potential(st, p, dealias=False).values
+        mu = chemical_potential(st, p).values
         lap_phi = ifftn_real(fftn(phi) * (-k_squared(GRID1)))
         _, dw_dphi, _ = bulk_potential(phi, theta, p)
         naive = -p.eps * theta * lap_phi + dw_dphi / (p.eps * theta)
