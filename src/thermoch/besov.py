@@ -29,9 +29,13 @@ Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
 (its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
 point lies in at most two consecutive blocks, so one ring index per point
-gives all block energies in one bincount pass (block_energies).  The
-symbols are sampled on the half lattice too; being radial, they take the
-same value on a point and its conjugate partner.
+gives a snapshot's block energies in two bincounts (power_energies).  A
+series is contracted one snapshot at a time, from |f_hat|^2 formed in a
+reusable half-lattice buffer, so no (n_times, ...) stack of powers, bins or
+weighted products is ever formed (block_energies; picard.k_norm streams its
+series the same way).  The symbols are sampled on the half lattice too;
+being radial, they take the same value on a point and its conjugate
+partner.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ __all__ = [
     "CompositionReport",
     "build_partition",
     "half_spectra",
+    "power_energies",
     "block_energies",
     "besov_norm",
     "chemin_lerner_norm",
@@ -116,6 +121,16 @@ class DyadicPartition:
         w = mult.ravel() * g.box_len**g.dim / float(g.size) ** 2
         return lower, sym[lower, points] ** 2 * w, sym[lower + 1, points] ** 2 * w
 
+    def weighted_rings(self, weight=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rings with an operator weight, |multiplier|^2 on the half lattice
+        (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian),
+        folded into both ring weights."""
+        lower, w_lower, w_upper = self.rings
+        if weight is None:
+            return lower, w_lower, w_upper
+        weight = np.broadcast_to(weight, self.grid.half_shape).ravel()
+        return lower, w_lower * weight, w_upper * weight
+
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
     r = np.sqrt(-grid.half_lap)
@@ -143,25 +158,33 @@ def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
     return np.stack([rfftn(grid, f.values) for f in series])
 
 
+def power_energies(power: np.ndarray, rings, n_blocks: int) -> np.ndarray:
+    """Squared L2 norms of the n_blocks dyadic blocks of one snapshot, from
+    its |f_hat|^2 on the flattened half lattice and a partition's
+    (weighted_)rings: two bincounts over the ring index."""
+    lower, w_lower, w_upper = rings
+    out = np.bincount(lower, power * w_lower, minlength=n_blocks + 1)
+    out[1:] += np.bincount(lower, power * w_upper, minlength=n_blocks + 1)[:-1]
+    return out[:n_blocks]  # the spare last bin takes the empty top block
+
+
 def block_energies(hats: np.ndarray, part: DyadicPartition, weight=None) -> np.ndarray:
-    """Squared L2 norms of every dyadic block, in one ring-index pass.
+    """Squared L2 norms of every dyadic block, one snapshot at a time.
 
     hats holds half spectra, shape (..., *half_shape); weight, when given,
-    is an operator's |multiplier|^2 on the half lattice (grid.half_grad_sq
-    for the gradient, |k|^4 for the Laplacian).  Returns (..., n_blocks).
+    is an operator weight as in DyadicPartition.weighted_rings.  Returns
+    (..., n_blocks).  |f_hat|^2 is formed in one half-lattice buffer per
+    snapshot, so no stack beyond hats is formed.
     """
-    lower, w_lower, w_upper = part.rings
-    if weight is not None:
-        weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
-        w_lower, w_upper = w_lower * weight, w_upper * weight
+    rings = part.weighted_rings(weight)
     n_blocks = len(part.symbols)
-    rows = np.square(np.abs(hats)).reshape(-1, lower.size)
-    stride = n_blocks + 1  # each row's spare last bin takes the empty top block
-    bins = (lower + stride * np.arange(len(rows))[:, None]).ravel()
-    out = np.bincount(bins, (rows * w_lower).ravel(), minlength=stride * len(rows))
-    out[1:] += np.bincount(bins, (rows * w_upper).ravel(), minlength=out.size)[:-1]
-    lead = hats.shape[: hats.ndim - part.grid.dim]
-    return out.reshape(-1, stride)[:, :n_blocks].reshape(lead + (n_blocks,))
+    rows = hats.reshape(-1, rings[0].size)
+    out = np.empty((len(rows), n_blocks))
+    power = np.empty(rings[0].size)
+    for row, energies in zip(rows, out):
+        np.square(np.abs(row, out=power), out=power)
+        energies[:] = power_energies(power, rings, n_blocks)
+    return out.reshape(hats.shape[: hats.ndim - part.grid.dim] + (n_blocks,))
 
 
 @dataclass

@@ -12,14 +12,18 @@ All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
 of the forcing at the snapshot times (left endpoints).
 
-The Picard loop carries the free flow and both corrections as stacks of
-rfftn half spectra, shape (n_times, *half_shape).  One application of the
-map inverts each snapshot's two absolute fields once, forms both forcings
-from one thermo.StateTerms and advances the corrections by one exact
-interval, so no forcing series is kept.  The iterate norm measures the
-spectra directly: rates are differences of snapshot spectra and every
-derivative is a weight on |f_hat|^2 (besov.block_energies), so k_norm makes
-no transform.  The public functions still take Field lists.
+The Picard loop carries both corrections as stacks of rfftn half spectra,
+shape (n_times, *half_shape); the free flow phi0_hat * exp(-lam t) is formed
+per snapshot where it is read, not kept.  One application of the map
+inverts each snapshot's two absolute fields once, forms both forcings from
+one thermo.StateTerms and advances the corrections by one exact interval,
+so no forcing series is kept.  The iterate norm measures the spectra
+directly and streams them: one snapshot at a time, it forms |f_hat|^2 and
+the backward rate's power in reusable half-lattice buffers and contracts
+them against the dyadic rings (besov.power_energies), every derivative a
+weight on |f_hat|^2.  So k_norm makes no transform, the norm of a successive
+difference forms no difference stack, and its memory does not grow with
+the number of norm passes.  The public functions still take Field lists.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ import numpy as np
 from .besov import (
     DyadicPartition,
     SmallnessReport,
+    _time_then_blocks,
     besov_norm,
     check_smallness,
     chemin_lerner_norm,
     half_spectra,
+    power_energies,
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, laplacian_array, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
@@ -79,6 +85,12 @@ def _check_times(times) -> np.ndarray:
 def _decay(hat0: np.ndarray, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Half spectra of the unforced flow hat0 * exp(-lam t) at every time."""
     return hat0 * np.exp(-times.reshape(-1, *[1] * lam.ndim) * lam)
+
+
+def _free_flow(hat0: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """Half spectrum of the unforced flow at the one time t: _decay's row
+    for t, bit for bit."""
+    return hat0 * np.exp(-t * lam)
 
 
 def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -155,38 +167,91 @@ class KNormReport:
         return float(sum(self.summands.values()))
 
 
-def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
+def _snapshot_energies(hats, minus, times, part: DyadicPartition, weights, rate_weights):
+    """Block energies, one row per snapshot, of the series hats - minus
+    (hats alone when minus is None) under each operator weight in weights,
+    and of its backward-difference rate (zero on the first snapshot) under
+    each one in rate_weights.
+
+    The series is read one snapshot at a time: the difference, the rate and
+    |.|^2 go to reusable half-lattice buffers, and each power is contracted
+    against the rings once per weight, so no (n_times, ...) stack is formed
+    beyond the inputs.  The rows equal besov.block_energies of the stacked
+    series and rates bit for bit.
+    """
+    n_blocks = len(part.symbols)
+    rings = [part.weighted_rings(w) for w in weights]
+    rate_rings = [part.weighted_rings(w) for w in rate_weights]
+    energies = np.zeros((len(rings), times.size, n_blocks))
+    rate_energies = np.zeros((len(rate_rings), times.size, n_blocks))
+    inv_dt = 1.0 / np.diff(times)
+    rows = hats.reshape(times.size, -1)
+    subs = None if minus is None else minus.reshape(times.size, -1)
+    diff = np.empty((2, rows.shape[1]), dtype=complex)  # this and the last snapshot
+    rate = np.empty(rows.shape[1], dtype=complex)
+    power = np.empty(rows.shape[1])
+
+    def contract(values, rings, out, t):
+        np.square(np.abs(values, out=power), out=power)
+        for r, e in zip(rings, out):
+            e[t] = power_energies(power, r, n_blocks)
+
+    prev = None
+    for t in range(times.size):
+        row = rows[t] if subs is None else np.subtract(rows[t], subs[t], out=diff[t % 2])
+        contract(row, rings, energies, t)
+        if t:
+            np.subtract(row, prev, out=rate)
+            rate *= inv_dt[t - 1]
+            contract(rate, rate_rings, rate_energies, t)
+        prev = row
+    return energies, rate_energies
+
+
+def k_norm(dphi, dtheta, part: DyadicPartition, times, minus=None) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
     dphi and dtheta are Field lists or stacks of half spectra of shape
     (n_times, *half_shape); spectra are measured without any transform.
-    Time derivatives are backward differences of the series (zero on the
-    first snapshot, matching corrections that start from rest), so at least
-    three snapshots are required for the rate terms to mean anything.
+    minus, when given, is a pair of such series subtracted from (dphi,
+    dtheta) snapshot by snapshot: the norm of the difference, without a
+    difference stack.  Time derivatives are backward differences of the
+    series (zero on the first snapshot, matching corrections that start from
+    rest), so at least three snapshots are required for the rate terms to
+    mean anything.
     """
     times = _check_times(times)
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
     grid = part.grid
-    phi_hat = half_spectra(dphi, grid, times.size)
-    theta_hat = half_spectra(dtheta, grid, times.size)
-    phi_rate = _backward_rates(phi_hat, times)
+    phi_hat, theta_hat = (half_spectra(f, grid, times.size) for f in (dphi, dtheta))
+    if minus is None:
+        minus = (None, None)
+    else:
+        minus = tuple(half_spectra(f, grid, times.size) for f in minus)
     s_lo = grid.dim / 2.0
     s_hi = s_lo + 2.0
 
     # derivatives are weights on |f_hat|^2: |k|^8 for the bilaplacian, |k|^4
     # for the Laplacian, half_grad_sq for the gradient
-    def norm(hats, s, rho, weight=None):
-        return chemin_lerner_norm(hats, times, s, rho, part, weight)
+    (phi, phi_bilap), (phi_rate, phi_rate_grad) = _snapshot_energies(
+        phi_hat, minus[0], times, part, (None, grid.half_bilap**2), (None, grid.half_grad_sq)
+    )
+    (theta, theta_lap), (theta_rate,) = _snapshot_energies(
+        theta_hat, minus[1], times, part, (None, grid.half_bilap), (None,)
+    )
+
+    def norm(energy, s, rho):
+        return _time_then_blocks(energy, times, s, rho, part)
 
     return KNormReport(
-        phi_sup=norm(phi_hat, s_hi, math.inf),
-        phi_bilap_int=norm(phi_hat, s_lo, 1, grid.half_bilap**2),
+        phi_sup=norm(phi, s_hi, math.inf),
+        phi_bilap_int=norm(phi_bilap, s_lo, 1),
         phi_rate_sq=norm(phi_rate, s_lo, 2),
-        phi_rate_grad_sq=norm(phi_rate, s_lo, 2, grid.half_grad_sq),
-        theta_sup=norm(theta_hat, s_lo, math.inf),
-        theta_lap_int=norm(theta_hat, s_lo, 1, grid.half_bilap),
-        theta_rate_int=norm(_backward_rates(theta_hat, times), s_lo, 1),
+        phi_rate_grad_sq=norm(phi_rate_grad, s_lo, 2),
+        theta_sup=norm(theta, s_lo, math.inf),
+        theta_lap_int=norm(theta_lap, s_lo, 1),
+        theta_rate_int=norm(theta_rate, s_lo, 1),
     )
 
 
@@ -274,28 +339,29 @@ class PicardReport:
         return "\n".join(lines) + "\n"
 
 
-def _solution_map(grid: GridSpec, dphi, dtheta, phi_free, dtheta0_hat, p: ModelParams, times):
+def _solution_map(grid: GridSpec, dphi, dtheta, phi0_hat, dtheta0_hat, p: ModelParams, times):
     """One application of the solution map: freeze forcings, solve linear.
 
-    All series are stacks of half spectra.  The forcings are the two
+    The corrections are stacks of half spectra.  The forcings are the two
     expanded right-hand sides evaluated on the absolute fields of the
-    current iterate (free flow plus corrections), with backward-difference
-    rates; the new corrections solve the damped bilaplacian / heat problems
-    with initial data (0, dtheta0), one exact interval per snapshot.  A
-    snapshot inverts its two fields once, and one StateTerms, started from
-    the phase spectrum the iterate holds, serves both forcings; the rate
-    gradient is the difference of consecutive snapshot gradients, as in
-    model_a2.imex_step.  The last state is validated but acts beyond the
-    horizon.
+    current iterate (the free flow of phi0_hat, formed per snapshot, plus
+    the corrections), with backward-difference rates; the new corrections
+    solve the damped bilaplacian / heat problems with initial data (0,
+    dtheta0), one exact interval per snapshot.  A snapshot inverts its two
+    fields once, and one StateTerms, started from the phase spectrum the
+    iterate holds, serves both forcings; the rate gradient is the
+    difference of consecutive snapshot gradients, as in model_a2.imex_step.
+    The last state is validated but acts beyond the horizon.
     """
     step = times[1] - times[0]  # uniform (PicardConfig.times)
-    phi_decay, phi_gain = _etd_factors(*_phi_rates_and_mass(grid, p), step)
+    lam, mass = _phi_rates_and_mass(grid, p)
+    phi_decay, phi_gain = _etd_factors(lam, mass, step)
     theta_decay, theta_gain = _etd_factors(*_theta_rates_and_mass(grid, p), step)
     new_dphi, new_dtheta = np.empty_like(dphi), np.empty_like(dtheta)
     new_dphi[0], new_dtheta[0] = 0.0, dtheta0_hat
     prev = prev_grad = None
     for j in range(times.size):
-        phi_hat = phi_free[j] + dphi[j]
+        phi_hat = _free_flow(phi0_hat, lam, times[j]) + dphi[j]
         now = (irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, dtheta[j]))
         dt = times[j] - times[j - 1] if j else 1.0  # the first rates are now - now = 0
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
@@ -359,10 +425,10 @@ def picard_iterate(
         raise ValueError(f"the solution map linearizes model 'a2', got {p.model!r}")
     times = cfg.times
 
-    phi_free = _decay(rfftn(grid, phi0.values), _phi_rates_and_mass(grid, p)[0], times)
+    phi0_hat = rfftn(grid, phi0.values)
     dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
-    dphi = np.zeros_like(phi_free)
     dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
+    dphi = np.zeros_like(dtheta)
 
     rows: list[PicardRow] = []
     converged = diverged = False
@@ -371,9 +437,9 @@ def picard_iterate(
     for m in range(1, cfg.n_iter + 1):
         try:
             new_dphi, new_dtheta = _solution_map(
-                grid, dphi, dtheta, phi_free, dtheta0_hat, p, times
+                grid, dphi, dtheta, phi0_hat, dtheta0_hat, p, times
             )
-            diff = k_norm(new_dphi - dphi, new_dtheta - dtheta, part, times).total
+            diff = k_norm(new_dphi, new_dtheta, part, times, minus=(dphi, dtheta)).total
             size = k_norm(new_dphi, new_dtheta, part, times).total
         except (PositivityError, ValueError, FloatingPointError):
             # the iterate left the domain of the map (temperature through
@@ -400,7 +466,8 @@ def picard_iterate(
             diverged = True
             break
 
-    final_phi = Field(grid, irfftn(grid, phi_free[-1] + dphi[-1]))
+    phi_end = _free_flow(phi0_hat, _phi_rates_and_mass(grid, p)[0], times[-1])
+    final_phi = Field(grid, irfftn(grid, phi_end + dphi[-1]))
     final_theta = Field(grid, p.theta_bar + irfftn(grid, dtheta[-1]))
     return PicardReport(
         rows=tuple(rows),

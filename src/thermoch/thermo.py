@@ -170,28 +170,31 @@ def _argmin_index(values: np.ndarray) -> tuple[int, ...]:
 
 
 def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
-    """W, dW/dphi, dW/dtheta as arrays (broadcasting over the inputs)."""
+    """W and dW/dphi as arrays (broadcasting over the inputs); phi^2 and
+    (theta - theta_bar)^3 are formed once.  dW/dtheta = (theta -
+    theta_bar)^2 phi^2 enters no equation and is not formed."""
     dth = theta - p.theta_bar
     c = dth * dth * dth / 3.0
-    w = 0.25 * (phi**2 - 1.0) ** 2 + c * phi**2
-    dw_dphi = (phi**2 - 1.0) * phi + 2.0 * c * phi
-    dw_dtheta = dth**2 * phi**2
-    return w, dw_dphi, dw_dtheta
+    phi_sq = phi * phi
+    well = phi_sq - 1.0
+    w = 0.25 * well * well + c * phi_sq
+    dw_dphi = (well + 2.0 * c) * phi
+    return w, dw_dphi
 
 
 def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams, bulk):
     """dB/dphi and dB/dtheta of B = W/(eps theta^2) - (theta-theta_bar)^2
-    phi^2/(eps theta), the theta-equation's chain-rule bracket; bulk starts
-    with W and dW/dphi of (phi, theta), as bulk_potential returns them.  B
-    itself enters no equation."""
-    w, dw_dphi = bulk[:2]
+    phi^2/(eps theta), the theta-equation's chain-rule bracket; bulk is (W,
+    dW/dphi) of (phi, theta), as bulk_potential returns them.  B itself
+    enters no equation.  1/(eps theta), (theta - theta_bar)^2 and phi^2 are
+    formed once and shared by both slopes."""
+    w, dw_dphi = bulk
+    recip = 1.0 / (p.eps * theta)
     dth = theta - p.theta_bar
-    db_dphi = dw_dphi / (p.eps * theta**2) - 2.0 * dth**2 * phi / (p.eps * theta)
-    db_dtheta = (
-        2.0 * dth**2 * phi**2 / (p.eps * theta**2)
-        - 2.0 * w / (p.eps * (theta * theta * theta))
-        - 2.0 * dth * phi**2 / (p.eps * theta)
-    )
+    dth_sq = dth * dth
+    phi_sq = phi * phi
+    db_dphi = recip * (dw_dphi / theta - 2.0 * dth_sq * phi)
+    db_dtheta = recip * (2.0 * (dth_sq * phi_sq - w / theta) / theta - 2.0 * dth * phi_sq)
     return db_dphi, db_dtheta
 
 
@@ -228,10 +231,17 @@ def entropy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
 
 
 def internal_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
-    """e = psi + theta*s. The |grad phi|^2 contributions cancel exactly."""
+    """e = psi + theta*s in closed form: the |grad phi|^2 and log(theta)
+    contributions cancel exactly, leaving
+
+        e = 2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta
+
+    (terms as in free_energy_density; W reused)."""
     t = terms or StateTerms(state, p)
-    psi = free_energy_density(state, p, t).values
-    return Field(state.grid, psi + t.theta * t.entropy)
+    phi, theta = t.phi, t.theta
+    dth_phi = (theta - p.theta_bar) * phi
+    e = (2.0 * t.bulk[0] / theta - dth_phi * dth_phi) / p.eps + p.k_b * theta
+    return Field(state.grid, e)
 
 
 def chemical_potential(state: ThermoState, p: ModelParams) -> Field:
@@ -294,9 +304,8 @@ class StateTerms:
 
     @cached_property
     def bulk(self) -> tuple[np.ndarray, np.ndarray]:
-        """(W, dW/dphi) of the state from bulk_potential; no term reads dW/dtheta."""
-        w, dw_dphi, _ = bulk_potential(self.phi, self.theta, self.p)
-        return w, dw_dphi
+        """(W, dW/dphi) of the state from bulk_potential."""
+        return bulk_potential(self.phi, self.theta, self.p)
 
     @cached_property
     def bulk_hat(self) -> np.ndarray:
@@ -354,17 +363,21 @@ def force_square(
     return _sum_sq(force)
 
 
-def entropy_production(t: StateTerms) -> Field:
+def entropy_production(t: StateTerms, conduction=None) -> Field:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
     sum of squares.
 
     force_square of the undealiased grad mu and the state's grad(dphi/dt),
     + alpha*dphi_dt^2 + kappa|grad theta|^2/theta; the force carries the a1
-    coupling when the model is "a1".
+    coupling when the model is "a1".  conduction, when given, is the last
+    term as the caller formed it (diagnostics.audit, whose residual reads it
+    too).
     """
     p, dphi_dt = t.p, t.state.dphi_dt_values()
+    if conduction is None:
+        conduction = p.kappa * _sum_sq(t.grad_theta) / t.theta
     force_sq = force_square(t, grad_from_hat(t.grid, t.mu_hat), t.grad_rate)
-    out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
+    out = force_sq + p.alpha * dphi_dt**2 + conduction
     return Field(t.grid, out)
 
 

@@ -1,6 +1,7 @@
 """Linear propagators, iterate norm, fixed-point loop, estimate checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from thermoch.picard import (
     PicardConfig,
     REPORT_CSV_HEADER,
     _decay,
+    _free_flow,
     _linear_solve,
     _phi_rates_and_mass,
     _solution_map,
@@ -68,6 +70,16 @@ class TestFreeEvolution:
         f = Field(GRID2, np.full(GRID2.shape, 0.7))
         for h in free_hats(f, params(), [0.1, 1.0, 10.0]):
             assert np.max(np.abs(irfftn(GRID2, h) - 0.7)) < 1e-13
+
+    def test_per_snapshot_flow_is_decay_row_bitwise(self):
+        rng = np.random.default_rng(5)
+        p = params(alpha=1.0, theta_bar=100.0)
+        hat0 = rfftn(GRID2, band_limited(GRID2, rng, amp=0.5, kmax=10.0).values)
+        lam = _phi_rates_and_mass(GRID2, p)[0]
+        times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-4).times
+        rows = _decay(hat0, lam, times)
+        for t, row in zip(times, rows):
+            assert np.array_equal(_free_flow(hat0, lam, t), row)
 
     def test_single_mode_matches_scalar_exponential(self):
         x = GRID1.axes[0]
@@ -314,6 +326,40 @@ class TestSpectralKNorm:
         for name, value in want.summands.items():
             assert got.summands[name] == pytest.approx(value, rel=1e-14)
 
+    def test_streamed_difference_matches_difference_stack(self):
+        rng = np.random.default_rng(13)
+        times = np.linspace(0.0, 0.05, 7)
+        series = [nyquist_series(GRID2, rng, times.size, amp) for amp in (0.2, 0.1, 0.3, 0.05)]
+        phi, theta, phi_old, theta_old = (
+            np.stack([rfftn(GRID2, f.values) for f in s]) for s in series
+        )
+        want = k_norm(phi - phi_old, theta - theta_old, PART2, times)
+        got = k_norm(phi, theta, PART2, times, minus=(phi_old, theta_old))
+        for name, value in want.summands.items():
+            assert value > 0.0
+            assert got.summands[name] == pytest.approx(value, rel=1e-14), name
+
+    def test_memory_beyond_inputs_is_a_fraction_of_one_stack(self):
+        # criterion 11's spectra: 101 snapshots of the 64^2 half lattice
+        grid = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
+        part = build_partition(grid)
+        times = np.linspace(0.0, 1e-2, 101)
+        rng = np.random.default_rng(14)
+        shape = (times.size, *grid.half_shape)
+        phi, theta, phi_old, theta_old = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)
+        )
+        k_norm(phi, theta, part, times)  # the partition's lazy rings, the grid's weights
+        for minus in (None, (phi_old, theta_old)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                k_norm(phi, theta, part, times, minus=minus)
+                extra = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert extra < phi.nbytes / 4, (minus is not None, extra)
+
     def test_spectra_of_wrong_shape_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
         bad = np.zeros((3,) + GRID2.shape, dtype=complex)
@@ -417,12 +463,12 @@ class TestPicardIterate:
         # that forces, plus the two inversions of the last one
         phi0, theta0, p = admissible_data()
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
-        phi_free = _decay(rfftn(GRID2, phi0.values), _phi_rates_and_mass(GRID2, p)[0], times)
+        phi0_hat = rfftn(GRID2, phi0.values)
         dtheta0_hat = rfftn(GRID2, theta0.values - p.theta_bar)
         dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(GRID2, p)[0], times)
         calls = count_transforms(monkeypatch)
         new_dphi, new_dtheta = _solution_map(
-            GRID2, np.zeros_like(phi_free), dtheta, phi_free, dtheta0_hat, p, times
+            GRID2, np.zeros_like(dtheta), dtheta, phi0_hat, dtheta0_hat, p, times
         )
         assert 0 < len(calls) <= 12 * (times.size - 1) + 2
         assert set(calls) <= {"rfftn", "irfftn"}

@@ -11,6 +11,7 @@ from thermoch.thermo import (
     SingularityError,
     StateTerms,
     ThermoState,
+    _bracket_b,
     bulk_potential,
     chemical_potential,
     entropy_density,
@@ -55,10 +56,9 @@ class TestBulkPotential:
     def test_frozen_point_value(self):
         # phi = 0.5, theta = theta_bar + 1: W = 0.5625/4 + (1/3)*0.25 exactly
         p = params()
-        w, dw_dphi, dw_dtheta = bulk_potential(np.float64(0.5), np.float64(2.0), p)
+        w, dw_dphi = bulk_potential(np.float64(0.5), np.float64(2.0), p)
         assert w == pytest.approx(0.140625 + 1.0 / 12.0, abs=1e-15)
         assert dw_dphi == pytest.approx(-0.375 + 1.0 / 3.0, abs=1e-15)
-        assert dw_dtheta == pytest.approx(0.25, abs=1e-15)
 
     def test_derivatives_against_fd(self):
         rng = np.random.default_rng(21)
@@ -66,15 +66,33 @@ class TestBulkPotential:
         phi = rng.uniform(-1.5, 1.5, size=50)
         theta = rng.uniform(0.5, 5.0, size=50)
         h = 1e-6
-        w, dw_dphi, dw_dtheta = bulk_potential(phi, theta, p)
+        w, dw_dphi = bulk_potential(phi, theta, p)
+        dw_dtheta = (theta - p.theta_bar) ** 2 * phi**2  # analytic; bulk_potential omits it
         fd_phi = (bulk_potential(phi + h, theta, p)[0] - bulk_potential(phi - h, theta, p)[0]) / (2 * h)
         fd_th = (bulk_potential(phi, theta + h, p)[0] - bulk_potential(phi, theta - h, p)[0]) / (2 * h)
         assert np.max(np.abs(dw_dphi - fd_phi)) < 1e-8
         assert np.max(np.abs(dw_dtheta - fd_th)) < 1e-8
 
+    def test_bracket_slopes_against_fd(self):
+        # B = W/(eps theta^2) - (theta - theta_bar)^2 phi^2/(eps theta)
+        rng = np.random.default_rng(22)
+        p = params(eps=0.7, theta_bar=1.3)
+        phi = rng.uniform(-1.5, 1.5, size=50)
+        theta = rng.uniform(0.5, 5.0, size=50)
+
+        def b(ph, th):
+            return bulk_potential(ph, th, p)[0] / (p.eps * th**2) - (
+                th - p.theta_bar
+            ) ** 2 * ph**2 / (p.eps * th)
+
+        h = 1e-6
+        db_dphi, db_dtheta = _bracket_b(phi, theta, p, bulk_potential(phi, theta, p))
+        assert np.max(np.abs(db_dphi - (b(phi + h, theta) - b(phi - h, theta)) / (2 * h))) < 1e-7
+        assert np.max(np.abs(db_dtheta - (b(phi, theta + h) - b(phi, theta - h)) / (2 * h))) < 1e-7
+
     def test_minima_at_pure_phases(self):
         p = params()
-        _, dw_dphi, _ = bulk_potential(np.array([-1.0, 1.0]), np.full(2, p.theta_bar), p)
+        _, dw_dphi = bulk_potential(np.array([-1.0, 1.0]), np.full(2, p.theta_bar), p)
         assert np.max(np.abs(dw_dphi)) == 0.0
 
 
@@ -110,7 +128,7 @@ class TestDensities:
         theta = 2.0 + band_limited(GRID2, rng, 0.5, zero_mean=False).values
         st = ThermoState(Field(GRID2, phi), Field(GRID2, theta))
         e = internal_energy_density(st, p).values
-        w, _, _ = bulk_potential(phi, theta, p)
+        w, _ = bulk_potential(phi, theta, p)
         expect = 2.0 * w / (p.eps * theta) - (theta - p.theta_bar) ** 2 * phi**2 / p.eps + p.k_b * theta
         assert np.max(np.abs(e - expect)) < 1e-12
 
@@ -143,7 +161,7 @@ class TestChemicalPotential:
         st = ThermoState(Field(GRID1, phi), Field(GRID1, theta))
         mu = chemical_potential(st, p).values
         lap_phi = ifftn_real(fftn(phi) * (-k_squared(GRID1)))
-        _, dw_dphi, _ = bulk_potential(phi, theta, p)
+        _, dw_dphi = bulk_potential(phi, theta, p)
         naive = -p.eps * theta * lap_phi + dw_dphi / (p.eps * theta)
         # div(theta grad phi) = theta lap(phi) + grad(theta).grad(phi): the forms
         # must differ by a nontrivial amount whenever grad(theta) != 0
@@ -153,7 +171,7 @@ class TestChemicalPotential:
         p = params()
         st = uniform_state(GRID2, 0.3, 2.0)
         mu = chemical_potential(st, p).values
-        _, dw_dphi, _ = bulk_potential(np.float64(0.3), np.float64(2.0), p)
+        _, dw_dphi = bulk_potential(np.float64(0.3), np.float64(2.0), p)
         assert np.max(np.abs(mu - dw_dphi / p.eps / 2.0)) < 1e-13
 
 
