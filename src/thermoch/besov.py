@@ -29,11 +29,13 @@ Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
 (its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
 point lies in at most two consecutive blocks, so one ring index per point
-gives a snapshot's block energies in two bincounts (power_energies).  A
-series is contracted one snapshot at a time, from |f_hat|^2 formed in a
-reusable half-lattice buffer, so no (n_times, ...) stack of powers, bins or
-weighted products is ever formed (block_energies; picard.k_norm streams its
-series the same way).  The symbols are sampled on the half lattice too;
+gives a snapshot's block energies in two bincounts.  series_energies is the
+one contraction: it reads a series one snapshot at a time, forms |f_hat|^2
+(and, when asked, that of a subtracted series' difference and of the
+backward-difference rate) in reusable half-lattice buffers and contracts it
+once per operator weight, so no (n_times, ...) stack of differences, rates,
+powers, bins or weighted products is ever formed.  block_energies is its
+case with one weight.  The symbols are sampled on the half lattice too;
 being radial, they take the same value on a point and its conjugate
 partner.
 """
@@ -56,7 +58,7 @@ __all__ = [
     "CompositionReport",
     "build_partition",
     "half_spectra",
-    "power_energies",
+    "series_energies",
     "block_energies",
     "besov_norm",
     "chemin_lerner_norm",
@@ -121,16 +123,6 @@ class DyadicPartition:
         w = mult.ravel() * g.box_len**g.dim / float(g.size) ** 2
         return lower, sym[lower, points] ** 2 * w, sym[lower + 1, points] ** 2 * w
 
-    def weighted_rings(self, weight=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """rings with an operator weight, |multiplier|^2 on the half lattice
-        (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian),
-        folded into both ring weights."""
-        lower, w_lower, w_upper = self.rings
-        if weight is None:
-            return lower, w_lower, w_upper
-        weight = np.broadcast_to(weight, self.grid.half_shape).ravel()
-        return lower, w_lower * weight, w_upper * weight
-
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
     r = np.sqrt(-grid.half_lap)
@@ -158,33 +150,68 @@ def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
     return np.stack([rfftn(grid, f.values) for f in series])
 
 
-def power_energies(power: np.ndarray, rings, n_blocks: int) -> np.ndarray:
-    """Squared L2 norms of the n_blocks dyadic blocks of one snapshot, from
-    its |f_hat|^2 on the flattened half lattice and a partition's
-    (weighted_)rings: two bincounts over the ring index."""
-    lower, w_lower, w_upper = rings
-    out = np.bincount(lower, power * w_lower, minlength=n_blocks + 1)
-    out[1:] += np.bincount(lower, power * w_upper, minlength=n_blocks + 1)[:-1]
-    return out[:n_blocks]  # the spare last bin takes the empty top block
+def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None, minus=None):
+    """Squared L2 norms of every dyadic block of a series, one row per
+    snapshot, formed one snapshot at a time.
+
+    hats holds n half spectra, shape (n, *half_shape); minus, when given, a
+    stack of the same shape subtracted from it snapshot by snapshot.  Each
+    entry of weights is an operator's |multiplier|^2 on the half lattice
+    (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian) or None;
+    each entry of rate_weights is one for the backward-difference rate over
+    times, zero on the first snapshot.  Returns an array of shape
+    (len(weights) + len(rate_weights), n, n_blocks), the series' rows first.
+
+    The difference, the rate and |.|^2 go to reusable half-lattice buffers,
+    and each power is contracted against the rings once per weight (two
+    bincounts over the ring index), so no stack beyond the inputs is formed.
+    """
+    lower, w_lower, w_upper = part.rings
+    n_blocks = len(part.symbols)
+    stride = n_blocks + 1  # the spare last bin takes the empty top block
+
+    def weighted(weight):
+        if weight is None:
+            return w_lower, w_upper
+        weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
+        return w_lower * weight, w_upper * weight
+
+    rings = [weighted(w) for w in weights]
+    rate_rings = [weighted(w) for w in rate_weights]
+    rows = hats.reshape(len(hats), lower.size)
+    subs = None if minus is None else minus.reshape(rows.shape)
+    out = np.zeros((len(rings) + len(rate_rings), len(rows), n_blocks))
+    diff = np.empty((2, lower.size), dtype=complex)  # this and the last snapshot
+    rate = np.empty(lower.size, dtype=complex)
+    power = np.empty(lower.size)
+
+    def contract(values, rings, energies, t):
+        np.square(np.abs(values, out=power), out=power)
+        for (wl, wu), e in zip(rings, energies):
+            bins = np.bincount(lower, power * wl, minlength=stride)
+            bins[1:] += np.bincount(lower, power * wu, minlength=stride)[:-1]
+            e[t] = bins[:n_blocks]
+
+    inv_dt = 1.0 / np.diff(np.asarray(times, float)) if rate_rings else None
+    prev = None
+    for t in range(len(rows)):
+        row = rows[t] if subs is None else np.subtract(rows[t], subs[t], out=diff[t % 2])
+        contract(row, rings, out, t)
+        if t and rate_rings:
+            np.subtract(row, prev, out=rate)
+            rate *= inv_dt[t - 1]
+            contract(rate, rate_rings, out[len(rings):], t)
+        prev = row
+    return out
 
 
 def block_energies(hats: np.ndarray, part: DyadicPartition, weight=None) -> np.ndarray:
-    """Squared L2 norms of every dyadic block, one snapshot at a time.
-
-    hats holds half spectra, shape (..., *half_shape); weight, when given,
-    is an operator weight as in DyadicPartition.weighted_rings.  Returns
-    (..., n_blocks).  |f_hat|^2 is formed in one half-lattice buffer per
-    snapshot, so no stack beyond hats is formed.
-    """
-    rings = part.weighted_rings(weight)
-    n_blocks = len(part.symbols)
-    rows = hats.reshape(-1, rings[0].size)
-    out = np.empty((len(rows), n_blocks))
-    power = np.empty(rings[0].size)
-    for row, energies in zip(rows, out):
-        np.square(np.abs(row, out=power), out=power)
-        energies[:] = power_energies(power, rings, n_blocks)
-    return out.reshape(hats.shape[: hats.ndim - part.grid.dim] + (n_blocks,))
+    """Squared L2 norms of every dyadic block: series_energies under the one
+    operator weight (or none).  hats holds half spectra, shape (...,
+    *half_shape); returns (..., n_blocks)."""
+    lead = hats.shape[: hats.ndim - part.grid.dim]
+    (out,) = series_energies(hats.reshape(-1, *part.grid.half_shape), part, (weight,))
+    return out.reshape(lead + (len(part.symbols),))
 
 
 @dataclass
@@ -240,7 +267,7 @@ def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weig
     """Time-then-frequency norm: ell^1 over blocks of time-L^rho block norms.
 
     series is a list of fields or a stack of their half spectra; weight is
-    an operator weight as in block_energies.  For rho = inf and a
+    an operator weight as in series_energies.  For rho = inf and a
     time-constant series this reduces to besov_norm; for rho = 1 it equals
     the left-endpoint time integral of the instantaneous besov norm (the
     sums commute exactly).

@@ -95,15 +95,15 @@ def audit(
         e_ref = total_energy(prev.state, prev.p, prev)
     e_drift_rel = abs(e_tot - e_ref) / max(abs(e_ref), 1e-30)
 
+    production = entropy_production(curr).values
+
     # theta * ds/dt + theta * div(q/theta) with everything evaluated at curr;
     # theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
-    #                                           + kappa |grad(theta)|^2 / theta,
-    # the conduction term the production also holds
-    conduction = p.kappa * sum(g * g for g in curr.grad_theta) / theta
-    production = entropy_production(curr, conduction).values
+    #                                           + kappa |grad(theta)|^2 / theta
     ds_dt = (curr.entropy - prev.entropy) / dt
     lap_theta = irfftn(grid, grid.half_lap * curr.theta_hat)
-    residual = theta * ds_dt - p.kappa * lap_theta + conduction
+    grad_theta_sq = sum(g * g for g in curr.grad_theta)
+    residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
     residual -= production
 
     return DiagnosticsRow(

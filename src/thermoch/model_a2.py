@@ -10,8 +10,7 @@ where f1 collects the variable-coefficient fourth-order correction and the
 bulk term, and f2 collects the rate-quadratic heating, the chain-rule bracket
 of the entropy's bulk part, and the dissipation density.  Both constant-
 coefficient linear operators are inverted exactly per Fourier mode
-(phase_update, heat_update, whose per-mode factors are formed once per grid,
-parameters and step size); f1 and f2 are treated explicitly.  Within a step
+(phase_update, heat_update); f1 and f2 are treated explicitly.  Within a step
 the phase field is updated first, its fresh backward difference feeds f2,
 and the temperature rate enters f2 lagged by one step (zero initially) — a
 Gauss-Seidel staggering consistent with the scheme's first-order accuracy.
@@ -31,7 +30,6 @@ round-off accident.
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,28 +132,13 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     return rfftn(grid, out) * grid.half_dealias_mask
 
 
-@functools.lru_cache(maxsize=4)
-def _solve_factors(grid: GridSpec, p: ModelParams, dt: float) -> tuple[np.ndarray, ...]:
-    """(1 - alpha lap, the phase denominator 1 - alpha lap + dt eps theta_bar
-    lap^2, the heat denominator k_b - dt kappa lap) on the half lattice,
-    formed once per (grid, params, dt) and read-only.  A run takes one dt,
-    so a few entries cover it and the runs a process makes in turn."""
-    mass_factor = 1.0 - p.alpha * grid.half_lap
-    factors = (
-        mass_factor,
-        mass_factor + dt * p.eps * p.theta_bar * grid.half_bilap,
-        p.k_b - dt * p.kappa * grid.half_lap,
-    )
-    for f in factors:
-        f.setflags(write=False)
-    return factors
-
-
 def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> np.ndarray:
     """Implicit per-mode solve of the phase equation: the half spectrum of the
     new phi from those of phi and the forcing f1; the k = 0 mode is kept."""
-    mass_factor, denominator, _ = _solve_factors(grid, p, dt)
-    new_phi_hat = (mass_factor * phi_hat + dt * f1_hat) / denominator
+    mass_factor = 1.0 - p.alpha * grid.half_lap
+    new_phi_hat = (mass_factor * phi_hat + dt * f1_hat) / (
+        mass_factor + dt * p.eps * p.theta_bar * grid.half_bilap
+    )
     origin = (0,) * grid.dim
     new_phi_hat[origin] = phi_hat[origin]
     return new_phi_hat
@@ -163,7 +146,7 @@ def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> 
 
 def heat_update(grid: GridSpec, p: ModelParams, dt: float, theta_hat, f2_hat) -> np.ndarray:
     """Implicit per-mode solve of the temperature equation, on half spectra."""
-    return (p.k_b * theta_hat + dt * f2_hat) / _solve_factors(grid, p, dt)[2]
+    return (p.k_b * theta_hat + dt * f2_hat) / (p.k_b - dt * p.kappa * grid.half_lap)
 
 
 def imex_step(t: StateTerms, dt: float) -> ThermoState:

@@ -20,7 +20,7 @@ one thermo.StateTerms and advances the corrections by one exact interval,
 so no forcing series is kept.  The iterate norm measures the spectra
 directly and streams them: one snapshot at a time, it forms |f_hat|^2 and
 the backward rate's power in reusable half-lattice buffers and contracts
-them against the dyadic rings (besov.power_energies), every derivative a
+them against the dyadic rings (besov.series_energies), every derivative a
 weight on |f_hat|^2.  So k_norm makes no transform, the norm of a successive
 difference forms no difference stack, and its memory does not grow with
 the number of norm passes.  The public functions still take Field lists.
@@ -39,10 +39,11 @@ from .besov import (
     SmallnessReport,
     _time_then_blocks,
     besov_norm,
+    block_energies,
     check_smallness,
     chemin_lerner_norm,
     half_spectra,
-    power_energies,
+    series_energies,
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, laplacian_array, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
@@ -124,16 +125,6 @@ def _linear_solve(rates_and_mass, g, y0: Field, p: ModelParams, times) -> np.nda
 # the seven-term iterate norm
 
 
-def _backward_rates(hats: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Backward-difference time derivatives of a stack of half spectra; zero
-    on the first snapshot."""
-    out = np.empty_like(hats)
-    out[0] = 0.0
-    np.subtract(hats[1:], hats[:-1], out=out[1:])
-    out[1:] *= (1.0 / np.diff(times)).reshape(-1, *[1] * (hats.ndim - 1))
-    return out
-
-
 @dataclass(frozen=True)
 class KNormReport:
     """The seven summands measuring one iterate pair, plus their sum.
@@ -167,47 +158,6 @@ class KNormReport:
         return float(sum(self.summands.values()))
 
 
-def _snapshot_energies(hats, minus, times, part: DyadicPartition, weights, rate_weights):
-    """Block energies, one row per snapshot, of the series hats - minus
-    (hats alone when minus is None) under each operator weight in weights,
-    and of its backward-difference rate (zero on the first snapshot) under
-    each one in rate_weights.
-
-    The series is read one snapshot at a time: the difference, the rate and
-    |.|^2 go to reusable half-lattice buffers, and each power is contracted
-    against the rings once per weight, so no (n_times, ...) stack is formed
-    beyond the inputs.  The rows equal besov.block_energies of the stacked
-    series and rates bit for bit.
-    """
-    n_blocks = len(part.symbols)
-    rings = [part.weighted_rings(w) for w in weights]
-    rate_rings = [part.weighted_rings(w) for w in rate_weights]
-    energies = np.zeros((len(rings), times.size, n_blocks))
-    rate_energies = np.zeros((len(rate_rings), times.size, n_blocks))
-    inv_dt = 1.0 / np.diff(times)
-    rows = hats.reshape(times.size, -1)
-    subs = None if minus is None else minus.reshape(times.size, -1)
-    diff = np.empty((2, rows.shape[1]), dtype=complex)  # this and the last snapshot
-    rate = np.empty(rows.shape[1], dtype=complex)
-    power = np.empty(rows.shape[1])
-
-    def contract(values, rings, out, t):
-        np.square(np.abs(values, out=power), out=power)
-        for r, e in zip(rings, out):
-            e[t] = power_energies(power, r, n_blocks)
-
-    prev = None
-    for t in range(times.size):
-        row = rows[t] if subs is None else np.subtract(rows[t], subs[t], out=diff[t % 2])
-        contract(row, rings, energies, t)
-        if t:
-            np.subtract(row, prev, out=rate)
-            rate *= inv_dt[t - 1]
-            contract(rate, rate_rings, rate_energies, t)
-        prev = row
-    return energies, rate_energies
-
-
 def k_norm(dphi, dtheta, part: DyadicPartition, times, minus=None) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
@@ -234,11 +184,11 @@ def k_norm(dphi, dtheta, part: DyadicPartition, times, minus=None) -> KNormRepor
 
     # derivatives are weights on |f_hat|^2: |k|^8 for the bilaplacian, |k|^4
     # for the Laplacian, half_grad_sq for the gradient
-    (phi, phi_bilap), (phi_rate, phi_rate_grad) = _snapshot_energies(
-        phi_hat, minus[0], times, part, (None, grid.half_bilap**2), (None, grid.half_grad_sq)
+    phi, phi_bilap, phi_rate, phi_rate_grad = series_energies(
+        phi_hat, part, (None, grid.half_bilap**2), (None, grid.half_grad_sq), times, minus[0]
     )
-    (theta, theta_lap), (theta_rate,) = _snapshot_energies(
-        theta_hat, minus[1], times, part, (None, grid.half_bilap), (None,)
+    theta, theta_lap, theta_rate = series_energies(
+        theta_hat, part, (None, grid.half_bilap), (None,), times, minus[1]
     )
 
     def norm(energy, s, rho):
@@ -568,29 +518,32 @@ def phi_apriori_ratios(
     s = grid.dim / 2.0
     nu = p.eps * p.theta_bar
 
-    def norm(hats, s, rho, weight=None):
-        return chemin_lerner_norm(hats, times, s, rho, part, weight)
+    def norm(energy, s, rho):
+        return _time_then_blocks(energy, times, s, rho, part)
 
     g_hat = half_spectra(g, grid, times.size)
     sol_hat = _linear_solve(_phi_rates_and_mass, g_hat, phi0, p, times)
-    rates = _backward_rates(sol_hat, times)
+    sol, lap, bilap, rate, rate_grad = series_energies(
+        sol_hat, part, (None, grid.half_bilap, grid.half_bilap**2), (None, grid.half_grad_sq), times
+    )
+    g_energy = block_energies(g_hat, part)
 
     phi0_n = besov_norm(phi0, s, part).total
     lap_phi0_n = besov_norm(Field(grid, laplacian_array(grid, phi0.values)), s, part).total
-    g_l1 = norm(g_hat, s, 1)
+    g_l1 = norm(g_energy, s, 1)
 
-    sol_sup = norm(sol_hat, s, math.inf)
-    lap_sup = norm(sol_hat, s, math.inf, grid.half_bilap)
-    bilap_l1 = norm(sol_hat, s, 1, grid.half_bilap**2)
-    rate_l1 = norm(rates, s, 1)
-    rate_l2 = norm(rates, s, 2)
-    rate_grad_l2 = norm(rates, s, 2, grid.half_grad_sq)
+    sol_sup = norm(sol, s, math.inf)
+    lap_sup = norm(lap, s, math.inf)
+    bilap_l1 = norm(bilap, s, 1)
+    rate_l1 = norm(rate, s, 1)
+    rate_l2 = norm(rate, s, 2)
+    rate_grad_l2 = norm(rate_grad, s, 2)
 
     r1 = sol_sup / (phi0_n + g_l1)
     r2 = p.alpha * lap_sup / (p.alpha * lap_phi0_n + g_l1)
     r3 = (nu * bilap_l1 + rate_l1) / (phi0_n + p.alpha * lap_phi0_n + g_l1)
     if p.alpha > 0.0:
-        g_l2_low = norm(g_hat, s - 1.0, 2)
+        g_l2_low = norm(g_energy, s - 1.0, 2)
         r4 = (rate_l2 + math.sqrt(p.alpha) * rate_grad_l2) / (
             math.sqrt(nu) * lap_phi0_n + g_l2_low / math.sqrt(p.alpha)
         )
@@ -610,16 +563,17 @@ def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPa
     grid = theta0.grid
     s = grid.dim / 2.0
 
-    def norm(hats, rho, weight=None):
-        return chemin_lerner_norm(hats, times, s, rho, part, weight)
+    def norm(energy, rho):
+        return _time_then_blocks(energy, times, s, rho, part)
 
     h_hat = half_spectra(h, grid, times.size)
     sol_hat = _linear_solve(_theta_rates_and_mass, h_hat, theta0, p, times)
-    sup = norm(sol_hat, math.inf)
-    lap_l1 = norm(sol_hat, 1, grid.half_bilap)
-    rate_l1 = norm(_backward_rates(sol_hat, times), 1)
+    sol, lap, rate = series_energies(sol_hat, part, (None, grid.half_bilap), (None,), times)
+    sup = norm(sol, math.inf)
+    lap_l1 = norm(lap, 1)
+    rate_l1 = norm(rate, 1)
     theta0_n = besov_norm(theta0, s, part).total
-    h_l1 = norm(h_hat, 1)
+    h_l1 = norm(block_energies(h_hat, part), 1)
 
     lhs = p.k_b * sup + p.kappa * lap_l1 + p.k_b * rate_l1
     rhs = p.k_b * theta0_n + h_l1

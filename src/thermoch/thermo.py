@@ -363,21 +363,17 @@ def force_square(
     return _sum_sq(force)
 
 
-def entropy_production(t: StateTerms, conduction=None) -> Field:
+def entropy_production(t: StateTerms) -> Field:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
     sum of squares.
 
     force_square of the undealiased grad mu and the state's grad(dphi/dt),
     + alpha*dphi_dt^2 + kappa|grad theta|^2/theta; the force carries the a1
-    coupling when the model is "a1".  conduction, when given, is the last
-    term as the caller formed it (diagnostics.audit, whose residual reads it
-    too).
+    coupling when the model is "a1".
     """
     p, dphi_dt = t.p, t.state.dphi_dt_values()
-    if conduction is None:
-        conduction = p.kappa * _sum_sq(t.grad_theta) / t.theta
     force_sq = force_square(t, grad_from_hat(t.grid, t.mu_hat), t.grad_rate)
-    out = force_sq + p.alpha * dphi_dt**2 + conduction
+    out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
     return Field(t.grid, out)
 
 

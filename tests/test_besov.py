@@ -15,6 +15,7 @@ from thermoch.besov import (
     chemin_lerner_norm,
     chi_bump,
     composition_registry,
+    series_energies,
     verify_composition_bound,
 )
 from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn
@@ -201,6 +202,28 @@ class TestHalfLatticeBlocks:
         assert rows.shape == (4, len(PART.symbols))
         for hat, row in zip(hats, rows):
             assert np.array_equal(block_energies(hat, PART), row)
+
+    def test_streamed_series_matches_explicit_stacks_bitwise(self):
+        # the difference, the backward rate and every weight of one streamed
+        # call against block_energies of stacks formed explicitly
+        rng = np.random.default_rng(71)
+        times = np.linspace(0.0, 0.3, 5)
+        hats, old = (
+            np.stack([rfftn(GRID, rng.standard_normal(GRID.shape)) for _ in times])
+            for _ in range(2)
+        )
+        weights, rate_weights = (None, GRID.half_bilap), (None, GRID.half_grad_sq)
+        for minus in (None, old):
+            series = hats if minus is None else hats - minus
+            rates = np.zeros_like(series)
+            rates[1:] = series[1:] - series[:-1]
+            rates[1:] *= (1.0 / np.diff(times))[:, None, None]
+            got = series_energies(hats, PART, weights, rate_weights, times, minus)
+            want = [block_energies(series, PART, w) for w in weights]
+            want += [block_energies(rates, PART, w) for w in rate_weights]
+            assert got.shape == (4, times.size, len(PART.symbols))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("grid", HALF_GRIDS + [GRID], ids=lambda g: f"{g.dim}d-{g.n}")
     def test_every_point_in_at_most_two_consecutive_blocks(self, grid):

@@ -14,7 +14,6 @@ from thermoch.model_a2 import (
     Trajectory,
     _f1_hat,
     _f2_hat,
-    _solve_factors,
     heat_update,
     imex_step,
     march,
@@ -280,30 +279,6 @@ class TestImexStep:
             theta_gain = p.k_b / (p.k_b + dt * p.kappa * k2)
             assert np.all(phi_gain > 0.0) and np.all(phi_gain <= 1.0)
             assert np.all(theta_gain > 0.0) and np.all(theta_gain <= 1.0)
-
-    def test_solve_factors_are_the_inline_formulas_per_dt(self):
-        p = params(alpha=0.7, eps=0.9, theta_bar=1.3, kappa=0.8, k_b=1.1)
-        rng = np.random.default_rng(31)
-        phi_hat, theta_hat, f1_hat, f2_hat = (
-            rfftn(GRID2, band_limited(GRID2, rng, 0.5, zero_mean=False).values) for _ in range(4)
-        )
-        first = _solve_factors(GRID2, p, 1e-3)
-        for dt in (1e-3, 2.5e-4):
-            mass = 1.0 - p.alpha * GRID2.half_lap
-            phase_denom = mass + dt * p.eps * p.theta_bar * GRID2.half_bilap
-            heat_denom = p.k_b - dt * p.kappa * GRID2.half_lap
-            factors = _solve_factors(GRID2, p, dt)
-            for got, want in zip(factors, (mass, phase_denom, heat_denom)):
-                assert np.array_equal(got, want) and not got.flags.writeable
-            new_phi_hat = (mass * phi_hat + dt * f1_hat) / phase_denom
-            new_phi_hat[0, 0] = phi_hat[0, 0]
-            assert np.array_equal(phase_update(GRID2, p, dt, phi_hat, f1_hat), new_phi_hat)
-            assert np.array_equal(
-                heat_update(GRID2, p, dt, theta_hat, f2_hat),
-                (p.k_b * theta_hat + dt * f2_hat) / heat_denom,
-            )
-        assert _solve_factors(GRID2, p, 1e-3) is first
-        assert not np.array_equal(_solve_factors(GRID2, p, 2.5e-4)[1], first[1])
 
     def test_positivity_abort_carries_state(self):
         # white noise at dt = 2e-4 drives theta to about -3.5 in one step

@@ -121,7 +121,8 @@ class TestDensities:
     def test_energy_closed_form(self):
         # hand derivation: e = psi + theta*s collapses to
         #   2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta
-        # (the gradient contributions cancel); independent oracle for e
+        # (the gradient contributions cancel); the definition psi + theta*s
+        # is the oracle for that shortcut
         rng = np.random.default_rng(4)
         p = params(eps=0.7, theta_bar=1.4, k_b=0.9)
         phi = band_limited(GRID2, rng, 0.8, zero_mean=False).values
@@ -131,6 +132,8 @@ class TestDensities:
         w, _ = bulk_potential(phi, theta, p)
         expect = 2.0 * w / (p.eps * theta) - (theta - p.theta_bar) ** 2 * phi**2 / p.eps + p.k_b * theta
         assert np.max(np.abs(e - expect)) < 1e-12
+        definition = free_energy_density(st, p).values + theta * entropy_density(st, p).values
+        assert np.max(np.abs(e - definition)) < 1e-12
 
     def test_theta_positivity_hard_abort(self):
         p = params()
