@@ -29,15 +29,17 @@ Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
 (its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
 point lies in at most two consecutive blocks, so one ring index per point
-gives a snapshot's block energies in two bincounts.  series_energies is the
-one contraction: it reads a series one snapshot at a time, forms |f_hat|^2
-(and, when asked, that of a subtracted series' difference and of the
-backward-difference rate) in reusable half-lattice buffers and contracts it
-once per operator weight, so no (n_times, ...) stack of differences, rates,
-powers, bins or weighted products is ever formed.  block_energies is its
-case with one weight.  The symbols are sampled on the half lattice too;
-being radial, they take the same value on a point and its conjugate
-partner.
+gives a snapshot's block energies in two bincounts.  SeriesEnergies is the
+one contraction: an accumulator that takes a series one snapshot at a time,
+forms |f_hat|^2 (and, when asked, that of a subtracted snapshot's difference
+and of the backward-difference rate) in reusable half-lattice buffers and
+contracts it once per operator weight, so no (n_times, ...) stack of
+differences, rates, powers, bins or weighted products is ever formed.  A
+caller that produces the snapshots one by one, as the Picard map does,
+feeds them as it writes them; series_energies feeds a stack, and
+block_energies is its case with one weight.  The symbols are sampled on the
+half lattice too; being radial, they take the same value on a point and its
+conjugate partner.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ __all__ = [
     "CompositionReport",
     "build_partition",
     "half_spectra",
+    "SeriesEnergies",
     "series_energies",
     "block_energies",
     "besov_norm",
@@ -150,59 +153,79 @@ def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
     return np.stack([rfftn(grid, f.values) for f in series])
 
 
-def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None, minus=None):
+class SeriesEnergies:
     """Squared L2 norms of every dyadic block of a series, one row per
-    snapshot, formed one snapshot at a time.
+    snapshot, accumulated one snapshot at a time.
 
-    hats holds n half spectra, shape (n, *half_shape); minus, when given, a
-    stack of the same shape subtracted from it snapshot by snapshot.  Each
-    entry of weights is an operator's |multiplier|^2 on the half lattice
-    (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian) or None;
-    each entry of rate_weights is one for the backward-difference rate over
-    times, zero on the first snapshot.  Returns an array of shape
-    (len(weights) + len(rate_weights), n, n_blocks), the series' rows first.
+    Each entry of weights is an operator's |multiplier|^2 on the half
+    lattice (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian)
+    or None; each entry of rate_weights is one for the backward-difference
+    rate over times, zero on the first snapshot.  add takes the next
+    snapshot, a half spectrum, and optionally one to subtract from it;
+    energies, of shape (len(weights) + len(rate_weights), n_times,
+    n_blocks), holds the series' rows first.  A snapshot added without one
+    to subtract is read again by the next add, for its rate, and must not
+    change before then.
 
     The difference, the rate and |.|^2 go to reusable half-lattice buffers,
     and each power is contracted against the rings once per weight (two
-    bincounts over the ring index), so no stack beyond the inputs is formed.
+    bincounts over the ring index), so no stack is formed: the memory is a
+    few snapshots and the energies.
     """
-    lower, w_lower, w_upper = part.rings
-    n_blocks = len(part.symbols)
-    stride = n_blocks + 1  # the spare last bin takes the empty top block
 
-    def weighted(weight):
-        if weight is None:
-            return w_lower, w_upper
-        weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
-        return w_lower * weight, w_upper * weight
+    def __init__(self, part: DyadicPartition, n_times: int, weights, rate_weights=(), times=None):
+        self._lower, w_lower, w_upper = part.rings
+        self._n_blocks = len(part.symbols)
 
-    rings = [weighted(w) for w in weights]
-    rate_rings = [weighted(w) for w in rate_weights]
-    rows = hats.reshape(len(hats), lower.size)
-    subs = None if minus is None else minus.reshape(rows.shape)
-    out = np.zeros((len(rings) + len(rate_rings), len(rows), n_blocks))
-    diff = np.empty((2, lower.size), dtype=complex)  # this and the last snapshot
-    rate = np.empty(lower.size, dtype=complex)
-    power = np.empty(lower.size)
+        def weighted(weight):
+            if weight is None:
+                return w_lower, w_upper
+            weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
+            return w_lower * weight, w_upper * weight
 
-    def contract(values, rings, energies, t):
-        np.square(np.abs(values, out=power), out=power)
+        self._rings = [weighted(w) for w in weights]
+        self._rate_rings = [weighted(w) for w in rate_weights]
+        size = self._lower.size
+        n_rows = len(self._rings) + len(self._rate_rings)
+        self.energies = np.zeros((n_rows, n_times, self._n_blocks))
+        self._diff = np.empty((2, size), dtype=complex)  # this and the last snapshot
+        self._rate = np.empty(size, dtype=complex)
+        self._power = np.empty(size)
+        self._inv_dt = 1.0 / np.diff(np.asarray(times, float)) if self._rate_rings else None
+        self._prev = None
+        self._t = 0
+
+    def _contract(self, values, rings, energies):
+        stride = self._n_blocks + 1  # the spare last bin takes the empty top block
+        power = np.square(np.abs(values, out=self._power), out=self._power)
         for (wl, wu), e in zip(rings, energies):
-            bins = np.bincount(lower, power * wl, minlength=stride)
-            bins[1:] += np.bincount(lower, power * wu, minlength=stride)[:-1]
-            e[t] = bins[:n_blocks]
+            bins = np.bincount(self._lower, power * wl, minlength=stride)
+            bins[1:] += np.bincount(self._lower, power * wu, minlength=stride)[:-1]
+            e[self._t] = bins[: self._n_blocks]
 
-    inv_dt = 1.0 / np.diff(np.asarray(times, float)) if rate_rings else None
-    prev = None
-    for t in range(len(rows)):
-        row = rows[t] if subs is None else np.subtract(rows[t], subs[t], out=diff[t % 2])
-        contract(row, rings, out, t)
-        if t and rate_rings:
-            np.subtract(row, prev, out=rate)
-            rate *= inv_dt[t - 1]
-            contract(rate, rate_rings, out[len(rings):], t)
-        prev = row
-    return out
+    def add(self, hat: np.ndarray, minus: np.ndarray | None = None) -> None:
+        t = self._t
+        row = hat.reshape(self._lower.size)
+        if minus is not None:
+            row = np.subtract(row, minus.reshape(row.shape), out=self._diff[t % 2])
+        self._contract(row, self._rings, self.energies)
+        if t and self._rate_rings:
+            np.subtract(row, self._prev, out=self._rate)
+            self._rate *= self._inv_dt[t - 1]
+            self._contract(self._rate, self._rate_rings, self.energies[len(self._rings) :])
+        self._prev = row
+        self._t = t + 1
+
+
+def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None, minus=None):
+    """SeriesEnergies of a stack of n half spectra, shape (n, *half_shape),
+    fed one snapshot at a time; minus, when given, a stack of the same shape
+    subtracted from it snapshot by snapshot.  Returns the energies, shape
+    (len(weights) + len(rate_weights), n, n_blocks)."""
+    acc = SeriesEnergies(part, len(hats), weights, rate_weights, times)
+    for t in range(len(hats)):
+        acc.add(hats[t], None if minus is None else minus[t])
+    return acc.energies
 
 
 def block_energies(hats: np.ndarray, part: DyadicPartition, weight=None) -> np.ndarray:
@@ -267,7 +290,7 @@ def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weig
     """Time-then-frequency norm: ell^1 over blocks of time-L^rho block norms.
 
     series is a list of fields or a stack of their half spectra; weight is
-    an operator weight as in series_energies.  For rho = inf and a
+    an operator weight as in SeriesEnergies.  For rho = inf and a
     time-constant series this reduces to besov_norm; for rho = 1 it equals
     the left-endpoint time integral of the instantaneous besov norm (the
     sums commute exactly).

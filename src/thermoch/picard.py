@@ -12,18 +12,21 @@ All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
 of the forcing at the snapshot times (left endpoints).
 
-The Picard loop carries both corrections as stacks of rfftn half spectra,
-shape (n_times, *half_shape); the free flow phi0_hat * exp(-lam t) is formed
-per snapshot where it is read, not kept.  One application of the map
-inverts each snapshot's two absolute fields once, forms both forcings from
-one thermo.StateTerms and advances the corrections by one exact interval,
-so no forcing series is kept.  The iterate norm measures the spectra
-directly and streams them: one snapshot at a time, it forms |f_hat|^2 and
-the backward rate's power in reusable half-lattice buffers and contracts
-them against the dyadic rings (besov.series_energies), every derivative a
-weight on |f_hat|^2.  So k_norm makes no transform, the norm of a successive
-difference forms no difference stack, and its memory does not grow with
-the number of norm passes.  The public functions still take Field lists.
+The Picard loop carries one pair of corrections as stacks of rfftn half
+spectra, shape (n_times, *half_shape), and each application of the map
+updates them in place; the free flow phi0_hat * exp(-lam t) is formed per
+snapshot where it is read, not kept.  One application inverts each
+snapshot's two absolute fields once, forms both forcings from one
+thermo.StateTerms and advances the corrections by one exact interval, so no
+forcing series is kept; the old snapshot it overwrites waits in one buffer
+per series until the next forcing has read it.  The iterate norm measures
+the spectra directly and streams them: one snapshot at a time, it forms
+|f_hat|^2 and the backward rate's power in reusable half-lattice buffers
+and contracts them against the dyadic rings (besov.SeriesEnergies), every
+derivative a weight on |f_hat|^2.  So k_norm makes no transform, and the
+map measures the successive difference snapshot by snapshot as it writes
+it, with no old or difference stack.  The public functions still take
+Field lists.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 from .besov import (
     DyadicPartition,
+    SeriesEnergies,
     SmallnessReport,
     _time_then_blocks,
     besov_norm,
@@ -45,7 +49,7 @@ from .besov import (
     half_spectra,
     series_energies,
 )
-from .grid import Field, GridSpec, irfftn, l2_norm, laplacian_array, rfftn
+from .grid import Field, GridSpec, NonFiniteError, irfftn, l2_norm, laplacian_array, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
 from .thermo import ModelParams, PositivityError, StateTerms, ThermoState
 
@@ -146,7 +150,9 @@ class KNormReport:
 
     def __post_init__(self):
         for name, value in self.summands.items():
-            if value < 0.0 or not math.isfinite(value):
+            if not math.isfinite(value):
+                raise NonFiniteError(f"summand {name} must be finite and >= 0, got {value}")
+            if value < 0.0:
                 raise ValueError(f"summand {name} must be finite and >= 0, got {value}")
 
     @property
@@ -179,17 +185,32 @@ def k_norm(dphi, dtheta, part: DyadicPartition, times, minus=None) -> KNormRepor
         minus = (None, None)
     else:
         minus = tuple(half_spectra(f, grid, times.size) for f in minus)
-    s_lo = grid.dim / 2.0
-    s_hi = s_lo + 2.0
+    energies = (
+        series_energies(hat, part, *w, times, sub)
+        for hat, w, sub in zip((phi_hat, theta_hat), _norm_weights(grid), minus)
+    )
+    return _norm_report(*energies, part, times)
 
-    # derivatives are weights on |f_hat|^2: |k|^8 for the bilaplacian, |k|^4
-    # for the Laplacian, half_grad_sq for the gradient
-    phi, phi_bilap, phi_rate, phi_rate_grad = series_energies(
-        phi_hat, part, (None, grid.half_bilap**2), (None, grid.half_grad_sq), times, minus[0]
+
+def _norm_weights(grid: GridSpec):
+    """(weights, rate_weights) of the phase and of the temperature series.
+
+    Derivatives are weights on |f_hat|^2: |k|^8 for the bilaplacian, |k|^4
+    for the Laplacian, half_grad_sq for the gradient.
+    """
+    return (
+        ((None, grid.half_bilap**2), (None, grid.half_grad_sq)),
+        ((None, grid.half_bilap), (None,)),
     )
-    theta, theta_lap, theta_rate = series_energies(
-        theta_hat, part, (None, grid.half_bilap), (None,), times, minus[1]
-    )
+
+
+def _norm_report(phi_energies, theta_energies, part: DyadicPartition, times) -> KNormReport:
+    """The seven summands from the block energies of the two series, as
+    SeriesEnergies forms them under _norm_weights."""
+    phi, phi_bilap, phi_rate, phi_rate_grad = phi_energies
+    theta, theta_lap, theta_rate = theta_energies
+    s_lo = part.grid.dim / 2.0
+    s_hi = s_lo + 2.0
 
     def norm(energy, s, rho):
         return _time_then_blocks(energy, times, s, rho, part)
@@ -289,30 +310,41 @@ class PicardReport:
         return "\n".join(lines) + "\n"
 
 
-def _solution_map(grid: GridSpec, dphi, dtheta, phi0_hat, dtheta0_hat, p: ModelParams, times):
-    """One application of the solution map: freeze forcings, solve linear.
+def _map_in_place(grid: GridSpec, dphi, dtheta, phi0_hat, p: ModelParams, times, part):
+    """One application of the solution map, in place: freeze forcings, solve
+    linear; returns the KNormReport of the successive difference.
 
-    The corrections are stacks of half spectra.  The forcings are the two
-    expanded right-hand sides evaluated on the absolute fields of the
+    dphi and dtheta hold the corrections of the current iterate as stacks of
+    half spectra and leave holding those of the next.  The forcings are the
+    two expanded right-hand sides evaluated on the absolute fields of the
     current iterate (the free flow of phi0_hat, formed per snapshot, plus
     the corrections), with backward-difference rates; the new corrections
-    solve the damped bilaplacian / heat problems with initial data (0,
-    dtheta0), one exact interval per snapshot.  A snapshot inverts its two
-    fields once, and one StateTerms, started from the phase spectrum the
-    iterate holds, serves both forcings; the rate gradient is the
-    difference of consecutive snapshot gradients, as in model_a2.imex_step.
-    The last state is validated but acts beyond the horizon.
+    solve the damped bilaplacian / heat problems from the initial data
+    (0, dtheta0) the first snapshot holds, one exact interval per snapshot.
+    Writing snapshot j + 1 needs the current iterate only up to j, so before
+    slot j + 1 is overwritten its old snapshot goes to one buffer per series,
+    where the next forcing reads it, and new - old goes to the accumulators
+    of the iterate norm: the difference is measured as the map writes it.
+    A snapshot inverts its two fields once, and one StateTerms, started from
+    the phase spectrum the iterate holds, serves both forcings; the rate
+    gradient is the difference of consecutive snapshot gradients, as in
+    model_a2.imex_step.  The last state is validated but acts beyond the
+    horizon.
     """
     step = times[1] - times[0]  # uniform (PicardConfig.times)
     lam, mass = _phi_rates_and_mass(grid, p)
-    phi_decay, phi_gain = _etd_factors(lam, mass, step)
-    theta_decay, theta_gain = _etd_factors(*_theta_rates_and_mass(grid, p), step)
-    new_dphi, new_dtheta = np.empty_like(dphi), np.empty_like(dtheta)
-    new_dphi[0], new_dtheta[0] = 0.0, dtheta0_hat
+    decays, gains = zip(
+        _etd_factors(lam, mass, step), _etd_factors(*_theta_rates_and_mass(grid, p), step)
+    )
+    diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
+    # snapshot 0, the initial data, is never rewritten: its difference is zero
+    old = (dphi[0].copy(), dtheta[0].copy())
+    for acc, hat in zip(diffs, old):
+        acc.add(hat, minus=hat)
     prev = prev_grad = None
     for j in range(times.size):
-        phi_hat = _free_flow(phi0_hat, lam, times[j]) + dphi[j]
-        now = (irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, dtheta[j]))
+        phi_hat = _free_flow(phi0_hat, lam, times[j]) + old[0]
+        now = (irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, old[1]))
         dt = times[j] - times[j - 1] if j else 1.0  # the first rates are now - now = 0
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
         state = ThermoState(
@@ -325,13 +357,15 @@ def _solution_map(grid: GridSpec, dphi, dtheta, phi0_hat, dtheta0_hat, p: ModelP
             state.carried["phi_hat"] = phi_hat
             terms = StateTerms(state, p)
             grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
-            new_dphi[j + 1] = phi_decay * new_dphi[j] + phi_gain * _f1_hat(terms)
-            new_dtheta[j + 1] = theta_decay * new_dtheta[j] + theta_gain * _f2_hat(
-                terms, rate, grad_rate
-            )
+            forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate))
+            series = zip((dphi, dtheta), old, decays, gains, forcings, diffs)
+            for stack, held, decay, gain, f, acc in series:
+                np.copyto(held, stack[j + 1])
+                stack[j + 1] = decay * stack[j] + gain * f
+                acc.add(stack[j + 1], minus=held)
             prev_grad = terms.grad_phi
         prev = now
-    return new_dphi, new_dtheta
+    return _norm_report(*(acc.energies for acc in diffs), part, times)
 
 
 def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) -> float:
@@ -364,9 +398,15 @@ def picard_iterate(
     Starts from the correction pair (0, heat flow of theta0 - theta_bar),
     applies the map up to cfg.n_iter times, and records per iteration the
     iterate norm, the successive-difference norm, their ratio, and ball
-    containment.  Stops early on convergence (difference below cfg.tol) or
-    after three consecutive non-contracting ratios (reported as diverged;
-    further iterations of a non-contracting map only overflow).
+    containment.  The pair is one pair of stacks that every application
+    updates in place, measuring the difference as it writes; the size norm
+    is then taken on the updated stacks.  Stops early on convergence
+    (difference below cfg.tol) or after three consecutive non-contracting
+    ratios (reported as diverged; further iterations of a non-contracting
+    map only overflow).  An iterate that leaves the domain of the map
+    (PositivityError, NonFiniteError, FloatingPointError) is reported as
+    diverged too, and the final fields come from the last accepted iterate;
+    any other error propagates.
     """
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
@@ -385,15 +425,16 @@ def picard_iterate(
     prev_diff = None
     bad_streak = 0
     for m in range(1, cfg.n_iter + 1):
+        last = (dphi[-1].copy(), dtheta[-1].copy())
         try:
-            new_dphi, new_dtheta = _solution_map(
-                grid, dphi, dtheta, phi0_hat, dtheta0_hat, p, times
-            )
-            diff = k_norm(new_dphi, new_dtheta, part, times, minus=(dphi, dtheta)).total
-            size = k_norm(new_dphi, new_dtheta, part, times).total
-        except (PositivityError, ValueError, FloatingPointError):
+            diff = _map_in_place(grid, dphi, dtheta, phi0_hat, p, times, part).total
+            size = k_norm(dphi, dtheta, part, times).total
+        except (PositivityError, NonFiniteError, FloatingPointError):
             # the iterate left the domain of the map (temperature through
-            # zero, or norms no longer finite): empirical divergence
+            # zero, or norms no longer finite): empirical divergence.  The
+            # final fields are read from the last slot, which goes back to
+            # the last accepted iterate's.
+            dphi[-1], dtheta[-1] = last
             diverged = True
             break
         ratio = diff / prev_diff if prev_diff else math.nan
@@ -406,7 +447,6 @@ def picard_iterate(
                 in_ball=size <= cfg.chi,
             )
         )
-        dphi, dtheta = new_dphi, new_dtheta
         prev_diff = diff
         if diff < cfg.tol:
             converged = True

@@ -2,13 +2,15 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spectral_oracle import count_transforms, full_symbols, grad_symbol, k_abs, k_squared
+from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
-from thermoch.grid import Field, GridSpec, irfftn, laplacian_array, rfftn
+from thermoch.grid import Field, GridSpec, NonFiniteError, irfftn, laplacian_array, rfftn
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
@@ -16,8 +18,8 @@ from thermoch.picard import (
     _decay,
     _free_flow,
     _linear_solve,
+    _map_in_place,
     _phi_rates_and_mass,
-    _solution_map,
     _theta_rates_and_mass,
     find_t_chi,
     free_flow_budget,
@@ -226,6 +228,11 @@ class TestKNorm:
         with pytest.raises(ValueError, match="finite and >= 0"):
             KNormReport(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_report_rejects_non_finite_summand(self, value):
+        with pytest.raises(NonFiniteError, match="finite and >= 0"):
+            KNormReport(0.0, 0.0, 0.0, 0.0, value, 0.0, 0.0)
+
     def test_total_is_sum_of_summands(self):
         rep = KNormReport(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
         assert rep.total == 28.0
@@ -392,16 +399,42 @@ class TestPicardConfig:
         assert np.allclose(steps, steps[0], rtol=1e-12)
 
 
-def admissible_data():
+def admissible_data(part=PART2):
     """Small single-mode phase and a temperature offset at 2.05x margin."""
-    x, y = GRID2.axes
+    grid = part.grid
+    x, y = grid.axes
     p = ModelParams(eps=1.0, theta_bar=100.0, alpha=1.0, kappa=1.0, k_b=1.0)
-    phi0 = Field(GRID2, 5e-5 * np.cos(x) * np.ones_like(y))
-    probe = Field(GRID2, p.theta_bar + np.cos(x) * np.cos(y))
-    rep = check_smallness(phi0, probe, p, 0.5, PART2)
+    phi0 = Field(grid, 5e-5 * np.cos(x) * np.ones_like(y))
+    probe = Field(grid, p.theta_bar + np.cos(x) * np.cos(y))
+    rep = check_smallness(phi0, probe, p, 0.5, part)
     a = rep.rhs2 / (2.05 * rep.lhs2)
-    theta0 = Field(GRID2, p.theta_bar + a * np.cos(x) * np.cos(y))
+    theta0 = Field(grid, p.theta_bar + a * np.cos(x) * np.cos(y))
     return phi0, theta0, p
+
+
+def divergent_problem():
+    """Data on which the map stops contracting: the iterate loses temperature
+    positivity in the middle of application 5."""
+    g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+    part = build_partition(g)
+    x, y = g.axes
+    p = ModelParams(eps=0.5, theta_bar=1.0, alpha=0.5, kappa=1.0, k_b=1.0)
+    phi0 = Field(g, np.cos(x) * np.cos(y) + 0.3 * np.cos(2 * x))
+    theta0 = Field(g, 1.0 + 0.5 * np.cos(y) * np.ones_like(x))
+    cfg = PicardConfig(chi=0.01, t_end=0.1, n_iter=8, tol=1e-14, dt=5e-3)
+    return phi0, theta0, p, cfg, part
+
+
+def finals(rep):
+    return rep.final_phi.values, rep.final_theta.values, rep.simulate_rel_diff
+
+
+def initial_iterate(phi0, theta0, p, times):
+    """picard_iterate's starting pair (0, heat flow of theta0 - theta_bar)."""
+    grid = phi0.grid
+    dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
+    dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
+    return np.zeros_like(dtheta), dtheta
 
 
 class TestPicardIterate:
@@ -434,17 +467,46 @@ class TestPicardIterate:
         assert all(rep.smallness.satisfied)
 
     def test_divergence_is_reported_not_raised(self):
-        g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
-        part = build_partition(g)
-        x, y = g.axes
-        p = ModelParams(eps=0.5, theta_bar=1.0, alpha=0.5, kappa=1.0, k_b=1.0)
-        phi0 = Field(g, np.cos(x) * np.cos(y) + 0.3 * np.cos(2 * x))
-        theta0 = Field(g, 1.0 + 0.5 * np.cos(y) * np.ones_like(x))
-        cfg = PicardConfig(chi=0.01, t_end=0.1, n_iter=8, tol=1e-14, dt=5e-3)
+        phi0, theta0, p, cfg, part = divergent_problem()
         rep = picard_iterate(phi0, theta0, p, cfg, part)
         assert rep.diverged and not rep.converged
         assert len(rep.rows) >= 1
         assert not rep.rows[-1].in_ball
+
+    def test_failed_run_keeps_its_last_accepted_iterate(self, monkeypatch):
+        phi0, theta0, p, cfg, part = divergent_problem()
+        stopped = picard_iterate(phi0, theta0, p, cfg, part)
+        assert stopped.diverged and len(stopped.rows) == 4
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=4), part)
+        for got, want in zip(finals(stopped), finals(accepted)):
+            assert np.array_equal(got, want)
+
+        # a failure after the map has written the last slot: in the size
+        # norm of application 3
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=2), part)
+        calls = []
+
+        def failing_k_norm(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NonFiniteError("summand phi_sup must be finite and >= 0, got inf")
+            return k_norm(*args, **kwargs)
+
+        monkeypatch.setattr(picard, "k_norm", failing_k_norm)
+        injected = picard_iterate(phi0, theta0, p, cfg, part)
+        assert injected.diverged and len(injected.rows) == 2
+        for got, want in zip(finals(injected), finals(accepted)):
+            assert np.array_equal(got, want)
+
+    def test_program_error_in_the_map_propagates(self, monkeypatch):
+        def broken(terms):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(picard, "_f1_hat", broken)
+        phi0, theta0, p = admissible_data()
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=3, dt=1e-3)
+        with pytest.raises(ValueError, match="broadcast"):
+            picard_iterate(phi0, theta0, p, cfg, PART2)
 
     def test_csv_is_deterministic_and_well_formed(self):
         phi0, theta0, p = admissible_data()
@@ -459,20 +521,50 @@ class TestPicardIterate:
         assert any("smallness report" in ln for ln in lines)
 
     def test_solution_map_transform_budget(self, monkeypatch):
-        # one application on a 2D grid: at most 12 transforms per snapshot
-        # that forces, plus the two inversions of the last one
+        # one application on a 2D grid, its difference norm included: at most
+        # 12 transforms per snapshot that forces, plus the two inversions of
+        # the last one
         phi0, theta0, p = admissible_data()
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
         phi0_hat = rfftn(GRID2, phi0.values)
-        dtheta0_hat = rfftn(GRID2, theta0.values - p.theta_bar)
-        dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(GRID2, p)[0], times)
+        dphi, dtheta = initial_iterate(phi0, theta0, p, times)
         calls = count_transforms(monkeypatch)
-        new_dphi, new_dtheta = _solution_map(
-            GRID2, np.zeros_like(dtheta), dtheta, phi0_hat, dtheta0_hat, p, times
-        )
+        _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
         assert 0 < len(calls) <= 12 * (times.size - 1) + 2
         assert set(calls) <= {"rfftn", "irfftn"}
-        assert new_dphi.shape == new_dtheta.shape == (times.size, *GRID2.half_shape)
+        assert dphi.shape == dtheta.shape == (times.size, *GRID2.half_shape)
+
+    def test_streamed_difference_is_the_norm_of_the_difference(self):
+        phi0, theta0, p = admissible_data()
+        times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
+        phi0_hat = rfftn(GRID2, phi0.values)
+        dphi, dtheta = initial_iterate(phi0, theta0, p, times)
+        for _ in range(2):
+            old = (dphi.copy(), dtheta.copy())
+            got = _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
+            assert np.any(dphi != old[0]) and np.any(dtheta != old[1])
+            want = k_norm(dphi, dtheta, PART2, times, minus=old)
+            assert got.summands == want.summands
+            assert got.total > 0.0
+
+    def test_memory_beyond_inputs_is_under_three_stacks(self):
+        # criterion 11's problem: 101 snapshots of the 64^2 half lattice,
+        # held as one pair of correction stacks
+        grid = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
+        part = build_partition(grid)
+        phi0, theta0, p = admissible_data(part)
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=6, dt=1e-4)
+        stack = cfg.times.size * math.prod(grid.half_shape) * np.dtype(complex).itemsize
+        part.rings  # the partition's lazy rings
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = picard_iterate(phi0, theta0, p, cfg, part)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert extra < 3 * stack, extra / stack
 
     def test_grid_mismatch_rejected(self):
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
