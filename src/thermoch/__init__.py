@@ -4,8 +4,10 @@ The package couples a fourth-order interface equation for a conserved order
 parameter with a heat equation for absolute temperature, discretized with
 Fourier collocation on a periodic box and a semi-implicit (IMEX) time
 stepper.  Alongside the simulators it ships the analysis layer used to
-certify runs: thermodynamic consistency checks, dyadic frequency-block
-norms, data-smallness reports, and a fixed-point contraction verifier.
+certify runs: a per-snapshot thermodynamic audit, dyadic frequency-block
+norms, data-smallness reports, and a fixed-point contraction verifier.  The
+checks of the analysis itself (the constitutive identities and the linear
+a-priori estimates) are test oracles, outside the package.
 
 Modules
 -------

@@ -57,7 +57,6 @@ __all__ = [
     "DyadicPartition",
     "BesovReport",
     "SmallnessReport",
-    "CompositionReport",
     "build_partition",
     "half_spectra",
     "SeriesEnergies",
@@ -66,8 +65,6 @@ __all__ = [
     "besov_norm",
     "chemin_lerner_norm",
     "check_smallness",
-    "composition_registry",
-    "verify_composition_bound",
 ]
 
 
@@ -404,84 +401,4 @@ def check_smallness(
         satisfied=(lhs1 < rhs1, lhs2 < rhs2),
         chi_range=chi_range,
         eps_theta_bar=p.eps * p.theta_bar,
-    )
-
-
-# --------------------------------------------------------------------------
-# composition bound  ||h(u)||_{B^s} <= C_s * D(h, u) * ||u||_{B^s}
-
-
-def composition_registry(theta_bar: float = 1.0) -> dict:
-    """Named smooth functions with h(0) = 0 and closed-form derivative suprema.
-
-    Each entry maps name -> (h, deriv_sup) where deriv_sup(m, M) bounds
-    |h^(m)(x)| over |x| <= M. The shifted ratios require M < theta_bar.
-    """
-
-    def ratio_sup(m, M):
-        if M >= theta_bar:
-            raise ValueError("composition bound needs max|u| < theta_bar for shifted ratios")
-        return math.factorial(m) * theta_bar / (theta_bar - M) ** (m + 1)
-
-    def ratio_sq_sup(m, M):
-        if M >= theta_bar:
-            raise ValueError("composition bound needs max|u| < theta_bar for shifted ratios")
-        return math.factorial(m + 1) * theta_bar**2 / (theta_bar - M) ** (m + 2)
-
-    return {
-        "identity": (lambda x: x, lambda m, M: 1.0 if m == 1 else 0.0),
-        # x / (theta_bar + x) = 1 - theta_bar/(theta_bar + x)
-        "shift_ratio": (lambda x: x / (theta_bar + x), ratio_sup),
-        # x (x + 2 theta_bar) / (theta_bar + x)^2 = 1 - (theta_bar/(theta_bar+x))^2
-        "shift_ratio_sq": (
-            lambda x: x * (x + 2.0 * theta_bar) / (theta_bar + x) ** 2,
-            ratio_sq_sup,
-        ),
-        "sin": (np.sin, lambda m, M: 1.0),
-    }
-
-
-@dataclass
-class CompositionReport:
-    h_name: str
-    s: float
-    lhs: float          # ||h(u)||_{B^s}
-    deriv_factor: float  # max_l M^l sup_{|x|<=M} |h^(l+1)|
-    u_norm: float       # ||u||_{B^s}
-    ratio: float        # lhs / (deriv_factor * u_norm); empirical C_s
-
-    def to_text(self) -> str:
-        return (
-            f"composition h = {self.h_name}, s = {self.s:g}: "
-            f"lhs = {self.lhs:.6e}, factor = {self.deriv_factor:.6e}, "
-            f"||u|| = {self.u_norm:.6e}, empirical C_s = {self.ratio:.6e}"
-        )
-
-
-def verify_composition_bound(
-    u: Field,
-    h_name: str,
-    s: float,
-    part: DyadicPartition,
-    theta_bar: float = 1.0,
-) -> CompositionReport:
-    """Evaluates both sides of the smooth-composition inequality on u.
-
-    The constant C_s is reported empirically (lhs / rhs-without-C); callers
-    calibrate it on one sample set and hold it out on another.
-    """
-    registry = composition_registry(theta_bar)
-    if h_name not in registry:
-        raise KeyError(f"unknown composition function {h_name!r}; have {sorted(registry)}")
-    h, deriv_sup = registry[h_name]
-    big_m = float(np.max(np.abs(u.values)))
-    n_derivs = int(math.floor(s)) + 1
-    factor = max(big_m**l * deriv_sup(l + 1, big_m) for l in range(n_derivs + 1))
-    hu = Field(u.grid, h(u.values))
-    lhs = besov_norm(hu, s, part).total
-    u_norm = besov_norm(u, s, part).total
-    denom = factor * u_norm
-    ratio = lhs / denom if denom > 0 else 0.0
-    return CompositionReport(
-        h_name=h_name, s=s, lhs=lhs, deriv_factor=factor, u_norm=u_norm, ratio=ratio
     )

@@ -37,7 +37,6 @@ __all__ = [
     "div_hat",
     "grad_arrays",
     "laplacian_array",
-    "divergence_arrays",
 ]
 
 
@@ -204,8 +203,3 @@ def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
 
 def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return irfftn(grid, rfftn(grid, values) * grid.half_lap)
-
-
-def divergence_arrays(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.ndarray:
-    """Spectral divergence of a vector of real arrays (optionally dealiased)."""
-    return irfftn(grid, div_hat(grid, comps, mask))

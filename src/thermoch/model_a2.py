@@ -30,7 +30,7 @@ round-off accident.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -259,6 +259,8 @@ def march(
 
     def record(j: int, prev: StateTerms, curr: StateTerms):
         row = audit(prev, curr, cfg.dt, step=j, t=j * cfg.dt, e_ref=e0)
+        if j == 0:  # no step produced the initial state: its residual is empty
+            row = replace(row, cd_residual_l2=None)
         curr.state.carried.pop("grad_phi", None)  # curr keeps its own
         if sink is not None:
             sink(curr.state, row)

@@ -5,8 +5,9 @@ dtheta): the free part solves the damped bilaplacian flow with the full
 initial phase, and the corrections solve forced linear problems whose
 forcings are re-evaluated on the previous iterate.  This module provides
 the exact per-mode linear propagators, the seven-term space-time norm that
-measures iterates, the Picard loop with contraction diagnostics, and
-numerical checks of the linear a-priori estimates backing the construction.
+measures iterates, and the Picard loop with contraction diagnostics.  The
+numerical checks of the linear a-priori estimates behind the construction
+are test oracles (tests/analysis_oracle.py), built on these propagators.
 
 All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
@@ -42,14 +43,11 @@ from .besov import (
     SeriesEnergies,
     SmallnessReport,
     _time_then_blocks,
-    besov_norm,
-    block_energies,
     check_smallness,
-    chemin_lerner_norm,
     half_spectra,
     series_energies,
 )
-from .grid import Field, GridSpec, NonFiniteError, irfftn, l2_norm, laplacian_array, rfftn
+from .grid import Field, GridSpec, NonFiniteError, irfftn, l2_norm, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
 from .thermo import ModelParams, PositivityError, StateTerms, ThermoState
 
@@ -109,20 +107,6 @@ def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarr
     positive = lam > 0.0
     weight = np.where(positive, -np.expm1(-lam * dt) / np.where(positive, lam, 1.0), dt)
     return np.exp(-lam * dt), weight / mass
-
-
-def _linear_solve(rates_and_mass, g, y0: Field, p: ModelParams, times) -> np.ndarray:
-    """Half spectra of the forced linear flow at every time, the forcing g
-    frozen on each interval."""
-    grid, times = y0.grid, _check_times(times)
-    lam, mass = rates_and_mass(grid, p)
-    g_hats = half_spectra(g, grid, times.size)
-    out = np.empty((times.size, *grid.half_shape), dtype=complex)
-    out[0] = rfftn(grid, y0.values)
-    for n in range(times.size - 1):
-        decay, gain = _etd_factors(lam, mass, times[n + 1] - times[n])
-        out[n + 1] = decay * out[n] + gain * g_hats[n]
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -469,152 +453,3 @@ def picard_iterate(
         final_phi=final_phi,
         final_theta=final_theta,
     )
-
-
-# --------------------------------------------------------------------------
-# horizon selection: how long does the free flow stay quadratically small?
-
-
-def free_flow_budget(
-    phi0: Field, p: ModelParams, t_end: float, part: DyadicPartition, n_snapshots: int = 33
-) -> float:
-    """Sum of the six space-time norms of the free flow on [0, t_end].
-
-    Mean-square norms of the gradient, laplacian, laplacian gradient, rate
-    and rate gradient, plus the time integral of the bilaplacian, all at
-    spatial order dim/2.  Rates are exact per mode (the flow is diagonal),
-    not finite differences, so the budget is a property of the flow alone.
-    """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    grid = phi0.grid
-    times = np.linspace(0.0, t_end, n_snapshots)
-    lam, _ = _phi_rates_and_mass(grid, p)
-    hats = _decay(rfftn(grid, phi0.values), lam, times)
-    grad, lap_sq, rate_sq = grid.half_grad_sq, grid.half_bilap, lam * lam
-    terms = [(grad, 2), (lap_sq, 2), (lap_sq**2, 1), (lap_sq * grad, 2)]
-    terms += [(rate_sq, 2), (rate_sq * grad, 2)]  # the rate spectrum is -lam * hats, exactly
-    s = grid.dim / 2.0
-    return float(sum(chemin_lerner_norm(hats, times, s, rho, part, w) for w, rho in terms))
-
-
-def find_t_chi(
-    phi0: Field,
-    p: ModelParams,
-    chi: float,
-    part: DyadicPartition,
-    t_max: float = 1.0,
-    n_snapshots: int = 33,
-    max_bisect: int = 40,
-) -> float:
-    """Largest horizon <= t_max on which the free-flow budget stays <= chi^2.
-
-    The budget is monotone in the horizon and vanishes with it, so plain
-    bisection applies; the returned horizon is the largest probed value
-    that satisfies the bound.
-    """
-    if chi <= 0.0:
-        raise ValueError("chi must be positive")
-    t_max = min(float(t_max), 1.0)
-    target = chi * chi
-    if free_flow_budget(phi0, p, t_max, part, n_snapshots) <= target:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        if free_flow_budget(phi0, p, mid, part, n_snapshots) <= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-3 * hi:
-            break
-    if lo == 0.0:
-        raise ValueError("no horizon satisfies the budget; chi too small for this data")
-    return lo
-
-
-# --------------------------------------------------------------------------
-# numerical checks of the linear a-priori estimates
-
-
-def phi_apriori_ratios(
-    g, phi0: Field, p: ModelParams, times, part: DyadicPartition
-) -> tuple[float, float, float, float]:
-    """Left/right ratios (constant stripped) of the four damped-flow bounds.
-
-    1. sup-in-time of the solution vs initial norm plus integrated forcing;
-    2. same for alpha times the laplacian, seeded with the initial laplacian;
-    3. viscosity times integrated bilaplacian plus integrated rate vs
-       initial data (both norms) plus integrated forcing;
-    4. mean-square rate plus sqrt(alpha) times its gradient vs sqrt(nu)
-       times the initial laplacian plus the mean-square forcing at order
-       dim/2 - 1 over sqrt(alpha) (needs alpha > 0).  The forcing enters
-       the fourth bound directly, without peeling a laplacian off it.
-
-    A calibrated multiple of 1 on each ratio is the empirical constant.
-    """
-    times = _check_times(times)
-    grid = phi0.grid
-    s = grid.dim / 2.0
-    nu = p.eps * p.theta_bar
-
-    def norm(energy, s, rho):
-        return _time_then_blocks(energy, times, s, rho, part)
-
-    g_hat = half_spectra(g, grid, times.size)
-    sol_hat = _linear_solve(_phi_rates_and_mass, g_hat, phi0, p, times)
-    sol, lap, bilap, rate, rate_grad = series_energies(
-        sol_hat, part, (None, grid.half_bilap, grid.half_bilap**2), (None, grid.half_grad_sq), times
-    )
-    g_energy = block_energies(g_hat, part)
-
-    phi0_n = besov_norm(phi0, s, part).total
-    lap_phi0_n = besov_norm(Field(grid, laplacian_array(grid, phi0.values)), s, part).total
-    g_l1 = norm(g_energy, s, 1)
-
-    sol_sup = norm(sol, s, math.inf)
-    lap_sup = norm(lap, s, math.inf)
-    bilap_l1 = norm(bilap, s, 1)
-    rate_l1 = norm(rate, s, 1)
-    rate_l2 = norm(rate, s, 2)
-    rate_grad_l2 = norm(rate_grad, s, 2)
-
-    r1 = sol_sup / (phi0_n + g_l1)
-    r2 = p.alpha * lap_sup / (p.alpha * lap_phi0_n + g_l1)
-    r3 = (nu * bilap_l1 + rate_l1) / (phi0_n + p.alpha * lap_phi0_n + g_l1)
-    if p.alpha > 0.0:
-        g_l2_low = norm(g_energy, s - 1.0, 2)
-        r4 = (rate_l2 + math.sqrt(p.alpha) * rate_grad_l2) / (
-            math.sqrt(nu) * lap_phi0_n + g_l2_low / math.sqrt(p.alpha)
-        )
-    else:
-        r4 = math.nan
-    return (float(r1), float(r2), float(r3), float(r4))
-
-
-def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPartition) -> float:
-    """Left/right ratio (constant stripped) of the three-term heat bound.
-
-    Heat-capacity-weighted supremum plus conductivity-weighted integrated
-    laplacian plus heat-capacity-weighted integrated rate, against the
-    weighted initial norm plus the integrated forcing.
-    """
-    times = _check_times(times)
-    grid = theta0.grid
-    s = grid.dim / 2.0
-
-    def norm(energy, rho):
-        return _time_then_blocks(energy, times, s, rho, part)
-
-    h_hat = half_spectra(h, grid, times.size)
-    sol_hat = _linear_solve(_theta_rates_and_mass, h_hat, theta0, p, times)
-    sol, lap, rate = series_energies(sol_hat, part, (None, grid.half_bilap), (None,), times)
-    sup = norm(sol, math.inf)
-    lap_l1 = norm(lap, 1)
-    rate_l1 = norm(rate, 1)
-    theta0_n = besov_norm(theta0, s, part).total
-    h_l1 = norm(block_energies(h_hat, part), 1)
-
-    lhs = p.k_b * sup + p.kappa * lap_l1 + p.k_b * rate_l1
-    rhs = p.k_b * theta0_n + h_l1
-    return float(lhs / rhs)

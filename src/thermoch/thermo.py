@@ -19,6 +19,9 @@ potential is kept in divergence form,
     mu = -div(eps*theta*grad phi) + (1/(eps*theta)) * dW/dphi,
 
 never collapsed to -eps*theta*lap(phi) (the forms differ when grad theta != 0).
+The identities s = -d(psi)/d(theta), mu = the Gateaux derivative of the total
+free energy and the energy rate are checked by centered differences in the
+tests (tests/analysis_oracle.py), not here.
 """
 
 from __future__ import annotations
@@ -33,12 +36,9 @@ from .grid import (
     Field,
     GridSpec,
     div_hat,
-    divergence_arrays,
     grad_arrays,
     grad_from_hat,
-    inner,
     irfftn,
-    l2_norm,
     rfftn,
 )
 
@@ -57,8 +57,6 @@ __all__ = [
     "force_square",
     "entropy_production",
     "total_energy",
-    "verify_variational_identities",
-    "VariationalReport",
 ]
 
 
@@ -382,106 +380,3 @@ def total_energy(state: ThermoState, p: ModelParams, terms=None) -> float:
     free_energy_density)."""
     e = internal_energy_density(state, p, terms)
     return float(np.sum(e.values)) * state.grid.h**state.grid.dim
-
-
-# --------------------------------------------------------------------------
-# finite-difference verification of the variational structure
-
-
-@dataclass
-class VariationalReport:
-    """Max-norm/L2 residuals of the three constitutive identities."""
-
-    entropy_residual: float
-    gateaux_residual: float
-    energy_rate_residual: float
-    h_step: float
-
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [
-            ("entropy_vs_dtheta_psi", self.entropy_residual, self.h_step),
-            ("mu_vs_gateaux", self.gateaux_residual, self.h_step),
-            ("energy_rate", self.energy_rate_residual, self.h_step),
-        ]
-
-
-def _band_limited_direction(grid: GridSpec, rng: np.random.Generator) -> Field:
-    """Random smooth unit-L2 field supported on |k_int| <= n/8 per axis."""
-    raw = rng.standard_normal(grid.shape)
-    c = rfftn(grid, raw)
-    cut = 2.0 * np.pi * (grid.n // 8) / grid.box_len
-    keep = np.ones(c.shape, dtype=bool)
-    for ki in grid.half_k_axes:
-        keep &= np.abs(ki) <= cut + 1e-12
-    v = irfftn(grid, c * keep)
-    f = Field(grid, v)
-    nrm = l2_norm(f)
-    return Field(grid, v / nrm) if nrm > 0 else f
-
-
-def _total_psi(phi: np.ndarray, theta: np.ndarray, grid: GridSpec, p: ModelParams) -> float:
-    st = ThermoState(Field(grid, phi), Field(grid, theta))
-    psi = free_energy_density(st, p)
-    return float(np.sum(psi.values)) * grid.h**grid.dim
-
-
-def verify_variational_identities(
-    state: ThermoState, p: ModelParams, h_step: float = 1e-5, seed: int = 0
-) -> VariationalReport:
-    """Centered-difference checks of the constitutive structure.
-
-    1. entropy:    max| s + (psi(theta+h) - psi(theta-h)) / (2h) |
-    2. potential:  |<mu, v> - (Psi[phi+hv] - Psi[phi-hv]) / (2h)| over 5 random
-       band-limited unit directions v (max residual reported)
-    3. energy rate: L2 residual of
-       d_t e = mu*d_t phi + div(eps*theta*grad(phi)*d_t phi) + theta*d_t s
-       along synthetic smooth rate fields (d_t phi, d_t theta), all time
-       derivatives realized as centered differences with the same step.
-    """
-    g = state.grid
-    phi = state.phi.values
-    theta = state.theta.values
-    rng = np.random.default_rng(seed)
-
-    # 1: s against -d(psi)/d(theta), pointwise
-    s = entropy_density(state, p).values
-    psi_p = free_energy_density(ThermoState(state.phi, Field(g, theta + h_step)), p).values
-    psi_m = free_energy_density(ThermoState(state.phi, Field(g, theta - h_step)), p).values
-    entropy_res = float(np.max(np.abs(s + (psi_p - psi_m) / (2.0 * h_step))))
-
-    # 2: mu against the Gateaux derivative of the total free energy
-    mu = chemical_potential(state, p).values
-    gateaux_res = 0.0
-    for _ in range(5):
-        v = _band_limited_direction(g, rng)
-        lhs = inner(Field(g, mu), v)
-        fd = (
-            _total_psi(phi + h_step * v.values, theta, g, p)
-            - _total_psi(phi - h_step * v.values, theta, g, p)
-        ) / (2.0 * h_step)
-        gateaux_res = max(gateaux_res, abs(lhs - fd))
-
-    # 3: energy rate along synthetic smooth rates
-    dphi = _band_limited_direction(g, rng).values
-    dtheta = 0.1 * _band_limited_direction(g, rng).values
-
-    def e_of(ph, th):
-        return internal_energy_density(ThermoState(Field(g, ph), Field(g, th)), p).values
-
-    def s_of(ph, th):
-        return entropy_density(ThermoState(Field(g, ph), Field(g, th)), p).values
-
-    de = (
-        e_of(phi + h_step * dphi, theta + h_step * dtheta)
-        - e_of(phi - h_step * dphi, theta - h_step * dtheta)
-    ) / (2.0 * h_step)
-    ds = (
-        s_of(phi + h_step * dphi, theta + h_step * dtheta)
-        - s_of(phi - h_step * dphi, theta - h_step * dtheta)
-    ) / (2.0 * h_step)
-    grads = grad_arrays(g, phi)
-    transport = divergence_arrays(g, [p.eps * theta * gi * dphi for gi in grads])
-    resid = de - (mu * dphi + transport + theta * ds)
-    energy_rate_res = l2_norm(Field(g, resid))
-
-    return VariationalReport(entropy_res, gateaux_res, energy_rate_res, h_step)

@@ -11,26 +11,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analysis_oracle import (
+    ginzburg_landau_energy,
+    phi_apriori_ratios,
+    theta_apriori_ratios,
+    verify_variational_identities,
+)
 from spectral_oracle import band_limited, fftn, project_block
 from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump
 from thermoch.cli import EXIT_OK, main
-from thermoch.diagnostics import ginzburg_landau_energy
 from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, rfftn
 from thermoch.model_a2 import SimConfig, heat_update, imex_step, phase_update, simulate
-from thermoch.picard import (
-    PicardConfig,
-    phi_apriori_ratios,
-    picard_iterate,
-    theta_apriori_ratios,
-)
+from thermoch.picard import PicardConfig, picard_iterate
 from thermoch.rng import Xoshiro256StarStar
-from thermoch.thermo import (
-    ModelParams,
-    StateTerms,
-    ThermoState,
-    entropy_production,
-    verify_variational_identities,
-)
+from thermoch.thermo import ModelParams, StateTerms, ThermoState, entropy_production
 
 GRID = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
 GRID_1D = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)

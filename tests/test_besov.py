@@ -1,4 +1,4 @@
-"""Dyadic partition, Besov/time-frequency norms, smallness, composition."""
+"""Dyadic partition, Besov/time-frequency norms, smallness, product continuity."""
 
 import math
 
@@ -7,16 +7,13 @@ import pytest
 
 from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared, project_block
 from thermoch.besov import (
-    BesovReport,
     besov_norm,
     block_energies,
     build_partition,
     check_smallness,
     chemin_lerner_norm,
     chi_bump,
-    composition_registry,
     series_energies,
-    verify_composition_bound,
 )
 from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn
 from thermoch.thermo import ModelParams
@@ -368,64 +365,6 @@ class TestSmallness:
         rep = check_smallness(z, t0, p, 0.5, PART)
         assert "margin" in rep.to_text()
         assert rep.to_csv().startswith("quantity,value")
-
-
-class TestComposition:
-    def test_identity_is_exact(self):
-        rng = np.random.default_rng(41)
-        u = band_limited(GRID, rng, amp=0.5, kmax_int=6, zero_mean=False)
-        rep = verify_composition_bound(u, "identity", 1.0, PART)
-        assert rep.ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_field(self):
-        u = Field(GRID, np.zeros(GRID.shape))
-        rep = verify_composition_bound(u, "sin", 1.0, PART)
-        assert rep.lhs == 0.0 and rep.ratio == 0.0
-
-    def test_pole_guard(self):
-        u = Field(GRID, np.full(GRID.shape, 2.0))
-        with pytest.raises(ValueError, match="theta_bar"):
-            verify_composition_bound(u, "shift_ratio", 1.0, PART, theta_bar=1.5)
-
-    def test_unknown_name(self):
-        u = Field(GRID, np.zeros(GRID.shape))
-        with pytest.raises(KeyError):
-            verify_composition_bound(u, "nope", 1.0, PART)
-
-    def test_calibrate_then_hold_out(self):
-        # empirical-constant protocol: C_s = 1.1 * max calibration ratio must
-        # cover a disjoint held-out sample for every registry function
-        rng = np.random.default_rng(42)
-        names = ["shift_ratio", "shift_ratio_sq", "sin"]
-        tb = 2.0
-
-        def sample():
-            u = band_limited(GRID, rng, float(rng.uniform(0.05, 0.9)), 8, zero_mean=False)
-            return u
-
-        for name in names:
-            cal = [
-                verify_composition_bound(sample(), name, 1.0, PART, theta_bar=tb).ratio
-                for _ in range(40)
-            ]
-            c_s = 1.1 * max(cal)
-            held = [
-                verify_composition_bound(sample(), name, 1.0, PART, theta_bar=tb).ratio
-                for _ in range(40)
-            ]
-            assert max(held) <= c_s
-
-    def test_registry_derivative_suprema_match_fd(self):
-        # spot-check the closed-form derivative bounds at the sup location
-        tb = 1.7
-        reg = composition_registry(tb)
-        h, sup = reg["shift_ratio"]
-        M = 0.6
-        x = -M
-        eps = 1e-5
-        d1 = (h(x + eps) - h(x - eps)) / (2 * eps)
-        assert abs(d1) <= sup(1, M) + 1e-6
-        assert sup(1, M) == pytest.approx(tb / (tb - M) ** 2, rel=1e-12)
 
 
 class TestProductContinuity:

@@ -74,6 +74,9 @@ class TestSimulate:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4  # header + steps 0, 5, 10
         assert lines[1].startswith("0,0.0,")
+        # no step produced the initial state: its residual field alone is empty
+        assert lines[1].endswith(",") and lines[1].count(",,") == 0
+        assert all(float(line.split(",")[-1]) >= 0.0 for line in lines[2:])
 
     def test_identical_config_and_seed_byte_identical_csv(self, tmp_path):
         cfg = write_config(tmp_path, GENTLE.format(out=tmp_path / "ignored"))

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from analysis_oracle import divergence_arrays
 from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared
 from thermoch.grid import (
     Field,
     GridSpec,
-    divergence_arrays,
     grad_arrays,
     inner,
     irfftn,

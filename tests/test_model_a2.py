@@ -681,6 +681,8 @@ class TestSharedTerms:
             assert state is produced[j]
             prev = StateTerms(produced[max(j - 1, 0)], p)
             want = audit(prev, StateTerms(state, p), cfg.dt, step=j, t=row.t, e_ref=e0)
+            if j == 0:  # march leaves the initial state's residual empty
+                want = replace(want, cd_residual_l2=None)
             for got_v, want_v in zip(astuple(row), astuple(want)):
                 assert got_v == pytest.approx(want_v, rel=1e-12, abs=0.0)
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analysis_oracle import linear_solve, phi_apriori_ratios, theta_apriori_ratios
 from spectral_oracle import count_transforms, full_symbols, grad_symbol, k_abs, k_squared
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
@@ -17,16 +18,11 @@ from thermoch.picard import (
     REPORT_CSV_HEADER,
     _decay,
     _free_flow,
-    _linear_solve,
     _map_in_place,
     _phi_rates_and_mass,
     _theta_rates_and_mass,
-    find_t_chi,
-    free_flow_budget,
     k_norm,
-    phi_apriori_ratios,
     picard_iterate,
-    theta_apriori_ratios,
 )
 from thermoch.thermo import ModelParams
 
@@ -96,7 +92,7 @@ class TestFreeEvolution:
     def test_times_must_increase(self):
         f = zero(GRID1)
         with pytest.raises(ValueError, match="increasing"):
-            _linear_solve(_phi_rates_and_mass, [f] * 3, f, params(), [0.0, 0.2, 0.1])
+            linear_solve(_phi_rates_and_mass, [f] * 3, f, params(), [0.0, 0.2, 0.1])
 
 
 class TestLinearSolvers:
@@ -105,7 +101,7 @@ class TestLinearSolvers:
         f = band_limited(GRID1, rng, amp=0.3, kmax=8.0)
         p = params()
         times = np.linspace(0.0, 0.05, 21)
-        forced = _linear_solve(_phi_rates_and_mass, [zero(GRID1)] * len(times), f, p, times)
+        forced = linear_solve(_phi_rates_and_mass, [zero(GRID1)] * len(times), f, p, times)
         gap = np.max(np.abs(irfftn(GRID1, forced) - irfftn(GRID1, free_hats(f, p, times))))
         assert gap < 1e-12
 
@@ -114,7 +110,7 @@ class TestLinearSolvers:
         p = params(eps=0.8, theta_bar=1.5, alpha=0.3)
         times = np.linspace(0.0, 0.2, 9)
         g = [Field(GRID1, 0.7 * np.sin(2 * x)) for _ in times]
-        sol = _linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
+        sol = linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha * 4.0
         lam = p.eps * p.theta_bar * 16.0 / mass
         for h, t in zip(sol, times):
@@ -126,7 +122,7 @@ class TestLinearSolvers:
         p = params()
         times = np.array([0.0, 0.013, 0.05, 0.0721, 0.2])
         g = [Field(GRID1, np.cos(x)) for _ in times]
-        sol = _linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
+        sol = linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha
         lam = p.eps * p.theta_bar / mass
         for h, t in zip(sol, times):
@@ -137,7 +133,7 @@ class TestLinearSolvers:
         p = params(k_b=3.0)
         times = np.linspace(0.0, 1.0, 6)
         h = [Field(GRID1, np.full(GRID1.shape, 0.6)) for _ in times]
-        sol = _linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
+        sol = linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
         for y, t in zip(sol, times):
             assert np.max(np.abs(irfftn(GRID1, y) - 0.6 * t / p.k_b)) < 1e-13
 
@@ -146,7 +142,7 @@ class TestLinearSolvers:
         p = params(kappa=2.0, k_b=3.0)
         times = np.linspace(0.0, 0.5, 6)
         theta0 = Field(GRID1, np.cos(2 * x))
-        sol = _linear_solve(_theta_rates_and_mass, [zero(GRID1)] * 6, theta0, p, times)
+        sol = linear_solve(_theta_rates_and_mass, [zero(GRID1)] * 6, theta0, p, times)
         for y, t in zip(sol, times):
             exact = math.exp(-p.kappa * 4.0 * t / p.k_b) * np.cos(2 * x)
             assert np.max(np.abs(irfftn(GRID1, y) - exact)) < 1e-14
@@ -156,7 +152,7 @@ class TestLinearSolvers:
         p = params(kappa=2.0, k_b=1.0)
         times = np.linspace(0.0, 2.0, 21)
         h = [Field(GRID1, 0.5 * np.cos(x)) for _ in times]
-        sol = _linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
+        sol = linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
         steady = 0.5 / p.kappa * np.cos(x)
         gaps = [np.max(np.abs(irfftn(GRID1, y) - steady)) for y in sol]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -164,9 +160,9 @@ class TestLinearSolvers:
     def test_forcing_grid_mismatch_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="length mismatch"):
-            _linear_solve(_phi_rates_and_mass, [zero(GRID1)] * 2, zero(GRID1), params(), times)
+            linear_solve(_phi_rates_and_mass, [zero(GRID1)] * 2, zero(GRID1), params(), times)
         with pytest.raises(ValueError, match="grid"):
-            _linear_solve(_theta_rates_and_mass, [zero(GRID2)] * 3, zero(GRID1), params(), times)
+            linear_solve(_theta_rates_and_mass, [zero(GRID2)] * 3, zero(GRID1), params(), times)
 
 
 class TestKNorm:
@@ -570,36 +566,6 @@ class TestPicardIterate:
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
         with pytest.raises(ValueError, match="grid"):
             picard_iterate(zero(GRID1), zero(GRID1), params(), cfg, PART2)
-
-
-class TestHorizonSelection:
-    def test_budget_monotone_in_horizon(self):
-        rng = np.random.default_rng(4)
-        f = band_limited(GRID1, rng, amp=0.5, kmax=6.0)
-        p = params()
-        values = [free_flow_budget(f, p, t, PART1) for t in (0.01, 0.1, 1.0)]
-        assert values[0] < values[1] < values[2]
-
-    def test_find_t_chi_returns_cap_when_easy(self):
-        rng = np.random.default_rng(5)
-        f = band_limited(GRID1, rng, amp=1e-4, kmax=2.0)
-        assert find_t_chi(f, params(), 10.0, PART1) == 1.0
-
-    def test_find_t_chi_bisects_to_the_boundary(self):
-        rng = np.random.default_rng(6)
-        f = band_limited(GRID1, rng, amp=0.5, kmax=6.0)
-        p = params()
-        chi = math.sqrt(free_flow_budget(f, p, 0.07, PART1))
-        t = find_t_chi(f, p, chi, PART1)
-        assert 0.0 < t < 1.0
-        assert free_flow_budget(f, p, t, PART1) <= chi * chi
-        assert free_flow_budget(f, p, min(1.0, 1.01 * t), PART1) > chi * chi
-
-    def test_unreachable_budget_raises(self):
-        rng = np.random.default_rng(7)
-        f = band_limited(GRID1, rng, amp=0.5, kmax=6.0)
-        with pytest.raises(ValueError, match="chi too small"):
-            find_t_chi(f, params(), 1e-12, PART1)
 
 
 def random_series(grid, rng, n, amp):

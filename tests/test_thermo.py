@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from analysis_oracle import verify_variational_identities
 from spectral_oracle import band_limited, fftn, ifftn_real, k_squared
+from thermoch import thermo
 from thermoch.grid import Field, GridSpec
 from thermoch.thermo import (
     ModelParams,
@@ -19,7 +21,6 @@ from thermoch.thermo import (
     free_energy_density,
     internal_energy_density,
     total_energy,
-    verify_variational_identities,
 )
 
 
@@ -243,6 +244,19 @@ class TestVariationalIdentities:
         r2 = verify_variational_identities(st, p, h_step=1e-4)
         assert r2.entropy_residual < 0.4 * r1.entropy_residual
         assert r2.energy_rate_residual < 0.4 * r1.energy_rate_residual
+
+    def test_a_wrong_entropy_fails_the_entropy_identity(self, monkeypatch):
+        # the criterion-02 oracle must see a defect in thermo.entropy_density
+        p = params(eps=0.8, theta_bar=1.2)
+        st = self._random_state(100)
+        right = thermo.entropy_density
+
+        def shifted(state, p, terms=None):
+            return Field(state.grid, right(state, p, terms).values + 1e-3)
+
+        monkeypatch.setattr(thermo, "entropy_density", shifted)
+        rep = verify_variational_identities(st, p, h_step=1e-5)
+        assert rep.entropy_residual > 1e-6
 
     def test_report_rows(self):
         p = params()
