@@ -214,14 +214,13 @@ class SeriesEnergies:
         self._t = t + 1
 
 
-def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None, minus=None):
+def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None):
     """SeriesEnergies of a stack of n half spectra, shape (n, *half_shape),
-    fed one snapshot at a time; minus, when given, a stack of the same shape
-    subtracted from it snapshot by snapshot.  Returns the energies, shape
+    fed one snapshot at a time.  Returns the energies, shape
     (len(weights) + len(rate_weights), n, n_blocks)."""
     acc = SeriesEnergies(part, len(hats), weights, rate_weights, times)
-    for t in range(len(hats)):
-        acc.add(hats[t], None if minus is None else minus[t])
+    for hat in hats:
+        acc.add(hat)
     return acc.energies
 
 

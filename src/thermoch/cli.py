@@ -11,9 +11,10 @@ Subcommands:
   demo-caginalp    print the energy-drift demonstration for the classic model
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(positivity loss, singularity, early termination, fixed-point divergence),
-4 I/O error (held lock, unreadable files).  The output directory is guarded
-by a sentinel lock file so two runs cannot interleave writes.
+(positivity loss, singularity, non-finite state, early termination,
+fixed-point divergence), 4 I/O error (held lock, unreadable files).  The
+output directory is guarded by a sentinel lock file so two runs cannot
+interleave writes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
 from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
+from .grid import NonFiniteError
 from .model_a2 import SimConfig, simulate
 from .picard import picard_iterate
 from .thermo import PositivityError, SingularityError
@@ -216,7 +218,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityError, SingularityError) as exc:
+    except (PositivityError, SingularityError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FieldIOError, OSError) as exc:

@@ -1,33 +1,21 @@
 """Run configuration: strict INI parsing, canonical form, initial data.
 
 The on-disk format is flat `key = value` pairs under fixed section headers,
-chosen over nested formats so experiment configs diff cleanly.  Parsing is
-strict: unknown sections or keys, malformed values, and keys that do not
-apply to the selected variant are all errors naming the offending field.
-
-Sections, keys and defaults (a missing section means all defaults):
-
-  [grid]        dim (required), n (required), box_len = 6.283185307179586
-  [physics]     eps = 1.0, theta_bar = 1.0, alpha = 1.0, kappa = 1.0,
-                k_b = 1.0, reg_delta = 0.01
-  [run]         model (required: a2 | a1 | isothermal), dt = 0.001,
-                t_end = 0.1, output_every = 10, output_dir = out,
-                eps0 = 0.5
-  [init]        kind = spinodal (tanh_stripe | spinodal | single_mode |
-                from_file); tanh_stripe: width = box_len/16;
-                spinodal: amplitude = 0.01, seed = 1, mean = 0.0;
-                single_mode: k = 1, amplitude = 0.01; from_file: path
-  [theta_init]  kind = constant (constant | constant_plus_sine | from_file);
-                constant_plus_sine: a = 0.1, k = 1; from_file: path
-  [picard]      optional; chi (required), t_end (required), n_iter = 8,
-                tol = 1e-10, dt (optional)
+chosen over nested formats so experiment configs diff cleanly.  `_SCHEMA`
+is the one statement of the sections, keys, types, defaults and the
+`[init]`/`[theta_init]` kinds each key applies to; parsing, defaults,
+validation and `canonical_text` all walk it.  Parsing is strict: unknown
+sections or keys, malformed or non-finite values, and keys that do not apply
+to the selected kind are all errors naming the offending field.  A missing
+section means all defaults, except [picard], which is parsed only when its
+header is present.
 
 Every run applies the 2/3 rule to the step's nonlinear terms; there is no
 key for it, so a config that sets one (such as [run] dealias) is rejected as
 an unknown key.
 
-A parsed config serializes back to one canonical text (fixed section and
-key order, repr floats) and reparses to an equal value; configs are the
+A parsed config serializes back to one canonical text (the table's section
+and key order, repr floats) and reparses to an equal value; configs are the
 reproducibility record, so this round trip is load-bearing.
 """
 
@@ -46,30 +34,46 @@ from .picard import PicardConfig
 from .rng import Xoshiro256StarStar
 from .thermo import MODELS, ModelParams, ThermoState
 
-INIT_KINDS = ("tanh_stripe", "spinodal", "single_mode", "from_file")
-THETA_KINDS = ("constant", "constant_plus_sine", "from_file")
+_REQUIRED = object()  # a default that marks the key as required
 
-_SCHEMA = {
-    "grid": ("dim", "n", "box_len"),
-    "physics": ("eps", "theta_bar", "alpha", "kappa", "k_b", "reg_delta"),
-    "run": ("model", "dt", "t_end", "output_every", "output_dir", "eps0"),
-    "init": ("kind", "width", "amplitude", "seed", "mean", "k", "path"),
-    "theta_init": ("kind", "a", "k", "path"),
-    "picard": ("chi", "t_end", "n_iter", "tol", "dt"),
-}
-
-_INIT_KEYS_BY_KIND = {
-    "tanh_stripe": ("width",),
-    "spinodal": ("amplitude", "seed", "mean"),
-    "single_mode": ("k", "amplitude"),
-    "from_file": ("path",),
-}
-
-_THETA_KEYS_BY_KIND = {
-    "constant": (),
-    "constant_plus_sine": ("a", "k"),
-    "from_file": ("path",),
-}
+# (section, key, type, default, kinds).  type is int, float, str, or the tuple
+# of allowed strings; default is _REQUIRED, None for an optional key, a value,
+# or a callable of the GridSpec; kinds lists the section's `kind`s the key
+# applies to (None: every kind).  Row order is the canonical text's order.
+_SCHEMA = (
+    ("grid", "dim", int, _REQUIRED, None),
+    ("grid", "n", int, _REQUIRED, None),
+    ("grid", "box_len", float, 2.0 * math.pi, None),
+    ("physics", "eps", float, 1.0, None),
+    ("physics", "theta_bar", float, 1.0, None),
+    ("physics", "alpha", float, 1.0, None),
+    ("physics", "kappa", float, 1.0, None),
+    ("physics", "k_b", float, 1.0, None),
+    ("physics", "reg_delta", float, 1e-2, None),
+    ("run", "model", MODELS, _REQUIRED, None),
+    ("run", "dt", float, 1e-3, None),
+    ("run", "t_end", float, 0.1, None),
+    ("run", "output_every", int, 10, None),
+    ("run", "output_dir", str, "out", None),
+    ("run", "eps0", float, 0.5, None),
+    ("init", "kind", ("tanh_stripe", "spinodal", "single_mode", "from_file"), "spinodal", None),
+    ("init", "width", float, lambda grid: grid.box_len / 16.0, ("tanh_stripe",)),
+    ("init", "k", int, 1, ("single_mode",)),
+    ("init", "amplitude", float, 0.01, ("spinodal", "single_mode")),
+    ("init", "seed", int, 1, ("spinodal",)),
+    ("init", "mean", float, 0.0, ("spinodal",)),
+    ("init", "path", str, _REQUIRED, ("from_file",)),
+    ("theta_init", "kind", ("constant", "constant_plus_sine", "from_file"), "constant", None),
+    ("theta_init", "a", float, 0.1, ("constant_plus_sine",)),
+    ("theta_init", "k", int, 1, ("constant_plus_sine",)),
+    ("theta_init", "path", str, _REQUIRED, ("from_file",)),
+    ("picard", "chi", float, _REQUIRED, None),
+    ("picard", "t_end", float, _REQUIRED, None),
+    ("picard", "n_iter", int, 8, None),
+    ("picard", "tol", float, 1e-10, None),
+    ("picard", "dt", float, None, None),
+)
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _SCHEMA))
 
 
 class ConfigError(ValueError):
@@ -78,7 +82,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class InitSpec:
-    """How the initial phase field is produced."""
+    """How the initial phase field is produced; keys outside kind are None."""
 
     kind: str
     width: float | None = None
@@ -89,40 +93,18 @@ class InitSpec:
     path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ConfigError(f"init.kind must be one of {INIT_KINDS}, got {self.kind!r}")
-        wanted = _INIT_KEYS_BY_KIND[self.kind]
-        for key in ("width", "amplitude", "seed", "mean", "k", "path"):
-            value = getattr(self, key)
-            if value is not None and key not in wanted:
-                raise ConfigError(f"init.{key} does not apply to init.kind = {self.kind}")
-            if value is None and key in wanted:
-                raise ConfigError(f"init.{key} is required for init.kind = {self.kind}")
         if self.seed is not None and not 0 <= self.seed < 2**64:
             raise ConfigError(f"init.seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
 class ThetaInitSpec:
-    """How the initial temperature field is produced."""
+    """How the initial temperature field is produced; keys outside kind are None."""
 
     kind: str
     a: float | None = None
     k: int | None = None
     path: str | None = None
-
-    def __post_init__(self):
-        if self.kind not in THETA_KINDS:
-            raise ConfigError(
-                f"theta_init.kind must be one of {THETA_KINDS}, got {self.kind!r}"
-            )
-        wanted = _THETA_KEYS_BY_KIND[self.kind]
-        for key in ("a", "k", "path"):
-            value = getattr(self, key)
-            if value is not None and key not in wanted:
-                raise ConfigError(f"theta_init.{key} does not apply to kind = {self.kind}")
-            if value is None and key in wanted:
-                raise ConfigError(f"theta_init.{key} is required for kind = {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -153,136 +135,89 @@ class RunConfig:
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError("run.eps0 must lie in (0, 1)")
 
+    @property
+    def model(self) -> str:
+        return self.params.model
+
 
 # --------------------------------------------------------------------------
 # parsing
 
 
-def _typed(section: str, key: str, raw: str, kind: type):
+def _value(section: str, key: str, raw: str, typ):
+    if isinstance(typ, tuple):
+        if raw not in typ:
+            raise ConfigError(f"{section}.{key} must be one of {typ}, got {raw!r}")
+        return raw
     try:
-        return kind(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
-            f"{section}.{key}: cannot parse {raw!r} as {kind.__name__}"
+            f"{section}.{key}: cannot parse {raw!r} as {typ.__name__}"
         ) from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    return value
 
 
-class _Section:
-    """One validated section; tracks key types and presence."""
+def _section(parser: configparser.ConfigParser, name: str, grid: GridSpec | None = None) -> dict:
+    """The typed keys of one section, with defaults filled in from _SCHEMA."""
+    rows = [row for row in _SCHEMA if row[0] == name]
+    raw = dict(parser.items(name)) if parser.has_section(name) else {}
+    keys = [row[1] for row in rows]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+    values = {}
+    for _, key, typ, default, kinds in rows:
+        if kinds is not None and values["kind"] not in kinds:
+            if key in raw:
+                raise ConfigError(f"{name}.{key} does not apply to {name}.kind = {values['kind']}")
+        elif key in raw:
+            values[key] = _value(name, key, raw[key], typ)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {name}.{key}")
+        else:
+            values[key] = default(grid) if callable(default) else default
+    return values
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser.items(name)) if parser.has_section(name) else {}
-        for key in self.raw:
-            if key not in _SCHEMA[name]:
-                raise ConfigError(f"unknown key {key!r} in [{name}]")
 
-    def get(self, key: str, kind: type, default=None, required: bool = False):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"missing required key {self.name}.{key}")
-            return default
-        return _typed(self.name, key, self.raw[key], kind)
+def _build(name: str, cls, **values):
+    """cls(**values), with a plain ValueError reported under the section name."""
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def loads_config(text: str) -> RunConfig:
-    """Parse config text; see the module docstring for the schema."""
+    """Parse config text; _SCHEMA states the sections, keys and defaults."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from None
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
 
-    grid_sec = _Section(parser, "grid")
-    physics = _Section(parser, "physics")
-    run = _Section(parser, "run")
-    init_sec = _Section(parser, "init")
-    theta_sec = _Section(parser, "theta_init")
-    picard_sec = _Section(parser, "picard")
-
-    try:
-        grid = GridSpec(
-            dim=grid_sec.get("dim", int, required=True),
-            n=grid_sec.get("n", int, required=True),
-            box_len=grid_sec.get("box_len", float, default=2.0 * math.pi),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"grid: {exc}") from None
-
-    model = run.get("model", str, required=True)
-    if model not in MODELS:
-        raise ConfigError(f"run.model must be one of {MODELS}, got {model!r}")
-    try:
-        params = ModelParams(
-            eps=physics.get("eps", float, 1.0),
-            theta_bar=physics.get("theta_bar", float, 1.0),
-            alpha=physics.get("alpha", float, 1.0),
-            kappa=physics.get("kappa", float, 1.0),
-            k_b=physics.get("k_b", float, 1.0),
-            model=model,
-            reg_delta=physics.get("reg_delta", float, 1e-2),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"physics: {exc}") from None
-
-    kind = init_sec.get("kind", str, "spinodal")
-    defaults = {
-        "tanh_stripe": {"width": grid.box_len / 16.0},
-        "spinodal": {"amplitude": 0.01, "seed": 1, "mean": 0.0},
-        "single_mode": {"k": 1, "amplitude": 0.01},
-    }.get(kind, {})
-    init = InitSpec(
-        kind=kind,
-        width=init_sec.get("width", float, defaults.get("width")),
-        amplitude=init_sec.get("amplitude", float, defaults.get("amplitude")),
-        seed=init_sec.get("seed", int, defaults.get("seed")),
-        mean=init_sec.get("mean", float, defaults.get("mean")),
-        k=init_sec.get("k", int, defaults.get("k")),
-        path=init_sec.get("path", str, None, required=(kind == "from_file")),
-    )
-
-    theta_kind = theta_sec.get("kind", str, "constant")
-    theta_defaults = {"constant_plus_sine": {"a": 0.1, "k": 1}}.get(theta_kind, {})
-    theta_init = ThetaInitSpec(
-        kind=theta_kind,
-        a=theta_sec.get("a", float, theta_defaults.get("a")),
-        k=theta_sec.get("k", int, theta_defaults.get("k")),
-        path=theta_sec.get("path", str, None, required=(theta_kind == "from_file")),
-    )
-
+    grid = _build("grid", GridSpec, **_section(parser, "grid"))
+    run = _section(parser, "run")
+    params = _build("physics", ModelParams, model=run.pop("model"), **_section(parser, "physics"))
     picard = None
-    if picard_sec.raw:
-        try:
-            picard = PicardConfig(
-                chi=picard_sec.get("chi", float, required=True),
-                t_end=picard_sec.get("t_end", float, required=True),
-                n_iter=picard_sec.get("n_iter", int, 8),
-                tol=picard_sec.get("tol", float, 1e-10),
-                dt=picard_sec.get("dt", float, None),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"picard: {exc}") from None
-
+    if parser.has_section("picard"):
+        picard = _build("picard", PicardConfig, **_section(parser, "picard"))
     return RunConfig(
         grid=grid,
         params=params,
-        dt=run.get("dt", float, 1e-3),
-        t_end=run.get("t_end", float, 0.1),
-        output_every=run.get("output_every", int, 10),
-        output_dir=run.get("output_dir", str, "out"),
-        init=init,
-        theta_init=theta_init,
-        eps0=run.get("eps0", float, 0.5),
+        init=InitSpec(**_section(parser, "init", grid)),
+        theta_init=ThetaInitSpec(**_section(parser, "theta_init")),
         picard=picard,
+        **run,
     )
 
 
@@ -297,56 +232,29 @@ def load_config(path: str | Path) -> RunConfig:
 # canonical serialization
 
 
-def _kv(key: str, value) -> str:
-    if isinstance(value, float):
-        return f"{key} = {value!r}"
-    return f"{key} = {value}"
-
-
 def canonical_text(cfg: RunConfig) -> str:
-    """The unique text form: fixed section and key order, repr floats."""
-    p = cfg.params
-    lines = [
-        "[grid]",
-        _kv("dim", cfg.grid.dim),
-        _kv("n", cfg.grid.n),
-        _kv("box_len", float(cfg.grid.box_len)),
-        "",
-        "[physics]",
-        _kv("eps", p.eps),
-        _kv("theta_bar", p.theta_bar),
-        _kv("alpha", p.alpha),
-        _kv("kappa", p.kappa),
-        _kv("k_b", p.k_b),
-        _kv("reg_delta", p.reg_delta),
-        "",
-        "[run]",
-        _kv("model", p.model),
-        _kv("dt", cfg.dt),
-        _kv("t_end", cfg.t_end),
-        _kv("output_every", cfg.output_every),
-        _kv("output_dir", cfg.output_dir),
-        _kv("eps0", cfg.eps0),
-        "",
-        "[init]",
-        _kv("kind", cfg.init.kind),
-    ]
-    for key in _INIT_KEYS_BY_KIND[cfg.init.kind]:
-        lines.append(_kv(key, getattr(cfg.init, key)))
-    lines += ["", "[theta_init]", _kv("kind", cfg.theta_init.kind)]
-    for key in _THETA_KEYS_BY_KIND[cfg.theta_init.kind]:
-        lines.append(_kv(key, getattr(cfg.theta_init, key)))
-    if cfg.picard is not None:
-        lines += [
-            "",
-            "[picard]",
-            _kv("chi", cfg.picard.chi),
-            _kv("t_end", cfg.picard.t_end),
-            _kv("n_iter", cfg.picard.n_iter),
-            _kv("tol", cfg.picard.tol),
-        ]
-        if cfg.picard.dt is not None:
-            lines.append(_kv("dt", cfg.picard.dt))
+    """The unique text form: _SCHEMA's section and key order, repr floats;
+    keys outside the section's kind and unset optional keys are left out."""
+    owners = {
+        "grid": cfg.grid,
+        "physics": cfg.params,
+        "run": cfg,
+        "init": cfg.init,
+        "theta_init": cfg.theta_init,
+        "picard": cfg.picard,
+    }
+    lines, current = [], None
+    for section, key, typ, _, kinds in _SCHEMA:
+        owner = owners[section]
+        if owner is None or (kinds is not None and owner.kind not in kinds):
+            continue
+        value = getattr(owner, key)
+        if value is None:
+            continue
+        if section != current:
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+            current = section
+        lines.append(f"{key} = {float(value)!r}" if typ is float else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -148,30 +148,23 @@ class KNormReport:
         return float(sum(self.summands.values()))
 
 
-def k_norm(dphi, dtheta, part: DyadicPartition, times, minus=None) -> KNormReport:
+def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
     dphi and dtheta are Field lists or stacks of half spectra of shape
     (n_times, *half_shape); spectra are measured without any transform.
-    minus, when given, is a pair of such series subtracted from (dphi,
-    dtheta) snapshot by snapshot: the norm of the difference, without a
-    difference stack.  Time derivatives are backward differences of the
-    series (zero on the first snapshot, matching corrections that start from
-    rest), so at least three snapshots are required for the rate terms to
-    mean anything.
+    Time derivatives are backward differences of the series (zero on the
+    first snapshot, matching corrections that start from rest), so at least
+    three snapshots are required for the rate terms to mean anything.
     """
     times = _check_times(times)
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
     grid = part.grid
     phi_hat, theta_hat = (half_spectra(f, grid, times.size) for f in (dphi, dtheta))
-    if minus is None:
-        minus = (None, None)
-    else:
-        minus = tuple(half_spectra(f, grid, times.size) for f in minus)
     energies = (
-        series_energies(hat, part, *w, times, sub)
-        for hat, w, sub in zip((phi_hat, theta_hat), _norm_weights(grid), minus)
+        series_energies(hat, part, *w, times)
+        for hat, w in zip((phi_hat, theta_hat), _norm_weights(grid))
     )
     return _norm_report(*energies, part, times)
 

@@ -7,6 +7,7 @@ import pytest
 
 from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared, project_block
 from thermoch.besov import (
+    SeriesEnergies,
     besov_norm,
     block_energies,
     build_partition,
@@ -202,7 +203,7 @@ class TestHalfLatticeBlocks:
 
     def test_streamed_series_matches_explicit_stacks_bitwise(self):
         # the difference, the backward rate and every weight of one streamed
-        # call against block_energies of stacks formed explicitly
+        # series against block_energies of stacks formed explicitly
         rng = np.random.default_rng(71)
         times = np.linspace(0.0, 0.3, 5)
         hats, old = (
@@ -215,7 +216,13 @@ class TestHalfLatticeBlocks:
             rates = np.zeros_like(series)
             rates[1:] = series[1:] - series[:-1]
             rates[1:] *= (1.0 / np.diff(times))[:, None, None]
-            got = series_energies(hats, PART, weights, rate_weights, times, minus)
+            if minus is None:
+                got = series_energies(hats, PART, weights, rate_weights, times)
+            else:
+                acc = SeriesEnergies(PART, times.size, weights, rate_weights, times)
+                for hat, sub in zip(hats, minus):
+                    acc.add(hat, minus=sub)
+                got = acc.energies
             want = [block_energies(series, PART, w) for w in weights]
             want += [block_energies(rates, PART, w) for w in rate_weights]
             assert got.shape == (4, times.size, len(PART.symbols))

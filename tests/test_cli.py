@@ -169,6 +169,35 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
         assert "unknown_key" in capsys.readouterr().err
 
+    def test_non_finite_config_value_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = GENTLE.format(out=out).replace("alpha = 0.5", "alpha = 0.5\neps = nan")
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "physics.eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_initial_state_exits_3_without_traceback(self, tmp_path):
+        # the initial energy of this state overflows, before the first step;
+        # run as a child so numpy's overflow warning is printed, not raised
+        out = tmp_path / "out"
+        text = (
+            "[grid]\ndim = 1\nn = 16\n\n[run]\nmodel = a2\n"
+            f"output_dir = {out}\n\n[init]\nkind = single_mode\namplitude = 1e100\n"
+        )
+        cfg = write_config(tmp_path, text)
+        src = str(Path(thermoch.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoch.cli", "simulate", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "numerical failure: field contains" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / LOCK_NAME).exists()
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.ini")])
         assert code == EXIT_CONFIG
@@ -330,6 +359,11 @@ class TestAnalysisCommands:
         cfg = write_config(tmp_path, GENTLE.format(out=tmp_path / "out"))
         assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
         assert "[picard]" in capsys.readouterr().err
+
+    def test_picard_verify_empty_picard_section_names_the_missing_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, GENTLE.format(out=tmp_path / "out") + "\n[picard]\n")
+        assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "missing required key picard.chi" in capsys.readouterr().err
 
     def test_picard_verify_requires_model_a2(self, tmp_path, capsys):
         text = PICARD.format(out=tmp_path / "out").replace("model = a2", "model = isothermal")

@@ -29,6 +29,90 @@ model = a2
 
 MINIMAL_2D = MINIMAL.replace("dim = 1", "dim = 2").replace("n = 128", "n = 32")
 
+EVERY_SECTION = (
+    MINIMAL_2D.replace("n = 32", "n = 32\nbox_len = 12.5")
+    + "\n[physics]\neps = 0.5\ntheta_bar = 2.0\nalpha = 0.25\n"
+    + "\n[init]\nkind = single_mode\nk = 3\namplitude = 0.125\n"
+    + "\n[theta_init]\nkind = constant_plus_sine\na = 0.05\nk = 2\n"
+    + "\n[picard]\nchi = 1e-4\nt_end = 0.02\nn_iter = 5\ndt = 0.0002\n"
+)
+
+SPINODAL = MINIMAL_2D + "\n[init]\nkind = spinodal\namplitude = 0.05\nseed = 42\nmean = 0.3\n"
+
+# The canonical bytes of EVERY_SECTION and SPINODAL: a reordered or
+# dropped schema row fails here.
+EVERY_SECTION_CANONICAL = """\
+[grid]
+dim = 2
+n = 32
+box_len = 12.5
+
+[physics]
+eps = 0.5
+theta_bar = 2.0
+alpha = 0.25
+kappa = 1.0
+k_b = 1.0
+reg_delta = 0.01
+
+[run]
+model = a2
+dt = 0.001
+t_end = 0.1
+output_every = 10
+output_dir = out
+eps0 = 0.5
+
+[init]
+kind = single_mode
+k = 3
+amplitude = 0.125
+
+[theta_init]
+kind = constant_plus_sine
+a = 0.05
+k = 2
+
+[picard]
+chi = 0.0001
+t_end = 0.02
+n_iter = 5
+tol = 1e-10
+dt = 0.0002
+"""
+
+SPINODAL_CANONICAL = """\
+[grid]
+dim = 2
+n = 32
+box_len = 6.283185307179586
+
+[physics]
+eps = 1.0
+theta_bar = 1.0
+alpha = 1.0
+kappa = 1.0
+k_b = 1.0
+reg_delta = 0.01
+
+[run]
+model = a2
+dt = 0.001
+t_end = 0.1
+output_every = 10
+output_dir = out
+eps0 = 0.5
+
+[init]
+kind = spinodal
+amplitude = 0.05
+seed = 42
+mean = 0.3
+
+[theta_init]
+kind = constant
+"""
+
 
 class TestLoadConfig:
     def test_minimal_fills_documented_defaults(self):
@@ -106,6 +190,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"theta_init\.a does not apply"):
             loads_config(MINIMAL + "\n[theta_init]\nkind = constant\na = 0.5\n")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("physics", "eps", "nan"),
+            ("physics", "kappa", "inf"),
+            ("run", "dt", "-inf"),
+            ("init", "amplitude", "nan"),
+            ("picard", "chi", "nan"),
+            ("picard", "tol", "nan"),
+        ],
+    )
+    def test_non_finite_float_rejected_naming_the_field(self, section, key, value):
+        sections = {
+            "physics": f"\n[physics]\n{key} = {value}\n",
+            "run": f"{key} = {value}\n",  # MINIMAL ends in its [run] section
+            "init": f"\n[init]\nkind = spinodal\n{key} = {value}\n",
+            "picard": "\n[picard]\n"
+            + "\n".join(f"{k} = {value if k == key else 0.01}" for k in ("chi", "t_end", "tol"))
+            + "\n",
+        }
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be finite, got '{value}'"):
+            loads_config(MINIMAL + sections[section])
+
+    def test_empty_picard_section_is_not_an_absent_one(self):
+        with pytest.raises(ConfigError, match=r"^missing required key picard\.chi$"):
+            loads_config(MINIMAL + "\n[picard]\n")
+
+    def test_default_section_with_keys_rejected(self):
+        # configparser would copy n into every section; the error names the
+        # section the key was written in
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            loads_config("[DEFAULT]\nn = 16\n\n" + MINIMAL)
+
     def test_from_file_requires_path(self):
         with pytest.raises(ConfigError, match=r"init\.path"):
             loads_config(MINIMAL + "\n[init]\nkind = from_file\n")
@@ -144,17 +261,26 @@ class TestCanonicalForm:
         assert canonical_text(loads_config(text)) == text
 
     def test_round_trip_with_every_section(self):
-        full = (
-            MINIMAL_2D.replace("n = 32", "n = 32\nbox_len = 12.5")
-            + "\n[physics]\neps = 0.5\ntheta_bar = 2.0\nalpha = 0.25\n"
-            + "\n[init]\nkind = single_mode\nk = 3\namplitude = 0.125\n"
-            + "\n[theta_init]\nkind = constant_plus_sine\na = 0.05\nk = 2\n"
-            + "\n[picard]\nchi = 1e-4\nt_end = 0.02\nn_iter = 5\ndt = 0.0002\n"
-        )
-        cfg = loads_config(full)
+        cfg = loads_config(EVERY_SECTION)
         text = canonical_text(cfg)
         assert loads_config(text) == cfg
         assert canonical_text(loads_config(text)) == text
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (EVERY_SECTION, EVERY_SECTION_CANONICAL),
+            # an unset optional key is left out
+            (
+                EVERY_SECTION.replace("dt = 0.0002\n", ""),
+                EVERY_SECTION_CANONICAL.replace("dt = 0.0002\n", ""),
+            ),
+            (SPINODAL, SPINODAL_CANONICAL),
+        ],
+        ids=["every-section", "picard-without-dt", "spinodal"],
+    )
+    def test_canonical_bytes_are_pinned(self, text, expected):
+        assert canonical_text(loads_config(text)) == expected
 
     def test_floats_serialized_as_repr(self):
         text = canonical_text(loads_config(MINIMAL))

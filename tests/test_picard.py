@@ -329,19 +329,6 @@ class TestSpectralKNorm:
         for name, value in want.summands.items():
             assert got.summands[name] == pytest.approx(value, rel=1e-14)
 
-    def test_streamed_difference_matches_difference_stack(self):
-        rng = np.random.default_rng(13)
-        times = np.linspace(0.0, 0.05, 7)
-        series = [nyquist_series(GRID2, rng, times.size, amp) for amp in (0.2, 0.1, 0.3, 0.05)]
-        phi, theta, phi_old, theta_old = (
-            np.stack([rfftn(GRID2, f.values) for f in s]) for s in series
-        )
-        want = k_norm(phi - phi_old, theta - theta_old, PART2, times)
-        got = k_norm(phi, theta, PART2, times, minus=(phi_old, theta_old))
-        for name, value in want.summands.items():
-            assert value > 0.0
-            assert got.summands[name] == pytest.approx(value, rel=1e-14), name
-
     def test_memory_beyond_inputs_is_a_fraction_of_one_stack(self):
         # criterion 11's spectra: 101 snapshots of the 64^2 half lattice
         grid = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
@@ -349,19 +336,16 @@ class TestSpectralKNorm:
         times = np.linspace(0.0, 1e-2, 101)
         rng = np.random.default_rng(14)
         shape = (times.size, *grid.half_shape)
-        phi, theta, phi_old, theta_old = (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)
-        )
+        phi, theta = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
         k_norm(phi, theta, part, times)  # the partition's lazy rings, the grid's weights
-        for minus in (None, (phi_old, theta_old)):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                k_norm(phi, theta, part, times, minus=minus)
-                extra = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert extra < phi.nbytes / 4, (minus is not None, extra)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            k_norm(phi, theta, part, times)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra < phi.nbytes / 4, extra
 
     def test_spectra_of_wrong_shape_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
@@ -539,7 +523,7 @@ class TestPicardIterate:
             old = (dphi.copy(), dtheta.copy())
             got = _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
             assert np.any(dphi != old[0]) and np.any(dtheta != old[1])
-            want = k_norm(dphi, dtheta, PART2, times, minus=old)
+            want = k_norm(dphi - old[0], dtheta - old[1], PART2, times)
             assert got.summands == want.summands
             assert got.total > 0.0
 
