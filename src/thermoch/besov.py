@@ -23,7 +23,8 @@ Norms are the dyadic-lattice analogues of the continuum definitions
     chemin_lerner(rho)   = sum_q 2^(q s) ( time-L^rho of ||block_q f(t)||_L2 )
 
 with left-endpoint quadrature for rho = 1, a discrete max for rho = inf, and
-a left-endpoint ell^2 for rho = 2.
+a left-endpoint ell^2 for rho = 2; _time_then_blocks forms the second from
+block energies, for the Picard iterate norm.
 
 Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
@@ -58,12 +59,10 @@ __all__ = [
     "BesovReport",
     "SmallnessReport",
     "build_partition",
-    "half_spectra",
     "SeriesEnergies",
     "series_energies",
     "block_energies",
     "besov_norm",
-    "chemin_lerner_norm",
     "check_smallness",
 ]
 
@@ -134,20 +133,6 @@ def build_partition(grid: GridSpec) -> DyadicPartition:
     for q in range(q_max + 1):
         symbols.append(chi_bump(r / 2.0 ** (q + 1)) - chi_bump(r / 2.0**q))
     return DyadicPartition(grid=grid, q_min=-1, q_max=q_max, symbols=tuple(symbols))
-
-
-def half_spectra(series, grid: GridSpec, n_times: int) -> np.ndarray:
-    """n_times fields on grid as a stack of rfftn half spectra, shape
-    (n_times, *half_shape); a stack of that shape passes through."""
-    if isinstance(series, np.ndarray):
-        if series.shape != (n_times, *grid.half_shape):
-            raise ValueError(f"spectra of shape {series.shape} do not fit the grid and times")
-        return series
-    if len(series) != n_times:
-        raise ValueError("series and times length mismatch")
-    if any(f.grid != grid for f in series):
-        raise ValueError("a field lives on a different grid")
-    return np.stack([rfftn(grid, f.values) for f in series])
 
 
 class SeriesEnergies:
@@ -256,7 +241,9 @@ class BesovReport:
 
 
 def besov_norm(f: Field, s: float, part: DyadicPartition) -> BesovReport:
-    block = np.sqrt(block_energies(half_spectra([f], part.grid, 1)[0], part))
+    if f.grid != part.grid:
+        raise ValueError("a field lives on a different grid")
+    block = np.sqrt(block_energies(rfftn(part.grid, f.values), part))
     weighted = [
         (q, float(2.0 ** (q * s) * block[i])) for i, q in enumerate(part.qs)
     ]
@@ -280,19 +267,6 @@ def _time_then_blocks(energy: np.ndarray, times, s: float, rho, part: DyadicPart
     else:
         raise ValueError(f"rho must be 1, 2 or inf, got {rho!r}")
     return float(np.sum(2.0 ** (np.asarray(part.qs) * s) * agg))
-
-
-def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weight=None) -> float:
-    """Time-then-frequency norm: ell^1 over blocks of time-L^rho block norms.
-
-    series is a list of fields or a stack of their half spectra; weight is
-    an operator weight as in SeriesEnergies.  For rho = inf and a
-    time-constant series this reduces to besov_norm; for rho = 1 it equals
-    the left-endpoint time integral of the instantaneous besov norm (the
-    sums commute exactly).
-    """
-    hats = half_spectra(series, part.grid, len(np.asarray(times)))
-    return _time_then_blocks(block_energies(hats, part, weight), times, s, rho, part)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ which measures how far a discrete trajectory is from satisfying the
 dissipation law the continuous model is built on.  The residual is not
 expected to vanish at finite step size; the gates assert it shrinks under
 refinement.  No step produced a run's initial state, so model_a2.march
-leaves the residual of its step-0 row empty (None).
+audits it against itself, and that step-0 row forms no residual (None).
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ CSV_HEADER = (
 @dataclass(frozen=True)
 class DiagnosticsRow:
     """One audited snapshot of a run.  cd_residual_l2 is None on march's
-    step-0 row, which no step produced; its CSV field is then empty."""
+    step-0 row, which no step produced (audit's prev is curr); its CSV
+    field is then empty."""
 
     step: int
     t: float
@@ -73,16 +74,16 @@ def audit(
     curr: StateTerms,
     dt: float,
     *,
+    e_ref: float,
     step: int = 0,
     t: float = 0.0,
-    e_ref: float | None = None,
 ) -> DiagnosticsRow:
     """Audit the transition prev.state -> curr.state taken with step size dt.
 
-    The model parameters are curr's.  ``e_ref`` is the energy the drift is
-    measured against; the marching loop passes the initial energy, and by
-    default the previous state's energy is used so a standalone pair still
-    yields a meaningful number.
+    The model parameters are curr's, and the drift is measured against the
+    energy e_ref (march passes the run's initial energy).  A pair that is one
+    StateTerms (prev is curr, as on march's step-0 row) is no transition: its
+    row forms no residual and holds None.
     """
     if prev.grid != curr.grid:
         raise ValueError("audit requires both states on the same grid")
@@ -92,21 +93,22 @@ def audit(
 
     volume = grid.box_len**grid.dim
     mass = volume * mean(curr.state.phi)
-    e_tot = total_energy(curr.state, p, curr)
-    if e_ref is None:
-        e_ref = total_energy(prev.state, prev.p, prev)
+    e_tot = total_energy(curr)
     e_drift_rel = abs(e_tot - e_ref) / max(abs(e_ref), 1e-30)
 
     production = entropy_production(curr).values
 
-    # theta * ds/dt + theta * div(q/theta) with everything evaluated at curr;
-    # theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
-    #                                           + kappa |grad(theta)|^2 / theta
-    ds_dt = (curr.entropy - prev.entropy) / dt
-    lap_theta = irfftn(grid, grid.half_lap * curr.theta_hat)
-    grad_theta_sq = sum(g * g for g in curr.grad_theta)
-    residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
-    residual -= production
+    residual_l2 = None
+    if prev is not curr:
+        # theta * ds/dt + theta * div(q/theta) with everything evaluated at
+        # curr; theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
+        #                                         + kappa |grad(theta)|^2 / theta
+        ds_dt = (curr.entropy - prev.entropy) / dt
+        lap_theta = irfftn(grid, grid.half_lap * curr.theta_hat)
+        grad_theta_sq = sum(g * g for g in curr.grad_theta)
+        residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
+        residual -= production
+        residual_l2 = float(l2_norm(Field(grid, residual)))
 
     return DiagnosticsRow(
         step=step,
@@ -116,7 +118,7 @@ def audit(
         e_drift_rel=float(e_drift_rel),
         min_theta=float(np.min(theta)),
         min_entropy_production=float(np.min(production)),
-        cd_residual_l2=float(l2_norm(Field(grid, residual))),
+        cd_residual_l2=residual_l2,
     )
 
 

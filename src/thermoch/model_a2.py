@@ -30,7 +30,7 @@ round-off accident.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,27 +77,19 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded snapshots of one run; with a march sink, the last one only.
+    """How one run ended: its last valid state and that state's audit row,
+    each as a one-item list (states, diagnostics).
 
     termination is "completed", "positivity", "singularity" or "non_finite";
-    message is the text of the error that stopped an early run, whose last
-    recorded state is its last valid one.
+    message is the text of the error that stopped an early run.  An early
+    stop whose last state fails its own audit leaves that state unrecorded:
+    states then holds it and diagnostics the row of the last recorded state.
     """
 
-    times: np.ndarray
     states: list[ThermoState]
     diagnostics: list[DiagnosticsRow]
     termination: str = "completed"
     message: str = ""
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.times) != len(self.diagnostics):
-            raise ValueError("times, states and diagnostics must align")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        grids = {s.grid for s in self.states}
-        if len(grids) > 1:
-            raise ValueError("all states must share one grid")
 
 
 def _f1_hat(t: StateTerms) -> np.ndarray:
@@ -219,11 +211,11 @@ _LABELS = {
     PositivityError: "positivity",
     SingularityError: "singularity",
     NonFiniteError: "non_finite",
-    FloatingPointError: "non_finite",
 }
 _NUMERICAL = tuple(_LABELS)
 
 
+@np.errstate(all="ignore")  # a non-finite value is found by the Field scans
 def march(
     cfg: SimConfig,
     init: ThermoState,
@@ -235,37 +227,36 @@ def march(
     steps (plus the initial and final ones), and converts numerical failures
     into labeled early termination.
 
+    Recording a state audits it, and sink(state, row), when given, is called
+    with each recorded state in step order as soon as its row is formed (the
+    last valid state of an early stop included); an exception the sink
+    raises propagates.  march keeps no recorded state once it has handed it
+    on: however many states a run records, it holds its current state and
+    the fields of the one before.  It returns the Trajectory of the last
+    valid state.
+
     One StateTerms per state serves the step that starts from the state and
     the audit of the step that produced it; a state's terms are dropped,
     all but its entropy and the terms it carries, before the next audit.  A
     recorded state drops its carried grad_phi, which StateTerms re-forms bit
-    for bit from the carried phi_hat.  A run that stops early
-    records its last valid state with its audit row, unless it is already
-    recorded.  Only the labeled errors (_NUMERICAL) stop a run; any other
-    exception propagates.
-
-    With no sink, the returned Trajectory keeps every recorded state.  With
-    one, sink(state, row) is called for each recorded state, in step order,
-    as soon as its row is formed (the last valid state of an early stop
-    included), and the Trajectory keeps only the last; an exception the
-    sink raises propagates.
+    for bit from the carried phi_hat.  A run that stops early records its
+    last valid state with its audit row, unless it is already recorded.
+    Only the labeled errors (_NUMERICAL) stop a run; any other exception
+    propagates.  numpy's floating-point warnings are off inside the march.
     """
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
     p = cfg.params
     terms = StateTerms(init, p)
-    e0 = total_energy(init, p, terms)
-    recorded = []  # (state, row) pairs; with a sink, the last one only
+    e0 = total_energy(terms)
+    last_row = None
 
     def record(j: int, prev: StateTerms, curr: StateTerms):
-        row = audit(prev, curr, cfg.dt, step=j, t=j * cfg.dt, e_ref=e0)
-        if j == 0:  # no step produced the initial state: its residual is empty
-            row = replace(row, cd_residual_l2=None)
+        nonlocal last_row
+        last_row = audit(prev, curr, cfg.dt, e_ref=e0, step=j, t=j * cfg.dt)
         curr.state.carried.pop("grad_phi", None)  # curr keeps its own
         if sink is not None:
-            sink(curr.state, row)
-            recorded.clear()
-        recorded.append((curr.state, row))
+            sink(curr.state, last_row)
 
     record(0, terms, terms)
     termination, message = "completed", ""
@@ -280,27 +271,26 @@ def march(
             termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
             message = str(exc)
             break
-        prev, terms = terms.state, new
-        before = ThermoState(prev.phi, prev.theta)  # the audit reads only its entropy
-        if "phi_hat" in prev.carried:
-            before.carried["phi_hat"] = prev.carried["phi_hat"]
+        # the audit reads only before's entropy
+        before = ThermoState(terms.state.phi, terms.state.theta)
+        if "phi_hat" in terms.state.carried:
+            before.carried["phi_hat"] = terms.state.carried["phi_hat"]
+        terms = new
 
-    if termination != "completed" and recorded[-1][1].step != j - 1:
+    if termination != "completed" and last_row.step != j - 1:
         # a state whose own audit fails stays unrecorded
         with contextlib.suppress(*_NUMERICAL):
             record(j - 1, StateTerms(before, p), terms)
 
-    states, rows = map(list, zip(*recorded))
     return Trajectory(
-        times=np.asarray([row.t for row in rows]),
-        states=states,
-        diagnostics=rows,
+        states=[terms.state],
+        diagnostics=[last_row],
         termination=termination,
         message=message,
     )
 
 
 def simulate(cfg: SimConfig, init: ThermoState, sink=None) -> Trajectory:
-    """Run the model cfg.params.model selects ("a2", "a1" or "isothermal");
-    sink is march's: with one, the Trajectory keeps only the last state."""
+    """Run the model cfg.params.model selects ("a2", "a1" or "isothermal")
+    with march, sink included."""
     return march(cfg, init, lambda t: imex_step(t, cfg.dt), sink)

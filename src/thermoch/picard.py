@@ -26,8 +26,8 @@ the spectra directly and streams them: one snapshot at a time, it forms
 and contracts them against the dyadic rings (besov.SeriesEnergies), every
 derivative a weight on |f_hat|^2.  So k_norm makes no transform, and the
 map measures the successive difference snapshot by snapshot as it writes
-it, with no old or difference stack.  The public functions still take
-Field lists.
+it, with no old or difference stack.  k_norm takes the stacks of half
+spectra the loop holds, and picard_iterate takes the initial Fields.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .besov import (
     SmallnessReport,
     _time_then_blocks,
     check_smallness,
-    half_spectra,
     series_energies,
 )
 from .grid import Field, GridSpec, NonFiniteError, irfftn, l2_norm, rfftn
@@ -85,14 +84,8 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _decay(hat0: np.ndarray, lam: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Half spectra of the unforced flow hat0 * exp(-lam t) at every time."""
-    return hat0 * np.exp(-times.reshape(-1, *[1] * lam.ndim) * lam)
-
-
 def _free_flow(hat0: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
-    """Half spectrum of the unforced flow at the one time t: _decay's row
-    for t, bit for bit."""
+    """Half spectrum of the unforced flow hat0 * exp(-lam t) at the time t."""
     return hat0 * np.exp(-t * lam)
 
 
@@ -151,20 +144,22 @@ class KNormReport:
 def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
-    dphi and dtheta are Field lists or stacks of half spectra of shape
-    (n_times, *half_shape); spectra are measured without any transform.
-    Time derivatives are backward differences of the series (zero on the
-    first snapshot, matching corrections that start from rest), so at least
-    three snapshots are required for the rate terms to mean anything.
+    dphi and dtheta are stacks of rfftn half spectra, shape (n_times,
+    *half_shape), measured without any transform.  Time derivatives are
+    backward differences of the series (zero on the first snapshot, matching
+    corrections that start from rest), so at least three snapshots are
+    required for the rate terms to mean anything.
     """
     times = _check_times(times)
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
     grid = part.grid
-    phi_hat, theta_hat = (half_spectra(f, grid, times.size) for f in (dphi, dtheta))
+    for hat in (dphi, dtheta):
+        if hat.shape != (times.size, *grid.half_shape):
+            raise ValueError(f"spectra of shape {hat.shape} do not fit the grid and times")
     energies = (
         series_energies(hat, part, *w, times)
-        for hat, w in zip((phi_hat, theta_hat), _norm_weights(grid))
+        for hat, w in zip((dphi, dtheta), _norm_weights(grid))
     )
     return _norm_report(*energies, part, times)
 
@@ -394,7 +389,10 @@ def picard_iterate(
 
     phi0_hat = rfftn(grid, phi0.values)
     dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
-    dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
+    lam_theta = _theta_rates_and_mass(grid, p)[0]
+    dtheta = np.empty((times.size, *grid.half_shape), dtype=complex)
+    for j, t in enumerate(times):
+        dtheta[j] = _free_flow(dtheta0_hat, lam_theta, t)
     dphi = np.zeros_like(dtheta)
 
     rows: list[PicardRow] = []

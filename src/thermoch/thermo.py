@@ -53,7 +53,6 @@ __all__ = [
     "free_energy_density",
     "entropy_density",
     "internal_energy_density",
-    "chemical_potential",
     "force_square",
     "entropy_production",
     "total_energy",
@@ -201,23 +200,21 @@ def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
     return sum(c * c for c in comps)
 
 
-def free_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
-    """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta);
-    terms, when given, are this state's StateTerms (grad phi and W reused)."""
-    t = terms or StateTerms(state, p)
-    theta = t.theta
+def free_energy_density(t: StateTerms) -> Field:
+    """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta)
+    of the state t.state, from its grad phi and W."""
+    p, theta = t.p, t.theta
     psi = (
         0.5 * p.eps * theta * _sum_sq(t.grad_phi)
         + t.bulk[0] / (p.eps * theta)
         - p.k_b * theta * np.log(theta)
     )
-    return Field(state.grid, psi)
+    return Field(t.grid, psi)
 
 
-def entropy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
-    """s = -d(psi)/d(theta), expanded in closed form (terms as above)."""
-    t = terms or StateTerms(state, p)
-    phi, theta = t.phi, t.theta
+def entropy_density(t: StateTerms) -> Field:
+    """s = -d(psi)/d(theta) of the state t.state, expanded in closed form."""
+    p, phi, theta = t.p, t.phi, t.theta
     dth = theta - p.theta_bar
     s = (
         -0.5 * p.eps * _sum_sq(t.grad_phi)
@@ -225,27 +222,18 @@ def entropy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
         - dth**2 * phi**2 / (p.eps * theta)
         + p.k_b * (1.0 + np.log(theta))
     )
-    return Field(state.grid, s)
+    return Field(t.grid, s)
 
 
-def internal_energy_density(state: ThermoState, p: ModelParams, terms=None) -> Field:
-    """e = psi + theta*s in closed form: the |grad phi|^2 and log(theta)
-    contributions cancel exactly, leaving
+def internal_energy_density(t: StateTerms) -> Field:
+    """e = psi + theta*s of the state t.state in closed form: the |grad
+    phi|^2 and log(theta) contributions cancel exactly, leaving
 
-        e = 2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta
-
-    (terms as in free_energy_density; W reused)."""
-    t = terms or StateTerms(state, p)
-    phi, theta = t.phi, t.theta
+        e = 2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta."""
+    p, phi, theta = t.p, t.phi, t.theta
     dth_phi = (theta - p.theta_bar) * phi
     e = (2.0 * t.bulk[0] / theta - dth_phi * dth_phi) / p.eps + p.k_b * theta
-    return Field(state.grid, e)
-
-
-def chemical_potential(state: ThermoState, p: ModelParams) -> Field:
-    """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form
-    (the undealiased StateTerms.mu_hat)."""
-    return Field(state.grid, irfftn(state.grid, StateTerms(state, p).mu_hat))
+    return Field(t.grid, e)
 
 
 def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
@@ -263,8 +251,8 @@ class StateTerms:
     """Spectra and derived fields of one state, each formed at most once.
 
     model_a2.march builds one per state for the step that starts from it and
-    for diagnostics.audit of the step that produced it; a standalone term
-    builds its own.  It starts from the terms the state carries
+    for diagnostics.audit of the step that produced it; every density of
+    the state takes it.  It starts from the terms the state carries
     (ThermoState.carried: the spectra and gradients the producing step
     formed) and forms the rest from the state's values.  The carried terms
     a continued run reads are recorded with the state, so a run continued
@@ -328,7 +316,7 @@ class StateTerms:
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return entropy_density(self.state, self.p, self).values
+        return entropy_density(self).values
 
     @cached_property
     def recip(self) -> np.ndarray:
@@ -375,8 +363,6 @@ def entropy_production(t: StateTerms) -> Field:
     return Field(t.grid, out)
 
 
-def total_energy(state: ThermoState, p: ModelParams, terms=None) -> float:
-    """Integral of the internal energy density over the box (terms as in
-    free_energy_density)."""
-    e = internal_energy_density(state, p, terms)
-    return float(np.sum(e.values)) * state.grid.h**state.grid.dim
+def total_energy(t: StateTerms) -> float:
+    """Integral of the internal energy density of t.state over the box."""
+    return float(np.sum(internal_energy_density(t).values)) * t.grid.h**t.grid.dim

@@ -12,7 +12,10 @@ Picard verifier.  The checks of the analysis behind them live here:
 * linear_solve, phi_apriori_ratios and theta_apriori_ratios: the forced
   linear flows behind local well-posedness and the ratios of their linear
   a-priori estimates, criterion 10;
-* divergence_arrays: the spectral divergence the energy-rate identity reads.
+* divergence_arrays: the spectral divergence the energy-rate identity reads;
+* chemical_potential: mu in divergence form, the mu the Gateaux check reads;
+* chemin_lerner_norm: the time-then-frequency norm of one series, which the
+  iterate norm's summands are built from.
 """
 
 import math
@@ -20,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spectral_oracle import half_spectra
 from thermoch import thermo
 from thermoch.besov import (
     DyadicPartition,
     _time_then_blocks,
     besov_norm,
     block_energies,
-    half_spectra,
     series_energies,
 )
 from thermoch.grid import (
@@ -46,12 +49,31 @@ from thermoch.picard import (
     _phi_rates_and_mass,
     _theta_rates_and_mass,
 )
-from thermoch.thermo import ModelParams, ThermoState, bulk_potential
+from thermoch.thermo import ModelParams, StateTerms, ThermoState, bulk_potential
 
 
 def divergence_arrays(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.ndarray:
     """Spectral divergence of a vector of real arrays (optionally dealiased)."""
     return irfftn(grid, div_hat(grid, comps, mask))
+
+
+def chemical_potential(state: ThermoState, p: ModelParams) -> Field:
+    """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form
+    (the undealiased StateTerms.mu_hat)."""
+    return Field(state.grid, irfftn(state.grid, StateTerms(state, p).mu_hat))
+
+
+def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weight=None) -> float:
+    """Time-then-frequency norm: ell^1 over blocks of time-L^rho block norms.
+
+    series is a list of fields or a stack of their half spectra; weight is
+    an operator weight as in SeriesEnergies.  For rho = inf and a
+    time-constant series this reduces to besov_norm; for rho = 1 it equals
+    the left-endpoint time integral of the instantaneous besov norm (the
+    sums commute exactly).
+    """
+    hats = half_spectra(series, part.grid, len(np.asarray(times)))
+    return _time_then_blocks(block_energies(hats, part, weight), times, s, rho, part)
 
 
 # --------------------------------------------------------------------------
@@ -91,7 +113,7 @@ def _band_limited_direction(grid: GridSpec, rng: np.random.Generator) -> Field:
 
 def _total_psi(phi: np.ndarray, theta: np.ndarray, grid: GridSpec, p: ModelParams) -> float:
     st = ThermoState(Field(grid, phi), Field(grid, theta))
-    psi = thermo.free_energy_density(st, p)
+    psi = thermo.free_energy_density(StateTerms(st, p))
     return float(np.sum(psi.values)) * grid.h**grid.dim
 
 
@@ -115,14 +137,15 @@ def verify_variational_identities(
 
     # 1: s against -d(psi)/d(theta), pointwise
     def psi_at(th):
-        return thermo.free_energy_density(ThermoState(state.phi, Field(g, th)), p).values
+        terms = StateTerms(ThermoState(state.phi, Field(g, th)), p)
+        return thermo.free_energy_density(terms).values
 
-    s = thermo.entropy_density(state, p).values
+    s = thermo.entropy_density(StateTerms(state, p)).values
     psi_p, psi_m = psi_at(theta + h_step), psi_at(theta - h_step)
     entropy_res = float(np.max(np.abs(s + (psi_p - psi_m) / (2.0 * h_step))))
 
     # 2: mu against the Gateaux derivative of the total free energy
-    mu = thermo.chemical_potential(state, p).values
+    mu = chemical_potential(state, p).values
     gateaux_res = 0.0
     for _ in range(5):
         v = _band_limited_direction(g, rng)
@@ -138,11 +161,12 @@ def verify_variational_identities(
     dtheta = 0.1 * _band_limited_direction(g, rng).values
 
     def e_of(ph, th):
-        state = ThermoState(Field(g, ph), Field(g, th))
-        return thermo.internal_energy_density(state, p).values
+        terms = StateTerms(ThermoState(Field(g, ph), Field(g, th)), p)
+        return thermo.internal_energy_density(terms).values
 
     def s_of(ph, th):
-        return thermo.entropy_density(ThermoState(Field(g, ph), Field(g, th)), p).values
+        terms = StateTerms(ThermoState(Field(g, ph), Field(g, th)), p)
+        return thermo.entropy_density(terms).values
 
     de = (
         e_of(phi + h_step * dphi, theta + h_step * dtheta)

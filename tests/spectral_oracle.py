@@ -67,6 +67,21 @@ def full_symbols(part):
     return symbols
 
 
+def half_spectra(series, grid, n_times):
+    """n_times fields on grid as a stack of rfftn half spectra, shape
+    (n_times, *half_shape), the input of picard.k_norm; a stack of that
+    shape passes through."""
+    if isinstance(series, np.ndarray):
+        if series.shape != (n_times, *grid.half_shape):
+            raise ValueError(f"spectra of shape {series.shape} do not fit the grid and times")
+        return series
+    if len(series) != n_times:
+        raise ValueError("series and times length mismatch")
+    if any(f.grid != grid for f in series):
+        raise ValueError("a field lives on a different grid")
+    return np.stack([rfftn(grid, f.values) for f in series])
+
+
 def dealias(grid, values):
     """values under the 2/3 rule: modes with |k_i| <= (2/3) k_max on every axis kept."""
     cut = np.ones(grid.shape, dtype=bool)

@@ -17,6 +17,7 @@ from analysis_oracle import (
     theta_apriori_ratios,
     verify_variational_identities,
 )
+from collect import collect
 from spectral_oracle import band_limited, fftn, project_block
 from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump
 from thermoch.cli import EXIT_OK, main
@@ -54,7 +55,7 @@ def refinement_runs():
     runs = []
     for dt in REFINEMENT_DTS:
         cfg = SimConfig(grid=GRID, params=p, dt=dt, t_end=0.05, output_every=25)
-        traj = simulate(cfg, init)
+        traj = collect(simulate, cfg, init)
         assert traj.termination == "completed"
         runs.append(traj)
     return p, runs

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from analysis_oracle import chemin_lerner_norm
 from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared, project_block
 from thermoch.besov import (
     SeriesEnergies,
@@ -12,7 +13,6 @@ from thermoch.besov import (
     block_energies,
     build_partition,
     check_smallness,
-    chemin_lerner_norm,
     chi_bump,
     series_energies,
 )

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from analysis_oracle import ginzburg_landau_energy
+from collect import collect
 from spectral_oracle import band_limited
 from thermoch.diagnostics import CSV_HEADER, audit, caginalp_demo
 from thermoch.grid import Field, GridSpec, mean
 from thermoch.model_a2 import SimConfig, simulate
-from thermoch.thermo import ModelParams, StateTerms, ThermoState
+from thermoch.thermo import ModelParams, StateTerms, ThermoState, total_energy
 
 GRID = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
 
@@ -30,8 +31,8 @@ class TestAudit:
     def test_stationary_pure_phase(self):
         p = params(theta_bar=1.4)
         s = uniform_state(GRID, 1.0, 1.4)
-        terms = StateTerms(s, p)
-        row = audit(terms, terms, 1e-3, step=5, t=5e-3)
+        prev, curr = StateTerms(s, p), StateTerms(s, p)
+        row = audit(prev, curr, 1e-3, e_ref=total_energy(prev), step=5, t=5e-3)
         assert row.step == 5 and row.t == 5e-3
         assert row.e_drift_rel == 0.0
         assert row.cd_residual_l2 <= 1e-12
@@ -43,7 +44,8 @@ class TestAudit:
         p = params()
         phi = Field(GRID, 0.2 + 0.1 * rng.standard_normal(GRID.shape))
         s = ThermoState(phi, Field(GRID, np.ones(GRID.shape)))
-        row = audit(StateTerms(s, p), StateTerms(s, p), 1e-3)
+        prev = StateTerms(s, p)
+        row = audit(prev, StateTerms(s, p), 1e-3, e_ref=total_energy(prev))
         volume = GRID.box_len**GRID.dim
         assert row.mass == pytest.approx(mean(phi) * volume, abs=1e-14)
 
@@ -53,9 +55,9 @@ class TestAudit:
         s2 = uniform_state(GridSpec(dim=1, n=32, box_len=2 * np.pi), 1.0, 1.0)
         t1, t2 = StateTerms(s1, p), StateTerms(s2, p)
         with pytest.raises(ValueError, match="grid"):
-            audit(t1, t2, 1e-3)
+            audit(t1, t2, 1e-3, e_ref=1.0)
         with pytest.raises(ValueError, match="dt"):
-            audit(t1, t1, 0.0)
+            audit(t1, t1, 0.0, e_ref=1.0)
 
     def test_pure_heat_residual_refines_with_dt(self):
         # phi stays exactly zero, so the audit residual is the heat-equation
@@ -77,8 +79,11 @@ class TestAudit:
         p = params()
         rng = np.random.default_rng(4)
         s = ThermoState(band_limited(GRID, rng), Field(GRID, np.ones(GRID.shape)))
-        a = audit(StateTerms(s, p), StateTerms(s, p), 1e-3, step=1, t=1e-3).csv_line()
-        b = audit(StateTerms(s, p), StateTerms(s, p), 1e-3, step=1, t=1e-3).csv_line()
+        e_ref = total_energy(StateTerms(s, p))
+        a, b = (
+            audit(StateTerms(s, p), StateTerms(s, p), 1e-3, e_ref=e_ref, step=1, t=1e-3).csv_line()
+            for _ in range(2)
+        )
         assert a == b
         assert len(a.split(",")) == len(CSV_HEADER.split(","))
 
@@ -91,7 +96,7 @@ class TestIsothermalCheck:
             band_limited(GRID, rng, amp=0.05), Field(GRID, np.ones(GRID.shape))
         )
         cfg = SimConfig(grid=GRID, params=p, dt=1e-4, t_end=0.05, output_every=50)
-        traj = simulate(cfg, s)
+        traj = collect(simulate, cfg, s)
         assert traj.termination == "completed" and len(traj.states) == 11
         energies = [ginzburg_landau_energy(state.phi, p) for state in traj.states]
         # 50 steps between snapshots, each allowed 1e-10 of round-off

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from analysis_oracle import chemical_potential
+from collect import collect
 from spectral_oracle import band_limited
 from thermoch.grid import (
     Field,
@@ -18,13 +20,7 @@ from thermoch.grid import (
 )
 from thermoch.model_a1 import _velocity
 from thermoch.model_a2 import SimConfig, imex_step, simulate
-from thermoch.thermo import (
-    ModelParams,
-    SingularityError,
-    StateTerms,
-    ThermoState,
-    chemical_potential,
-)
+from thermoch.thermo import ModelParams, SingularityError, StateTerms, ThermoState
 
 GRID = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
@@ -240,7 +236,7 @@ class TestSimulateA1:
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.1, kmax_int=2).values),
         )
         cfg = SimConfig(grid=GRID, params=p, dt=1e-4, t_end=2e-3, output_every=5)
-        traj = simulate(cfg, init)
+        traj = collect(simulate, cfg, init)
         assert traj.termination == "completed"
         assert min(r.min_entropy_production for r in traj.diagnostics) >= -1e-10
 
@@ -261,7 +257,7 @@ class TestSimulateA1:
         drifts = []
         for dt in (4e-4, 2e-4, 1e-4):
             cfg = SimConfig(grid=GRID, params=p, dt=dt, t_end=0.02, output_every=10**6)
-            traj = simulate(cfg, init)
+            traj = collect(simulate, cfg, init)
             assert traj.termination == "completed"
             rows = traj.diagnostics
             drifts.append(abs(rows[-1].e_tot - rows[0].e_tot))

@@ -1,17 +1,20 @@
 """IMEX integrator: forcing assembly, mode-wise updates, marching loop."""
 
+import gc
 import math
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from analysis_oracle import chemical_potential
+from collect import collect
 from spectral_oracle import band_limited, count_transforms, dealias, k_squared
 from thermoch.diagnostics import audit
 from thermoch.grid import Field, GridSpec, NonFiniteError, grad_arrays, irfftn, rfftn
 from thermoch.model_a2 import (
     SimConfig,
-    Trajectory,
     _f1_hat,
     _f2_hat,
     heat_update,
@@ -29,7 +32,6 @@ from thermoch.thermo import (
     _bracket_b,
     _regularized_recip,
     bulk_potential,
-    chemical_potential,
     total_energy,
 )
 
@@ -307,7 +309,7 @@ class TestSimulate:
         p = params()
         s = uniform_state(GRID2, phi=1.0, theta=p.theta_bar)
         cfg = SimConfig(grid=GRID2, params=p, dt=1e-3, t_end=1.0, output_every=200)
-        traj = simulate(cfg, s)
+        traj = collect(simulate, cfg, s)
         assert traj.termination == "completed"
         for state in traj.states:
             assert np.max(np.abs(state.phi.values - 1.0)) <= 1e-12
@@ -320,7 +322,7 @@ class TestSimulate:
         p = params()
         s = uniform_state(GRID2, phi=1.0, theta=1.0)
         cfg = SimConfig(grid=GRID2, params=p, dt=0.05, t_end=1.0, output_every=7)
-        traj = simulate(cfg, s)
+        traj = collect(simulate, cfg, s)
         assert [row.step for row in traj.diagnostics] == [0, 7, 14, 20]
         assert np.allclose(traj.times, [0.0, 0.35, 0.7, 1.0])
 
@@ -334,7 +336,7 @@ class TestSimulate:
         drifts = []
         for dt in (4e-4, 1e-4):
             cfg = SimConfig(grid=GRID2, params=p, dt=dt, t_end=0.02, output_every=10**6)
-            traj = simulate(cfg, s)
+            traj = collect(simulate, cfg, s)
             rows = traj.diagnostics
             drifts.append(abs(rows[-1].e_tot - rows[0].e_tot))
         assert drifts[1] < drifts[0]
@@ -349,7 +351,7 @@ class TestSimulate:
             Field(GRID2, np.ones(GRID2.shape)),
         )
         cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=0.01, output_every=20)
-        traj = simulate(cfg, s)
+        traj = collect(simulate, cfg, s)
         assert traj.termination == "completed"
         assert min(r.min_entropy_production for r in traj.diagnostics) >= -1e-10
         assert min(r.min_theta for r in traj.diagnostics) > 0.0
@@ -397,7 +399,7 @@ class TestMarch:
             return terms.state
 
         with np.errstate(all="ignore"):
-            traj = march(cfg, s, step)
+            traj = collect(march, cfg, s, step)
         assert traj.termination == "positivity"
         assert [row.step for row in traj.diagnostics] == [0, 1, 2]
 
@@ -439,12 +441,12 @@ class TestMarch:
             produced.append(imex_step(terms, cfg.dt))
             return produced[-1]
 
-        traj = march(cfg, s, step)
+        traj = collect(march, cfg, s, step)
         assert traj.termination == "positivity"
         assert [row.step for row in traj.diagnostics] == [0, 2]
         assert traj.states[0] is s and traj.states[1] is produced[1]
         assert traj.times[1] == 2 * cfg.dt
-        e0 = total_energy(s, p)
+        e0 = total_energy(StateTerms(s, p))
         want = audit(
             StateTerms(produced[0], p), StateTerms(produced[1], p), cfg.dt,
             step=2, t=2 * cfg.dt, e_ref=e0,
@@ -463,7 +465,7 @@ class TestMarch:
                 raise PositivityError("boom", state=terms.state)
             return terms.state
 
-        traj = march(cfg, s, step)
+        traj = collect(march, cfg, s, step)
         assert [row.step for row in traj.diagnostics] == [0, 2]
 
     def test_last_state_that_cannot_be_audited_stays_unrecorded(self):
@@ -479,7 +481,7 @@ class TestMarch:
             calls["n"] += 1
             return imex_step(terms, cfg.dt) if calls["n"] == 3 else crossing
 
-        traj = march(cfg, s, step)
+        traj = collect(march, cfg, s, step)
         assert traj.termination == "singularity"
         assert [row.step for row in traj.diagnostics] == [0]
 
@@ -510,33 +512,57 @@ class TestMarch:
                 raise PositivityError("boom", state=terms.state)
             return imex_step(terms, cfg.dt)
 
-        whole = march(cfg, init, step)
+        whole = collect(march, cfg, init, step)
         calls["n"], sunk = 0, []
         traj = march(cfg, init, step, lambda state, row: sunk.append((state, row)))
         assert traj.termination == whole.termination
-        assert len(traj.states) == len(traj.diagnostics) == len(traj.times) == 1
+        assert len(traj.states) == len(traj.diagnostics) == 1
         assert [row for _, row in sunk] == whole.diagnostics
         for (state, _), want in zip(sunk, whole.states, strict=True):
             assert np.array_equal(state.phi.values, want.phi.values)
             assert np.array_equal(state.theta.values, want.theta.values)
         assert traj.states[0] is sunk[-1][0]
         assert traj.diagnostics[0] == whole.diagnostics[-1]
-        assert traj.times[0] == whole.times[-1]
 
-
-class TestTrajectory:
-    def test_alignment_validation(self):
+    @pytest.mark.parametrize(
+        "stop_at", [None, 4, 5], ids=["completed", "stop-after-a-record", "stop-records-its-last"]
+    )
+    def test_trajectory_holds_exactly_the_last_valid_state(self, stop_at):
+        # records at steps 0, 3, 6, 7; a stop in step 4 follows the record of
+        # step 3, and a stop in step 5 records step 4 as the run stops
         p = params()
-        s = uniform_state(GRID2, phi=1.0, theta=1.0)
-        row = simulate(
-            SimConfig(grid=GRID2, params=p, dt=0.1, t_end=0.1), s
-        ).diagnostics[0]
-        with pytest.raises(ValueError, match="align"):
-            Trajectory(times=np.array([0.0, 0.1]), states=[s], diagnostics=[row])
-        with pytest.raises(ValueError, match="increasing"):
-            Trajectory(
-                times=np.array([0.0, 0.0]), states=[s, s], diagnostics=[row, row]
-            )
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=7e-4, output_every=3)
+        produced, sunk = [init], []
+
+        def step(terms):
+            if len(produced) == stop_at:
+                raise PositivityError("boom", state=terms.state)
+            produced.append(imex_step(terms, cfg.dt))
+            return produced[-1]
+
+        traj = march(cfg, init, step, lambda state, row: sunk.append((state, row)))
+        assert len(traj.states) == len(traj.diagnostics) == 1
+        assert traj.states[0] is produced[-1] is sunk[-1][0]
+        assert traj.diagnostics[0] is sunk[-1][1]
+        assert traj.diagnostics[0].step == len(produced) - 1
+
+    def test_recorded_state_is_released_once_the_next_is_handed_on(self):
+        p = params()
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=9e-4, output_every=3)
+        refs, alive = [], []
+
+        def sink(state, row):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(state))
+
+        traj = simulate(cfg, init, sink)
+        assert traj.termination == "completed"
+        # records at steps 0, 3, 6, 9; the caller holds the initial state,
+        # and no stepped state outlives the hand-on of the next record
+        assert alive == [[], [True], [True, False], [True, False, False]]
 
 
 def c2c_oracle_step(state, p, dt):
@@ -673,16 +699,16 @@ class TestSharedTerms:
             produced.append(imex_step(terms, cfg.dt))
             return produced[-1]
 
-        traj = march(cfg, init, step)
+        traj = collect(march, cfg, init, step)
         assert traj.termination == "completed"
-        e0 = total_energy(init, p)
+        e0 = total_energy(StateTerms(init, p))
         for state, row in zip(traj.states, traj.diagnostics):
             j = row.step
             assert state is produced[j]
-            prev = StateTerms(produced[max(j - 1, 0)], p)
-            want = audit(prev, StateTerms(state, p), cfg.dt, step=j, t=row.t, e_ref=e0)
-            if j == 0:  # march leaves the initial state's residual empty
-                want = replace(want, cd_residual_l2=None)
+            curr = StateTerms(state, p)
+            # march audits the initial state against itself: no residual
+            prev = StateTerms(produced[j - 1], p) if j else curr
+            want = audit(prev, curr, cfg.dt, step=j, t=row.t, e_ref=e0)
             for got_v, want_v in zip(astuple(row), astuple(want)):
                 assert got_v == pytest.approx(want_v, rel=1e-12, abs=0.0)
 
@@ -691,7 +717,7 @@ class TestSharedTerms:
         cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=1e-4, t_end=n * 1e-4)
         init = smooth_state(GRID2, 10)  # its c2c transforms are not the run's
         calls = count_transforms(monkeypatch)
-        traj = simulate(cfg, init)
+        traj = collect(simulate, cfg, init)
         assert traj.termination == "completed" and len(traj.diagnostics) == n + 1
         assert 0 < len(calls) <= 23 * n
         assert set(calls) <= {"rfftn", "irfftn"}
@@ -709,7 +735,7 @@ class TestSharedTerms:
 
             monkeypatch.setattr(thermo, name, counted)
         cfg = SimConfig(grid=GRID2, params=params(model="a1"), dt=1e-4, t_end=1e-3)
-        traj = simulate(cfg, smooth_state(GRID2, 11))
+        traj = collect(simulate, cfg, smooth_state(GRID2, 11))
         assert traj.termination == "completed" and len(traj.states) == 11
         assert counts == {"bulk_potential": 11, "entropy_density": 11}
 
@@ -747,6 +773,6 @@ class TestCarriedTerms:
     def test_recorded_state_keeps_what_a_continued_run_reads(self, model, kept):
         # grad phi is re-formed bit for bit from the carried phi_hat
         cfg = SimConfig(grid=GRID2, params=params(model=model), dt=1e-4, t_end=3e-4)
-        traj = simulate(cfg, smooth_state(GRID2, 16))
+        traj = collect(simulate, cfg, smooth_state(GRID2, 16))
         assert traj.states[0].carried == {}
         assert all(set(s.carried) == kept for s in traj.states[1:])

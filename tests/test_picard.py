@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from analysis_oracle import linear_solve, phi_apriori_ratios, theta_apriori_ratios
-from spectral_oracle import count_transforms, full_symbols, grad_symbol, k_abs, k_squared
+from spectral_oracle import (
+    count_transforms,
+    full_symbols,
+    grad_symbol,
+    half_spectra,
+    k_abs,
+    k_squared,
+)
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
 from thermoch.grid import Field, GridSpec, NonFiniteError, irfftn, laplacian_array, rfftn
@@ -16,7 +23,6 @@ from thermoch.picard import (
     KNormReport,
     PicardConfig,
     REPORT_CSV_HEADER,
-    _decay,
     _free_flow,
     _map_in_place,
     _phi_rates_and_mass,
@@ -51,10 +57,21 @@ def band_limited(grid, rng, amp=0.1, kmax=3.0):
     return Field(grid, v)
 
 
+def decay(hat0, lam, times):
+    """Half spectra of the unforced flow hat0 * exp(-lam t) at every time,
+    as one broadcast product."""
+    return hat0 * np.exp(-times.reshape(-1, *[1] * lam.ndim) * lam)
+
+
 def free_hats(f, p, times):
-    """Half spectra of the unforced damped bilaplacian flow of f, as
-    picard_iterate starts it."""
-    return _decay(rfftn(f.grid, f.values), _phi_rates_and_mass(f.grid, p)[0], np.asarray(times))
+    """Half spectra of the unforced damped bilaplacian flow of f."""
+    return decay(rfftn(f.grid, f.values), _phi_rates_and_mass(f.grid, p)[0], np.asarray(times))
+
+
+def field_k_norm(dphi, dtheta, part, times):
+    """k_norm of two series of Fields, taken on their half spectra."""
+    dphi_hat, dtheta_hat = (half_spectra(f, part.grid, len(times)) for f in (dphi, dtheta))
+    return k_norm(dphi_hat, dtheta_hat, part, times)
 
 
 class TestFreeEvolution:
@@ -75,7 +92,7 @@ class TestFreeEvolution:
         hat0 = rfftn(GRID2, band_limited(GRID2, rng, amp=0.5, kmax=10.0).values)
         lam = _phi_rates_and_mass(GRID2, p)[0]
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-4).times
-        rows = _decay(hat0, lam, times)
+        rows = decay(hat0, lam, times)
         for t, row in zip(times, rows):
             assert np.array_equal(_free_flow(hat0, lam, t), row)
 
@@ -168,7 +185,7 @@ class TestLinearSolvers:
 class TestKNorm:
     def test_zero_pair_is_zero(self):
         times = np.linspace(0.0, 0.1, 5)
-        rep = k_norm([zero(GRID1)] * 5, [zero(GRID1)] * 5, PART1, times)
+        rep = field_k_norm([zero(GRID1)] * 5, [zero(GRID1)] * 5, PART1, times)
         assert rep.total == 0.0
 
     def test_homogeneity(self):
@@ -176,9 +193,9 @@ class TestKNorm:
         times = np.linspace(0.0, 0.1, 6)
         dphi = [band_limited(GRID1, rng, amp=0.2) for _ in times]
         dtheta = [band_limited(GRID1, rng, amp=0.1) for _ in times]
-        base = k_norm(dphi, dtheta, PART1, times).total
+        base = field_k_norm(dphi, dtheta, PART1, times).total
         c = -2.5
-        scaled = k_norm(
+        scaled = field_k_norm(
             [Field(GRID1, c * f.values) for f in dphi],
             [Field(GRID1, c * f.values) for f in dtheta],
             PART1,
@@ -191,7 +208,7 @@ class TestKNorm:
         dth = Field(GRID1, 0.2 * np.cos(2 * x))
         n = 6
         times = np.linspace(0.0, 0.5, n)
-        rep = k_norm([zero(GRID1)] * n, [dth] * n, PART1, times)
+        rep = field_k_norm([zero(GRID1)] * n, [dth] * n, PART1, times)
         lap = Field(GRID1, laplacian_array(GRID1, dth.values))
         hand = besov_norm(dth, 0.5, PART1).total + 0.5 * besov_norm(lap, 0.5, PART1).total
         assert abs(rep.total - hand) < 1e-12
@@ -206,19 +223,19 @@ class TestKNorm:
             b = [band_limited(GRID1, rng, amp=0.2) for _ in times]
             ta = [band_limited(GRID1, rng, amp=0.1) for _ in times]
             tb = [band_limited(GRID1, rng, amp=0.4) for _ in times]
-            lhs = k_norm(
+            lhs = field_k_norm(
                 [Field(GRID1, u.values + v.values) for u, v in zip(a, b)],
                 [Field(GRID1, u.values + v.values) for u, v in zip(ta, tb)],
                 PART1,
                 times,
             ).total
-            rhs = k_norm(a, ta, PART1, times).total + k_norm(b, tb, PART1, times).total
+            rhs = field_k_norm(a, ta, PART1, times).total + field_k_norm(b, tb, PART1, times).total
             assert lhs <= rhs + 1e-10
 
     def test_needs_three_snapshots(self):
         times = np.linspace(0.0, 0.1, 2)
         with pytest.raises(ValueError, match="3 snapshots"):
-            k_norm([zero(GRID1)] * 2, [zero(GRID1)] * 2, PART1, times)
+            field_k_norm([zero(GRID1)] * 2, [zero(GRID1)] * 2, PART1, times)
 
     def test_report_rejects_negative_summand(self):
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -308,7 +325,7 @@ class TestSpectralKNorm:
         times = np.linspace(0.0, 0.05, 6)
         dphi = nyquist_series(grid, rng, times.size, 0.2)
         dtheta = nyquist_series(grid, rng, times.size, 0.1)
-        got = k_norm(dphi, dtheta, part, times).summands
+        got = field_k_norm(dphi, dtheta, part, times).summands
         want = old_formula_k_norm(dphi, dtheta, part, times)
         assert got.keys() == want.keys()
         for name, value in want.items():
@@ -320,7 +337,7 @@ class TestSpectralKNorm:
         times = np.linspace(0.0, 0.05, 5)
         dphi = nyquist_series(GRID2, rng, times.size, 0.2)
         dtheta = nyquist_series(GRID2, rng, times.size, 0.1)
-        want = k_norm(dphi, dtheta, PART2, times)
+        want = field_k_norm(dphi, dtheta, PART2, times)
         phi_hat = np.stack([rfftn(GRID2, f.values) for f in dphi])
         theta_hat = np.stack([rfftn(GRID2, f.values) for f in dtheta])
         calls = count_transforms(monkeypatch)
@@ -413,7 +430,7 @@ def initial_iterate(phi0, theta0, p, times):
     """picard_iterate's starting pair (0, heat flow of theta0 - theta_bar)."""
     grid = phi0.grid
     dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
-    dtheta = _decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
+    dtheta = decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
     return np.zeros_like(dtheta), dtheta
 
 

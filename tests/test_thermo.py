@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from analysis_oracle import verify_variational_identities
+from analysis_oracle import chemical_potential, verify_variational_identities
 from spectral_oracle import band_limited, fftn, ifftn_real, k_squared
 from thermoch import thermo
 from thermoch.grid import Field, GridSpec
@@ -15,7 +15,6 @@ from thermoch.thermo import (
     ThermoState,
     _bracket_b,
     bulk_potential,
-    chemical_potential,
     entropy_density,
     entropy_production,
     free_energy_density,
@@ -101,10 +100,10 @@ class TestDensities:
     def test_uniform_zero_phase_frozen_values(self):
         # phi == 0, theta == 1, eps = k_b = 1: psi = 1/4, s = 1.25, e = 1.5
         p = params(theta_bar=2.0)
-        st = uniform_state(GRID1, 0.0, 1.0)
-        psi = free_energy_density(st, p).values
-        s = entropy_density(st, p).values
-        e = internal_energy_density(st, p).values
+        t = StateTerms(uniform_state(GRID1, 0.0, 1.0), p)
+        psi = free_energy_density(t).values
+        s = entropy_density(t).values
+        e = internal_energy_density(t).values
         assert np.max(np.abs(psi - 0.25)) < 1e-14
         assert np.max(np.abs(s - 1.25)) < 1e-14
         assert np.max(np.abs(e - 1.5)) < 1e-14
@@ -112,10 +111,10 @@ class TestDensities:
     def test_pure_phase_energy_is_kb_theta_bar(self):
         for kb, tb in [(1.0, 1.0), (0.7, 2.5)]:
             p = params(k_b=kb, theta_bar=tb)
-            st = uniform_state(GRID2, 1.0, tb)
-            e = internal_energy_density(st, p).values
+            t = StateTerms(uniform_state(GRID2, 1.0, tb), p)
+            e = internal_energy_density(t).values
             assert np.max(np.abs(e - kb * tb)) < 1e-13
-            assert total_energy(st, p) == pytest.approx(
+            assert total_energy(t) == pytest.approx(
                 kb * tb * GRID2.box_len**2, rel=1e-12
             )
 
@@ -128,12 +127,12 @@ class TestDensities:
         p = params(eps=0.7, theta_bar=1.4, k_b=0.9)
         phi = band_limited(GRID2, rng, 0.8, zero_mean=False).values
         theta = 2.0 + band_limited(GRID2, rng, 0.5, zero_mean=False).values
-        st = ThermoState(Field(GRID2, phi), Field(GRID2, theta))
-        e = internal_energy_density(st, p).values
+        t = StateTerms(ThermoState(Field(GRID2, phi), Field(GRID2, theta)), p)
+        e = internal_energy_density(t).values
         w, _ = bulk_potential(phi, theta, p)
         expect = 2.0 * w / (p.eps * theta) - (theta - p.theta_bar) ** 2 * phi**2 / p.eps + p.k_b * theta
         assert np.max(np.abs(e - expect)) < 1e-12
-        definition = free_energy_density(st, p).values + theta * entropy_density(st, p).values
+        definition = free_energy_density(t).values + theta * entropy_density(t).values
         assert np.max(np.abs(e - definition)) < 1e-12
 
     def test_theta_positivity_hard_abort(self):
@@ -251,8 +250,8 @@ class TestVariationalIdentities:
         st = self._random_state(100)
         right = thermo.entropy_density
 
-        def shifted(state, p, terms=None):
-            return Field(state.grid, right(state, p, terms).values + 1e-3)
+        def shifted(t):
+            return Field(t.grid, right(t).values + 1e-3)
 
         monkeypatch.setattr(thermo, "entropy_density", shifted)
         rep = verify_variational_identities(st, p, h_step=1e-5)
