@@ -29,7 +29,6 @@ round-off accident.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +80,11 @@ class Trajectory:
     each as a one-item list (states, diagnostics).
 
     termination is "completed", "positivity", "singularity" or "non_finite";
-    message is the text of the error that stopped an early run.  An early
-    stop whose last state fails its own audit leaves that state unrecorded:
-    states then holds it and diagnostics the row of the last recorded state.
+    message is the text of the error that stopped an early run.  The state
+    is the last recorded one, whole (rates and carried terms included), so
+    simulate continues from it bit for bit.  An early stop whose last state
+    fails its own audit leaves that state unrecorded: states then holds the
+    phi and theta Fields of the last recorded state, without its rates.
     """
 
     states: list[ThermoState]
@@ -215,7 +216,6 @@ _LABELS = {
 _NUMERICAL = tuple(_LABELS)
 
 
-@np.errstate(all="ignore")  # a non-finite value is found by the Field scans
 def march(
     cfg: SimConfig,
     init: ThermoState,
@@ -231,9 +231,10 @@ def march(
     with each recorded state in step order as soon as its row is formed (the
     last valid state of an early stop included); an exception the sink
     raises propagates.  march keeps no recorded state once it has handed it
-    on: however many states a run records, it holds its current state and
-    the fields of the one before.  It returns the Trajectory of the last
-    valid state.
+    on, only the phi and theta Fields of the last one: however many states a
+    run records, it holds its current state, the fields of the one before
+    and those of the last record.  It returns the Trajectory of the last
+    recorded state.
 
     One StateTerms per state serves the step that starts from the state and
     the audit of the step that produced it; a state's terms are dropped,
@@ -242,28 +243,34 @@ def march(
     for bit from the carried phi_hat.  A run that stops early records its
     last valid state with its audit row, unless it is already recorded.
     Only the labeled errors (_NUMERICAL) stop a run; any other exception
-    propagates.  numpy's floating-point warnings are off inside the march.
+    propagates.  numpy's floating-point warnings are off while step_fn,
+    StateTerms and the audits run, so non-finite values are found by the
+    Field scans alone; the sink runs under the caller's error state.
     """
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
     p = cfg.params
-    terms = StateTerms(init, p)
-    e0 = total_energy(terms)
-    last_row = None
+    with np.errstate(all="ignore"):
+        terms = StateTerms(init, p)
+        e0 = total_energy(terms)
+    last = None  # (the phi and theta of the last recorded state, its row)
 
     def record(j: int, prev: StateTerms, curr: StateTerms):
-        nonlocal last_row
-        last_row = audit(prev, curr, cfg.dt, e_ref=e0, step=j, t=j * cfg.dt)
+        nonlocal last
+        with np.errstate(all="ignore"):
+            row = audit(prev, curr, cfg.dt, e_ref=e0, step=j, t=j * cfg.dt)
         curr.state.carried.pop("grad_phi", None)  # curr keeps its own
         if sink is not None:
-            sink(curr.state, last_row)
+            sink(curr.state, row)
+        last = (ThermoState(curr.state.phi, curr.state.theta), row)
 
     record(0, terms, terms)
     termination, message = "completed", ""
     before = init  # the state before terms.state, for a last-state audit
     for j in range(1, cfg.n_steps + 1):
         try:
-            new = StateTerms(step_fn(terms), p)
+            with np.errstate(all="ignore"):
+                new = StateTerms(step_fn(terms), p)
             if j % cfg.output_every == 0 or j == cfg.n_steps:
                 terms.keep_only_entropy()
                 record(j, terms, new)
@@ -277,14 +284,20 @@ def march(
             before.carried["phi_hat"] = terms.state.carried["phi_hat"]
         terms = new
 
-    if termination != "completed" and last_row.step != j - 1:
-        # a state whose own audit fails stays unrecorded
-        with contextlib.suppress(*_NUMERICAL):
-            record(j - 1, StateTerms(before, p), terms)
-
+    state, row = terms.state, last[1]
+    if termination != "completed" and row.step != j - 1:
+        try:
+            with np.errstate(all="ignore"):
+                prev = StateTerms(before, p)
+            record(j - 1, prev, terms)
+            row = last[1]
+        except _NUMERICAL:
+            # a state whose own audit fails stays unrecorded: the run ends
+            # with the fields of the last recorded state
+            state, row = last
     return Trajectory(
-        states=[terms.state],
-        diagnostics=[last_row],
+        states=[state],
+        diagnostics=[row],
         termination=termination,
         message=message,
     )
@@ -292,5 +305,6 @@ def march(
 
 def simulate(cfg: SimConfig, init: ThermoState, sink=None) -> Trajectory:
     """Run the model cfg.params.model selects ("a2", "a1" or "isothermal")
-    with march, sink included."""
+    with march, sink included; the step runs with numpy's floating-point
+    warnings off, the sink under the caller's error state."""
     return march(cfg, init, lambda t: imex_step(t, cfg.dt), sink)

@@ -481,9 +481,15 @@ class TestMarch:
             calls["n"] += 1
             return imex_step(terms, cfg.dt) if calls["n"] == 3 else crossing
 
-        traj = collect(march, cfg, s, step)
+        sunk = []
+        traj = march(cfg, s, step, lambda state, row: sunk.append((state, row)))
         assert traj.termination == "singularity"
-        assert [row.step for row in traj.diagnostics] == [0]
+        assert [row.step for _, row in sunk] == [0]
+        # the run ends with the last recorded state, not the unaudited one
+        assert traj.diagnostics[0] is sunk[-1][1]
+        assert traj.diagnostics[0].step == 0
+        assert traj.states[0].phi is s.phi
+        assert traj.states[0].theta is s.theta
 
     def test_singularity_label_carries_message(self):
         p = params()
@@ -563,6 +569,21 @@ class TestMarch:
         # records at steps 0, 3, 6, 9; the caller holds the initial state,
         # and no stepped state outlives the hand-on of the next record
         assert alive == [[], [True], [True, False], [True, False, False]]
+
+    def test_sink_runs_under_the_callers_error_state(self):
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=params(), dt=1e-4, t_end=3e-4)
+        steps = []
+
+        def sink(state, row):
+            steps.append(row.step)
+            if row.step == 2:
+                np.ones(1) / 0.0
+
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            simulate(cfg, init, sink)
+        # the steps and audits before it ran with the warnings off
+        assert steps == [0, 1, 2]
 
 
 def c2c_oracle_step(state, p, dt):
