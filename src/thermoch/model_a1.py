@@ -22,8 +22,8 @@ aborts if ds/dtheta loses positivity anywhere, since the expansion is then no
 longer invertible for the rate.
 
 The transport velocity entering a step is recomputed from the state at the
-start of the step, u = _velocity(terms, grad mu), and is zero when the state has
-no rates yet (t = 0, like the rate caches).  Its grad(dphi/dt) is the one
+start of the step, u = _velocity(terms), and is zero when the state has no
+rates yet (t = 0, like the rate caches).  Its grad(dphi/dt) is the one
 the step that produced the state formed, (grad phi_new - grad phi)/dt,
 which the state carries (ThermoState.carried) and records, so a run
 restarted from any recorded state continues bit for bit.
@@ -43,8 +43,8 @@ from .grid import div_hat
 from .thermo import SingularityError, StateTerms, _argmin_index
 
 
-def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
-    """u from grad(mu), the entropy, grad(theta) and the state's phase rate.
+def _velocity(t: StateTerms) -> list[np.ndarray]:
+    """u from grad(mu) (t.grad_mu), the entropy, grad(theta) and the phase rate.
 
     Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
     regularization width p.reg_delta shrinks (checked in the tests at
@@ -53,7 +53,7 @@ def _velocity(t: StateTerms, grad_mu: list[np.ndarray]) -> list[np.ndarray]:
     recip = t.recip
     return [
         -(gm * recip + t.entropy * gt * recip**2 + t.p.alpha * gr * recip)
-        for gm, gt, gr in zip(grad_mu, t.grad_theta, t.grad_rate)
+        for gm, gt, gr in zip(t.grad_mu, t.grad_theta, t.grad_rate)
     ]
 
 
@@ -76,5 +76,5 @@ def entropy_transport_hat(t: StateTerms) -> np.ndarray:
 
     u is zero while the state has no rates; the step then skips this term.
     """
-    u = _velocity(t, t.grad_mu)
+    u = _velocity(t)
     return div_hat(t.grid, [t.entropy * ui for ui in u], mask=True)

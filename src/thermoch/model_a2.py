@@ -6,8 +6,9 @@ entropy's chain rule, reads
     dphi/dt - alpha lap(dphi/dt) + eps*theta_bar lap^2(phi) = f1(phi, theta)
     k_b dtheta/dt - kappa lap(theta) = f2(phi, theta, rates)
 
-where f1 collects the variable-coefficient fourth-order correction and the
-bulk term, and f2 collects the rate-quadratic heating, the chain-rule bracket
+where f1 = lap P(mu + eps*theta_bar lap(phi)), with mu the state's one
+chemical potential (thermo.StateTerms.mu_hat) and P the two-thirds rule,
+and f2 collects the rate-quadratic heating, the chain-rule bracket
 of the entropy's bulk part, and the dissipation density.  Both constant-
 coefficient linear operators are inverted exactly per Fourier mode
 (phase_update, heat_update); f1 and f2 are treated explicitly.  Within a step
@@ -94,13 +95,11 @@ class Trajectory:
 
 
 def _f1_hat(t: StateTerms) -> np.ndarray:
-    """Spectrum of f1 = lap(dW/dphi / (eps theta) - eps (theta - theta_bar) lap(phi)),
-    the explicit phase forcing without the stiff eps*theta_bar lap^2 part; the
-    products are formed in real space and projected by the two-thirds rule
-    before the outer Laplacian."""
+    """Spectrum of f1 = lap P(mu + eps theta_bar lap(phi)), the explicit phase
+    forcing: lap(mu) of the state's one mu (StateTerms.mu_hat) without the
+    stiff eps*theta_bar lap^2 part, under the two-thirds rule P."""
     grid, p = t.grid, t.p
-    lap_phi = irfftn(grid, t.phi_hat * grid.half_lap)
-    inner = t.bulk_hat - p.eps * rfftn(grid, (t.theta - p.theta_bar) * lap_phi)
+    inner = t.mu_hat + p.eps * p.theta_bar * grid.half_lap * t.phi_hat
     return inner * grid.half_dealias_mask * grid.half_lap
 
 

@@ -257,8 +257,9 @@ class StateTerms:
     formed) and forms the rest from the state's values.  The carried terms
     a continued run reads are recorded with the state, so a run continued
     from a recorded state stays bit for bit the uninterrupted run.  It holds
-    one mu spectrum, mu_hat, undealiased; the step's grad_mu applies the 2/3
-    rule to it, and the audit's production takes the gradient of mu_hat.
+    the state's one chemical potential, mu_hat, undealiased: the step's f1
+    (model_a2._f1_hat) and grad_mu apply the 2/3 rule to it, and the audit's
+    production takes the gradient of mu_hat.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams):
@@ -294,15 +295,11 @@ class StateTerms:
         return bulk_potential(self.phi, self.theta, self.p)
 
     @cached_property
-    def bulk_hat(self) -> np.ndarray:
-        """Spectrum of dW/dphi / (eps theta), shared by f1 and mu."""
-        return rfftn(self.grid, self.bulk[1] / (self.p.eps * self.theta))
-
-    @cached_property
     def mu_hat(self) -> np.ndarray:
         """Spectrum of mu = -div(eps theta grad phi) + dW/dphi / (eps theta)."""
-        flux = [self.p.eps * self.theta * g for g in self.grad_phi]
-        return self.bulk_hat - div_hat(self.grid, flux)
+        eps_theta = self.p.eps * self.theta
+        flux = [eps_theta * g for g in self.grad_phi]
+        return rfftn(self.grid, self.bulk[1] / eps_theta) - div_hat(self.grid, flux)
 
     @cached_property
     def grad_mu(self) -> list[np.ndarray]:

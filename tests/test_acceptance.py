@@ -1,8 +1,9 @@
 """Acceptance gate: thirteen must-hold behaviors, one test per criterion.
 
 Run ``pytest tests/test_acceptance.py -v`` to get one pass/fail line per
-criterion.  Every tolerance is pinned in the assertions; the three-run
-refinement study (criteria 04-06) is built once per module and shared.
+criterion (two for criterion 04: its slope and its drift floor).  Every
+tolerance is pinned in the assertions; the three-run refinement study
+(criteria 04-06) is built once per module and shared.
 """
 
 import math
@@ -140,6 +141,15 @@ def test_criterion_04_energy_drift_first_order(refinement_runs):
     ]
     slope = np.polyfit(np.log(REFINEMENT_DTS), np.log(drifts), 1)[0]
     assert 0.8 <= slope <= 1.2
+
+
+def test_criterion_04_energy_drift_has_no_floor(refinement_runs):
+    # the signed drift fitted to c + a dt + b dt^2: a step driven by another
+    # chemical potential than the energy's leaves a dt-independent c
+    _, runs = refinement_runs
+    drifts = [traj.diagnostics[-1].e_tot - traj.diagnostics[0].e_tot for traj in runs]
+    floor = np.polyfit(REFINEMENT_DTS, drifts, 2)[-1]
+    assert abs(floor) <= 1e-8
 
 
 def test_criterion_05_entropy_production_nonnegative(refinement_runs):

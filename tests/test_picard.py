@@ -519,7 +519,7 @@ class TestPicardIterate:
 
     def test_solution_map_transform_budget(self, monkeypatch):
         # one application on a 2D grid, its difference norm included: at most
-        # 12 transforms per snapshot that forces, plus the two inversions of
+        # 10 transforms per snapshot that forces, plus the two inversions of
         # the last one
         phi0, theta0, p = admissible_data()
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
@@ -527,7 +527,7 @@ class TestPicardIterate:
         dphi, dtheta = initial_iterate(phi0, theta0, p, times)
         calls = count_transforms(monkeypatch)
         _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
-        assert 0 < len(calls) <= 12 * (times.size - 1) + 2
+        assert 0 < len(calls) <= 10 * (times.size - 1) + 2
         assert set(calls) <= {"rfftn", "irfftn"}
         assert dphi.shape == dtheta.shape == (times.size, *GRID2.half_shape)
 
