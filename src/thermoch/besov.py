@@ -28,19 +28,19 @@ block energies, for the Picard iterate norm.
 
 Norms are formed on the rfftn half lattice from |f_hat|^2, a derivative
 entering as a weight on it (half_grad_sq, |k|^4, |k|^8); a point counts twice
-(its conjugate partner) except on the last axis' 0 and n/2 planes.  Every
-point lies in at most two consecutive blocks, so one ring index per point
-gives a snapshot's block energies in two bincounts.  SeriesEnergies is the
-one contraction: an accumulator that takes a series one snapshot at a time,
-forms |f_hat|^2 (and, when asked, that of a subtracted snapshot's difference
-and of the backward-difference rate) in reusable half-lattice buffers and
-contracts it once per operator weight, so no (n_times, ...) stack of
-differences, rates, powers, bins or weighted products is ever formed.  A
-caller that produces the snapshots one by one, as the Picard map does,
-feeds them as it writes them; series_energies feeds a stack, and
-block_energies is its case with one weight.  The symbols are sampled on the
-half lattice too; being radial, they take the same value on a point and its
-conjugate partner.
+(its conjugate partner) except on the last axis' 0 and n/2 planes.  The
+rings table lists every (point, block, weight) with a nonzero symbol, sorted
+by block, so a snapshot's block energies under every operator weight are one
+gathered product and one np.add.reduceat over the block starts.
+SeriesEnergies is the one contraction: an accumulator that takes a series
+one snapshot at a time, forms |f_hat|^2 (and, when asked, that of the
+backward-difference rate) and contracts it, so no (n_times, ...) stack of
+rates, powers, bins or weighted products is ever formed.  A caller that
+produces the snapshots one by one, as the Picard map does, feeds them as it
+writes them; series_energies feeds a stack or any other iterable of
+snapshots, and block_energies is its case with one weight.  The symbols are
+sampled on the half lattice too; being radial, they take the same value on
+a point and its conjugate partner.
 """
 
 from __future__ import annotations
@@ -106,21 +106,16 @@ class DyadicPartition:
 
     @cached_property
     def rings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lower, w_lower, w_upper) per point of the flattened half lattice:
-        its symbols vanish outside blocks lower and lower + 1, and w_* are
-        their squares times the point's multiplicity and L^dim / N^2."""
+        """(point, block, weight) of every nonzero symbol sample on the
+        flattened half lattice, sorted by block: weight is the symbol's
+        square times the point's multiplicity and L^dim / N^2."""
         g = self.grid
-        flat = [s.ravel() for s in self.symbols]
-        sym = np.stack(flat + [np.zeros_like(flat[0])])  # an empty block on top
-        nonzero = sym != 0.0
-        lower = np.argmax(nonzero, axis=0)
-        points = np.arange(lower.size)
-        if np.any(nonzero.sum(axis=0) > 1 + nonzero[lower + 1, points]):
-            raise ValueError("a lattice point lies in more than two consecutive blocks")
         mult = np.full(g.half_shape, 2.0)
         mult[..., 0] = mult[..., -1] = 1.0
         w = mult.ravel() * g.box_len**g.dim / float(g.size) ** 2
-        return lower, sym[lower, points] ** 2 * w, sym[lower + 1, points] ** 2 * w
+        sym = np.stack([s.ravel() for s in self.symbols])
+        block, point = np.nonzero(sym)  # row-major: by block, then by point
+        return point, block, sym[block, point] ** 2 * w[point]
 
 
 def build_partition(grid: GridSpec) -> DyadicPartition:
@@ -143,69 +138,70 @@ class SeriesEnergies:
     lattice (grid.half_grad_sq for the gradient, |k|^4 for the Laplacian)
     or None; each entry of rate_weights is one for the backward-difference
     rate over times, zero on the first snapshot.  add takes the next
-    snapshot, a half spectrum, and optionally one to subtract from it;
-    energies, of shape (len(weights) + len(rate_weights), n_times,
-    n_blocks), holds the series' rows first.  A snapshot added without one
-    to subtract is read again by the next add, for its rate, and must not
-    change before then.
+    snapshot, a half spectrum, and copies what it keeps, so a caller may
+    hand it one buffer rewritten between calls.  energies, of shape
+    (len(weights) + len(rate_weights), n_times, n_blocks), holds the
+    series' rows first.
 
-    The difference, the rate and |.|^2 go to reusable half-lattice buffers,
-    and each power is contracted against the rings once per weight (two
-    bincounts over the ring index), so no stack is formed: the memory is a
-    few snapshots and the energies.
+    The snapshot goes to one of two half-lattice buffers, and the rate
+    overwrites the last snapshot once it is read.  Each |.|^2 is contracted
+    against the rings table for all its weights at once (one gathered
+    product, one reduceat over the block starts), so no stack is formed: the
+    memory is two snapshots, the weighted table and the energies.
     """
 
     def __init__(self, part: DyadicPartition, n_times: int, weights, rate_weights=(), times=None):
-        self._lower, w_lower, w_upper = part.rings
-        self._n_blocks = len(part.symbols)
+        self._point, block, ring_w = part.rings
+        self._shape = part.grid.half_shape
+        self._blocks, self._starts = np.unique(block, return_index=True)
 
-        def weighted(weight):
+        def on_rings(weight):
             if weight is None:
-                return w_lower, w_upper
-            weight = np.broadcast_to(weight, part.grid.half_shape).ravel()
-            return w_lower * weight, w_upper * weight
+                return ring_w
+            return ring_w * np.broadcast_to(weight, self._shape).ravel()[self._point]
 
-        self._rings = [weighted(w) for w in weights]
-        self._rate_rings = [weighted(w) for w in rate_weights]
-        size = self._lower.size
-        n_rows = len(self._rings) + len(self._rate_rings)
-        self.energies = np.zeros((n_rows, n_times, self._n_blocks))
-        self._diff = np.empty((2, size), dtype=complex)  # this and the last snapshot
-        self._rate = np.empty(size, dtype=complex)
-        self._power = np.empty(size)
-        self._inv_dt = 1.0 / np.diff(np.asarray(times, float)) if self._rate_rings else None
-        self._prev = None
+        # every weight on the rings table, in the order of the energies' rows
+        self._weights = np.stack([on_rings(w) for w in (*weights, *rate_weights)])
+        self._plain = slice(0, len(weights))
+        self._rates = slice(len(weights), None)
+        self.energies = np.zeros((len(self._weights), n_times, len(part.symbols)))
+        self._rows = np.empty((2, math.prod(self._shape)), dtype=complex)  # this and the last
+        self._inv_dt = 1.0 / np.diff(np.asarray(times, float)) if rate_weights else None
         self._t = 0
 
-    def _contract(self, values, rings, energies):
-        stride = self._n_blocks + 1  # the spare last bin takes the empty top block
-        power = np.square(np.abs(values, out=self._power), out=self._power)
-        for (wl, wu), e in zip(rings, energies):
-            bins = np.bincount(self._lower, power * wl, minlength=stride)
-            bins[1:] += np.bincount(self._lower, power * wu, minlength=stride)[:-1]
-            e[self._t] = bins[: self._n_blocks]
+    def _contract(self, values, rows):
+        power = np.abs(values)
+        products = np.square(power, out=power)[self._point] * self._weights[rows]
+        blocks = np.add.reduceat(products, self._starts, axis=1)
+        self.energies[rows, self._t, self._blocks] = blocks
 
-    def add(self, hat: np.ndarray, minus: np.ndarray | None = None) -> None:
+    def add(self, hat: np.ndarray) -> None:
         t = self._t
-        row = hat.reshape(self._lower.size)
-        if minus is not None:
-            row = np.subtract(row, minus.reshape(row.shape), out=self._diff[t % 2])
-        self._contract(row, self._rings, self.energies)
-        if t and self._rate_rings:
-            np.subtract(row, self._prev, out=self._rate)
-            self._rate *= self._inv_dt[t - 1]
-            self._contract(self._rate, self._rate_rings, self.energies[len(self._rings) :])
-        self._prev = row
+        if hat.shape != self._shape:
+            raise ValueError(f"a spectrum of shape {hat.shape} does not fit {self._shape}")
+        if t == self.energies.shape[1]:
+            raise ValueError(f"the series has more than {t} snapshots")
+        row, last = self._rows[t % 2], self._rows[(t - 1) % 2]
+        np.copyto(row, hat.reshape(row.shape))
+        self._contract(row, self._plain)
+        if t and self._inv_dt is not None:
+            rate = np.subtract(row, last, out=last)  # the last snapshot is read
+            rate *= self._inv_dt[t - 1]
+            self._contract(rate, self._rates)
         self._t = t + 1
 
 
 def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None):
-    """SeriesEnergies of a stack of n half spectra, shape (n, *half_shape),
-    fed one snapshot at a time.  Returns the energies, shape
+    """SeriesEnergies of a series of half spectra fed one snapshot at a
+    time: a stack of shape (n, *half_shape) or, when times are given, any
+    iterable of exactly times.size snapshots.  Returns the energies, shape
     (len(weights) + len(rate_weights), n, n_blocks)."""
-    acc = SeriesEnergies(part, len(hats), weights, rate_weights, times)
+    n = len(hats) if times is None else len(times)
+    acc = SeriesEnergies(part, n, weights, rate_weights, times)
     for hat in hats:
         acc.add(hat)
+    if acc._t != n:
+        raise ValueError(f"the series has {acc._t} snapshots, not {n}")
     return acc.energies
 
 
@@ -232,12 +228,6 @@ class BesovReport:
             lines.append(f"  q = {q:3d}: {v:.12e}")
         lines.append(f"  total : {self.total:.12e}")
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        rows = ["q,weighted_block_norm"]
-        rows += [f"{q},{v!r}" for q, v in self.per_block]
-        rows.append(f"total,{self.total!r}")
-        return "\n".join(rows) + "\n"
 
 
 def besov_norm(f: Field, s: float, part: DyadicPartition) -> BesovReport:
@@ -320,22 +310,6 @@ class SmallnessReport:
                 f" {self.chi_range[1]:.6e})  [dimension constant set to 1]",
             ]
         )
-
-    def to_csv(self) -> str:
-        rows = [
-            "quantity,value",
-            f"lhs1,{self.lhs1!r}",
-            f"rhs1,{self.rhs1!r}",
-            f"lhs2,{self.lhs2!r}",
-            f"rhs2,{self.rhs2!r}",
-            f"eps0,{self.eps0!r}",
-            f"satisfied1,{int(self.satisfied[0])}",
-            f"satisfied2,{int(self.satisfied[1])}",
-            f"chi_min,{self.chi_range[0]!r}",
-            f"chi_max,{self.chi_range[1]!r}",
-            f"eps_theta_bar,{self.eps_theta_bar!r}",
-        ]
-        return "\n".join(rows) + "\n"
 
 
 def check_smallness(

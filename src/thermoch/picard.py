@@ -13,21 +13,28 @@ All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
 of the forcing at the snapshot times (left endpoints).
 
-The Picard loop carries one pair of corrections as stacks of rfftn half
-spectra, shape (n_times, *half_shape), and each application of the map
-updates them in place; the free flow phi0_hat * exp(-lam t) is formed per
-snapshot where it is read, not kept.  One application inverts each
+Every forcing the map applies is cut by the 2/3 rule, so the phase
+correction and the temperature's departure from its free heat flow have no
+spectrum off the 2/3-rule box.  The Picard loop carries that pair as
+compact stacks of their rfftn half spectra on the box (the flat indices of
+grid.half_dealias_mask), shape (n_times, n_box), and each application of
+the map updates them in place; the free flows hat0 * exp(-lam t) of the
+initial phase and of the initial temperature offset are formed per
+snapshot where they are read, not kept.  One application inverts each
 snapshot's two absolute fields once, forms both forcings from one
-thermo.StateTerms and advances the corrections by one exact interval, so no
-forcing series is kept; the old snapshot it overwrites waits in one buffer
-per series until the next forcing has read it.  The iterate norm measures
-the spectra directly and streams them: one snapshot at a time, it forms
-|f_hat|^2 and the backward rate's power in reusable half-lattice buffers
-and contracts them against the dyadic rings (besov.SeriesEnergies), every
-derivative a weight on |f_hat|^2.  So k_norm makes no transform, and the
-map measures the successive difference snapshot by snapshot as it writes
-it, with no old or difference stack.  k_norm takes the stacks of half
-spectra the loop holds, and picard_iterate takes the initial Fields.
+thermo.StateTerms and advances the box by one exact interval, so no
+forcing series is kept; the old snapshot it overwrites waits in one box
+buffer per series until the next forcing has read it.  A snapshot is
+expanded to a full half spectrum, in a reused buffer, only where a
+transform or a norm reads it.  The iterate norm measures the spectra
+directly and streams them: one snapshot at a time, it forms |f_hat|^2 and
+the backward rate's power in reusable half-lattice buffers and contracts
+them against the dyadic rings (besov.SeriesEnergies), every derivative a
+weight on |f_hat|^2.  So k_norm makes no transform, and the map measures
+the successive difference snapshot by snapshot as it writes it, with no
+old or difference stack.  k_norm takes any two series of half spectra (a
+stack is one; picard_iterate passes the expanded box), and picard_iterate
+takes the initial Fields.
 """
 
 from __future__ import annotations
@@ -84,9 +91,35 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _free_flow(hat0: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
-    """Half spectrum of the unforced flow hat0 * exp(-lam t) at the time t."""
-    return hat0 * np.exp(-t * lam)
+def _free_flow(hat0: np.ndarray, lam: np.ndarray, t: float, out=None) -> np.ndarray:
+    """Half spectrum of the unforced flow hat0 * exp(-lam t) at the time t,
+    written to out when given."""
+    return np.multiply(hat0, np.exp(-t * lam), out=out)
+
+
+def _box(grid: GridSpec) -> np.ndarray:
+    """Flat indices of the 2/3-rule box on the half lattice, where the map's
+    corrections live."""
+    return np.flatnonzero(grid.half_dealias_mask)
+
+
+def _expand(out: np.ndarray, box: np.ndarray, values, flow=None, t: float = 0.0) -> np.ndarray:
+    """out as the half spectrum of values held on the box, plus the free flow
+    (hat0, lam) at the time t when given; without one, out must be zero off
+    the box, and stays so."""
+    if flow is None:
+        np.put(out, box, values)
+    else:
+        _free_flow(*flow, t, out=out)
+        np.put(out, box, np.take(out, box) + values)
+    return out
+
+
+def _spectra(grid: GridSpec, stack: np.ndarray, box: np.ndarray, times, flow=None):
+    """The half spectra of a series held on the box, plus its free flow when
+    given: one snapshot at a time, each expanded into the same buffer."""
+    out = np.zeros(grid.half_shape, dtype=complex)
+    return (_expand(out, box, c, flow, t) for t, c in zip(times, stack))
 
 
 def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,22 +177,20 @@ class KNormReport:
 def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     """Mixed space-time norm of a correction pair sampled on a uniform grid.
 
-    dphi and dtheta are stacks of rfftn half spectra, shape (n_times,
-    *half_shape), measured without any transform.  Time derivatives are
-    backward differences of the series (zero on the first snapshot, matching
+    dphi and dtheta are series of rfftn half spectra, each an iterable of
+    exactly times.size snapshots of shape half_shape (a stack of shape
+    (n_times, *half_shape) is one), read once, one snapshot at a time, and
+    measured without any transform.  Time derivatives are backward
+    differences of the series (zero on the first snapshot, matching
     corrections that start from rest), so at least three snapshots are
     required for the rate terms to mean anything.
     """
     times = _check_times(times)
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
-    grid = part.grid
-    for hat in (dphi, dtheta):
-        if hat.shape != (times.size, *grid.half_shape):
-            raise ValueError(f"spectra of shape {hat.shape} do not fit the grid and times")
     energies = (
-        series_energies(hat, part, *w, times)
-        for hat, w in zip((dphi, dtheta), _norm_weights(grid))
+        series_energies(hats, part, *w, times)
+        for hats, w in zip((dphi, dtheta), _norm_weights(part.grid))
     )
     return _norm_report(*energies, part, times)
 
@@ -282,42 +313,49 @@ class PicardReport:
         return "\n".join(lines) + "\n"
 
 
-def _map_in_place(grid: GridSpec, dphi, dtheta, phi0_hat, p: ModelParams, times, part):
+def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, part):
     """One application of the solution map, in place: freeze forcings, solve
     linear; returns the KNormReport of the successive difference.
 
-    dphi and dtheta hold the corrections of the current iterate as stacks of
-    half spectra and leave holding those of the next.  The forcings are the
-    two expanded right-hand sides evaluated on the absolute fields of the
-    current iterate (the free flow of phi0_hat, formed per snapshot, plus
-    the corrections), with backward-difference rates; the new corrections
-    solve the damped bilaplacian / heat problems from the initial data
-    (0, dtheta0) the first snapshot holds, one exact interval per snapshot.
-    Writing snapshot j + 1 needs the current iterate only up to j, so before
-    slot j + 1 is overwritten its old snapshot goes to one buffer per series,
-    where the next forcing reads it, and new - old goes to the accumulators
-    of the iterate norm: the difference is measured as the map writes it.
-    A snapshot inverts its two fields once, and one StateTerms, started from
-    the phase spectrum the iterate holds, serves both forcings; the rate
-    gradient is the difference of consecutive snapshot gradients, as in
-    model_a2.imex_step.  The last state is validated but acts beyond the
-    horizon.
+    dphi and dtheta hold the current iterate as compact stacks on the
+    2/3-rule box (_box), shape (n_times, n_box): the phase correction, and
+    the temperature's departure from the free heat flow of hat0[1]; they
+    leave holding those of the next iterate.  The forcings are the two
+    expanded right-hand sides evaluated on the absolute fields of the
+    current iterate (the free flows of hat0 = (phi0_hat, dtheta0_hat),
+    formed per snapshot, plus the expanded box), with backward-difference
+    rates.  The forcings vanish off the box, so the new box solves the
+    damped bilaplacian / heat problems from rest, one exact interval per
+    snapshot, with the ETD factors gathered to the box once; the free flows
+    carry the initial data.  Writing snapshot j + 1 needs the current
+    iterate only up to j, so before slot j + 1 is overwritten its old
+    snapshot goes to one box buffer per series, where the next forcing reads
+    it, and new - old, expanded into a reused buffer that stays zero off the
+    box, goes to the accumulators of the iterate norm: the difference is
+    measured as the map writes it.  A snapshot inverts its two fields once,
+    and one StateTerms, started from the phase spectrum the iterate holds,
+    serves both forcings; the rate gradient is the difference of consecutive
+    snapshot gradients, as in model_a2.imex_step.  The last state is
+    validated but acts beyond the horizon.
     """
     step = times[1] - times[0]  # uniform (PicardConfig.times)
-    lam, mass = _phi_rates_and_mass(grid, p)
-    decays, gains = zip(
-        _etd_factors(lam, mass, step), _etd_factors(*_theta_rates_and_mass(grid, p), step)
-    )
+    box = _box(grid)
+    flows = [f(grid, p) for f in (_phi_rates_and_mass, _theta_rates_and_mass)]
+    lams = [lam for lam, _ in flows]
+    decays, gains = zip(*(_etd_factors(*(np.take(a, box) for a in f), step) for f in flows))
     diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
+    hats = np.empty((2, *grid.half_shape), dtype=complex)  # the absolute spectra
+    diff = np.zeros(grid.half_shape, dtype=complex)  # new - old, zero off the box
     # snapshot 0, the initial data, is never rewritten: its difference is zero
-    old = (dphi[0].copy(), dtheta[0].copy())
-    for acc, hat in zip(diffs, old):
-        acc.add(hat, minus=hat)
+    for acc in diffs:
+        acc.add(diff)
+    held = (dphi[0].copy(), dtheta[0].copy())
     prev = prev_grad = None
-    for j in range(times.size):
-        phi_hat = _free_flow(phi0_hat, lam, times[j]) + old[0]
-        now = (irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, old[1]))
-        dt = times[j] - times[j - 1] if j else 1.0  # the first rates are now - now = 0
+    for j, t in enumerate(times):
+        for hat, h0, lam, c in zip(hats, hat0, lams, held):
+            _expand(hat, box, c, (h0, lam), t)
+        now = (irfftn(grid, hats[0]), p.theta_bar + irfftn(grid, hats[1]))
+        dt = t - times[j - 1] if j else 1.0  # the first rates are now - now = 0
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
         state = ThermoState(
             Field(grid, now[0]),
@@ -326,15 +364,15 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, phi0_hat, p: ModelParams, times,
             dtheta_dt=Field(grid, theta_rate),
         )
         if j + 1 < times.size:
-            state.carried["phi_hat"] = phi_hat
+            state.carried["phi_hat"] = hats[0]
             terms = StateTerms(state, p)
             grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
             forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate))
-            series = zip((dphi, dtheta), old, decays, gains, forcings, diffs)
-            for stack, held, decay, gain, f, acc in series:
-                np.copyto(held, stack[j + 1])
-                stack[j + 1] = decay * stack[j] + gain * f
-                acc.add(stack[j + 1], minus=held)
+            series = zip((dphi, dtheta), held, decays, gains, forcings, diffs)
+            for stack, c, decay, gain, f, acc in series:
+                np.copyto(c, stack[j + 1])
+                stack[j + 1] = decay * stack[j] + gain * np.take(f, box)
+                acc.add(_expand(diff, box, stack[j + 1] - c))
             prev_grad = terms.grad_phi
         prev = now
     return _norm_report(*(acc.energies for acc in diffs), part, times)
@@ -370,15 +408,17 @@ def picard_iterate(
     Starts from the correction pair (0, heat flow of theta0 - theta_bar),
     applies the map up to cfg.n_iter times, and records per iteration the
     iterate norm, the successive-difference norm, their ratio, and ball
-    containment.  The pair is one pair of stacks that every application
-    updates in place, measuring the difference as it writes; the size norm
-    is then taken on the updated stacks.  Stops early on convergence
-    (difference below cfg.tol) or after three consecutive non-contracting
-    ratios (reported as diverged; further iterations of a non-contracting
-    map only overflow).  An iterate that leaves the domain of the map
-    (PositivityError, NonFiniteError, FloatingPointError) is reported as
-    diverged too, and the final fields come from the last accepted iterate;
-    any other error propagates.
+    containment.  The pair is one pair of compact stacks on the 2/3-rule
+    box (_map_in_place) that every application updates in place, measuring
+    the difference as it writes; the size norm is then taken on the updated
+    pair, expanded snapshot by snapshot, the heat flow added to the
+    temperature's.  Stops early on convergence (difference below cfg.tol)
+    or after three consecutive non-contracting ratios (reported as
+    diverged; further iterations of a non-contracting map only overflow).
+    An iterate that leaves the domain of the map (PositivityError,
+    NonFiniteError, FloatingPointError) is reported as diverged too, and the
+    final fields come from the last accepted iterate; any other error
+    propagates.
     """
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
@@ -387,13 +427,14 @@ def picard_iterate(
         raise ValueError(f"the solution map linearizes model 'a2', got {p.model!r}")
     times = cfg.times
 
-    phi0_hat = rfftn(grid, phi0.values)
-    dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
-    lam_theta = _theta_rates_and_mass(grid, p)[0]
-    dtheta = np.empty((times.size, *grid.half_shape), dtype=complex)
-    for j, t in enumerate(times):
-        dtheta[j] = _free_flow(dtheta0_hat, lam_theta, t)
-    dphi = np.zeros_like(dtheta)
+    hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
+    phi_flow = (hat0[0], _phi_rates_and_mass(grid, p)[0])
+    theta_flow = (hat0[1], _theta_rates_and_mass(grid, p)[0])
+    box = _box(grid)
+    # the phase correction and the temperature's departure from its heat
+    # flow, both at rest
+    dphi = np.zeros((times.size, box.size), dtype=complex)
+    dtheta = np.zeros_like(dphi)
 
     rows: list[PicardRow] = []
     converged = diverged = False
@@ -402,8 +443,13 @@ def picard_iterate(
     for m in range(1, cfg.n_iter + 1):
         last = (dphi[-1].copy(), dtheta[-1].copy())
         try:
-            diff = _map_in_place(grid, dphi, dtheta, phi0_hat, p, times, part).total
-            size = k_norm(dphi, dtheta, part, times).total
+            diff = _map_in_place(grid, dphi, dtheta, hat0, p, times, part).total
+            size = k_norm(
+                _spectra(grid, dphi, box, times),
+                _spectra(grid, dtheta, box, times, theta_flow),
+                part,
+                times,
+            ).total
         except (PositivityError, NonFiniteError, FloatingPointError):
             # the iterate left the domain of the map (temperature through
             # zero, or norms no longer finite): empirical divergence.  The
@@ -431,9 +477,10 @@ def picard_iterate(
             diverged = True
             break
 
-    phi_end = _free_flow(phi0_hat, _phi_rates_and_mass(grid, p)[0], times[-1])
-    final_phi = Field(grid, irfftn(grid, phi_end + dphi[-1]))
-    final_theta = Field(grid, p.theta_bar + irfftn(grid, dtheta[-1]))
+    end = np.empty(grid.half_shape, dtype=complex)
+    final_phi = Field(grid, irfftn(grid, _expand(end, box, dphi[-1], phi_flow, times[-1])))
+    theta_end = irfftn(grid, _expand(end, box, dtheta[-1], theta_flow, times[-1]))
+    final_theta = Field(grid, p.theta_bar + theta_end)
     return PicardReport(
         rows=tuple(rows),
         converged=converged,

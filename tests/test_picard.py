@@ -23,6 +23,7 @@ from thermoch.picard import (
     KNormReport,
     PicardConfig,
     REPORT_CSV_HEADER,
+    _box,
     _free_flow,
     _map_in_place,
     _phi_rates_and_mass,
@@ -369,6 +370,14 @@ class TestSpectralKNorm:
         bad = np.zeros((3,) + GRID2.shape, dtype=complex)
         with pytest.raises(ValueError, match="shape"):
             k_norm(bad, bad, PART2, times)
+        with pytest.raises(ValueError, match="shape"):
+            k_norm(iter(bad), iter(bad), PART2, times)
+        # a short series would leave zero energy rows and a silently small norm
+        good = np.ones((3, *GRID2.half_shape), dtype=complex)
+        with pytest.raises(ValueError, match="2 snapshots, not 3"):
+            k_norm(good, iter(good[:2]), PART2, times)
+        with pytest.raises(ValueError, match="more than 3 snapshots"):
+            k_norm(np.concatenate([good, good]), good, PART2, times)
 
 
 class TestPicardConfig:
@@ -427,11 +436,30 @@ def finals(rep):
 
 
 def initial_iterate(phi0, theta0, p, times):
-    """picard_iterate's starting pair (0, heat flow of theta0 - theta_bar)."""
+    """picard_iterate's starting pair (0, heat flow of theta0 - theta_bar), as
+    the map holds it: the compact box of the phase correction and of the
+    temperature's departure from its heat flow, both at rest, and the initial
+    spectra (phi0_hat, dtheta0_hat) of the free flows."""
     grid = phi0.grid
-    dtheta0_hat = rfftn(grid, theta0.values - p.theta_bar)
-    dtheta = decay(dtheta0_hat, _theta_rates_and_mass(grid, p)[0], times)
-    return np.zeros_like(dtheta), dtheta
+    hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
+    dphi = np.zeros((times.size, _box(grid).size), dtype=complex)
+    return dphi, np.zeros_like(dphi), hat0
+
+
+def expanded(grid, stack):
+    """Half spectra of a compact stack on the 2/3-rule box, zero off it."""
+    out = np.zeros((len(stack), *grid.half_shape), dtype=complex)
+    out.reshape(len(stack), -1)[:, _box(grid)] = stack
+    return out
+
+
+def off_box_data(grid):
+    """Phase and temperature offset with energy on and off the 2/3-rule box:
+    cos(x) and cos(k x) along every axis, with k = 7n/16 > (2/3)(n/2)."""
+    k = 7 * grid.n // 16
+    wave = sum(np.cos(ax) + np.cos(k * ax) for ax in grid.axes) * np.ones(grid.shape)
+    p = ModelParams(eps=1.0, theta_bar=100.0, alpha=1.0, kappa=1.0, k_b=1.0)
+    return Field(grid, 5e-5 * wave), Field(grid, p.theta_bar + 1e-3 * wave), p
 
 
 class TestPicardIterate:
@@ -523,28 +551,65 @@ class TestPicardIterate:
         # the last one
         phi0, theta0, p = admissible_data()
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
-        phi0_hat = rfftn(GRID2, phi0.values)
-        dphi, dtheta = initial_iterate(phi0, theta0, p, times)
+        dphi, dtheta, hat0 = initial_iterate(phi0, theta0, p, times)
         calls = count_transforms(monkeypatch)
-        _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
+        _map_in_place(GRID2, dphi, dtheta, hat0, p, times, PART2)
         assert 0 < len(calls) <= 10 * (times.size - 1) + 2
         assert set(calls) <= {"rfftn", "irfftn"}
-        assert dphi.shape == dtheta.shape == (times.size, *GRID2.half_shape)
+        assert dphi.shape == dtheta.shape == (times.size, _box(GRID2).size)
 
     def test_streamed_difference_is_the_norm_of_the_difference(self):
         phi0, theta0, p = admissible_data()
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
-        phi0_hat = rfftn(GRID2, phi0.values)
-        dphi, dtheta = initial_iterate(phi0, theta0, p, times)
+        dphi, dtheta, hat0 = initial_iterate(phi0, theta0, p, times)
         for _ in range(2):
             old = (dphi.copy(), dtheta.copy())
-            got = _map_in_place(GRID2, dphi, dtheta, phi0_hat, p, times, PART2)
+            got = _map_in_place(GRID2, dphi, dtheta, hat0, p, times, PART2)
             assert np.any(dphi != old[0]) and np.any(dtheta != old[1])
-            want = k_norm(dphi - old[0], dtheta - old[1], PART2, times)
+            # the heat flow cancels: the difference is that of the compact box
+            want = k_norm(
+                expanded(GRID2, dphi - old[0]), expanded(GRID2, dtheta - old[1]), PART2, times
+            )
             assert got.summands == want.summands
             assert got.total > 0.0
 
-    def test_memory_beyond_inputs_is_under_three_stacks(self):
+    @pytest.mark.parametrize("grid", [GRID1, GRID2], ids=["1d", "2d"])
+    def test_corrections_live_on_the_box(self, grid, monkeypatch):
+        # off the 2/3-rule box the iterate is the free flow: phase free flow
+        # and theta_bar plus the free heat flow, in the states the second
+        # application transforms (the iterate after one application) and in
+        # the final fields
+        phi0, theta0, p = off_box_data(grid)
+        part = build_partition(grid)
+        cfg = PicardConfig(chi=1.0, t_end=1e-2, n_iter=2, tol=1e-300, dt=1e-3)
+        seen = []
+
+        def recording(state, params):
+            seen.append((state.phi.values.copy(), state.theta.values.copy()))
+            return real(state, params)
+
+        real = picard.StateTerms
+        monkeypatch.setattr(picard, "StateTerms", recording)
+        rep = picard_iterate(phi0, theta0, p, cfg, part)
+        assert len(rep.rows) == 2
+        times = cfg.times
+        after_one = seen[times.size - 1 :]
+        assert len(after_one) == times.size - 1
+        snapshots = [*zip(times, after_one), (times[-1], finals(rep)[:2])]
+        # the free flows of the absolute data: the heat flow keeps theta_bar
+        flows = [
+            (rfftn(grid, phi0.values), _phi_rates_and_mass(grid, p)[0]),
+            (rfftn(grid, theta0.values), _theta_rates_and_mass(grid, p)[0]),
+        ]
+        off = ~grid.half_dealias_mask
+        for t, fields in snapshots:
+            for values, (hat0, lam) in zip(fields, flows):
+                tol = 1e-12 * np.max(np.abs(hat0))
+                assert np.max(np.abs(hat0[off])) > 1e6 * tol
+                gap = rfftn(grid, values)[off] - _free_flow(hat0, lam, t)[off]
+                assert np.max(np.abs(gap)) <= tol
+
+    def test_memory_beyond_inputs_is_under_1_6_stacks(self):
         # criterion 11's problem: 101 snapshots of the 64^2 half lattice,
         # held as one pair of correction stacks
         grid = GridSpec(dim=2, n=64, box_len=2.0 * np.pi)
@@ -561,7 +626,7 @@ class TestPicardIterate:
         finally:
             tracemalloc.stop()
         assert rep.converged
-        assert extra < 3 * stack, extra / stack
+        assert extra < 1.6 * stack, extra / stack
 
     def test_grid_mismatch_rejected(self):
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
