@@ -11,10 +11,10 @@ Subcommands:
   demo-caginalp    print the energy-drift demonstration for the classic model
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(positivity loss, singularity, non-finite state, early termination,
-fixed-point divergence), 4 I/O error (held lock, unreadable files).  The
-output directory is guarded by a sentinel lock file so two runs cannot
-interleave writes.
+(positivity loss, singularity, non-finite state or audit row, early
+termination, fixed-point divergence; a run's error names its step, a
+state's its field, grid index and value), 4 I/O error (held lock,
+unreadable files).  A sentinel lock guards the output directory.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
 from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
-from .grid import NonFiniteError
 from .model_a2 import SimConfig, simulate
 from .picard import picard_iterate
-from .thermo import PositivityError, SingularityError
+from .thermo import NonFiniteError, PositivityError, SingularityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, mean, rfftn
-from .thermo import StateTerms, entropy_production, total_energy
+from .thermo import NonFiniteError, StateTerms, entropy_production, total_energy
 
 CSV_HEADER = (
     "step,t,mass,E_tot,E_drift_rel,min_theta,min_entropy_production,cd_residual_l2"
@@ -83,7 +83,7 @@ def audit(
     The model parameters are curr's, and the drift is measured against the
     energy e_ref (march passes the run's initial energy).  A pair that is one
     StateTerms (prev is curr, as on march's step-0 row) is no transition: its
-    row forms no residual and holds None.
+    row forms no residual and holds None.  A non-finite row raises NonFiniteError.
     """
     if prev.grid != curr.grid:
         raise ValueError("audit requires both states on the same grid")
@@ -96,7 +96,7 @@ def audit(
     e_tot = total_energy(curr)
     e_drift_rel = abs(e_tot - e_ref) / max(abs(e_ref), 1e-30)
 
-    production = entropy_production(curr).values
+    production = entropy_production(curr)
 
     residual_l2 = None
     if prev is not curr:
@@ -110,7 +110,7 @@ def audit(
         residual -= production
         residual_l2 = float(l2_norm(Field(grid, residual)))
 
-    return DiagnosticsRow(
+    row = DiagnosticsRow(
         step=step,
         t=t,
         mass=float(mass),
@@ -120,6 +120,11 @@ def audit(
         min_entropy_production=float(np.min(production)),
         cd_residual_l2=residual_l2,
     )
+    for name in ("e_tot", "e_drift_rel", "min_entropy_production", "cd_residual_l2"):
+        value = getattr(row, name)
+        if value is not None and not np.isfinite(value):
+            raise NonFiniteError(f"{name} must be finite, got {value}")
+    return row
 
 
 # --------------------------------------------------------------------------

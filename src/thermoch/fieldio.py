@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Field, GridSpec
+from .grid import Field, GridSpec, first_min_index
 
 MAGIC = b"THCH"
 VERSION = 1
@@ -28,8 +28,8 @@ _HEADER = struct.Struct("<4sIIId")
 
 
 class FieldIOError(IOError):
-    """Raised for malformed field files (bad magic/version/grid/shape, or
-    non-finite values)."""
+    """Raised for malformed field files: bad magic/version/grid/shape, or a
+    non-finite value (named with its grid index)."""
 
 
 def write_field(path: str | Path, f: Field) -> None:
@@ -53,10 +53,14 @@ def read_field(path: str | Path) -> Field:
         expect = _HEADER.size + 8 * grid.size
         if len(raw) != expect:
             raise FieldIOError(f"{path}: expected {expect} bytes, got {len(raw)}")
-        values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
-        return Field(grid, values.copy())
-    except ValueError as exc:  # an invalid header grid or a non-finite payload
+    except ValueError as exc:  # an invalid header grid
         raise FieldIOError(f"{path}: {exc}") from None
+    values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(grid.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        loc = first_min_index(finite)
+        raise FieldIOError(f"{path}: non-finite value {float(values[loc])} at index {loc}")
+    return Field(grid, values.copy())
 
 
 def write_plot(path: str | Path, f: Field) -> None:

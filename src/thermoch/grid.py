@@ -26,7 +26,7 @@ import scipy.fft as _sfft
 __all__ = [
     "GridSpec",
     "Field",
-    "NonFiniteError",
+    "first_min_index",
     "mean_and_inner",
     "mean",
     "inner",
@@ -125,10 +125,6 @@ class GridSpec:
         return keep
 
 
-class NonFiniteError(ValueError):
-    """A field holds NaN or infinite values."""
-
-
 @dataclass
 class Field:
     """Real scalar field sampled on a GridSpec lattice (C-order values)."""
@@ -142,9 +138,11 @@ class Field:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            bad = int(np.count_nonzero(~np.isfinite(self.values)))
-            raise NonFiniteError(f"field contains {bad} non-finite values")
+
+
+def first_min_index(values: np.ndarray) -> tuple[int, ...]:
+    """Grid index (plain ints) of the first minimum, or first False, of values."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
 
 
 def mean_and_inner(f: Field, g: Field) -> tuple[float, float]:

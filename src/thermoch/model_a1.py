@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import div_hat
-from .thermo import SingularityError, StateTerms, _argmin_index
+from .grid import div_hat, first_min_index
+from .thermo import SingularityError, StateTerms
 
 
 def _velocity(t: StateTerms) -> list[np.ndarray]:
@@ -64,7 +64,7 @@ def _require_invertible_entropy_slope(t: StateTerms):
     ds_dtheta = t.p.k_b / t.theta + db_dtheta
     worst = float(np.min(ds_dtheta))
     if worst <= 1e-10:
-        loc = _argmin_index(ds_dtheta)
+        loc = first_min_index(ds_dtheta)
         raise SingularityError(
             f"entropy slope ds/dtheta = {worst:.6e} at index {loc} is not "
             "invertible; the transported update cannot be solved for the rate"

@@ -35,15 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
-from .grid import Field, GridSpec, NonFiniteError, div_hat, grad_from_hat, irfftn, rfftn
+from .grid import Field, GridSpec, div_hat, grad_from_hat, irfftn, rfftn
 from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
+    NonFiniteError,
     PositivityError,
     SingularityError,
     StateTerms,
     ThermoState,
-    _argmin_index,
     force_square,
     total_energy,
 )
@@ -81,7 +81,8 @@ class Trajectory:
     each as a one-item list (states, diagnostics).
 
     termination is "completed", "positivity", "singularity" or "non_finite";
-    message is the text of the error that stopped an early run.  The state
+    message is "step j: " and the text of the error that stopped an early
+    run in step j (for a state, its field, grid index and value).  The state
     is the last recorded one, whole (rates and carried terms included), so
     simulate continues from it bit for bit.  An early stop whose last state
     fails its own audit leaves that state unrecorded: states then holds the
@@ -185,15 +186,6 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
         f2_hat = f2_hat - entropy_transport_hat(t)
     new_theta_hat = heat_update(grid, p, dt, t.theta_hat, f2_hat)
     new_theta = irfftn(grid, new_theta_hat)
-    tmin = float(np.min(new_theta))
-    if tmin <= 0.0:
-        loc = _argmin_index(new_theta)
-        raise PositivityError(
-            f"temperature update lost positivity: min(theta) = {tmin:.6e} "
-            f"at index {loc}; aborting from the last valid state",
-            state=state,
-        )
-
     new = ThermoState(
         Field(grid, new_phi),
         Field(grid, new_theta),
@@ -242,9 +234,11 @@ def march(
     for bit from the carried phi_hat.  A run that stops early records its
     last valid state with its audit row, unless it is already recorded.
     Only the labeled errors (_NUMERICAL) stop a run; any other exception
-    propagates.  numpy's floating-point warnings are off while step_fn,
-    StateTerms and the audits run, so non-finite values are found by the
-    Field scans alone; the sink runs under the caller's error state.
+    propagates, a labeled one of the step-0 audit with "step 0: " prefixed.
+    numpy's floating-point warnings are off while step_fn, StateTerms and
+    the audits run, so non-finite values are found by the ThermoState check
+    and the audit's row check alone; the sink runs under the caller's error
+    state.
     """
     if init.grid != cfg.grid:
         raise ValueError("initial state grid does not match the configuration")
@@ -263,7 +257,10 @@ def march(
             sink(curr.state, row)
         last = (ThermoState(curr.state.phi, curr.state.theta), row)
 
-    record(0, terms, terms)
+    try:
+        record(0, terms, terms)
+    except _NUMERICAL as exc:
+        raise type(exc)(f"step 0: {exc}") from None
     termination, message = "completed", ""
     before = init  # the state before terms.state, for a last-state audit
     for j in range(1, cfg.n_steps + 1):
@@ -275,7 +272,7 @@ def march(
                 record(j, terms, new)
         except _NUMERICAL as exc:
             termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
-            message = str(exc)
+            message = f"step {j}: {exc}"
             break
         # the audit reads only before's entropy
         before = ThermoState(terms.state.phi, terms.state.theta)

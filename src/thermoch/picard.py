@@ -53,9 +53,9 @@ from .besov import (
     check_smallness,
     series_energies,
 )
-from .grid import Field, GridSpec, NonFiniteError, irfftn, l2_norm, rfftn
+from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
-from .thermo import ModelParams, PositivityError, StateTerms, ThermoState
+from .thermo import ModelParams, NonFiniteError, PositivityError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 
@@ -357,12 +357,7 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
         now = (irfftn(grid, hats[0]), p.theta_bar + irfftn(grid, hats[1]))
         dt = t - times[j - 1] if j else 1.0  # the first rates are now - now = 0
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
-        state = ThermoState(
-            Field(grid, now[0]),
-            Field(grid, now[1]),
-            dphi_dt=Field(grid, rate),
-            dtheta_dt=Field(grid, theta_rate),
-        )
+        state = ThermoState(*(Field(grid, a) for a in (*now, rate, theta_rate)))
         if j + 1 < times.size:
             state.carried["phi_hat"] = hats[0]
             terms = StateTerms(state, p)

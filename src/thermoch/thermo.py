@@ -36,6 +36,7 @@ from .grid import (
     Field,
     GridSpec,
     div_hat,
+    first_min_index,
     grad_arrays,
     grad_from_hat,
     irfftn,
@@ -47,6 +48,7 @@ __all__ = [
     "ModelParams",
     "ThermoState",
     "StateTerms",
+    "NonFiniteError",
     "PositivityError",
     "SingularityError",
     "bulk_potential",
@@ -59,12 +61,12 @@ __all__ = [
 ]
 
 
+class NonFiniteError(ValueError):
+    """A state field or an audited quantity holds NaN or infinite values."""
+
+
 class PositivityError(ValueError):
     """Temperature lost pointwise positivity (hard abort, never clamped)."""
-
-    def __init__(self, msg: str, state: "ThermoState | None" = None):
-        super().__init__(msg)
-        self.state = state
 
 
 class SingularityError(ValueError):
@@ -117,6 +119,9 @@ class ThermoState:
     dphi_dt / dtheta_dt hold backward differences from the last completed
     step; they are None (treated as zero) at t = 0.
 
+    Construction is the one check of a valid state: phi and theta finite
+    (else NonFiniteError), theta positive (else PositivityError).
+
     carried holds terms of this state that the step producing it already
     formed, keyed by their StateTerms names (phi_hat, theta_hat, grad_phi,
     grad_rate); StateTerms starts from them.  It is not an init argument,
@@ -134,12 +139,18 @@ class ThermoState:
     def __post_init__(self):
         if self.phi.grid != self.theta.grid:
             raise ValueError("phi and theta live on different grids")
+        for name, values in (("phi", self.phi.values), ("theta", self.theta.values)):
+            finite = np.isfinite(values)
+            if not finite.all():  # before positivity: NaN <= 0 is False
+                loc = first_min_index(finite)
+                raise NonFiniteError(
+                    f"{name} must be finite; {name} = {float(values[loc])} at index {loc}"
+                )
         tmin = float(self.theta.values.min())
         if tmin <= 0.0:
-            loc = _argmin_index(self.theta.values)
+            loc = first_min_index(self.theta.values)
             raise PositivityError(
-                f"theta must stay positive; min(theta) = {tmin:.6e} at index {loc} "
-                "(state construction)"
+                f"theta must stay positive; min(theta) = {tmin:.6e} at index {loc}"
             )
 
     @property
@@ -155,11 +166,6 @@ class ThermoState:
         if self.dtheta_dt is None:
             return np.zeros(self.grid.shape)
         return self.dtheta_dt.values
-
-
-def _argmin_index(values: np.ndarray) -> tuple[int, ...]:
-    """Grid index of the minimum of values, as plain ints."""
-    return tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
 
 
 # --------------------------------------------------------------------------
@@ -200,40 +206,37 @@ def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
     return sum(c * c for c in comps)
 
 
-def free_energy_density(t: StateTerms) -> Field:
+def free_energy_density(t: StateTerms) -> np.ndarray:
     """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta)
     of the state t.state, from its grad phi and W."""
     p, theta = t.p, t.theta
-    psi = (
+    return (
         0.5 * p.eps * theta * _sum_sq(t.grad_phi)
         + t.bulk[0] / (p.eps * theta)
         - p.k_b * theta * np.log(theta)
     )
-    return Field(t.grid, psi)
 
 
-def entropy_density(t: StateTerms) -> Field:
+def entropy_density(t: StateTerms) -> np.ndarray:
     """s = -d(psi)/d(theta) of the state t.state, expanded in closed form."""
     p, phi, theta = t.p, t.phi, t.theta
     dth = theta - p.theta_bar
-    s = (
+    return (
         -0.5 * p.eps * _sum_sq(t.grad_phi)
         + t.bulk[0] / (p.eps * theta**2)
         - dth**2 * phi**2 / (p.eps * theta)
         + p.k_b * (1.0 + np.log(theta))
     )
-    return Field(t.grid, s)
 
 
-def internal_energy_density(t: StateTerms) -> Field:
+def internal_energy_density(t: StateTerms) -> np.ndarray:
     """e = psi + theta*s of the state t.state in closed form: the |grad
     phi|^2 and log(theta) contributions cancel exactly, leaving
 
         e = 2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta."""
     p, phi, theta = t.p, t.phi, t.theta
     dth_phi = (theta - p.theta_bar) * phi
-    e = (2.0 * t.bulk[0] / theta - dth_phi * dth_phi) / p.eps + p.k_b * theta
-    return Field(t.grid, e)
+    return (2.0 * t.bulk[0] / theta - dth_phi * dth_phi) / p.eps + p.k_b * theta
 
 
 def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
@@ -313,7 +316,7 @@ class StateTerms:
 
     @cached_property
     def entropy(self) -> np.ndarray:
-        return entropy_density(self).values
+        return entropy_density(self)
 
     @cached_property
     def recip(self) -> np.ndarray:
@@ -346,7 +349,7 @@ def force_square(
     return _sum_sq(force)
 
 
-def entropy_production(t: StateTerms) -> Field:
+def entropy_production(t: StateTerms) -> np.ndarray:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
     sum of squares.
 
@@ -356,10 +359,9 @@ def entropy_production(t: StateTerms) -> Field:
     """
     p, dphi_dt = t.p, t.state.dphi_dt_values()
     force_sq = force_square(t, grad_from_hat(t.grid, t.mu_hat), t.grad_rate)
-    out = force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
-    return Field(t.grid, out)
+    return force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
 
 
 def total_energy(t: StateTerms) -> float:
     """Integral of the internal energy density of t.state over the box."""
-    return float(np.sum(internal_energy_density(t).values)) * t.grid.h**t.grid.dim
+    return float(np.sum(internal_energy_density(t))) * t.grid.h**t.grid.dim

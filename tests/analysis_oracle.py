@@ -114,7 +114,7 @@ def _band_limited_direction(grid: GridSpec, rng: np.random.Generator) -> Field:
 def _total_psi(phi: np.ndarray, theta: np.ndarray, grid: GridSpec, p: ModelParams) -> float:
     st = ThermoState(Field(grid, phi), Field(grid, theta))
     psi = thermo.free_energy_density(StateTerms(st, p))
-    return float(np.sum(psi.values)) * grid.h**grid.dim
+    return float(np.sum(psi)) * grid.h**grid.dim
 
 
 def verify_variational_identities(
@@ -138,9 +138,9 @@ def verify_variational_identities(
     # 1: s against -d(psi)/d(theta), pointwise
     def psi_at(th):
         terms = StateTerms(ThermoState(state.phi, Field(g, th)), p)
-        return thermo.free_energy_density(terms).values
+        return thermo.free_energy_density(terms)
 
-    s = thermo.entropy_density(StateTerms(state, p)).values
+    s = thermo.entropy_density(StateTerms(state, p))
     psi_p, psi_m = psi_at(theta + h_step), psi_at(theta - h_step)
     entropy_res = float(np.max(np.abs(s + (psi_p - psi_m) / (2.0 * h_step))))
 
@@ -162,11 +162,11 @@ def verify_variational_identities(
 
     def e_of(ph, th):
         terms = StateTerms(ThermoState(Field(g, ph), Field(g, th)), p)
-        return thermo.internal_energy_density(terms).values
+        return thermo.internal_energy_density(terms)
 
     def s_of(ph, th):
         terms = StateTerms(ThermoState(Field(g, ph), Field(g, th)), p)
-        return thermo.entropy_density(terms).values
+        return thermo.entropy_density(terms)
 
     de = (
         e_of(phi + h_step * dphi, theta + h_step * dtheta)

@@ -160,7 +160,7 @@ def test_criterion_05_entropy_production_nonnegative(refinement_runs):
         for state in traj.states:
             for form in (p, replace(p, model="a1")):
                 production = entropy_production(StateTerms(state, form))
-                assert float(production.values.min()) >= -1e-10
+                assert float(production.min()) >= -1e-10
 
 
 def test_criterion_06_clausius_duhem_residual_refines(refinement_runs):

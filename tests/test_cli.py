@@ -190,7 +190,7 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg)])
         stderr = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
-        assert "numerical failure: field contains" in stderr
+        assert "numerical failure: step 0: e_tot must be finite, got inf" in stderr
         assert "Traceback" not in stderr
         assert not (out / LOCK_NAME).exists()
 

@@ -90,6 +90,8 @@ class TestBinaryFormat:
         with pytest.raises(FieldIOError, match=match) as err:
             read_field(path)
         assert str(path) in str(err.value)
+        if name == "nan.bin":  # the payload's last value is the NaN
+            assert "non-finite value nan at index (7,)" in str(err.value)
 
     def test_read_result_is_writable_copy(self, tmp_path):
         f = random_field(1, 8, seed=5)

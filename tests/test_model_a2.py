@@ -11,8 +11,9 @@ import pytest
 from analysis_oracle import chemical_potential
 from collect import collect
 from spectral_oracle import band_limited, count_transforms, dealias, k_squared
+from thermoch import model_a2
 from thermoch.diagnostics import audit
-from thermoch.grid import Field, GridSpec, NonFiniteError, grad_arrays, irfftn, rfftn
+from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, rfftn
 from thermoch.model_a2 import (
     SimConfig,
     _f1_hat,
@@ -25,6 +26,7 @@ from thermoch.model_a2 import (
 )
 from thermoch.thermo import (
     ModelParams,
+    NonFiniteError,
     PositivityError,
     SingularityError,
     StateTerms,
@@ -282,9 +284,16 @@ class TestImexStep:
             assert np.all(phi_gain > 0.0) and np.all(phi_gain <= 1.0)
             assert np.all(theta_gain > 0.0) and np.all(theta_gain <= 1.0)
 
-    def test_positivity_abort_carries_state(self):
+    def test_positivity_abort_names_min_and_index(self, monkeypatch):
         # white noise at dt = 2e-4 drives theta to about -3.5 in one step
         p = params()
+        built = []
+
+        def spy(phi, theta, **rates):
+            built.append(theta.values)
+            return ThermoState(phi, theta, **rates)
+
+        monkeypatch.setattr(model_a2, "ThermoState", spy)
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
             s = ThermoState(
@@ -293,7 +302,10 @@ class TestImexStep:
             )
             with pytest.raises(PositivityError, match="min\\(theta\\)") as err:
                 imex_step(StateTerms(s, p), 2e-4)
-            assert err.value.state is s
+            theta = built[-1]
+            loc = tuple(int(i) for i in np.unravel_index(int(np.argmin(theta)), theta.shape))
+            assert theta.min() < 0.0
+            assert f"min(theta) = {theta.min():.6e} at index {loc}" in str(err.value)
 
     def test_isothermal_skips_temperature(self):
         rng = np.random.default_rng(9)
@@ -395,7 +407,7 @@ class TestMarch:
         def step(terms):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise PositivityError("boom", state=terms.state)
+                raise PositivityError("boom")
             return terms.state
 
         with np.errstate(all="ignore"):
@@ -413,8 +425,32 @@ class TestMarch:
 
         traj = march(cfg, s, step)
         assert traj.termination == "non_finite"
-        assert traj.message == "values must be finite"
+        assert traj.message == "step 1: values must be finite"
         assert len(traj.states) == 1
+
+    @pytest.mark.parametrize("name", ["phi", "theta"])
+    def test_nan_in_a_step_is_reported_with_step_field_index_and_value(self, name):
+        p = params()
+        init = smooth_state(GRID2, 9)
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=1e-3, output_every=2)
+        calls = {"n": 0}
+
+        def step(terms):
+            calls["n"] += 1
+            new = imex_step(terms, cfg.dt)
+            if calls["n"] < 3:
+                return new
+            values = getattr(new, name).values.copy()
+            values[5, 7] = np.nan
+            fields = {"phi": new.phi, "theta": new.theta, name: Field(GRID2, values)}
+            return ThermoState(**fields, dphi_dt=new.dphi_dt, dtheta_dt=new.dtheta_dt)
+
+        sunk = []
+        traj = march(cfg, init, step, lambda state, row: sunk.append(row))
+        assert traj.termination == "non_finite"
+        assert traj.message == f"step 3: {name} must be finite; {name} = nan at index (5, 7)"
+        assert [row.step for row in sunk] == [0, 2]
+        assert traj.diagnostics[0] is sunk[-1]
 
     def test_plain_value_error_propagates(self):
         # a ValueError that is no labeled failure is a bug, not a non-finite state
@@ -437,7 +473,7 @@ class TestMarch:
 
         def step(terms):
             if len(produced) == 2:
-                raise PositivityError("boom", state=terms.state)
+                raise PositivityError("boom")
             produced.append(imex_step(terms, cfg.dt))
             return produced[-1]
 
@@ -462,7 +498,7 @@ class TestMarch:
         def step(terms):
             calls["n"] += 1
             if calls["n"] == 3:
-                raise PositivityError("boom", state=terms.state)
+                raise PositivityError("boom")
             return terms.state
 
         traj = collect(march, cfg, s, step)
@@ -515,7 +551,7 @@ class TestMarch:
         def step(terms):
             calls["n"] += 1
             if calls["n"] == stop_at:
-                raise PositivityError("boom", state=terms.state)
+                raise PositivityError("boom")
             return imex_step(terms, cfg.dt)
 
         whole = collect(march, cfg, init, step)
@@ -543,7 +579,7 @@ class TestMarch:
 
         def step(terms):
             if len(produced) == stop_at:
-                raise PositivityError("boom", state=terms.state)
+                raise PositivityError("boom")
             produced.append(imex_step(terms, cfg.dt))
             return produced[-1]
 

@@ -18,7 +18,7 @@ from spectral_oracle import (
 )
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
-from thermoch.grid import Field, GridSpec, NonFiniteError, irfftn, laplacian_array, rfftn
+from thermoch.grid import Field, GridSpec, irfftn, laplacian_array, rfftn
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
@@ -31,7 +31,7 @@ from thermoch.picard import (
     k_norm,
     picard_iterate,
 )
-from thermoch.thermo import ModelParams
+from thermoch.thermo import ModelParams, NonFiniteError
 
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
 GRID2 = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
@@ -520,6 +520,29 @@ class TestPicardIterate:
         monkeypatch.setattr(picard, "k_norm", failing_k_norm)
         injected = picard_iterate(phi0, theta0, p, cfg, part)
         assert injected.diverged and len(injected.rows) == 2
+        for got, want in zip(finals(injected), finals(accepted)):
+            assert np.array_equal(got, want)
+
+    def test_nan_forcing_in_application_2_keeps_the_last_accepted_iterate(self, monkeypatch):
+        phi0, theta0, p, cfg, part = divergent_problem()
+        # a tolerance every difference meets stops after the first application
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, tol=1e300), part)
+        assert accepted.converged and len(accepted.rows) == 1
+        # each application forces every snapshot but the last once
+        per_map, calls, right_f1 = cfg.times.size - 1, [], picard._f1_hat
+
+        def nan_in_map_2(terms):
+            calls.append(1)
+            f1 = right_f1(terms)
+            return f1 * np.nan if len(calls) > per_map else f1
+
+        monkeypatch.setattr(picard, "_f1_hat", nan_in_map_2)
+        # the NaN forcing reaches the map's own difference norm, whose
+        # summand check raises NonFiniteError: empirical divergence
+        injected = picard_iterate(phi0, theta0, p, cfg, part)
+        assert len(calls) > per_map
+        assert injected.diverged and not injected.converged
+        assert len(injected.rows) == 1
         for got, want in zip(finals(injected), finals(accepted)):
             assert np.array_equal(got, want)
 

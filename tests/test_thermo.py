@@ -9,6 +9,7 @@ from thermoch import thermo
 from thermoch.grid import Field, GridSpec
 from thermoch.thermo import (
     ModelParams,
+    NonFiniteError,
     PositivityError,
     SingularityError,
     StateTerms,
@@ -101,9 +102,9 @@ class TestDensities:
         # phi == 0, theta == 1, eps = k_b = 1: psi = 1/4, s = 1.25, e = 1.5
         p = params(theta_bar=2.0)
         t = StateTerms(uniform_state(GRID1, 0.0, 1.0), p)
-        psi = free_energy_density(t).values
-        s = entropy_density(t).values
-        e = internal_energy_density(t).values
+        psi = free_energy_density(t)
+        s = entropy_density(t)
+        e = internal_energy_density(t)
         assert np.max(np.abs(psi - 0.25)) < 1e-14
         assert np.max(np.abs(s - 1.25)) < 1e-14
         assert np.max(np.abs(e - 1.5)) < 1e-14
@@ -112,7 +113,7 @@ class TestDensities:
         for kb, tb in [(1.0, 1.0), (0.7, 2.5)]:
             p = params(k_b=kb, theta_bar=tb)
             t = StateTerms(uniform_state(GRID2, 1.0, tb), p)
-            e = internal_energy_density(t).values
+            e = internal_energy_density(t)
             assert np.max(np.abs(e - kb * tb)) < 1e-13
             assert total_energy(t) == pytest.approx(
                 kb * tb * GRID2.box_len**2, rel=1e-12
@@ -128,11 +129,11 @@ class TestDensities:
         phi = band_limited(GRID2, rng, 0.8, zero_mean=False).values
         theta = 2.0 + band_limited(GRID2, rng, 0.5, zero_mean=False).values
         t = StateTerms(ThermoState(Field(GRID2, phi), Field(GRID2, theta)), p)
-        e = internal_energy_density(t).values
+        e = internal_energy_density(t)
         w, _ = bulk_potential(phi, theta, p)
         expect = 2.0 * w / (p.eps * theta) - (theta - p.theta_bar) ** 2 * phi**2 / p.eps + p.k_b * theta
         assert np.max(np.abs(e - expect)) < 1e-12
-        definition = free_energy_density(t).values + theta * entropy_density(t).values
+        definition = free_energy_density(t) + theta * entropy_density(t)
         assert np.max(np.abs(e - definition)) < 1e-12
 
     def test_theta_positivity_hard_abort(self):
@@ -141,6 +142,16 @@ class TestDensities:
         vals[5] = -0.1
         with pytest.raises(PositivityError, match="min\\(theta\\)"):
             ThermoState(Field(GRID1, np.zeros(GRID1.shape)), Field(GRID1, vals))
+
+    @pytest.mark.parametrize("name", ["phi", "theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_rejected_naming_field_and_index(self, name, bad):
+        # a NaN theta must not pass as positive: finiteness is checked first
+        fields = {"phi": np.zeros(GRID2.shape), "theta": np.ones(GRID2.shape)}
+        fields[name][3, 11] = bad
+        with pytest.raises(NonFiniteError) as err:
+            ThermoState(*(Field(GRID2, fields[k]) for k in ("phi", "theta")))
+        assert str(err.value) == f"{name} must be finite; {name} = {bad} at index (3, 11)"
 
 
 class TestChemicalPotential:
@@ -182,7 +193,7 @@ class TestEntropyProduction:
     def test_uniform_stationary_state_is_zero(self):
         p = params()
         st = uniform_state(GRID2, 0.5, 2.0)
-        prod = entropy_production(StateTerms(st, p)).values
+        prod = entropy_production(StateTerms(st, p))
         assert np.max(np.abs(prod)) < 1e-20
 
     def test_nonnegative_sum_of_squares(self):
@@ -196,7 +207,7 @@ class TestEntropyProduction:
                 Field(GRID2, theta),
                 dphi_dt=band_limited(GRID2, rng, 1.0, zero_mean=False),
             )
-            prod = entropy_production(StateTerms(st, p)).values
+            prod = entropy_production(StateTerms(st, p))
             assert prod.min() >= 0.0
 
     def test_a1_equals_a2_when_theta_constant(self):
@@ -209,8 +220,8 @@ class TestEntropyProduction:
         )
         p2 = params(model="a2")
         p1 = params(model="a1")
-        prod2 = entropy_production(StateTerms(st, p2)).values
-        prod1 = entropy_production(StateTerms(st, p1)).values
+        prod2 = entropy_production(StateTerms(st, p2))
+        prod1 = entropy_production(StateTerms(st, p1))
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
 
     def test_a1_singularity_guard(self):
@@ -251,7 +262,7 @@ class TestVariationalIdentities:
         right = thermo.entropy_density
 
         def shifted(t):
-            return Field(t.grid, right(t).values + 1e-3)
+            return right(t) + 1e-3
 
         monkeypatch.setattr(thermo, "entropy_density", shifted)
         rep = verify_variational_identities(st, p, h_step=1e-5)
