@@ -33,7 +33,7 @@ from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
 from .model_a2 import SimConfig, simulate
 from .picard import picard_iterate
-from .thermo import NonFiniteError, PositivityError, SingularityError
+from .thermo import NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityError, SingularityError, NonFiniteError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FieldIOError, OSError) as exc:

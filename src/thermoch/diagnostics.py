@@ -5,13 +5,13 @@ states, the step size, and the model parameters, so that re-running a
 simulation reproduces the diagnostics stream byte for byte.  An audit reads
 the thermo.StateTerms of its two states: model_a2.march builds one per
 state and hands the same terms to the next step, so the audit transforms
-only what no step needs (the undealiased grad mu, lap theta and, outside
-a1, grad theta) and reads the previous state's entropy from its terms.  The
-terms start from what the state carries from its step (its spectra and
-grad(dphi/dt)) and are otherwise formed from the state's values, so
-sharing them changes no step, and a run continued from a recorded state
-stays bit for bit the uninterrupted run.  The central
-check is a discrete residual of the entropy balance
+only what no step needs (lap theta and, outside a1, grad theta) and reads
+the previous state's entropy from its terms; its production squares the
+step's force, thermo.dissipative_force.  The terms start from what the state
+carries from its step (its spectra and grad(dphi/dt)) and are otherwise
+formed from the state's values, so sharing them changes no step, and a run
+continued from a recorded state stays bit for bit the uninterrupted run.
+The central check is a discrete residual of the entropy balance
 
     theta * ds/dt + theta * div(q / theta) - production,   q = -kappa grad(theta),
 
@@ -103,10 +103,10 @@ def audit(
         # theta * ds/dt + theta * div(q/theta) with everything evaluated at
         # curr; theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
         #                                         + kappa |grad(theta)|^2 / theta
-        ds_dt = (curr.entropy - prev.entropy) / dt
-        lap_theta = irfftn(grid, grid.half_lap * curr.theta_hat)
-        grad_theta_sq = sum(g * g for g in curr.grad_theta)
-        residual = theta * ds_dt - p.kappa * lap_theta + p.kappa * grad_theta_sq / theta
+        # summed in place, so the audit's peak holds one array, not four terms
+        residual = theta * ((curr.entropy - prev.entropy) / dt)
+        residual -= p.kappa * irfftn(grid, grid.half_lap * curr.theta_hat)
+        residual += p.kappa * sum(g * g for g in curr.grad_theta) / theta
         residual -= production
         residual_l2 = float(l2_norm(Field(grid, residual)))
 

@@ -2,9 +2,10 @@
 
 In this mode the entropy is transported by the mixture velocity
 
-    u = -grad(mu)/phi - s grad(theta)/phi^2 - alpha grad(dphi/dt)/phi,
+    u = -(grad(mu) + alpha grad(dphi/dt) + s grad(theta)/phi)/phi,
 
-so the phase equation gains the coupling flux div(s grad(theta)/phi) and the
+the dissipative force (thermo.dissipative_force) over phi.  The phase
+equation gains the coupling flux div(s grad(theta)/phi), and the
 temperature equation is the transported entropy balance
 
     theta d/dt[s] + div(s u) = theta div(kappa grad(theta)/theta) + production.
@@ -23,8 +24,10 @@ longer invertible for the rate.
 
 The transport velocity entering a step is recomputed from the state at the
 start of the step, u = _velocity(terms), and is zero when the state has no
-rates yet (t = 0, like the rate caches).  Its grad(dphi/dt) is the one
-the step that produced the state formed, (grad phi_new - grad phi)/dt,
+rates yet (t = 0, like the rate caches).  Its force is the one the audit's
+production of the state squares: the dealiased grad mu (StateTerms.grad_mu)
+that the heat forcing also reads, and the grad(dphi/dt) that the step
+which produced the state formed, (grad phi_new - grad phi)/dt,
 which the state carries (ThermoState.carried) and records, so a run
 restarted from any recorded state continues bit for bit.
 Consequences worth knowing: with grad(theta_0) = 0 the first step reduces to
@@ -40,21 +43,18 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import div_hat, first_min_index
-from .thermo import SingularityError, StateTerms
+from .thermo import SingularityError, StateTerms, dissipative_force
 
 
 def _velocity(t: StateTerms) -> list[np.ndarray]:
-    """u from grad(mu) (t.grad_mu), the entropy, grad(theta) and the phase rate.
+    """u = -t.recip times the state's dissipative force at its own
+    grad(dphi/dt), whose coupling is s grad(theta) t.recip.
 
     Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
     regularization width p.reg_delta shrinks (checked in the tests at
     delta = 1e-5).
     """
-    recip = t.recip
-    return [
-        -(gm * recip + t.entropy * gt * recip**2 + t.p.alpha * gr * recip)
-        for gm, gt, gr in zip(t.grad_mu, t.grad_theta, t.grad_rate)
-    ]
+    return [-t.recip * f for f in dissipative_force(t, t.grad_rate)]
 
 
 def _require_invertible_entropy_slope(t: StateTerms):

@@ -39,12 +39,10 @@ from .grid import Field, GridSpec, div_hat, grad_from_hat, irfftn, rfftn
 from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
-    NonFiniteError,
-    PositivityError,
-    SingularityError,
+    NumericalError,
     StateTerms,
     ThermoState,
-    force_square,
+    dissipative_force,
     total_energy,
 )
 
@@ -110,16 +108,17 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
 
     Four groups: alpha*rate^2; eps*theta grad(rate).grad(phi); the chain-rule
     bracket -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged
-    temperature rate; and the dissipation square of thermo.force_square.  The
-    conduction part of the production cancels against the implicit heat
-    operator and is absent by construction.
+    temperature rate; and the square of thermo.dissipative_force at this
+    rate, with the grad mu the audit's production shares.  The conduction
+    part of the production cancels against the implicit heat operator and
+    is absent by construction.
     """
     grid, p, theta = t.grid, t.p, t.theta
     db_dphi, db_dtheta = t.bracket_slopes
     bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
 
     cross = sum(gr * gp for gr, gp in zip(grad_rate, t.grad_phi))
-    force_sq = force_square(t, t.grad_mu, grad_rate)
+    force_sq = sum(f * f for f in dissipative_force(t, grad_rate))
 
     out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
     return rfftn(grid, out) * grid.half_dealias_mask
@@ -198,15 +197,6 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     return new
 
 
-# The errors that end a march early, with their termination labels.
-_LABELS = {
-    PositivityError: "positivity",
-    SingularityError: "singularity",
-    NonFiniteError: "non_finite",
-}
-_NUMERICAL = tuple(_LABELS)
-
-
 def march(
     cfg: SimConfig,
     init: ThermoState,
@@ -223,9 +213,9 @@ def march(
     last valid state of an early stop included); an exception the sink
     raises propagates.  march keeps no recorded state once it has handed it
     on, only the phi and theta Fields of the last one: however many states a
-    run records, it holds its current state, the fields of the one before
-    and those of the last record.  It returns the Trajectory of the last
-    recorded state.
+    run records, it holds its current state, the fields (and phi_hat) of the
+    one before and those of the last record, and makes states of them only
+    for an early stop.  It returns the Trajectory of the last recorded state.
 
     One StateTerms per state serves the step that starts from the state and
     the audit of the step that produced it; a state's terms are dropped,
@@ -233,8 +223,9 @@ def march(
     recorded state drops its carried grad_phi, which StateTerms re-forms bit
     for bit from the carried phi_hat.  A run that stops early records its
     last valid state with its audit row, unless it is already recorded.
-    Only the labeled errors (_NUMERICAL) stop a run; any other exception
-    propagates, a labeled one of the step-0 audit with "step 0: " prefixed.
+    Only a thermo.NumericalError stops a run, its label the termination; any
+    other exception propagates, a numerical one of the step-0 audit with
+    "step 0: " prefixed.
     numpy's floating-point warnings are off while step_fn, StateTerms and
     the audits run, so non-finite values are found by the ThermoState check
     and the audit's row check alone; the sink runs under the caller's error
@@ -255,14 +246,14 @@ def march(
         curr.state.carried.pop("grad_phi", None)  # curr keeps its own
         if sink is not None:
             sink(curr.state, row)
-        last = (ThermoState(curr.state.phi, curr.state.theta), row)
+        last = (curr.state.phi, curr.state.theta, row)
 
     try:
         record(0, terms, terms)
-    except _NUMERICAL as exc:
+    except NumericalError as exc:
         raise type(exc)(f"step 0: {exc}") from None
     termination, message = "completed", ""
-    before = init  # the state before terms.state, for a last-state audit
+    before = None  # (phi, theta, phi_hat) of the state before terms.state
     for j in range(1, cfg.n_steps + 1):
         try:
             with np.errstate(all="ignore"):
@@ -270,27 +261,26 @@ def march(
             if j % cfg.output_every == 0 or j == cfg.n_steps:
                 terms.keep_only_entropy()
                 record(j, terms, new)
-        except _NUMERICAL as exc:
-            termination = next(v for k, v in _LABELS.items() if isinstance(exc, k))
-            message = f"step {j}: {exc}"
+        except NumericalError as exc:
+            termination, message = exc.label, f"step {j}: {exc}"
             break
-        # the audit reads only before's entropy
-        before = ThermoState(terms.state.phi, terms.state.theta)
-        if "phi_hat" in terms.state.carried:
-            before.carried["phi_hat"] = terms.state.carried["phi_hat"]
+        # a last-state audit reads only before's entropy
+        before = (terms.state.phi, terms.state.theta, terms.state.carried.get("phi_hat"))
         terms = new
 
-    state, row = terms.state, last[1]
+    state, row = terms.state, last[2]
     if termination != "completed" and row.step != j - 1:
+        phi, theta, phi_hat = before
         try:
-            with np.errstate(all="ignore"):
-                prev = StateTerms(before, p)
-            record(j - 1, prev, terms)
-            row = last[1]
-        except _NUMERICAL:
+            prev = ThermoState(phi, theta)
+            if phi_hat is not None:
+                prev.carried["phi_hat"] = phi_hat
+            record(j - 1, StateTerms(prev, p), terms)
+            row = last[2]
+        except NumericalError:
             # a state whose own audit fails stays unrecorded: the run ends
             # with the fields of the last recorded state
-            state, row = last
+            state, row = ThermoState(*last[:2]), last[2]
     return Trajectory(
         states=[state],
         diagnostics=[row],

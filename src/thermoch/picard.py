@@ -55,7 +55,7 @@ from .besov import (
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
 from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
-from .thermo import ModelParams, NonFiniteError, PositivityError, StateTerms, ThermoState
+from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 
@@ -410,10 +410,10 @@ def picard_iterate(
     temperature's.  Stops early on convergence (difference below cfg.tol)
     or after three consecutive non-contracting ratios (reported as
     diverged; further iterations of a non-contracting map only overflow).
-    An iterate that leaves the domain of the map (PositivityError,
-    NonFiniteError, FloatingPointError) is reported as diverged too, and the
-    final fields come from the last accepted iterate; any other error
-    propagates.
+    An iterate that leaves the domain of the map (a thermo.NumericalError,
+    never a SingularityError for the map of model a2, or a
+    FloatingPointError) is reported as diverged too, and the final fields
+    come from the last accepted iterate; any other error propagates.
     """
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
@@ -445,7 +445,7 @@ def picard_iterate(
                 part,
                 times,
             ).total
-        except (PositivityError, NonFiniteError, FloatingPointError):
+        except (NumericalError, FloatingPointError):
             # the iterate left the domain of the map (temperature through
             # zero, or norms no longer finite): empirical divergence.  The
             # final fields are read from the last slot, which goes back to

@@ -39,7 +39,6 @@ from .grid import (
     first_min_index,
     grad_arrays,
     grad_from_hat,
-    irfftn,
     rfftn,
 )
 
@@ -48,6 +47,7 @@ __all__ = [
     "ModelParams",
     "ThermoState",
     "StateTerms",
+    "NumericalError",
     "NonFiniteError",
     "PositivityError",
     "SingularityError",
@@ -55,22 +55,34 @@ __all__ = [
     "free_energy_density",
     "entropy_density",
     "internal_energy_density",
-    "force_square",
+    "dissipative_force",
     "entropy_production",
     "total_energy",
 ]
 
 
-class NonFiniteError(ValueError):
+class NumericalError(ValueError):
+    """A numerical failure that ends a run early; label names the termination."""
+
+    label = ""
+
+
+class NonFiniteError(NumericalError):
     """A state field or an audited quantity holds NaN or infinite values."""
 
+    label = "non_finite"
 
-class PositivityError(ValueError):
+
+class PositivityError(NumericalError):
     """Temperature lost pointwise positivity (hard abort, never clamped)."""
 
+    label = "positivity"
 
-class SingularityError(ValueError):
+
+class SingularityError(NumericalError):
     """1/phi-type factor hit phi = 0 with no regularization enabled."""
+
+    label = "singularity"
 
 
 MODELS = ("a2", "a1", "isothermal")
@@ -261,8 +273,8 @@ class StateTerms:
     a continued run reads are recorded with the state, so a run continued
     from a recorded state stays bit for bit the uninterrupted run.  It holds
     the state's one chemical potential, mu_hat, undealiased: the step's f1
-    (model_a2._f1_hat) and grad_mu apply the 2/3 rule to it, and the audit's
-    production takes the gradient of mu_hat.
+    (model_a2._f1_hat) and grad_mu apply the 2/3 rule to it, and grad_mu
+    enters only dissipative_force, which the step and the audit share.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams):
@@ -335,30 +347,27 @@ class StateTerms:
         self.__dict__ = {**vars(fresh), "entropy": self.entropy}
 
 
-def force_square(
-    t: StateTerms, grad_mu: list[np.ndarray], grad_rate: list[np.ndarray]
-) -> np.ndarray:
-    """The dissipation square |grad mu + alpha*grad(dphi/dt)|^2, summed over axes.
-
-    For model "a1" the force gains the coupling t.coupling.  The heat
-    forcing and the entropy production both form the square here.
+def dissipative_force(t: StateTerms, grad_rate: list[np.ndarray]) -> list[np.ndarray]:
+    """The force t.grad_mu + alpha*grad_rate, plus t.coupling for model "a1",
+    for the phase rate whose gradient is grad_rate: the one place it is
+    formed.  The heat forcing (model_a2._f2_hat) and the entropy production
+    square it, and the a1 velocity is -t.recip times it.
     """
-    force = [gm + t.p.alpha * gr for gm, gr in zip(grad_mu, grad_rate)]
+    force = [gm + t.p.alpha * gr for gm, gr in zip(t.grad_mu, grad_rate)]
     if t.p.model == "a1":
         force = [f + c for f, c in zip(force, t.coupling)]
-    return _sum_sq(force)
+    return force
 
 
 def entropy_production(t: StateTerms) -> np.ndarray:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
     sum of squares.
 
-    force_square of the undealiased grad mu and the state's grad(dphi/dt),
-    + alpha*dphi_dt^2 + kappa|grad theta|^2/theta; the force carries the a1
-    coupling when the model is "a1".
+    |dissipative_force|^2 at the state's own grad(dphi/dt), + alpha*dphi_dt^2
+    + kappa|grad theta|^2/theta; every transform it reads is a term of t.
     """
     p, dphi_dt = t.p, t.state.dphi_dt_values()
-    force_sq = force_square(t, grad_from_hat(t.grid, t.mu_hat), t.grad_rate)
+    force_sq = _sum_sq(dissipative_force(t, t.grad_rate))
     return force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
 
 

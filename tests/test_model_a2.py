@@ -776,8 +776,26 @@ class TestSharedTerms:
         calls = count_transforms(monkeypatch)
         traj = collect(simulate, cfg, init)
         assert traj.termination == "completed" and len(traj.diagnostics) == n + 1
-        assert 0 < len(calls) <= 23 * n
+        assert 0 < len(calls) <= 19 * n
         assert set(calls) <= {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("output_every", [1, 5])
+    def test_one_state_built_per_step(self, monkeypatch, output_every):
+        # march holds plain fields of the state before and of the last record
+        init = smooth_state(GRID2, 12)
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return ThermoState(*args, **kwargs)
+
+        monkeypatch.setattr(model_a2, "ThermoState", spy)
+        cfg = SimConfig(
+            grid=GRID2, params=params(), dt=1e-4, t_end=1e-3, output_every=output_every
+        )
+        traj = collect(simulate, cfg, init)
+        assert traj.termination == "completed" and traj.diagnostics[-1].step == 10
+        assert len(built) == 10
 
     def test_one_bulk_potential_and_entropy_per_state(self, monkeypatch):
         import thermoch.thermo as thermo

@@ -6,7 +6,8 @@ import pytest
 from analysis_oracle import chemical_potential, verify_variational_identities
 from spectral_oracle import band_limited, fftn, ifftn_real, k_squared
 from thermoch import thermo
-from thermoch.grid import Field, GridSpec
+from thermoch.grid import Field, GridSpec, grad_arrays, grad_from_hat
+from thermoch.model_a1 import _velocity
 from thermoch.thermo import (
     ModelParams,
     NonFiniteError,
@@ -223,6 +224,41 @@ class TestEntropyProduction:
         prod2 = entropy_production(StateTerms(st, p2))
         prod1 = entropy_production(StateTerms(st, p1))
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
+
+    @pytest.mark.parametrize("model", ["a2", "a1"])
+    def test_force_takes_the_steps_dealiased_grad_mu(self, model):
+        # a cosine at 13 = 0.8 k_max puts energy of mu off the 2/3 box, so the
+        # step's P grad mu and the undealiased grad mu differ there
+        rng = np.random.default_rng(33)
+        p = params(model=model)
+        x = GRID2.axes[0]
+        phi = 1.0 + band_limited(GRID2, rng, 0.2).values + 0.05 * np.cos(13 * x)
+        theta = 2.0 + band_limited(GRID2, rng, 0.4).values
+        dphi_dt = band_limited(GRID2, rng, 1.0)
+        st = ThermoState(Field(GRID2, phi), Field(GRID2, theta), dphi_dt=dphi_dt)
+
+        t = StateTerms(st, p)
+        grad_theta = grad_arrays(GRID2, theta)
+        force = [
+            gm + p.alpha * gr
+            for gm, gr in zip(
+                grad_from_hat(GRID2, t.mu_hat * GRID2.half_dealias_mask),
+                grad_arrays(GRID2, dphi_dt.values),
+            )
+        ]
+        recip = phi / (phi**2 + p.reg_delta**2)
+        if model == "a1":
+            s = entropy_density(t)
+            force = [f + s * gt * recip for f, gt in zip(force, grad_theta)]
+        want = (
+            sum(f * f for f in force)
+            + p.alpha * dphi_dt.values**2
+            + p.kappa * sum(g * g for g in grad_theta) / theta
+        )
+        got = entropy_production(StateTerms(st, p))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
+        for u, f in zip(_velocity(StateTerms(st, p)), force):
+            np.testing.assert_allclose(u, -recip * f, rtol=1e-12, atol=1e-12 * np.max(np.abs(f)))
 
     def test_a1_singularity_guard(self):
         p = params(model="a1", reg_delta=0.0)
