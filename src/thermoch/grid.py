@@ -27,7 +27,6 @@ __all__ = [
     "GridSpec",
     "Field",
     "first_min_index",
-    "mean_and_inner",
     "mean",
     "inner",
     "l2_norm",
@@ -145,21 +144,16 @@ def first_min_index(values: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(int(np.argmin(values)), values.shape))
 
 
-def mean_and_inner(f: Field, g: Field) -> tuple[float, float]:
-    """(mean of f, quadrature inner product h^dim * sum(f*g))."""
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    m = float(np.sum(f.values)) / f.grid.size
-    ip = f.grid.h**f.grid.dim * float(np.sum(f.values * g.values))
-    return m, ip
-
-
 def mean(f: Field) -> float:
-    return mean_and_inner(f, f)[0]
+    """Plain average of f over the grid."""
+    return float(np.sum(f.values)) / f.grid.size
 
 
 def inner(f: Field, g: Field) -> float:
-    return mean_and_inner(f, g)[1]
+    """Quadrature inner product h^dim * sum(f*g)."""
+    if f.grid != g.grid:
+        raise ValueError("fields live on different grids")
+    return f.grid.h**f.grid.dim * float(np.sum(f.values * g.values))
 
 
 def l2_norm(f: Field) -> float:

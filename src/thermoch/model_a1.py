@@ -60,8 +60,7 @@ def _velocity(t: StateTerms) -> list[np.ndarray]:
 def _require_invertible_entropy_slope(t: StateTerms):
     """The chain-rule expansion divides by theta*ds/dtheta; require ds/dtheta
     > 1e-10 pointwise (the free energy's theta-convexity, checked at runtime)."""
-    _, db_dtheta = t.bracket_slopes
-    ds_dtheta = t.p.k_b / t.theta + db_dtheta
+    ds_dtheta = t.p.k_b / t.theta + t.bracket[2]
     worst = float(np.min(ds_dtheta))
     if worst <= 1e-10:
         loc = first_min_index(ds_dtheta)

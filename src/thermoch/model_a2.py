@@ -9,9 +9,11 @@ entropy's chain rule, reads
 where f1 = lap P(mu + eps*theta_bar lap(phi)), with mu the state's one
 chemical potential (thermo.StateTerms.mu_hat) and P the two-thirds rule,
 and f2 collects the rate-quadratic heating, the chain-rule bracket
-of the entropy's bulk part, and the dissipation density.  Both constant-
-coefficient linear operators are inverted exactly per Fourier mode
-(phase_update, heat_update); f1 and f2 are treated explicitly.  Within a step
+of the entropy's bulk part, and the dissipation density.  Each equation's
+linear part, mass dy/dt + stiffness y, is stated once as its per-mode
+(mass, stiffness) (_phase_operator, _heat_operator), which picard's exact
+propagators read too; one implicit solve inverts both exactly per Fourier
+mode (_implicit_solve), and f1 and f2 are treated explicitly.  Within a step
 the phase field is updated first, its fresh backward difference feeds f2,
 and the temperature rate enters f2 lagged by one step (zero initially) — a
 Gauss-Seidel staggering consistent with the scheme's first-order accuracy.
@@ -24,8 +26,8 @@ phase update alone.  imex_step and simulate serve all three.
 
 The zero mode of the phase field is preserved exactly: f1 is a total
 Laplacian, so its mean vanishes identically and the update is skipped for
-k = 0, making mass conservation a structural property rather than a
-round-off accident.
+k = 0 (the solve's one override), making mass conservation a structural
+property rather than a round-off accident.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     is absent by construction.
     """
     grid, p, theta = t.grid, t.p, t.theta
-    db_dphi, db_dtheta = t.bracket_slopes
+    _, db_dphi, db_dtheta = t.bracket
     bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
 
     cross = sum(gr * gp for gr, gp in zip(grad_rate, t.grad_phi))
@@ -124,21 +126,23 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     return rfftn(grid, out) * grid.half_dealias_mask
 
 
-def phase_update(grid: GridSpec, p: ModelParams, dt: float, phi_hat, f1_hat) -> np.ndarray:
-    """Implicit per-mode solve of the phase equation: the half spectrum of the
-    new phi from those of phi and the forcing f1; the k = 0 mode is kept."""
-    mass_factor = 1.0 - p.alpha * grid.half_lap
-    new_phi_hat = (mass_factor * phi_hat + dt * f1_hat) / (
-        mass_factor + dt * p.eps * p.theta_bar * grid.half_bilap
-    )
-    origin = (0,) * grid.dim
-    new_phi_hat[origin] = phi_hat[origin]
-    return new_phi_hat
+def _phase_operator(grid: GridSpec, p: ModelParams):
+    """(mass, stiffness) per mode of the phase equation's linear part,
+    (1 - alpha lap) dphi/dt + eps theta_bar lap^2 phi, on the half lattice."""
+    return 1.0 - p.alpha * grid.half_lap, p.eps * p.theta_bar * grid.half_bilap
 
 
-def heat_update(grid: GridSpec, p: ModelParams, dt: float, theta_hat, f2_hat) -> np.ndarray:
-    """Implicit per-mode solve of the temperature equation, on half spectra."""
-    return (p.k_b * theta_hat + dt * f2_hat) / (p.k_b - dt * p.kappa * grid.half_lap)
+def _heat_operator(grid: GridSpec, p: ModelParams):
+    """(mass, stiffness) per mode of the heat equation's linear part,
+    k_b dtheta/dt - kappa lap(theta); the mass is the scalar k_b."""
+    return p.k_b, -p.kappa * grid.half_lap
+
+
+def _implicit_solve(operator, dt: float, y_hat, f_hat) -> np.ndarray:
+    """One implicit step of mass dy/dt + stiffness y = f per mode: the half
+    spectrum (mass y_hat + dt f_hat)/(mass + dt stiffness) of the new y."""
+    mass, stiffness = operator
+    return (mass * y_hat + dt * f_hat) / (mass + dt * stiffness)
 
 
 def imex_step(t: StateTerms, dt: float) -> ThermoState:
@@ -164,7 +168,9 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     f1_hat = _f1_hat(t)
     if a1:
         f1_hat = f1_hat + div_hat(grid, t.coupling, mask=True)
-    new_phi_hat = phase_update(grid, p, dt, t.phi_hat, f1_hat)
+    new_phi_hat = _implicit_solve(_phase_operator(grid, p), dt, t.phi_hat, f1_hat)
+    origin = (0,) * grid.dim
+    new_phi_hat[origin] = t.phi_hat[origin]  # f1 has no mean: keep it exactly
     new_phi = irfftn(grid, new_phi_hat)
     rate = (new_phi - t.phi) / dt
 
@@ -183,7 +189,7 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     f2_hat = _f2_hat(t, rate, grad_rate)
     if a1 and state.dphi_dt is not None:
         f2_hat = f2_hat - entropy_transport_hat(t)
-    new_theta_hat = heat_update(grid, p, dt, t.theta_hat, f2_hat)
+    new_theta_hat = _implicit_solve(_heat_operator(grid, p), dt, t.theta_hat, f2_hat)
     new_theta = irfftn(grid, new_theta_hat)
     new = ThermoState(
         Field(grid, new_phi),

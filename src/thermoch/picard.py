@@ -4,8 +4,11 @@ The solution is sought as (phi, theta) = (phi_free + dphi, theta_bar +
 dtheta): the free part solves the damped bilaplacian flow with the full
 initial phase, and the corrections solve forced linear problems whose
 forcings are re-evaluated on the previous iterate.  This module provides
-the exact per-mode linear propagators, the seven-term space-time norm that
-measures iterates, and the Picard loop with contraction diagnostics.  The
+the exact per-mode linear propagators of the two equations' linear parts
+(each the (mass, stiffness) pair model_a2's implicit step solves with,
+model_a2._phase_operator and _heat_operator, decaying at the rate
+stiffness/mass, _rate), the seven-term space-time norm that measures
+iterates, and the Picard loop with contraction diagnostics.  The
 numerical checks of the linear a-priori estimates behind the construction
 are test oracles (tests/analysis_oracle.py), built on these propagators.
 
@@ -54,7 +57,7 @@ from .besov import (
     series_energies,
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
-from .model_a2 import SimConfig, _f1_hat, _f2_hat, simulate
+from .model_a2 import SimConfig, _f1_hat, _f2_hat, _heat_operator, _phase_operator, simulate
 from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
@@ -64,22 +67,12 @@ REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 # exact linear propagators (diagonal in Fourier space)
 
 
-def _phi_rates_and_mass(grid: GridSpec, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode decay rate and mass factor of the damped bilaplacian flow.
-
-    The mode equation is (1 + alpha k^2) d/dt y + eps*theta_bar k^4 y = g_k,
-    so the rate is eps*theta_bar k^4 / (1 + alpha k^2).
-    """
-    mass = 1.0 - p.alpha * grid.half_lap
-    lam = p.eps * p.theta_bar * grid.half_bilap / mass
-    return lam, mass
-
-
-def _theta_rates_and_mass(grid: GridSpec, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode decay rate and mass factor of the linear heat flow."""
-    lam = -p.kappa * grid.half_lap / p.k_b
-    mass = np.full(lam.shape, p.k_b)
-    return lam, mass
+def _rate(operator) -> np.ndarray:
+    """Per-mode decay rate stiffness/mass of an equation's linear part, as
+    model_a2 states it: mass y' + stiffness y = g.  The phase rate is
+    eps*theta_bar k^4 / (1 + alpha k^2), the heat rate kappa k^2 / k_b."""
+    mass, stiffness = operator
+    return stiffness / mass
 
 
 def _check_times(times) -> np.ndarray:
@@ -122,14 +115,17 @@ def _spectra(grid: GridSpec, stack: np.ndarray, box: np.ndarray, times, flow=Non
     return (_expand(out, box, c, flow, t) for t, c in zip(times, stack))
 
 
-def _etd_factors(lam: np.ndarray, mass: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(decay, gain) of one interval of exact mode-wise integration with
-    frozen forcing: y(t + dt) = decay * y(t) + gain * g.
+def _etd_factors(operator, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(decay, gain) on the half lattice of one interval of exact mode-wise
+    integration of the linear part operator = (mass, stiffness) with frozen
+    forcing: y(t + dt) = decay * y(t) + gain * g.
 
-    Each mode solves y' = -lam y + g / mass, hence decay = e^{-lam dt} and
-    gain = (1 - e^{-lam dt})/(lam mass), with the lam -> 0 limit dt/mass on
-    undamped modes.
+    Each mode solves y' = -lam y + g / mass with lam = _rate(operator), hence
+    decay = e^{-lam dt} and gain = (1 - e^{-lam dt})/(lam mass), with the
+    lam -> 0 limit dt/mass on undamped modes.
     """
+    mass = operator[0]
+    lam = _rate(operator)
     positive = lam > 0.0
     weight = np.where(positive, -np.expm1(-lam * dt) / np.where(positive, lam, 1.0), dt)
     return np.exp(-lam * dt), weight / mass
@@ -340,9 +336,9 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
     """
     step = times[1] - times[0]  # uniform (PicardConfig.times)
     box = _box(grid)
-    flows = [f(grid, p) for f in (_phi_rates_and_mass, _theta_rates_and_mass)]
-    lams = [lam for lam, _ in flows]
-    decays, gains = zip(*(_etd_factors(*(np.take(a, box) for a in f), step) for f in flows))
+    operators = [op(grid, p) for op in (_phase_operator, _heat_operator)]
+    lams = [_rate(op) for op in operators]
+    decays, gains = zip(*((np.take(a, box) for a in _etd_factors(op, step)) for op in operators))
     diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
     hats = np.empty((2, *grid.half_shape), dtype=complex)  # the absolute spectra
     diff = np.zeros(grid.half_shape, dtype=complex)  # new - old, zero off the box
@@ -423,8 +419,8 @@ def picard_iterate(
     times = cfg.times
 
     hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
-    phi_flow = (hat0[0], _phi_rates_and_mass(grid, p)[0])
-    theta_flow = (hat0[1], _theta_rates_and_mass(grid, p)[0])
+    phi_flow = (hat0[0], _rate(_phase_operator(grid, p)))
+    theta_flow = (hat0[1], _rate(_heat_operator(grid, p)))
     box = _box(grid)
     # the phase correction and the temperature's departure from its heat
     # flow, both at rest

@@ -13,8 +13,12 @@ with the temperature-coupled double well
 
 The gradient coefficient eps*theta and the 1/(eps*theta) bulk weight make the
 entropy s = -d(psi)/d(theta) and the internal energy e = psi + theta*s close
-under the two-model energy bookkeeping used by the integrators. The chemical
-potential is kept in divergence form,
+under the two-model energy bookkeeping used by the integrators.  Both read
+the bulk entropy B = -d/d(theta)[W/(eps*theta)], formed once per state with
+its two slopes (_bracket_b): s = -(eps/2)|grad phi|^2 + B + k_b(1 + log
+theta) and e = W/(eps*theta) + theta*(B + k_b), and the slopes form the heat
+equation's chain-rule bracket.  The chemical potential is kept in divergence
+form,
 
     mu = -div(eps*theta*grad phi) + (1/(eps*theta)) * dW/dphi,
 
@@ -198,19 +202,19 @@ def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
 
 
 def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams, bulk):
-    """dB/dphi and dB/dtheta of B = W/(eps theta^2) - (theta-theta_bar)^2
-    phi^2/(eps theta), the theta-equation's chain-rule bracket; bulk is (W,
-    dW/dphi) of (phi, theta), as bulk_potential returns them.  B itself
-    enters no equation.  1/(eps theta), (theta - theta_bar)^2 and phi^2 are
-    formed once and shared by both slopes."""
+    """(B, dB/dphi, dB/dtheta) of the bulk entropy B = -d/d(theta)[W/(eps
+    theta)] = W/(eps theta^2) - (theta - theta_bar)^2 phi^2/(eps theta), bulk
+    being (W, dW/dphi) from bulk_potential.  B serves the entropy and the
+    energy, its slopes the heat forcing; dB/dtheta = -2(B/theta + (theta -
+    theta_bar) phi^2/(eps theta)) is written through B."""
     w, dw_dphi = bulk
     recip = 1.0 / (p.eps * theta)
     dth = theta - p.theta_bar
-    dth_sq = dth * dth
-    phi_sq = phi * phi
-    db_dphi = recip * (dw_dphi / theta - 2.0 * dth_sq * phi)
-    db_dtheta = recip * (2.0 * (dth_sq * phi_sq - w / theta) / theta - 2.0 * dth * phi_sq)
-    return db_dphi, db_dtheta
+    dth_phi = dth * phi
+    b = recip * (w / theta - dth_phi * dth_phi)
+    db_dphi = recip * (dw_dphi / theta - 2.0 * dth * dth_phi)
+    db_dtheta = -2.0 * (b / theta + recip * dth_phi * phi)
+    return b, db_dphi, db_dtheta
 
 
 def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
@@ -230,25 +234,17 @@ def free_energy_density(t: StateTerms) -> np.ndarray:
 
 
 def entropy_density(t: StateTerms) -> np.ndarray:
-    """s = -d(psi)/d(theta) of the state t.state, expanded in closed form."""
-    p, phi, theta = t.p, t.phi, t.theta
-    dth = theta - p.theta_bar
-    return (
-        -0.5 * p.eps * _sum_sq(t.grad_phi)
-        + t.bulk[0] / (p.eps * theta**2)
-        - dth**2 * phi**2 / (p.eps * theta)
-        + p.k_b * (1.0 + np.log(theta))
-    )
+    """s = -d(psi)/d(theta) = -(eps/2)|grad phi|^2 + B + k_b(1 + log theta)
+    of the state t.state, with its bulk entropy B (StateTerms.bracket)."""
+    p = t.p
+    return -0.5 * p.eps * _sum_sq(t.grad_phi) + t.bracket[0] + p.k_b * (1.0 + np.log(t.theta))
 
 
 def internal_energy_density(t: StateTerms) -> np.ndarray:
-    """e = psi + theta*s of the state t.state in closed form: the |grad
-    phi|^2 and log(theta) contributions cancel exactly, leaving
-
-        e = 2 W/(eps theta) - (theta - theta_bar)^2 phi^2 / eps + k_b theta."""
-    p, phi, theta = t.p, t.phi, t.theta
-    dth_phi = (theta - p.theta_bar) * phi
-    return (2.0 * t.bulk[0] / theta - dth_phi * dth_phi) / p.eps + p.k_b * theta
+    """e = psi + theta*s = W/(eps theta) + theta (B + k_b) of the state
+    t.state: the |grad phi|^2 and log(theta) contributions cancel exactly."""
+    p, theta = t.p, t.theta
+    return t.bulk[0] / (p.eps * theta) + theta * (t.bracket[0] + p.k_b)
 
 
 def _regularized_recip(phi: np.ndarray, reg_delta: float) -> np.ndarray:
@@ -274,7 +270,9 @@ class StateTerms:
     from a recorded state stays bit for bit the uninterrupted run.  It holds
     the state's one chemical potential, mu_hat, undealiased: the step's f1
     (model_a2._f1_hat) and grad_mu apply the 2/3 rule to it, and grad_mu
-    enters only dissipative_force, which the step and the audit share.
+    enters only dissipative_force, which the step and the audit share.  Its
+    one bulk entropy, bracket (B and its slopes), serves the state's entropy
+    and energy and the step's heat forcing alike.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams):
@@ -302,7 +300,9 @@ class StateTerms:
     def grad_rate(self) -> list[np.ndarray]:
         """grad(dphi/dt) of the state's rate cache (zero at t = 0); a
         stepped state carries the step's (grad phi_new - grad phi)/dt."""
-        return grad_arrays(self.grid, self.state.dphi_dt_values())
+        if self.state.dphi_dt is None:
+            return [np.zeros(self.grid.shape) for _ in range(self.grid.dim)]
+        return grad_arrays(self.grid, self.state.dphi_dt.values)
 
     @cached_property
     def bulk(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +322,9 @@ class StateTerms:
         return grad_from_hat(self.grid, self.mu_hat * self.grid.half_dealias_mask)
 
     @cached_property
-    def bracket_slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dB/dphi, dB/dtheta) of the chain-rule bracket (_bracket_b)."""
+    def bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(B, dB/dphi, dB/dtheta) of the state's bulk entropy (_bracket_b):
+        B serves its entropy and energy, the slopes the heat forcing."""
         return _bracket_b(self.phi, self.theta, self.p, self.bulk)
 
     @cached_property

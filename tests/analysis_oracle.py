@@ -43,12 +43,8 @@ from thermoch.grid import (
     laplacian_array,
     rfftn,
 )
-from thermoch.picard import (
-    _check_times,
-    _etd_factors,
-    _phi_rates_and_mass,
-    _theta_rates_and_mass,
-)
+from thermoch.model_a2 import _heat_operator, _phase_operator
+from thermoch.picard import _check_times, _etd_factors
 from thermoch.thermo import ModelParams, StateTerms, ThermoState, bulk_potential
 
 
@@ -203,17 +199,17 @@ def ginzburg_landau_energy(phi: Field, p: ModelParams) -> float:
 # the forced linear flows and their a-priori estimates (criterion 10)
 
 
-def linear_solve(rates_and_mass, g, y0: Field, p: ModelParams, times) -> np.ndarray:
+def linear_solve(operator, g, y0: Field, p: ModelParams, times) -> np.ndarray:
     """Half spectra of the forced linear flow at every time, the forcing g
-    frozen on each interval; rates_and_mass is picard's _phi_rates_and_mass
-    or _theta_rates_and_mass."""
+    frozen on each interval; operator is model_a2's _phase_operator or
+    _heat_operator, the equation's (mass, stiffness) per mode."""
     grid, times = y0.grid, _check_times(times)
-    lam, mass = rates_and_mass(grid, p)
+    pair = operator(grid, p)
     g_hats = half_spectra(g, grid, times.size)
     out = np.empty((times.size, *grid.half_shape), dtype=complex)
     out[0] = rfftn(grid, y0.values)
     for n in range(times.size - 1):
-        decay, gain = _etd_factors(lam, mass, times[n + 1] - times[n])
+        decay, gain = _etd_factors(pair, times[n + 1] - times[n])
         out[n + 1] = decay * out[n] + gain * g_hats[n]
     return out
 
@@ -243,7 +239,7 @@ def phi_apriori_ratios(
         return _time_then_blocks(energy, times, s, rho, part)
 
     g_hat = half_spectra(g, grid, times.size)
-    sol_hat = linear_solve(_phi_rates_and_mass, g_hat, phi0, p, times)
+    sol_hat = linear_solve(_phase_operator, g_hat, phi0, p, times)
     sol, lap, bilap, rate, rate_grad = series_energies(
         sol_hat, part, (None, grid.half_bilap, grid.half_bilap**2), (None, grid.half_grad_sq), times
     )
@@ -288,7 +284,7 @@ def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPa
         return _time_then_blocks(energy, times, s, rho, part)
 
     h_hat = half_spectra(h, grid, times.size)
-    sol_hat = linear_solve(_theta_rates_and_mass, h_hat, theta0, p, times)
+    sol_hat = linear_solve(_heat_operator, h_hat, theta0, p, times)
     sol, lap, rate = series_energies(sol_hat, part, (None, grid.half_bilap), (None,), times)
     sup = norm(sol, math.inf)
     lap_l1 = norm(lap, 1)

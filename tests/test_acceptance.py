@@ -23,7 +23,14 @@ from spectral_oracle import band_limited, fftn, project_block
 from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump
 from thermoch.cli import EXIT_OK, main
 from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, rfftn
-from thermoch.model_a2 import SimConfig, heat_update, imex_step, phase_update, simulate
+from thermoch.model_a2 import (
+    SimConfig,
+    _heat_operator,
+    _implicit_solve,
+    _phase_operator,
+    imex_step,
+    simulate,
+)
 from thermoch.picard import PicardConfig, picard_iterate
 from thermoch.rng import Xoshiro256StarStar
 from thermoch.thermo import ModelParams, StateTerms, ThermoState, entropy_production
@@ -196,8 +203,12 @@ def test_criterion_08_heat_kernel_oracle():
     )
     zero = np.zeros(GRID_1D.n // 2 + 1)  # half spectrum of the zero forcing
     for _ in range(round(t_end / dt)):
-        phi_hat = phase_update(GRID_1D, p, dt, rfftn(GRID_1D, state.phi.values), zero)
-        theta_hat = heat_update(GRID_1D, p, dt, rfftn(GRID_1D, state.theta.values), zero)
+        phi_hat = _implicit_solve(
+            _phase_operator(GRID_1D, p), dt, rfftn(GRID_1D, state.phi.values), zero
+        )
+        theta_hat = _implicit_solve(
+            _heat_operator(GRID_1D, p), dt, rfftn(GRID_1D, state.theta.values), zero
+        )
         state = ThermoState(
             Field(GRID_1D, irfftn(GRID_1D, phi_hat)),
             Field(GRID_1D, irfftn(GRID_1D, theta_hat)),

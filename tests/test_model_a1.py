@@ -181,7 +181,7 @@ class TestA1Step:
         assert abs(mean(state.phi) - m0) <= 1e-14
 
     def test_bracket_slopes_formed_once_per_step(self, monkeypatch):
-        # the slope guard and the heat forcing share the state's dB/dphi, dB/dtheta
+        # the slope guard, the heat forcing and the entropy share the state's bracket
         import thermoch.thermo as thermo
 
         calls = []

@@ -19,6 +19,7 @@ from spectral_oracle import (
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
 from thermoch.grid import Field, GridSpec, irfftn, laplacian_array, rfftn
+from thermoch.model_a2 import _heat_operator, _implicit_solve, _phase_operator
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
@@ -26,8 +27,7 @@ from thermoch.picard import (
     _box,
     _free_flow,
     _map_in_place,
-    _phi_rates_and_mass,
-    _theta_rates_and_mass,
+    _rate,
     k_norm,
     picard_iterate,
 )
@@ -66,7 +66,7 @@ def decay(hat0, lam, times):
 
 def free_hats(f, p, times):
     """Half spectra of the unforced damped bilaplacian flow of f."""
-    return decay(rfftn(f.grid, f.values), _phi_rates_and_mass(f.grid, p)[0], np.asarray(times))
+    return decay(rfftn(f.grid, f.values), _rate(_phase_operator(f.grid, p)), np.asarray(times))
 
 
 def field_k_norm(dphi, dtheta, part, times):
@@ -91,7 +91,7 @@ class TestFreeEvolution:
         rng = np.random.default_rng(5)
         p = params(alpha=1.0, theta_bar=100.0)
         hat0 = rfftn(GRID2, band_limited(GRID2, rng, amp=0.5, kmax=10.0).values)
-        lam = _phi_rates_and_mass(GRID2, p)[0]
+        lam = _rate(_phase_operator(GRID2, p))
         times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-4).times
         rows = decay(hat0, lam, times)
         for t, row in zip(times, rows):
@@ -110,7 +110,7 @@ class TestFreeEvolution:
     def test_times_must_increase(self):
         f = zero(GRID1)
         with pytest.raises(ValueError, match="increasing"):
-            linear_solve(_phi_rates_and_mass, [f] * 3, f, params(), [0.0, 0.2, 0.1])
+            linear_solve(_phase_operator, [f] * 3, f, params(), [0.0, 0.2, 0.1])
 
 
 class TestLinearSolvers:
@@ -119,7 +119,7 @@ class TestLinearSolvers:
         f = band_limited(GRID1, rng, amp=0.3, kmax=8.0)
         p = params()
         times = np.linspace(0.0, 0.05, 21)
-        forced = linear_solve(_phi_rates_and_mass, [zero(GRID1)] * len(times), f, p, times)
+        forced = linear_solve(_phase_operator, [zero(GRID1)] * len(times), f, p, times)
         gap = np.max(np.abs(irfftn(GRID1, forced) - irfftn(GRID1, free_hats(f, p, times))))
         assert gap < 1e-12
 
@@ -128,7 +128,7 @@ class TestLinearSolvers:
         p = params(eps=0.8, theta_bar=1.5, alpha=0.3)
         times = np.linspace(0.0, 0.2, 9)
         g = [Field(GRID1, 0.7 * np.sin(2 * x)) for _ in times]
-        sol = linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
+        sol = linear_solve(_phase_operator, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha * 4.0
         lam = p.eps * p.theta_bar * 16.0 / mass
         for h, t in zip(sol, times):
@@ -140,7 +140,7 @@ class TestLinearSolvers:
         p = params()
         times = np.array([0.0, 0.013, 0.05, 0.0721, 0.2])
         g = [Field(GRID1, np.cos(x)) for _ in times]
-        sol = linear_solve(_phi_rates_and_mass, g, zero(GRID1), p, times)
+        sol = linear_solve(_phase_operator, g, zero(GRID1), p, times)
         mass = 1.0 + p.alpha
         lam = p.eps * p.theta_bar / mass
         for h, t in zip(sol, times):
@@ -151,7 +151,7 @@ class TestLinearSolvers:
         p = params(k_b=3.0)
         times = np.linspace(0.0, 1.0, 6)
         h = [Field(GRID1, np.full(GRID1.shape, 0.6)) for _ in times]
-        sol = linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
+        sol = linear_solve(_heat_operator, h, zero(GRID1), p, times)
         for y, t in zip(sol, times):
             assert np.max(np.abs(irfftn(GRID1, y) - 0.6 * t / p.k_b)) < 1e-13
 
@@ -160,7 +160,7 @@ class TestLinearSolvers:
         p = params(kappa=2.0, k_b=3.0)
         times = np.linspace(0.0, 0.5, 6)
         theta0 = Field(GRID1, np.cos(2 * x))
-        sol = linear_solve(_theta_rates_and_mass, [zero(GRID1)] * 6, theta0, p, times)
+        sol = linear_solve(_heat_operator, [zero(GRID1)] * 6, theta0, p, times)
         for y, t in zip(sol, times):
             exact = math.exp(-p.kappa * 4.0 * t / p.k_b) * np.cos(2 * x)
             assert np.max(np.abs(irfftn(GRID1, y) - exact)) < 1e-14
@@ -170,17 +170,35 @@ class TestLinearSolvers:
         p = params(kappa=2.0, k_b=1.0)
         times = np.linspace(0.0, 2.0, 21)
         h = [Field(GRID1, 0.5 * np.cos(x)) for _ in times]
-        sol = linear_solve(_theta_rates_and_mass, h, zero(GRID1), p, times)
+        sol = linear_solve(_heat_operator, h, zero(GRID1), p, times)
         steady = 0.5 / p.kappa * np.cos(x)
         gaps = [np.max(np.abs(irfftn(GRID1, y) - steady)) for y in sol]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    @pytest.mark.parametrize("operator", [_phase_operator, _heat_operator])
+    def test_one_implicit_step_matches_exact_decay_to_second_order(self, operator):
+        # zero forcing: the step's amplification 1/(1 + lam dt) and the exact
+        # e^(-lam dt) of the same (mass, stiffness) differ by at most
+        # (lam dt)^2/2 per mode, and by no more than round-off where lam = 0
+        rng = np.random.default_rng(12)
+        p = params(eps=0.8, theta_bar=1.5, alpha=0.3, kappa=1.7, k_b=0.8)
+        dt = 1e-3
+        hat0 = rfftn(GRID2, rng.standard_normal(GRID2.shape))
+        lam = _rate(operator(GRID2, p))
+        implicit = _implicit_solve(operator(GRID2, p), dt, hat0, 0.0)
+        exact = _free_flow(hat0, lam, dt)
+        assert np.max(lam * dt) > 1.0  # the stiff modes are reached
+        gap = np.abs(implicit - exact)
+        assert np.all(gap <= (0.5 * (lam * dt) ** 2 + 1e-15) * np.abs(hat0))
+        small = (lam > 0.0) & (lam * dt < 1e-2)
+        assert np.all(gap[small] >= 0.4 * (lam[small] * dt) ** 2 * np.abs(hat0[small]))
+
     def test_forcing_grid_mismatch_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
         with pytest.raises(ValueError, match="length mismatch"):
-            linear_solve(_phi_rates_and_mass, [zero(GRID1)] * 2, zero(GRID1), params(), times)
+            linear_solve(_phase_operator, [zero(GRID1)] * 2, zero(GRID1), params(), times)
         with pytest.raises(ValueError, match="grid"):
-            linear_solve(_theta_rates_and_mass, [zero(GRID2)] * 3, zero(GRID1), params(), times)
+            linear_solve(_heat_operator, [zero(GRID2)] * 3, zero(GRID1), params(), times)
 
 
 class TestKNorm:
@@ -621,8 +639,8 @@ class TestPicardIterate:
         snapshots = [*zip(times, after_one), (times[-1], finals(rep)[:2])]
         # the free flows of the absolute data: the heat flow keeps theta_bar
         flows = [
-            (rfftn(grid, phi0.values), _phi_rates_and_mass(grid, p)[0]),
-            (rfftn(grid, theta0.values), _theta_rates_and_mass(grid, p)[0]),
+            (rfftn(grid, phi0.values), _rate(_phase_operator(grid, p))),
+            (rfftn(grid, theta0.values), _rate(_heat_operator(grid, p))),
         ]
         off = ~grid.half_dealias_mask
         for t, fields in snapshots:

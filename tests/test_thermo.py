@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from analysis_oracle import chemical_potential, verify_variational_identities
-from spectral_oracle import band_limited, fftn, ifftn_real, k_squared
+from spectral_oracle import band_limited, count_transforms, fftn, ifftn_real, k_squared
 from thermoch import thermo
 from thermoch.grid import Field, GridSpec, grad_arrays, grad_from_hat
 from thermoch.model_a1 import _velocity
@@ -76,19 +76,22 @@ class TestBulkPotential:
         assert np.max(np.abs(dw_dtheta - fd_th)) < 1e-8
 
     def test_bracket_slopes_against_fd(self):
-        # B = W/(eps theta^2) - (theta - theta_bar)^2 phi^2/(eps theta)
+        # B = -d/dtheta[W/(eps theta)] = W/(eps theta^2) - (theta - theta_bar)^2 phi^2/(eps theta)
         rng = np.random.default_rng(22)
         p = params(eps=0.7, theta_bar=1.3)
         phi = rng.uniform(-1.5, 1.5, size=50)
         theta = rng.uniform(0.5, 5.0, size=50)
 
+        def bulk_weight(ph, th):
+            return bulk_potential(ph, th, p)[0] / (p.eps * th)
+
         def b(ph, th):
-            return bulk_potential(ph, th, p)[0] / (p.eps * th**2) - (
-                th - p.theta_bar
-            ) ** 2 * ph**2 / (p.eps * th)
+            return _bracket_b(ph, th, p, bulk_potential(ph, th, p))[0]
 
         h = 1e-6
-        db_dphi, db_dtheta = _bracket_b(phi, theta, p, bulk_potential(phi, theta, p))
+        bb, db_dphi, db_dtheta = _bracket_b(phi, theta, p, bulk_potential(phi, theta, p))
+        fd_b = -(bulk_weight(phi, theta + h) - bulk_weight(phi, theta - h)) / (2 * h)
+        assert np.max(np.abs(bb - fd_b)) < 1e-7
         assert np.max(np.abs(db_dphi - (b(phi + h, theta) - b(phi - h, theta)) / (2 * h))) < 1e-7
         assert np.max(np.abs(db_dtheta - (b(phi, theta + h) - b(phi, theta - h)) / (2 * h))) < 1e-7
 
@@ -224,6 +227,18 @@ class TestEntropyProduction:
         prod2 = entropy_production(StateTerms(st, p2))
         prod1 = entropy_production(StateTerms(st, p1))
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
+
+    def test_no_rate_gives_a_zero_rate_gradient_without_a_transform(self, monkeypatch):
+        # a run's initial state has no rate: its grad(dphi/dt) is zero and
+        # forming it transforms nothing
+        rng = np.random.default_rng(33)
+        st = ThermoState(band_limited(GRID2, rng, 0.5), Field(GRID2, np.full(GRID2.shape, 2.0)))
+        t = StateTerms(st, params())
+        calls = count_transforms(monkeypatch)
+        grad_rate = t.grad_rate
+        assert calls == []
+        assert len(grad_rate) == GRID2.dim
+        assert all(g.shape == GRID2.shape and not g.any() for g in grad_rate)
 
     @pytest.mark.parametrize("model", ["a2", "a1"])
     def test_force_takes_the_steps_dealiased_grad_mu(self, model):
