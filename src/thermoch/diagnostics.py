@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, mean, rfftn
-from .thermo import NonFiniteError, StateTerms, entropy_production, total_energy
+from .thermo import NonFiniteError, StateTerms, _sum_sq, entropy_production, total_energy
 
 CSV_HEADER = (
     "step,t,mass,E_tot,E_drift_rel,min_theta,min_entropy_production,cd_residual_l2"
@@ -106,7 +106,7 @@ def audit(
         # summed in place, so the audit's peak holds one array, not four terms
         residual = theta * ((curr.entropy - prev.entropy) / dt)
         residual -= p.kappa * irfftn(grid, grid.half_lap * curr.theta_hat)
-        residual += p.kappa * sum(g * g for g in curr.grad_theta) / theta
+        residual += p.kappa * _sum_sq(curr.grad_theta) / theta
         residual -= production
         residual_l2 = float(l2_norm(Field(grid, residual)))
 

@@ -34,6 +34,7 @@ __all__ = [
     "irfftn",
     "grad_from_hat",
     "div_hat",
+    "dealias_in_place",
     "grad_arrays",
     "laplacian_array",
 ]
@@ -182,10 +183,19 @@ def grad_from_hat(grid: GridSpec, coeffs: np.ndarray) -> list[np.ndarray]:
     return [irfftn(grid, coeffs * g) for g in grid.half_grad]
 
 
+def dealias_in_place(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Zero the modes the 2/3 rule drops from a half spectrum the caller owns,
+    in place (an assignment, not a complex-by-bool product); returns coeffs."""
+    np.putmask(coeffs, ~grid.half_dealias_mask, 0.0)
+    return coeffs
+
+
 def div_hat(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.ndarray:
     """Half spectrum of the divergence of real components (optionally dealiased)."""
-    out = sum(rfftn(grid, v) * g for v, g in zip(comps, grid.half_grad))
-    return out * grid.half_dealias_mask if mask else out
+    out = rfftn(grid, comps[0]) * grid.half_grad[0]
+    for v, g in zip(comps[1:], grid.half_grad[1:]):
+        out += rfftn(grid, v) * g
+    return dealias_in_place(grid, out) if mask else out
 
 
 def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:

@@ -24,6 +24,9 @@ entropy by the mixture velocity: f1 gains the coupling flux and f2 gains
 -div(s u), both from model_a1.  "isothermal" freezes theta and takes the
 phase update alone.  imex_step and simulate serve all three.
 
+The forcings and the solve return fresh arrays: they write into no input and
+no StateTerms term.
+
 The zero mode of the phase field is preserved exactly: f1 is a total
 Laplacian, so its mean vanishes identically and the update is skipped for
 k = 0 (the solve's one override), making mass conservation a structural
@@ -37,13 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
-from .grid import Field, GridSpec, div_hat, grad_from_hat, irfftn, rfftn
+from .grid import Field, GridSpec, dealias_in_place, div_hat, grad_from_hat, irfftn, rfftn
 from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
     NumericalError,
     StateTerms,
     ThermoState,
+    _sum_sq,
     dissipative_force,
     total_energy,
 )
@@ -100,8 +104,8 @@ def _f1_hat(t: StateTerms) -> np.ndarray:
     forcing: lap(mu) of the state's one mu (StateTerms.mu_hat) without the
     stiff eps*theta_bar lap^2 part, under the two-thirds rule P."""
     grid, p = t.grid, t.p
-    inner = t.mu_hat + p.eps * p.theta_bar * grid.half_lap * t.phi_hat
-    return inner * grid.half_dealias_mask * grid.half_lap
+    inner = (p.eps * p.theta_bar * grid.half_lap) * t.phi_hat + t.mu_hat
+    return dealias_in_place(grid, inner * grid.half_lap)
 
 
 def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
@@ -115,15 +119,19 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     part of the production cancels against the implicit heat operator and
     is absent by construction.
     """
-    grid, p, theta = t.grid, t.p, t.theta
+    grid, p = t.grid, t.p
     _, db_dphi, db_dtheta = t.bracket
-    bracket_rate = db_dphi * rate + db_dtheta * t.state.dtheta_dt_values()
-
-    cross = sum(gr * gp for gr, gp in zip(grad_rate, t.grad_phi))
-    force_sq = sum(f * f for f in dissipative_force(t, grad_rate))
-
-    out = p.alpha * rate**2 + p.eps * theta * cross - theta * bracket_rate + force_sq
-    return rfftn(grid, out) * grid.half_dealias_mask
+    out = grad_rate[0] * t.grad_phi[0]  # theta (eps cross - bracket rate), in place
+    for gr, gp in zip(grad_rate[1:], t.grad_phi[1:]):
+        out += gr * gp
+    out *= p.eps
+    out -= db_dphi * rate
+    if t.state.dtheta_dt is not None:  # no temperature rate at t = 0
+        out -= db_dtheta * t.state.dtheta_dt.values
+    out *= t.theta
+    out += _sum_sq(dissipative_force(t, grad_rate))
+    out += (p.alpha * rate) * rate
+    return dealias_in_place(grid, rfftn(grid, out))
 
 
 def _phase_operator(grid: GridSpec, p: ModelParams):
@@ -140,9 +148,10 @@ def _heat_operator(grid: GridSpec, p: ModelParams):
 
 def _implicit_solve(operator, dt: float, y_hat, f_hat) -> np.ndarray:
     """One implicit step of mass dy/dt + stiffness y = f per mode: the half
-    spectrum (mass y_hat + dt f_hat)/(mass + dt stiffness) of the new y."""
+    spectrum (mass y_hat + dt f_hat)/(mass + dt stiffness) of the new y,
+    times the real reciprocal of the denominator, not a complex division."""
     mass, stiffness = operator
-    return (mass * y_hat + dt * f_hat) / (mass + dt * stiffness)
+    return (mass * y_hat + dt * f_hat) * (1.0 / (mass + dt * stiffness))
 
 
 def imex_step(t: StateTerms, dt: float) -> ThermoState:
@@ -167,12 +176,12 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
         _require_invertible_entropy_slope(t)
     f1_hat = _f1_hat(t)
     if a1:
-        f1_hat = f1_hat + div_hat(grid, t.coupling, mask=True)
+        f1_hat += div_hat(grid, t.coupling, mask=True)
     new_phi_hat = _implicit_solve(_phase_operator(grid, p), dt, t.phi_hat, f1_hat)
     origin = (0,) * grid.dim
     new_phi_hat[origin] = t.phi_hat[origin]  # f1 has no mean: keep it exactly
     new_phi = irfftn(grid, new_phi_hat)
-    rate = (new_phi - t.phi) / dt
+    rate = (new_phi - t.phi) * (1.0 / dt)  # a scalar reciprocal: no array division
 
     if p.model == "isothermal":
         new = ThermoState(
@@ -185,17 +194,17 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
         return new
 
     grad_phi = grad_from_hat(grid, new_phi_hat)
-    grad_rate = [(gn - g) / dt for gn, g in zip(grad_phi, t.grad_phi)]
+    grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
     f2_hat = _f2_hat(t, rate, grad_rate)
     if a1 and state.dphi_dt is not None:
-        f2_hat = f2_hat - entropy_transport_hat(t)
+        f2_hat -= entropy_transport_hat(t)
     new_theta_hat = _implicit_solve(_heat_operator(grid, p), dt, t.theta_hat, f2_hat)
     new_theta = irfftn(grid, new_theta_hat)
     new = ThermoState(
         Field(grid, new_phi),
         Field(grid, new_theta),
         dphi_dt=Field(grid, rate),
-        dtheta_dt=Field(grid, (new_theta - t.theta) / dt),
+        dtheta_dt=Field(grid, (new_theta - t.theta) * (1.0 / dt)),
     )
     new.carried.update(
         phi_hat=new_phi_hat, theta_hat=new_theta_hat, grad_phi=grad_phi, grad_rate=grad_rate

@@ -25,7 +25,9 @@ form,
 never collapsed to -eps*theta*lap(phi) (the forms differ when grad theta != 0).
 The identities s = -d(psi)/d(theta), mu = the Gateaux derivative of the total
 free energy and the energy rate are checked by centered differences in the
-tests (tests/analysis_oracle.py), not here.
+tests (tests/analysis_oracle.py, which also owns psi), not here.
+Every kernel here returns fresh arrays and updates in place only its own
+temporaries, never an input or a StateTerms term.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
+    dealias_in_place,
     div_hat,
     first_min_index,
     grad_arrays,
@@ -56,7 +59,6 @@ __all__ = [
     "PositivityError",
     "SingularityError",
     "bulk_potential",
-    "free_energy_density",
     "entropy_density",
     "internal_energy_density",
     "dissipative_force",
@@ -178,27 +180,26 @@ class ThermoState:
             return np.zeros(self.grid.shape)
         return self.dphi_dt.values
 
-    def dtheta_dt_values(self) -> np.ndarray:
-        if self.dtheta_dt is None:
-            return np.zeros(self.grid.shape)
-        return self.dtheta_dt.values
-
 
 # --------------------------------------------------------------------------
 # bulk potential and its derivatives
 
 
 def bulk_potential(phi: np.ndarray, theta: np.ndarray, p: ModelParams):
-    """W and dW/dphi as arrays (broadcasting over the inputs); phi^2 and
-    (theta - theta_bar)^3 are formed once.  dW/dtheta = (theta -
-    theta_bar)^2 phi^2 enters no equation and is not formed."""
+    """W = well (well/4 + c) + c and dW/dphi = (well + 2c) phi, with well =
+    phi^2 - 1 and c = (theta - theta_bar)^3/3, for phi and theta of one shape
+    (or scalars).  dW/dtheta = (theta - theta_bar)^2 phi^2 is not formed."""
     dth = theta - p.theta_bar
-    c = dth * dth * dth / 3.0
-    phi_sq = phi * phi
-    well = phi_sq - 1.0
-    w = 0.25 * well * well + c * phi_sq
-    dw_dphi = (well + 2.0 * c) * phi
-    return w, dw_dphi
+    c = dth * dth
+    c *= dth
+    c *= 1.0 / 3.0
+    well = phi * phi
+    well -= 1.0
+    w = 0.25 * well
+    w += c
+    w *= well
+    w += c
+    return w, (well + 2.0 * c) * phi
 
 
 def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams, bulk):
@@ -208,29 +209,32 @@ def _bracket_b(phi: np.ndarray, theta: np.ndarray, p: ModelParams, bulk):
     energy, its slopes the heat forcing; dB/dtheta = -2(B/theta + (theta -
     theta_bar) phi^2/(eps theta)) is written through B."""
     w, dw_dphi = bulk
-    recip = 1.0 / (p.eps * theta)
+    inv = 1.0 / theta
+    recip = inv * (1.0 / p.eps)  # 1/(eps theta)
     dth = theta - p.theta_bar
     dth_phi = dth * phi
-    b = recip * (w / theta - dth_phi * dth_phi)
-    db_dphi = recip * (dw_dphi / theta - 2.0 * dth * dth_phi)
-    db_dtheta = -2.0 * (b / theta + recip * dth_phi * phi)
+    b = w * inv
+    b -= dth_phi * dth_phi
+    b *= recip
+    db_dphi = dw_dphi * inv
+    dth *= -2.0
+    dth *= dth_phi  # -2 (theta - theta_bar)^2 phi
+    db_dphi += dth
+    db_dphi *= recip
+    dth_phi *= phi  # (theta - theta_bar) phi^2
+    dth_phi *= recip
+    db_dtheta = b * inv
+    db_dtheta += dth_phi
+    db_dtheta *= -2.0
     return b, db_dphi, db_dtheta
 
 
 def _sum_sq(comps: list[np.ndarray]) -> np.ndarray:
     """Pointwise sum of squares of the components (|grad f|^2 for a gradient)."""
-    return sum(c * c for c in comps)
-
-
-def free_energy_density(t: StateTerms) -> np.ndarray:
-    """psi = (eps*theta/2)|grad phi|^2 + W/(eps*theta) - k_b*theta*log(theta)
-    of the state t.state, from its grad phi and W."""
-    p, theta = t.p, t.theta
-    return (
-        0.5 * p.eps * theta * _sum_sq(t.grad_phi)
-        + t.bulk[0] / (p.eps * theta)
-        - p.k_b * theta * np.log(theta)
-    )
+    out = comps[0] * comps[0]
+    for c in comps[1:]:
+        out += c * c
+    return out
 
 
 def entropy_density(t: StateTerms) -> np.ndarray:
@@ -314,12 +318,14 @@ class StateTerms:
         """Spectrum of mu = -div(eps theta grad phi) + dW/dphi / (eps theta)."""
         eps_theta = self.p.eps * self.theta
         flux = [eps_theta * g for g in self.grad_phi]
-        return rfftn(self.grid, self.bulk[1] / eps_theta) - div_hat(self.grid, flux)
+        out = rfftn(self.grid, self.bulk[1] / eps_theta)
+        out -= div_hat(self.grid, flux)
+        return out
 
     @cached_property
     def grad_mu(self) -> list[np.ndarray]:
         """grad mu of the step: the gradient of mu_hat under the 2/3 rule."""
-        return grad_from_hat(self.grid, self.mu_hat * self.grid.half_dealias_mask)
+        return grad_from_hat(self.grid, dealias_in_place(self.grid, self.mu_hat.copy()))
 
     @cached_property
     def bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,9 @@ Picard verifier.  The checks of the analysis behind them live here:
   of the total free energy, and the energy-rate identity), criterion 02.
   It calls thermo's densities through the module, so a patched density is
   the one it checks;
+* free_energy_density: the psi those identities differentiate, written out
+  here with its double well, so src's entropy is checked against a psi that
+  src does not own;
 * ginzburg_landau_energy: the isothermal interface energy, criterion 07;
 * linear_solve, phi_apriori_ratios and theta_apriori_ratios: the forced
   linear flows behind local well-posedness and the ratios of their linear
@@ -57,6 +60,16 @@ def chemical_potential(state: ThermoState, p: ModelParams) -> Field:
     """mu = -div(eps*theta*grad phi) + dW/dphi/(eps*theta), divergence form
     (the undealiased StateTerms.mu_hat)."""
     return Field(state.grid, irfftn(state.grid, StateTerms(state, p).mu_hat))
+
+
+def free_energy_density(t: StateTerms) -> np.ndarray:
+    """psi = (eps theta/2)|grad phi|^2 + W/(eps theta) - k_b theta log(theta)
+    of the state t.state, with W = (phi^2 - 1)^2/4 + (theta - theta_bar)^3
+    phi^2/3 written out plainly (not thermo.bulk_potential)."""
+    p, phi, theta = t.p, t.phi, t.theta
+    w = (phi**2 - 1.0) ** 2 / 4.0 + (theta - p.theta_bar) ** 3 * phi**2 / 3.0
+    grad_sq = sum(g * g for g in t.grad_phi)
+    return 0.5 * p.eps * theta * grad_sq + w / (p.eps * theta) - p.k_b * theta * np.log(theta)
 
 
 def chemin_lerner_norm(series, times, s: float, rho, part: DyadicPartition, weight=None) -> float:
@@ -109,7 +122,7 @@ def _band_limited_direction(grid: GridSpec, rng: np.random.Generator) -> Field:
 
 def _total_psi(phi: np.ndarray, theta: np.ndarray, grid: GridSpec, p: ModelParams) -> float:
     st = ThermoState(Field(grid, phi), Field(grid, theta))
-    psi = thermo.free_energy_density(StateTerms(st, p))
+    psi = free_energy_density(StateTerms(st, p))
     return float(np.sum(psi)) * grid.h**grid.dim
 
 
@@ -134,7 +147,7 @@ def verify_variational_identities(
     # 1: s against -d(psi)/d(theta), pointwise
     def psi_at(th):
         terms = StateTerms(ThermoState(state.phi, Field(g, th)), p)
-        return thermo.free_energy_density(terms)
+        return free_energy_density(terms)
 
     s = thermo.entropy_density(StateTerms(state, p))
     psi_p, psi_m = psi_at(theta + h_step), psi_at(theta - h_step)

@@ -8,6 +8,7 @@ from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared
 from thermoch.grid import (
     Field,
     GridSpec,
+    dealias_in_place,
     grad_arrays,
     inner,
     irfftn,
@@ -179,6 +180,9 @@ class TestDealias:
         once = fh * g.half_dealias_mask
         twice = fh * g.half_dealias_mask * g.half_dealias_mask
         assert np.array_equal(once, twice)
+        # the in-place form the step uses is the same projection, on its own copy
+        kept = fh.copy()
+        assert dealias_in_place(g, kept) is kept and np.array_equal(kept, once)
 
     def test_cutoff_location(self):
         g = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)

@@ -679,11 +679,12 @@ def c2c_oracle_step(state, p, dt):
     if a1:
         force = [f + c for f, c in zip(force, coupling)]
     _, db_dphi, db_dtheta = _bracket_b(phi, theta, p, bulk_potential(phi, theta, p))
+    dtheta_dt = 0.0 if state.dtheta_dt is None else state.dtheta_dt.values
     cross = sum(gr * gp for gr, gp in zip(grad_rate, grad(phi)))
     out = (
         p.alpha * rate**2
         + p.eps * theta * cross
-        - theta * (db_dphi * rate + db_dtheta * state.dtheta_dt_values())
+        - theta * (db_dphi * rate + db_dtheta * dtheta_dt)
         + sum(f * f for f in force)
     )
     f2 = inv(fwd(out) * cut)
@@ -816,6 +817,61 @@ class TestSharedTerms:
         traj = collect(simulate, cfg, smooth_state(GRID2, 11))
         assert traj.termination == "completed" and len(traj.states) == 11
         assert counts == {"bulk_potential": 11, "_bracket_b": 11, "entropy_density": 11}
+
+
+def _arrays(value):
+    """The arrays of a term: one array, or the items of a tuple or list."""
+    return list(value) if isinstance(value, (tuple, list)) else [value]
+
+
+class TestKernelsWriteNoInput:
+    """The kernels fuse their arithmetic in place, but only into arrays they
+    formed: a step, or a direct call, leaves its inputs bitwise unchanged."""
+
+    TERMS = ("bulk", "bracket", "phi_hat", "theta_hat", "grad_phi", "grad_rate", "mu_hat")
+
+    @staticmethod
+    def assert_unchanged(watched, before):
+        for name, arrays in watched.items():
+            assert len(arrays) == len(before[name])
+            for got, want in zip(arrays, before[name]):
+                assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("model", ["a2", "a1"])
+    def test_a_step_leaves_its_state_and_terms_unchanged(self, model):
+        p = params(model=model)
+        # a stepped state: both rates and the carried terms are live
+        state = imex_step(StateTerms(smooth_state(GRID2, 17), p), 1e-4)
+        terms = StateTerms(state, p)
+        values = {name: getattr(terms, name) for name in self.TERMS}
+        watched = {name: _arrays(value) for name, value in values.items()}
+        watched["state"] = [getattr(state, f).values for f in ("phi", "theta", "dphi_dt", "dtheta_dt")]
+        watched["grid"] = [GRID2.half_lap, GRID2.half_bilap, GRID2.half_dealias_mask, *GRID2.half_grad]
+        before = {name: [a.copy() for a in arrays] for name, arrays in watched.items()}
+        imex_step(terms, 1e-4)
+        self.assert_unchanged(watched, before)
+        assert all(getattr(terms, name) is value for name, value in values.items())
+
+    def test_direct_calls_write_no_input(self):
+        p = params()
+        state = smooth_state(GRID2, 18)
+        phi, theta = state.phi.values, state.theta.values
+        bulk = bulk_potential(phi, theta, p)
+        y_hat, f_hat = rfftn(GRID2, phi), rfftn(GRID2, theta)
+        operators = (_phase_operator(GRID2, p), _heat_operator(GRID2, p))
+        watched = {
+            "fields": [phi, theta],
+            "bulk": list(bulk),
+            "spectra": [y_hat, f_hat],
+            "operators": [np.asarray(part) for op in operators for part in op],
+        }
+        before = {name: [a.copy() for a in arrays] for name, arrays in watched.items()}
+        bulk_potential(phi, theta, p)
+        _bracket_b(phi, theta, p, bulk)
+        for operator in operators:
+            for forcing in (f_hat, 0.0):
+                _implicit_solve(operator, 1e-4, y_hat, forcing)
+        self.assert_unchanged(watched, before)
 
 
 class TestCarriedTerms:

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from analysis_oracle import chemical_potential, verify_variational_identities
+from analysis_oracle import (
+    chemical_potential,
+    free_energy_density,
+    verify_variational_identities,
+)
 from spectral_oracle import band_limited, count_transforms, fftn, ifftn_real, k_squared
 from thermoch import thermo
 from thermoch.grid import Field, GridSpec, grad_arrays, grad_from_hat
@@ -19,7 +23,6 @@ from thermoch.thermo import (
     bulk_potential,
     entropy_density,
     entropy_production,
-    free_energy_density,
     internal_energy_density,
     total_energy,
 )
@@ -99,6 +102,32 @@ class TestBulkPotential:
         p = params()
         _, dw_dphi = bulk_potential(np.array([-1.0, 1.0]), np.full(2, p.theta_bar), p)
         assert np.max(np.abs(dw_dphi)) == 0.0
+
+    def test_closed_forms_on_a_field(self):
+        # W, W', B, dB/dphi and dB/dtheta written out plainly, on a 32^2 field
+        # with theta on both sides of theta_bar; the kernels fuse the same
+        # arithmetic in place, so they agree to round-off of the largest value
+        rng = np.random.default_rng(23)
+        p = params(eps=0.7, theta_bar=1.3)
+        phi = rng.uniform(-1.5, 1.5, size=GRID2.shape)
+        theta = rng.uniform(0.5, 2.5, size=GRID2.shape)
+        assert (theta < p.theta_bar).any() and (theta > p.theta_bar).any()
+        eps, u = p.eps, theta - p.theta_bar
+        w = (phi**2 - 1.0) ** 2 / 4.0 + u**3 * phi**2 / 3.0
+        dw_dphi = (phi**2 - 1.0) * phi + 2.0 * u**3 * phi / 3.0
+        want = (
+            w,
+            dw_dphi,
+            w / (eps * theta**2) - u**2 * phi**2 / (eps * theta),
+            dw_dphi / (eps * theta**2) - 2.0 * u**2 * phi / (eps * theta),
+            2.0 * u**2 * phi**2 / (eps * theta**2)
+            - 2.0 * w / (eps * theta**3)
+            - 2.0 * u * phi**2 / (eps * theta),
+        )
+        bulk = bulk_potential(phi, theta, p)
+        got = (*bulk, *_bracket_b(phi, theta, p, bulk))
+        for g, e in zip(got, want):
+            np.testing.assert_allclose(g, e, rtol=1e-13, atol=1e-13 * np.max(np.abs(e)))
 
 
 class TestDensities:
