@@ -102,8 +102,8 @@ def _locked_output(output_dir: Path):
             f"(remove {lock} if that run is dead)"
         ) from None
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        with os.fdopen(fd, "w") as sentinel:  # closes fd even when the write fails
+            sentinel.write(f"{os.getpid()}\n")
         yield
     finally:
         lock.unlink(missing_ok=True)

@@ -1,16 +1,14 @@
 """Thermodynamic audits for simulation snapshots.
 
-Every quantity here is a deterministic function of a pair of consecutive
-states, the step size, and the model parameters, so that re-running a
-simulation reproduces the diagnostics stream byte for byte.  An audit reads
-the thermo.StateTerms of its two states: model_a2.march builds one per
-state and hands the same terms to the next step, so the audit transforms
-only what no step needs (lap theta and, outside a1, grad theta) and reads
-the previous state's entropy from its terms; its production squares the
-step's force, thermo.dissipative_force.  The terms start from what the state
-carries from its step (its spectra and grad(dphi/dt)) and are otherwise
-formed from the state's values, so sharing them changes no step, and a run
-continued from a recorded state stays bit for bit the uninterrupted run.
+Every quantity here is a deterministic function of a state, the entropy
+of the state before it, the step size, and the model parameters, so that
+re-running a simulation reproduces the diagnostics stream byte for byte.
+An audit reads the thermo.StateTerms of its state: model_a2.march builds
+one per state and hands the same terms to the next step, so the audit
+transforms only what no step needs (lap theta and, outside a1, grad theta);
+its production squares the step's force, thermo.dissipative_force.  The
+terms start from what the state owns (thermo.ThermoState), so sharing them
+changes no step.
 The central check is a discrete residual of the entropy balance
 
     theta * ds/dt + theta * div(q / theta) - production,   q = -kappa grad(theta),
@@ -19,7 +17,8 @@ which measures how far a discrete trajectory is from satisfying the
 dissipation law the continuous model is built on.  The residual is not
 expected to vanish at finite step size; the gates assert it shrinks under
 refinement.  No step produced a run's initial state, so model_a2.march
-audits it against itself, and that step-0 row forms no residual (None).
+audits it with no previous entropy, and that step-0 row forms no residual
+(None).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ CSV_HEADER = (
 @dataclass(frozen=True)
 class DiagnosticsRow:
     """One audited snapshot of a run.  cd_residual_l2 is None on march's
-    step-0 row, which no step produced (audit's prev is curr); its CSV
+    step-0 row, which no step produced (audit has no prev_entropy); its CSV
     field is then empty."""
 
     step: int
@@ -70,26 +69,27 @@ class DiagnosticsRow:
 
 
 def audit(
-    prev: StateTerms,
     curr: StateTerms,
     dt: float,
     *,
+    prev_entropy: np.ndarray | None = None,
     e_ref: float,
     step: int = 0,
     t: float = 0.0,
 ) -> DiagnosticsRow:
-    """Audit the transition prev.state -> curr.state taken with step size dt.
+    """Audit curr.state, reached with step size dt from a state whose
+    entropy density is prev_entropy.
 
     The model parameters are curr's, and the drift is measured against the
-    energy e_ref (march passes the run's initial energy).  A pair that is one
-    StateTerms (prev is curr, as on march's step-0 row) is no transition: its
-    row forms no residual and holds None.  A non-finite row raises NonFiniteError.
+    energy e_ref (march passes the run's initial energy).  Without
+    prev_entropy (march's step-0 row) there is no transition: the row forms
+    no residual and holds None.  A non-finite row raises NonFiniteError.
     """
-    if prev.grid != curr.grid:
-        raise ValueError("audit requires both states on the same grid")
+    grid, p, theta = curr.grid, curr.p, curr.theta
+    if prev_entropy is not None and prev_entropy.shape != grid.shape:
+        raise ValueError("audit requires the previous entropy on the state's grid")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid, p, theta = curr.grid, curr.p, curr.theta
 
     volume = grid.box_len**grid.dim
     mass = volume * mean(curr.state.phi)
@@ -99,12 +99,12 @@ def audit(
     production = entropy_production(curr)
 
     residual_l2 = None
-    if prev is not curr:
+    if prev_entropy is not None:
         # theta * ds/dt + theta * div(q/theta) with everything evaluated at
         # curr; theta * div(-kappa grad(theta) / theta) = -kappa lap(theta)
         #                                         + kappa |grad(theta)|^2 / theta
         # summed in place, so the audit's peak holds one array, not four terms
-        residual = theta * ((curr.entropy - prev.entropy) / dt)
+        residual = theta * ((curr.entropy - prev_entropy) / dt)
         residual -= p.kappa * irfftn(grid, grid.half_lap * curr.theta_hat)
         residual += p.kappa * _sum_sq(curr.grad_theta) / theta
         residual -= production

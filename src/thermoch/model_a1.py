@@ -27,9 +27,9 @@ start of the step, u = _velocity(terms), and is zero when the state has no
 rates yet (t = 0, like the rate caches).  Its force is the one the audit's
 production of the state squares: the dealiased grad mu (StateTerms.grad_mu)
 that the heat forcing also reads, and the grad(dphi/dt) that the step
-which produced the state formed, (grad phi_new - grad phi)/dt,
-which the state carries (ThermoState.carried) and records, so a run
-restarted from any recorded state continues bit for bit.
+which produced the state formed, (grad phi_new - grad phi)/dt, which the
+state owns (thermo.ThermoState), so a run restarted from any recorded
+state continues bit for bit.
 Consequences worth knowing: with grad(theta_0) = 0 the first step reduces to
 the fixed-background step exactly, and u lags the step by one rate, which is
 first-order consistent, matching the overall scheme order.

@@ -87,10 +87,11 @@ class Trajectory:
     termination is "completed", "positivity", "singularity" or "non_finite";
     message is "step j: " and the text of the error that stopped an early
     run in step j (for a state, its field, grid index and value).  The state
-    is the last recorded one, whole (rates and carried terms included), so
-    simulate continues from it bit for bit.  An early stop whose last state
-    fails its own audit leaves that state unrecorded: states then holds the
-    phi and theta Fields of the last recorded state, without its rates.
+    is the last recorded one, whole (rates and owned terms included,
+    thermo.ThermoState), so simulate continues from it bit for bit.  An
+    early stop whose last state fails its own audit leaves that state
+    unrecorded: states then holds the phi and theta Fields of the last
+    recorded state, without its rates.
     """
 
     states: list[ThermoState]
@@ -154,9 +155,10 @@ def _implicit_solve(operator, dt: float, y_hat, f_hat) -> np.ndarray:
     return (mass * y_hat + dt * f_hat) * (1.0 / (mass + dt * stiffness))
 
 
-def imex_step(t: StateTerms, dt: float) -> ThermoState:
-    """Advance t.state by one step of model t.p.model; returns the new state
-    with fresh rate caches.
+def imex_step(t: StateTerms, dt: float) -> StateTerms:
+    """Advance t.state by one step of model t.p.model; returns the
+    StateTerms of the new state, which has fresh rate caches and owns the
+    terms the step formed of it (thermo.ThermoState).
 
     "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
     requires an invertible entropy slope, then adds the coupling flux to f1
@@ -164,10 +166,8 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     (model_a1.entropy_transport_hat).  "isothermal" stops after the phase
     update and keeps theta.  Every spectrum and derived field of the state
     is formed once, in t (march audits with the same t), and f1, f2 reach
-    the solves as spectra under the 2/3 rule.
-
-    f2's rate gradient is (grad phi_new - grad phi)/dt; the new state
-    carries it and the other terms the step formed of it (ThermoState.carried).
+    the solves as spectra under the 2/3 rule.  The returned terms start
+    from the grad phi_new that f2's rate gradient was formed of.
     """
     grid, p, state = t.grid, t.p, t.state
     a1 = p.model == "a1"
@@ -184,14 +184,9 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
     rate = (new_phi - t.phi) * (1.0 / dt)  # a scalar reciprocal: no array division
 
     if p.model == "isothermal":
-        new = ThermoState(
-            Field(grid, new_phi),
-            state.theta,
-            dphi_dt=Field(grid, rate),
-            dtheta_dt=None,
-        )
-        new.carried["phi_hat"] = new_phi_hat
-        return new
+        new = ThermoState(Field(grid, new_phi), state.theta, dphi_dt=Field(grid, rate))
+        new.phi_hat = new_phi_hat
+        return StateTerms(new, p)
 
     grad_phi = grad_from_hat(grid, new_phi_hat)
     grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
@@ -206,10 +201,10 @@ def imex_step(t: StateTerms, dt: float) -> ThermoState:
         dphi_dt=Field(grid, rate),
         dtheta_dt=Field(grid, (new_theta - t.theta) * (1.0 / dt)),
     )
-    new.carried.update(
-        phi_hat=new_phi_hat, theta_hat=new_theta_hat, grad_phi=grad_phi, grad_rate=grad_rate
-    )
-    return new
+    new.phi_hat, new.theta_hat, new.grad_rate = new_phi_hat, new_theta_hat, grad_rate
+    terms = StateTerms(new, p)
+    terms.grad_phi = grad_phi
+    return terms
 
 
 def march(
@@ -219,9 +214,10 @@ def march(
     sink=None,
 ) -> Trajectory:
     """Shared marching loop: calls step_fn(terms) repeatedly with the
-    StateTerms of the current state, records snapshots every output_every
-    steps (plus the initial and final ones), and converts numerical failures
-    into labeled early termination.
+    StateTerms of the current state, takes the StateTerms of the next state
+    it returns, records snapshots every output_every steps (plus the initial
+    and final ones), and converts numerical failures into labeled early
+    termination.
 
     Recording a state audits it, and sink(state, row), when given, is called
     with each recorded state in step order as soon as its row is formed (the
@@ -233,11 +229,11 @@ def march(
     for an early stop.  It returns the Trajectory of the last recorded state.
 
     One StateTerms per state serves the step that starts from the state and
-    the audit of the step that produced it; a state's terms are dropped,
-    all but its entropy and the terms it carries, before the next audit.  A
-    recorded state drops its carried grad_phi, which StateTerms re-forms bit
-    for bit from the carried phi_hat.  A run that stops early records its
-    last valid state with its audit row, unless it is already recorded.
+    the audit of the step that produced it; the audit of the next state
+    reads only its entropy, so its other formed terms are dropped before
+    that audit (the state keeps what it owns, thermo.ThermoState).  A run
+    that stops early records its last valid state with its audit row,
+    unless it is already recorded.
     Only a thermo.NumericalError stops a run, its label the termination; any
     other exception propagates, a numerical one of the step-0 audit with
     "step 0: " prefixed.
@@ -254,33 +250,34 @@ def march(
         e0 = total_energy(terms)
     last = None  # (the phi and theta of the last recorded state, its row)
 
-    def record(j: int, prev: StateTerms, curr: StateTerms):
+    def record(j: int, curr: StateTerms, prev_entropy=None):
         nonlocal last
         with np.errstate(all="ignore"):
-            row = audit(prev, curr, cfg.dt, e_ref=e0, step=j, t=j * cfg.dt)
-        curr.state.carried.pop("grad_phi", None)  # curr keeps its own
+            row = audit(curr, cfg.dt, prev_entropy=prev_entropy, e_ref=e0, step=j, t=j * cfg.dt)
         if sink is not None:
             sink(curr.state, row)
         last = (curr.state.phi, curr.state.theta, row)
 
     try:
-        record(0, terms, terms)
+        record(0, terms)
     except NumericalError as exc:
         raise type(exc)(f"step 0: {exc}") from None
     termination, message = "completed", ""
     before = None  # (phi, theta, phi_hat) of the state before terms.state
     for j in range(1, cfg.n_steps + 1):
         try:
+            recorded = j % cfg.output_every == 0 or j == cfg.n_steps
             with np.errstate(all="ignore"):
-                new = StateTerms(step_fn(terms), p)
-            if j % cfg.output_every == 0 or j == cfg.n_steps:
-                terms.keep_only_entropy()
-                record(j, terms, new)
+                new = step_fn(terms)
+                entropy = terms.entropy if recorded else None
+            if recorded:
+                terms = StateTerms(terms.state, p)  # the audit reads only the entropy
+                record(j, new, entropy)
         except NumericalError as exc:
             termination, message = exc.label, f"step {j}: {exc}"
             break
         # a last-state audit reads only before's entropy
-        before = (terms.state.phi, terms.state.theta, terms.state.carried.get("phi_hat"))
+        before = (terms.state.phi, terms.state.theta, terms.state.phi_hat)
         terms = new
 
     state, row = terms.state, last[2]
@@ -288,9 +285,10 @@ def march(
         phi, theta, phi_hat = before
         try:
             prev = ThermoState(phi, theta)
-            if phi_hat is not None:
-                prev.carried["phi_hat"] = phi_hat
-            record(j - 1, StateTerms(prev, p), terms)
+            prev.phi_hat = phi_hat
+            with np.errstate(all="ignore"):
+                entropy = StateTerms(prev, p).entropy
+            record(j - 1, terms, entropy)
             row = last[2]
         except NumericalError:
             # a state whose own audit fails stays unrecorded: the run ends

@@ -355,7 +355,7 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
         state = ThermoState(*(Field(grid, a) for a in (*now, rate, theta_rate)))
         if j + 1 < times.size:
-            state.carried["phi_hat"] = hats[0]
+            state.phi_hat = hats[0]
             terms = StateTerms(state, p)
             grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
             forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate))

@@ -140,19 +140,24 @@ class ThermoState:
     Construction is the one check of a valid state: phi and theta finite
     (else NonFiniteError), theta positive (else PositivityError).
 
-    carried holds terms of this state that the step producing it already
-    formed, keyed by their StateTerms names (phi_hat, theta_hat, grad_phi,
-    grad_rate); StateTerms starts from them.  It is not an init argument,
-    so ThermoState(...) and dataclasses.replace start with none and never
-    inherit terms of other values.  A recorded state keeps the ones a
-    continued run needs to stay bit for bit the uninterrupted run.
+    Owned terms: phi_hat, theta_hat and grad_rate, which the step that
+    produced the state formed (model_a2.imex_step; an isothermal step owns
+    phi_hat only): its solves' spectra and its rate gradient (grad phi_new
+    - grad phi)/dt, which a transform of dphi_dt reproduces only to
+    round-off.  StateTerms reads them before forming its own, so a run
+    continued from any recorded state is bit for bit the uninterrupted
+    run.  They are not init arguments: ThermoState(...) and
+    dataclasses.replace start without them (None) and never inherit terms
+    of other values.  Gradients are StateTerms caches, never owned.
     """
 
     phi: Field
     theta: Field
     dphi_dt: Field | None = None
     dtheta_dt: Field | None = None
-    carried: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    phi_hat: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    theta_hat: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    grad_rate: list[np.ndarray] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.phi.grid != self.theta.grid:
@@ -267,30 +272,29 @@ class StateTerms:
 
     model_a2.march builds one per state for the step that starts from it and
     for diagnostics.audit of the step that produced it; every density of
-    the state takes it.  It starts from the terms the state carries
-    (ThermoState.carried: the spectra and gradients the producing step
-    formed) and forms the rest from the state's values.  The carried terms
-    a continued run reads are recorded with the state, so a run continued
-    from a recorded state stays bit for bit the uninterrupted run.  It holds
-    the state's one chemical potential, mu_hat, undealiased: the step's f1
-    (model_a2._f1_hat) and grad_mu apply the 2/3 rule to it, and grad_mu
-    enters only dissipative_force, which the step and the audit share.  Its
-    one bulk entropy, bracket (B and its slopes), serves the state's entropy
-    and energy and the step's heat forcing alike.
+    the state takes it.  It reads the terms the state owns (ThermoState:
+    phi_hat, theta_hat, grad_rate) before forming its own, and forms the
+    rest from the state's values.  It holds the state's one chemical
+    potential, mu_hat, undealiased: the step's f1 (model_a2._f1_hat) and
+    grad_mu apply the 2/3 rule to it, and grad_mu enters only
+    dissipative_force, which the step and the audit share.  Its one bulk
+    entropy, bracket (B and its slopes), serves the state's entropy and
+    energy and the step's heat forcing alike.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams):
         self.state, self.p, self.grid = state, p, state.grid
         self.phi, self.theta = state.phi.values, state.theta.values
-        self.__dict__.update(state.carried)  # cached_property reads these first
 
     @cached_property
     def phi_hat(self) -> np.ndarray:
-        return rfftn(self.grid, self.phi)
+        owned = self.state.phi_hat
+        return rfftn(self.grid, self.phi) if owned is None else owned
 
     @cached_property
     def theta_hat(self) -> np.ndarray:
-        return rfftn(self.grid, self.theta)
+        owned = self.state.theta_hat
+        return rfftn(self.grid, self.theta) if owned is None else owned
 
     @cached_property
     def grad_phi(self) -> list[np.ndarray]:
@@ -303,7 +307,9 @@ class StateTerms:
     @cached_property
     def grad_rate(self) -> list[np.ndarray]:
         """grad(dphi/dt) of the state's rate cache (zero at t = 0); a
-        stepped state carries the step's (grad phi_new - grad phi)/dt."""
+        stepped state owns the step's (grad phi_new - grad phi)/dt."""
+        if self.state.grad_rate is not None:
+            return self.state.grad_rate
         if self.state.dphi_dt is None:
             return [np.zeros(self.grid.shape) for _ in range(self.grid.dim)]
         return grad_arrays(self.grid, self.state.dphi_dt.values)
@@ -345,13 +351,6 @@ class StateTerms:
     def coupling(self) -> list[np.ndarray]:
         """a1's transported-entropy force s*grad(theta)*phi/(phi^2 + delta^2)."""
         return [self.entropy * gt * self.recip for gt in self.grad_theta]
-
-    def keep_only_entropy(self) -> None:
-        """Form the entropy and drop every other formed term but those the
-        state carries (march keeps a state's terms past its step only for
-        the next audit's ds/dt)."""
-        fresh = StateTerms(self.state, self.p)
-        self.__dict__ = {**vars(fresh), "entropy": self.entropy}
 
 
 def dissipative_force(t: StateTerms, grad_rate: list[np.ndarray]) -> list[np.ndarray]:

@@ -186,7 +186,7 @@ def test_criterion_07_isothermal_energy_decay():
     )
     energy = ginzburg_landau_energy(state.phi, p)
     for _ in range(10_000):
-        state = imex_step(StateTerms(state, p), 1e-4)
+        state = imex_step(StateTerms(state, p), 1e-4).state
         new_energy = ginzburg_landau_energy(state.phi, p)
         assert new_energy - energy <= 1e-10
         energy = new_energy
@@ -335,8 +335,8 @@ def test_criterion_12_a1_a2_agreement():
 
     # grad(theta0) = 0 exactly: the transported coupling vanishes
     state = ThermoState(phi, Field(grid, np.ones(grid.shape)))
-    a2_next = imex_step(StateTerms(state, replace(p, model="a2")), 1e-4)
-    a1_next = imex_step(StateTerms(state, replace(p, reg_delta=1e-2)), 1e-4)
+    a2_next = imex_step(StateTerms(state, replace(p, model="a2")), 1e-4).state
+    a1_next = imex_step(StateTerms(state, replace(p, reg_delta=1e-2)), 1e-4).state
     assert np.max(np.abs(a1_next.phi.values - a2_next.phi.values)) <= 1e-10
     assert np.max(np.abs(a1_next.theta.values - a2_next.theta.values)) <= 1e-10
 

@@ -1,5 +1,6 @@
 """Command-line behavior: orchestration, outputs, exit codes, determinism."""
 
+import errno
 import itertools
 import math
 import os
@@ -162,6 +163,39 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_IO
         assert LOCK_NAME in capsys.readouterr().err
         assert (out / LOCK_NAME).read_text() == "12345\n"
+
+    def test_failed_lock_write_exits_4_and_leaves_no_lock_or_descriptor(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, GENTLE.format(out=out))
+        opened, real_fdopen = [], os.fdopen
+
+        class FullDisk:
+            """The lock file, on a device with no space left."""
+
+            def __init__(self, fd, *args, **kwargs):
+                # held by the test, so no finalizer closes the file for the CLI
+                opened.append(self)
+                self.fd, self.file = fd, real_fdopen(fd, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli.os, "fdopen", FullDisk)
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert not (out / LOCK_NAME).exists()
+        assert len(opened) == 1
+        with pytest.raises(OSError) as err:
+            os.fstat(opened[0].fd)
+        assert err.value.errno == errno.EBADF
 
     def test_config_errors_exit_2_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(

@@ -32,7 +32,7 @@ class TestAudit:
         p = params(theta_bar=1.4)
         s = uniform_state(GRID, 1.0, 1.4)
         prev, curr = StateTerms(s, p), StateTerms(s, p)
-        row = audit(prev, curr, 1e-3, e_ref=total_energy(prev), step=5, t=5e-3)
+        row = audit(curr, 1e-3, prev_entropy=prev.entropy, e_ref=total_energy(prev), step=5, t=5e-3)
         assert row.step == 5 and row.t == 5e-3
         assert row.e_drift_rel == 0.0
         assert row.cd_residual_l2 <= 1e-12
@@ -45,7 +45,7 @@ class TestAudit:
         phi = Field(GRID, 0.2 + 0.1 * rng.standard_normal(GRID.shape))
         s = ThermoState(phi, Field(GRID, np.ones(GRID.shape)))
         prev = StateTerms(s, p)
-        row = audit(prev, StateTerms(s, p), 1e-3, e_ref=total_energy(prev))
+        row = audit(StateTerms(s, p), 1e-3, prev_entropy=prev.entropy, e_ref=total_energy(prev))
         volume = GRID.box_len**GRID.dim
         assert row.mass == pytest.approx(mean(phi) * volume, abs=1e-14)
 
@@ -55,9 +55,9 @@ class TestAudit:
         s2 = uniform_state(GridSpec(dim=1, n=32, box_len=2 * np.pi), 1.0, 1.0)
         t1, t2 = StateTerms(s1, p), StateTerms(s2, p)
         with pytest.raises(ValueError, match="grid"):
-            audit(t1, t2, 1e-3, e_ref=1.0)
+            audit(t2, 1e-3, prev_entropy=t1.entropy, e_ref=1.0)
         with pytest.raises(ValueError, match="dt"):
-            audit(t1, t1, 0.0, e_ref=1.0)
+            audit(t1, 0.0, e_ref=1.0)
 
     def test_pure_heat_residual_refines_with_dt(self):
         # phi stays exactly zero, so the audit residual is the heat-equation
@@ -81,7 +81,10 @@ class TestAudit:
         s = ThermoState(band_limited(GRID, rng), Field(GRID, np.ones(GRID.shape)))
         e_ref = total_energy(StateTerms(s, p))
         a, b = (
-            audit(StateTerms(s, p), StateTerms(s, p), 1e-3, e_ref=e_ref, step=1, t=1e-3).csv_line()
+            audit(
+                StateTerms(s, p), 1e-3, prev_entropy=StateTerms(s, p).entropy,
+                e_ref=e_ref, step=1, t=1e-3,
+            ).csv_line()
             for _ in range(2)
         )
         assert a == b

@@ -141,8 +141,8 @@ class TestA1Step:
             band_limited(GRID, rng, amp=0.2),
             Field(GRID, np.full(GRID.shape, 1.0)),
         )
-        a1_state = imex_step(StateTerms(s, p), 1e-4)
-        a2_state = imex_step(StateTerms(s, replace(p, model="a2")), 1e-4)
+        a1_state = imex_step(StateTerms(s, p), 1e-4).state
+        a2_state = imex_step(StateTerms(s, replace(p, model="a2")), 1e-4).state
         assert np.max(np.abs(a1_state.phi.values - a2_state.phi.values)) <= 1e-12
         assert np.max(np.abs(a1_state.theta.values - a2_state.theta.values)) <= 1e-12
         # the rate cache the next step recomputes the velocity from
@@ -158,8 +158,8 @@ class TestA1Step:
 
         def two_steps(delta):
             p_delta = replace(p, reg_delta=delta)
-            state = imex_step(StateTerms(init, p_delta), 1e-4)
-            state = imex_step(StateTerms(state, p_delta), 1e-4)
+            state = imex_step(StateTerms(init, p_delta), 1e-4).state
+            state = imex_step(StateTerms(state, p_delta), 1e-4).state
             return state
 
         outs = [two_steps(d) for d in (2e-2, 1e-2, 5e-3)]
@@ -175,9 +175,9 @@ class TestA1Step:
             Field(GRID, 1.0 + band_limited(GRID, rng, amp=0.1).values),
         )
         m0 = mean(s.phi)
-        state = imex_step(StateTerms(s, p), 1e-4)
+        state = imex_step(StateTerms(s, p), 1e-4).state
         for _ in range(20):
-            state = imex_step(StateTerms(state, p), 1e-4)
+            state = imex_step(StateTerms(state, p), 1e-4).state
         assert abs(mean(state.phi) - m0) <= 1e-14
 
     def test_bracket_slopes_formed_once_per_step(self, monkeypatch):

@@ -229,7 +229,7 @@ class TestImexStep:
         expected = 0.2 + factor * a * np.sin(m * x)
         assert np.max(np.abs(out.phi.values - expected)) < 1e-13
         assert np.max(np.abs(out.theta.values - 2.0)) < 1e-13
-        out = imex_step(StateTerms(s, p), dt)
+        out = imex_step(StateTerms(s, p), dt).state
         assert out.dphi_dt is not None and out.dtheta_dt is not None
 
     def test_forced_heat_mode_decay_factor(self):
@@ -271,7 +271,7 @@ class TestImexStep:
         s = ThermoState(phi, Field(GRID2, np.ones(GRID2.shape)))
         m0 = float(np.mean(s.phi.values))
         for _ in range(1000):
-            s = imex_step(StateTerms(s, p), 1e-4)
+            s = imex_step(StateTerms(s, p), 1e-4).state
         assert abs(float(np.mean(s.phi.values)) - m0) <= 1e-13
 
     def test_amplification_factors_unconditionally_stable(self):
@@ -312,7 +312,7 @@ class TestImexStep:
         rng = np.random.default_rng(9)
         p = params(alpha=0.0, model="isothermal")
         s = ThermoState(band_limited(GRID2, rng), Field(GRID2, np.ones(GRID2.shape)))
-        out = imex_step(StateTerms(s, p), 1e-3)
+        out = imex_step(StateTerms(s, p), 1e-3).state
         assert out.theta is s.theta
         assert out.dtheta_dt is None
 
@@ -409,7 +409,7 @@ class TestMarch:
             calls["n"] += 1
             if calls["n"] == 3:
                 raise PositivityError("boom")
-            return terms.state
+            return terms
 
         with np.errstate(all="ignore"):
             traj = collect(march, cfg, s, step)
@@ -441,10 +441,11 @@ class TestMarch:
             new = imex_step(terms, cfg.dt)
             if calls["n"] < 3:
                 return new
+            new = new.state
             values = getattr(new, name).values.copy()
             values[5, 7] = np.nan
             fields = {"phi": new.phi, "theta": new.theta, name: Field(GRID2, values)}
-            return ThermoState(**fields, dphi_dt=new.dphi_dt, dtheta_dt=new.dtheta_dt)
+            return StateTerms(ThermoState(**fields, dphi_dt=new.dphi_dt, dtheta_dt=new.dtheta_dt), p)
 
         sunk = []
         traj = march(cfg, init, step, lambda state, row: sunk.append(row))
@@ -475,8 +476,9 @@ class TestMarch:
         def step(terms):
             if len(produced) == 2:
                 raise PositivityError("boom")
-            produced.append(imex_step(terms, cfg.dt))
-            return produced[-1]
+            new = imex_step(terms, cfg.dt)
+            produced.append(new.state)
+            return new
 
         traj = collect(march, cfg, s, step)
         assert traj.termination == "positivity"
@@ -485,8 +487,8 @@ class TestMarch:
         assert traj.times[1] == 2 * cfg.dt
         e0 = total_energy(StateTerms(s, p))
         want = audit(
-            StateTerms(produced[0], p), StateTerms(produced[1], p), cfg.dt,
-            step=2, t=2 * cfg.dt, e_ref=e0,
+            StateTerms(produced[1], p), cfg.dt,
+            prev_entropy=StateTerms(produced[0], p).entropy, step=2, t=2 * cfg.dt, e_ref=e0,
         )
         assert traj.diagnostics[1] == want
 
@@ -500,7 +502,7 @@ class TestMarch:
             calls["n"] += 1
             if calls["n"] == 3:
                 raise PositivityError("boom")
-            return terms.state
+            return terms
 
         traj = collect(march, cfg, s, step)
         assert [row.step for row in traj.diagnostics] == [0, 2]
@@ -516,7 +518,7 @@ class TestMarch:
 
         def step(terms):
             calls["n"] += 1
-            return imex_step(terms, cfg.dt) if calls["n"] == 3 else crossing
+            return imex_step(terms, cfg.dt) if calls["n"] == 3 else StateTerms(crossing, p)
 
         sunk = []
         traj = march(cfg, s, step, lambda state, row: sunk.append((state, row)))
@@ -581,8 +583,9 @@ class TestMarch:
         def step(terms):
             if len(produced) == stop_at:
                 raise PositivityError("boom")
-            produced.append(imex_step(terms, cfg.dt))
-            return produced[-1]
+            new = imex_step(terms, cfg.dt)
+            produced.append(new.state)
+            return new
 
         traj = march(cfg, init, step, lambda state, row: sunk.append((state, row)))
         assert len(traj.states) == len(traj.diagnostics) == 1
@@ -709,8 +712,8 @@ class TestHalfSpectrumStep:
         p = params(model=model)
         phi = Field(grid, 0.9 + band_limited(grid, rng, amp=0.05).values)
         theta = Field(grid, 1.0 + band_limited(grid, rng, amp=0.02).values)
-        state = imex_step(StateTerms(ThermoState(phi, theta), p), 1e-4)
-        step = imex_step(StateTerms(state, p), 1e-4)
+        state = imex_step(StateTerms(ThermoState(phi, theta), p), 1e-4).state
+        step = imex_step(StateTerms(state, p), 1e-4).state
         want_phi, want_theta = c2c_oracle_step(state, p, 1e-4)
         for got, want, old in (
             (step.phi.values, want_phi, state.phi.values),
@@ -727,9 +730,9 @@ class TestHalfSpectrumStep:
         rng = np.random.default_rng(5)
         phi = Field(GRID2, 0.9 + band_limited(GRID2, rng, amp=0.05).values)
         state = ThermoState(phi, Field(GRID2, np.ones(GRID2.shape)))
-        state = imex_step(StateTerms(state, p), 1e-4)
+        terms = imex_step(StateTerms(state, p), 1e-4)
         calls.clear()
-        imex_step(StateTerms(state, p), 1e-4)
+        imex_step(terms, 1e-4)
         assert 0 < len(calls) <= budget
         assert set(calls) <= {"rfftn", "irfftn"}
 
@@ -755,8 +758,9 @@ class TestSharedTerms:
         produced = [init]
 
         def step(terms):
-            produced.append(imex_step(terms, cfg.dt))
-            return produced[-1]
+            new = imex_step(terms, cfg.dt)
+            produced.append(new.state)
+            return new
 
         traj = collect(march, cfg, init, step)
         assert traj.termination == "completed"
@@ -765,9 +769,9 @@ class TestSharedTerms:
             j = row.step
             assert state is produced[j]
             curr = StateTerms(state, p)
-            # march audits the initial state against itself: no residual
-            prev = StateTerms(produced[j - 1], p) if j else curr
-            want = audit(prev, curr, cfg.dt, step=j, t=row.t, e_ref=e0)
+            # march audits the initial state with no previous entropy: no residual
+            prev_entropy = StateTerms(produced[j - 1], p).entropy if j else None
+            want = audit(curr, cfg.dt, prev_entropy=prev_entropy, step=j, t=row.t, e_ref=e0)
             for got_v, want_v in zip(astuple(row), astuple(want)):
                 assert got_v == pytest.approx(want_v, rel=1e-12, abs=0.0)
 
@@ -840,8 +844,8 @@ class TestKernelsWriteNoInput:
     @pytest.mark.parametrize("model", ["a2", "a1"])
     def test_a_step_leaves_its_state_and_terms_unchanged(self, model):
         p = params(model=model)
-        # a stepped state: both rates and the carried terms are live
-        state = imex_step(StateTerms(smooth_state(GRID2, 17), p), 1e-4)
+        # a stepped state: both rates and the owned terms are live
+        state = imex_step(StateTerms(smooth_state(GRID2, 17), p), 1e-4).state
         terms = StateTerms(state, p)
         values = {name: getattr(terms, name) for name in self.TERMS}
         watched = {name: _arrays(value) for name, value in values.items()}
@@ -874,39 +878,97 @@ class TestKernelsWriteNoInput:
         self.assert_unchanged(watched, before)
 
 
+OWNED = ("phi_hat", "theta_hat", "grad_rate")
+
+
+def owned(state):
+    """The terms a state owns (thermo.ThermoState), by name."""
+    return {name: getattr(state, name) for name in OWNED if getattr(state, name) is not None}
+
+
 class TestCarriedTerms:
-    """A stepped state carries the spectra and gradients its step formed."""
+    """A state owns the spectra and the rate gradient its step formed, and
+    no other term: grad phi lives only in StateTerms."""
 
     @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
     def test_step_matches_step_without_carried_terms(self, model):
         p = params(model=model)
-        state = imex_step(StateTerms(smooth_state(GRID2, 14), p), 1e-4)
+        state = imex_step(StateTerms(smooth_state(GRID2, 14), p), 1e-4).state
         bare = ThermoState(state.phi, state.theta, state.dphi_dt, state.dtheta_dt)
-        assert state.carried and not bare.carried
+        assert owned(state) and not owned(bare)
         fresh = StateTerms(bare, p)
-        for name, carried in state.carried.items():
+        for name, term in owned(state).items():
             want = np.asarray(getattr(fresh, name))
-            assert np.max(np.abs(np.asarray(carried) - want)) <= 1e-10 * np.max(np.abs(want))
-        got = imex_step(StateTerms(state, p), 1e-4)
-        want = imex_step(fresh, 1e-4)
+            assert np.max(np.abs(np.asarray(term) - want)) <= 1e-10 * np.max(np.abs(want))
+        got = imex_step(StateTerms(state, p), 1e-4).state
+        want = imex_step(fresh, 1e-4).state
         assert np.max(np.abs(got.phi.values - want.phi.values)) <= 1e-12
         assert np.max(np.abs(got.theta.values - want.theta.values)) <= 1e-12
 
     def test_replace_drops_carried_terms(self):
         p = params()
-        state = imex_step(StateTerms(smooth_state(GRID2, 15), p), 1e-4)
-        assert set(state.carried) == {"phi_hat", "theta_hat", "grad_phi", "grad_rate"}
+        state = imex_step(StateTerms(smooth_state(GRID2, 15), p), 1e-4).state
+        assert set(owned(state)) == set(OWNED)
         hotter = replace(state, theta=Field(GRID2, state.theta.values + 0.1))
-        assert hotter.carried == {}
+        assert owned(hotter) == owned(replace(state)) == {}
         assert np.array_equal(StateTerms(hotter, p).theta_hat, rfftn(GRID2, hotter.theta.values))
 
     @pytest.mark.parametrize(
         "model,kept",
-        [("a2", {"phi_hat", "theta_hat", "grad_rate"}), ("isothermal", {"phi_hat"})],
+        [
+            ("a2", {"phi_hat", "theta_hat", "grad_rate"}),
+            ("isothermal", {"phi_hat"}),
+            ("a1", {"phi_hat", "theta_hat", "grad_rate"}),
+        ],
     )
     def test_recorded_state_keeps_what_a_continued_run_reads(self, model, kept):
-        # grad phi is re-formed bit for bit from the carried phi_hat
+        # grad phi is re-formed bit for bit from the owned phi_hat
         cfg = SimConfig(grid=GRID2, params=params(model=model), dt=1e-4, t_end=3e-4)
         traj = collect(simulate, cfg, smooth_state(GRID2, 16))
-        assert traj.states[0].carried == {}
-        assert all(set(s.carried) == kept for s in traj.states[1:])
+        assert owned(traj.states[0]) == {}
+        assert all(set(owned(s)) == kept for s in traj.states[1:])
+
+    @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
+    def test_no_state_of_a_step_or_a_run_holds_grad_phi(self, model):
+        p = params(model=model)
+        terms = imex_step(StateTerms(smooth_state(GRID2, 19), p), 1e-4)
+        # the grad phi_new of the step's rate gradient seeds the new terms
+        assert ("grad_phi" in vars(terms)) == (model != "isothermal")
+        cfg = SimConfig(grid=GRID2, params=p, dt=1e-4, t_end=4e-4, output_every=2)
+        sunk = []
+        traj = march(cfg, terms.state, lambda t: imex_step(t, cfg.dt), lambda s, r: sunk.append(s))
+        states = [terms.state, *sunk, *traj.states]
+        assert len(states) == 5
+        assert not any(hasattr(state, "grad_phi") for state in states)
+        assert all(set(vars(state)) == set(vars(sunk[0])) for state in states)
+
+    @pytest.mark.parametrize("model", ["a2", "a1", "isothermal"])
+    def test_run_continued_from_a_sunk_state_is_the_uninterrupted_run(self, model):
+        # continue from the state recorded at step 3 of 9, handed to the sink
+        # mid-run: every later record is bitwise the uninterrupted run's
+        p = params(model=model)
+        dt = 1e-4
+        whole = collect(
+            simulate, SimConfig(grid=GRID2, params=p, dt=dt, t_end=9 * dt, output_every=3),
+            smooth_state(GRID2, 20),
+        )
+        rest = collect(
+            simulate, SimConfig(grid=GRID2, params=p, dt=dt, t_end=6 * dt, output_every=3),
+            whole.states[1],
+        )
+        assert whole.termination == rest.termination == "completed"
+        assert len(whole.states) == 4 and len(rest.states) == 3
+        for a, b in zip(whole.states[1:], rest.states, strict=True):
+            for name in ("phi", "theta", "dphi_dt", "dtheta_dt"):
+                assert getattr(a, name) is None or np.array_equal(
+                    getattr(a, name).values, getattr(b, name).values
+                )
+            for name in OWNED:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        # the rows agree too, but for the drift's reference energy and the
+        # residual of the continued run's step-0 row, which forms none
+        for a, b in zip(whole.diagnostics[1:], rest.diagnostics, strict=True):
+            for name in ("mass", "e_tot", "min_theta", "min_entropy_production"):
+                assert getattr(a, name) == getattr(b, name)
+        residuals = [row.cd_residual_l2 for row in rest.diagnostics]
+        assert residuals == [None] + [row.cd_residual_l2 for row in whole.diagnostics[2:]]
