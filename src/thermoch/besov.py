@@ -274,8 +274,9 @@ class SmallnessReport:
                      / (theta_bar * (1 + alpha)))^2
 
     chi_range is the admissible ball-radius interval derived from the second
-    inequality with the dimension constant set to 1 (documented convention);
-    eps_theta_bar is displayed because admissibility forces eps*theta_bar > 1.
+    inequality with the dimension constant set to 1 (documented convention),
+    None when alpha = 0 zeroes both right-hand sides; eps_theta_bar is
+    displayed because admissibility forces eps*theta_bar > 1.
     """
 
     lhs1: float
@@ -284,14 +285,14 @@ class SmallnessReport:
     rhs2: float
     eps0: float
     satisfied: tuple[bool, bool]
-    chi_range: tuple[float, float]
+    chi_range: tuple[float, float] | None
     eps_theta_bar: float
 
     @property
     def margins(self) -> tuple[float, float]:
-        m1 = self.rhs1 / self.lhs1 if self.lhs1 > 0 else math.inf
-        m2 = self.rhs2 / self.lhs2 if self.lhs2 > 0 else math.inf
-        return (m1, m2)
+        """rhs/lhs per inequality: above 1 exactly when it holds."""
+        margin = lambda lhs, rhs: rhs / lhs if lhs > 0 else (math.inf if rhs > 0 else 0.0)
+        return (margin(self.lhs1, self.rhs1), margin(self.lhs2, self.rhs2))
 
     def to_text(self) -> str:
         m1, m2 = self.margins
@@ -307,7 +308,9 @@ class SmallnessReport:
                 f"  eps * theta_bar = {self.eps_theta_bar:.6g}"
                 "  (admissibility implies > 1; displayed, not gated)",
                 f"  admissible ball radius chi in ({self.chi_range[0]:.6e},"
-                f" {self.chi_range[1]:.6e})  [dimension constant set to 1]",
+                f" {self.chi_range[1]:.6e})  [dimension constant set to 1]"
+                if self.chi_range is not None
+                else "  no admissible ball radius chi: min(1, alpha, kappa, k_b) = 0",
             ]
         )
 
@@ -338,7 +341,7 @@ def check_smallness(
         min(p.eps**2, 1.0 / (1.0 + p.eps)) * eps0 * m_min / (p.theta_bar * (1.0 + p.alpha))
     ) ** 2
 
-    chi_range = (4.0 * lhs2 / m_min, 4.0 * rhs2 / m_min)
+    chi_range = (4.0 * lhs2 / m_min, 4.0 * rhs2 / m_min) if m_min > 0.0 else None
     return SmallnessReport(
         lhs1=float(lhs1),
         rhs1=float(rhs1),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 from dataclasses import replace
@@ -31,7 +32,7 @@ from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
 from .diagnostics import CSV_HEADER, caginalp_demo
 from .fieldio import FieldIOError
-from .model_a2 import SimConfig, simulate
+from .model_a2 import simulate
 from .picard import picard_iterate
 from .thermo import NumericalError
 
@@ -41,6 +42,14 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 LOCK_NAME = ".thermoch.lock"
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float; "nan", "inf" and "1e400" are usage errors."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     besov = sub.add_parser("besov-norm", help="per-block norm table for a stored field")
     besov.add_argument("--field", required=True, help="path to a .bin field file")
-    besov.add_argument("--s", type=float, default=1.0, help="regularity index (default 1.0)")
+    besov.add_argument("--s", type=_finite, default=1.0, help="regularity index (default 1.0)")
     besov.set_defaults(handler=_cmd_besov_norm)
 
     demo = sub.add_parser(
@@ -109,23 +118,9 @@ def _locked_output(output_dir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _sim_config(cfg: RunConfig) -> SimConfig:
-    try:
-        return SimConfig(
-            grid=cfg.grid,
-            params=cfg.params,
-            dt=cfg.dt,
-            t_end=cfg.t_end,
-            output_every=cfg.output_every,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from None
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_run_config(args)
     init = generate_initial(cfg)
-    sim = _sim_config(cfg)
     outdir = Path(cfg.output_dir)
     header, suffix = CSV_HEADER, ""
     if cfg.params.model == "a1":
@@ -140,11 +135,11 @@ def _cmd_simulate(args) -> int:
             csv.write(row.csv_line() + suffix + "\n")
             csv.flush()
 
-        traj = simulate(sim, init, write_state)
+        traj = simulate(cfg, init, write_state)
         fieldio.write_plot(outdir / "phi_final.dat", traj.states[-1].phi)
         fieldio.write_plot(outdir / "theta_final.dat", traj.states[-1].theta)
     last = traj.diagnostics[-1]
-    print(f"model: {cfg.params.model}  steps: {last.step}/{sim.n_steps}  t: {last.t!r}")
+    print(f"model: {cfg.params.model}  steps: {last.step}/{cfg.n_steps}  t: {last.t!r}")
     print(
         f"termination: {traj.termination}  E_drift_rel: {last.e_drift_rel!r}  "
         f"min_theta: {last.min_theta!r}"

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import fieldio
 from .grid import Field, GridSpec
+from .model_a2 import SimConfig
 from .picard import PicardConfig
 from .rng import Xoshiro256StarStar
 from .thermo import MODELS, ModelParams, ThermoState
@@ -107,18 +108,16 @@ class ThetaInitSpec:
     path: str | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs: grid, physics, marching, data, outputs.
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SimConfig):
+    """Everything one run needs: the SimConfig that simulate marches (grid,
+    physics, clock) plus the run's data and outputs.
 
-    The run's model ([run] model) and [physics] reg_delta live in params.
+    SimConfig states the [run] clock rules, so every subcommand rejects at
+    load a clock that simulate would.  The run's model ([run] model) and
+    [physics] reg_delta live in params.
     """
 
-    grid: GridSpec
-    params: ModelParams
-    dt: float
-    t_end: float
-    output_every: int
     output_dir: str
     init: InitSpec
     theta_init: ThetaInitSpec
@@ -126,12 +125,7 @@ class RunConfig:
     picard: PicardConfig | None = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError("run.dt must be positive")
-        if self.t_end <= 0.0:
-            raise ConfigError("run.t_end must be positive")
-        if self.output_every < 1:
-            raise ConfigError("run.output_every must be a positive integer")
+        super().__post_init__()
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError("run.eps0 must lie in (0, 1)")
 
@@ -211,7 +205,9 @@ def loads_config(text: str) -> RunConfig:
     picard = None
     if parser.has_section("picard"):
         picard = _build("picard", PicardConfig, **_section(parser, "picard"))
-    return RunConfig(
+    return _build(
+        "run",
+        RunConfig,
         grid=grid,
         params=params,
         init=InitSpec(**_section(parser, "init", grid)),

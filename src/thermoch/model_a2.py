@@ -55,7 +55,8 @@ from .thermo import (
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Marching parameters; the grid and physics are carried along."""
+    """Marching parameters and the [run] clock rules; the grid and physics are
+    carried along.  config.RunConfig extends it, so load_config checks them."""
 
     grid: GridSpec
     params: ModelParams

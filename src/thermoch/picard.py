@@ -248,17 +248,20 @@ class PicardConfig:
             raise ValueError("n_iter must be at least 2")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
-        step = self.t_end / 100.0 if self.dt is None else self.dt
-        if step <= 0.0:
+        if self.step <= 0.0:
             raise ValueError("dt must be positive")
-        n = round(self.t_end / step)
-        if n < 2 or abs(n * step - self.t_end) > 1e-9 * self.t_end:
+        n = round(self.t_end / self.step)
+        if n < 2 or abs(n * self.step - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be a multiple of dt covering >= 2 steps")
+
+    @property
+    def step(self) -> float:
+        """The snapshot spacing: dt, or t_end/100 when dt is unset."""
+        return self.t_end / 100.0 if self.dt is None else self.dt
 
     @cached_property
     def times(self) -> np.ndarray:
-        step = self.t_end / 100.0 if self.dt is None else self.dt
-        return step * np.arange(round(self.t_end / step) + 1)
+        return self.step * np.arange(round(self.t_end / self.step) + 1)
 
 
 @dataclass(frozen=True)

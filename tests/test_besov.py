@@ -356,6 +356,19 @@ class TestSmallness:
         m1, m2 = rep.margins
         assert m1 > 1.0 and m2 > 1.0
 
+    def test_zero_alpha_violates_both_and_admits_no_radius(self):
+        # alpha = 0 sets min(1, alpha, kappa, k_b) = 0, so rhs1 = rhs2 = 0;
+        # theta0 == theta_bar gives lhs2 = 0, which is not < 0 either
+        p = ModelParams(eps=1.0, theta_bar=100.0, alpha=0.0, kappa=1.0, k_b=1.0)
+        phi0 = Field(GRID, np.zeros(GRID.shape))
+        theta0 = Field(GRID, np.full(GRID.shape, 100.0))
+        rep = check_smallness(phi0, theta0, p, 0.5, PART)
+        assert (rep.rhs1, rep.rhs2, rep.lhs2) == (0.0, 0.0, 0.0)
+        assert rep.satisfied == (False, False)
+        assert rep.margins == (0.0, 0.0)
+        assert rep.chi_range is None
+        assert "no admissible ball radius chi" in rep.to_text()
+
     def test_eps0_domain(self):
         p = ModelParams(eps=1.0, theta_bar=1.0, alpha=1.0, kappa=1.0, k_b=1.0)
         z = Field(GRID, np.zeros(GRID.shape))

@@ -279,7 +279,7 @@ class TestStreaming:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
 
         run = load_config(cfg)
-        traj = collect(simulate, cli._sim_config(run), generate_initial(run))
+        traj = collect(simulate, run, generate_initial(run))
         assert len(traj.states) > 2
         want = tmp_path / "want"
         want.mkdir()
@@ -415,6 +415,42 @@ class TestAnalysisCommands:
             float(line.split(":")[1]) for line in out.splitlines() if "total" in line
         )
         assert math.isclose(sum(blocks), total, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "1e400"])
+    def test_besov_norm_non_finite_s_is_a_usage_error(self, tmp_path, capsys, s):
+        with pytest.raises(SystemExit) as exc:
+            main(["besov-norm", "--field", str(tmp_path / "f.bin"), f"--s={s}"])
+        assert exc.value.code == 2
+        assert f"argument --s: expected a finite number, got '{s}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-smallness", "picard-verify"])
+    @pytest.mark.parametrize(
+        "clock",
+        ["dt = 0.7\nt_end = 1.4", "dt = 0.01\nt_end = 0.005", "dt = 0.01\nt_end = 0.025"],
+        ids=["dt_above_half", "t_end_below_dt", "t_end_not_a_multiple"],
+    )
+    def test_clock_that_simulate_rejects_exits_2(self, tmp_path, capsys, command, clock):
+        out = tmp_path / "out"
+        text = PICARD.format(out=out).replace("model = a2", f"model = a2\n{clock}")
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check-smallness", "picard-verify"])
+    def test_zero_alpha_reports_both_inequalities_violated(self, tmp_path, capsys, command):
+        # min(1, alpha, kappa, k_b) = 0: both right-hand sides vanish
+        out = tmp_path / "out"
+        text = PICARD.format(out=out).replace("theta_bar = 100.0", "theta_bar = 100.0\nalpha = 0.0")
+        cfg = write_config(tmp_path, text)
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        report = (out / "smallness_report.txt").read_text()
+        assert report.count("VIOLATED") == 2
+        assert "no admissible ball radius chi" in report
+        if command == "picard-verify":
+            assert (out / "picard_report.csv").is_file()
 
     def test_besov_norm_missing_file_exits_4(self, tmp_path, capsys):
         # a missing file, then malformed ones: an invalid header grid, a NaN payload

@@ -16,6 +16,7 @@ from thermoch.config import (
     with_seed,
 )
 from thermoch.grid import Field, GridSpec
+from thermoch.model_a2 import SimConfig
 from thermoch.thermo import PositivityError
 
 MINIMAL = """
@@ -159,8 +160,27 @@ class TestLoadConfig:
             loads_config(MINIMAL + f"\n[{section}]\nkind = bogus\n")
 
     def test_zero_dt_rejected_with_field_name(self):
-        with pytest.raises(ConfigError, match="dt must be positive"):
+        with pytest.raises(ConfigError, match=r"^run: dt must lie in \(0, 0\.5\], got 0\.0$"):
             loads_config(MINIMAL + "dt = 0.0\n")
+
+    @pytest.mark.parametrize(
+        "clock, message",
+        [
+            ("dt = 0.7\nt_end = 1.4\n", r"dt must lie in \(0, 0\.5\], got 0\.7"),
+            ("dt = 0.01\nt_end = 0.005\n", "t_end must cover at least one step"),
+            ("dt = 0.01\nt_end = 0.025\n", "t_end must be an integer multiple of dt"),
+        ],
+        ids=["dt_above_half", "t_end_below_dt", "t_end_not_a_multiple"],
+    )
+    def test_clock_that_simulate_rejects_is_rejected_at_load(self, clock, message):
+        # MINIMAL ends in its [run] section
+        with pytest.raises(ConfigError, match=rf"^run: {message}"):
+            loads_config(MINIMAL + clock)
+
+    def test_loaded_config_is_the_sim_config_simulate_marches(self):
+        cfg = loads_config(MINIMAL)
+        assert isinstance(cfg, SimConfig)
+        assert cfg.n_steps == 100
 
     def test_type_error_names_section_and_key(self):
         with pytest.raises(ConfigError, match=r"grid\.dim.*'three'"):
