@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* forward FFT is unnormalized, the inverse carries the 1/n^dim factor
-  (numpy/pocketfft convention);
+* the transforms are numpy.fft's: the forward FFT is unnormalized, the
+  inverse carries the 1/n^dim factor;
 * derivatives, dealiasing and the frequency-block norms act on the half
   spectrum (rfftn/irfftn) through the half_* multipliers cached per
   GridSpec;
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as _sfft
 
 __all__ = [
     "GridSpec",
@@ -165,17 +164,17 @@ def l2_norm(f: Field) -> float:
 # -- the spectral operator layer ----------------------------------------------
 # Plain arrays in and out.  Derivatives and dealiasing are multipliers on
 # rfftn coefficients (half_grad, half_lap, half_bilap, half_dealias_mask);
-# the transforms go through the scipy.fft module attributes.
+# rfftn and irfftn are the package's only calls of a transform (numpy.fft).
 
 
 def rfftn(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Unnormalized forward FFT of a real array onto the half lattice."""
-    return _sfft.rfftn(values)
+    return np.fft.rfftn(values)
 
 
 def irfftn(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of rfftn (carries the 1/n^dim factor): a real array."""
-    return _sfft.irfftn(coeffs, s=grid.shape)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=range(grid.dim))
 
 
 def grad_from_hat(grid: GridSpec, coeffs: np.ndarray) -> list[np.ndarray]:

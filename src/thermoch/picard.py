@@ -253,6 +253,8 @@ class PicardConfig:
         n = round(self.t_end / self.step)
         if n < 2 or abs(n * self.step - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be a multiple of dt covering >= 2 steps")
+        if self.step > 0.5:  # SimConfig's rule: the direct run steps by this dt
+            raise ValueError(f"dt must lie in (0, 0.5], got {self.step}")
 
     @property
     def step(self) -> float:
@@ -373,11 +375,10 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
 
 
 def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) -> float:
-    dt = float(times[1] - times[0])
     cfg = SimConfig(
         grid=phi0.grid,
         params=p,
-        dt=dt,
+        dt=float(times[1] - times[0]),
         t_end=float(times[-1]),
         output_every=times.size - 1,
     )

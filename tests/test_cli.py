@@ -439,6 +439,19 @@ class TestAnalysisCommands:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_picard_clock_that_simulate_rejects_exits_2(self, tmp_path, capsys):
+        # picard-verify ends with a direct run on the [picard] clock: its dt
+        # obeys simulate's rule, checked at load, before any iteration
+        out = tmp_path / "out"
+        text = PICARD.format(out=out).replace("dim = 2", "dim = 1").replace("n = 32", "n = 16")
+        text = text.replace("t_end = 0.01", "t_end = 1.2").replace("dt = 0.0005", "dt = 0.6")
+        cfg = write_config(tmp_path, text)
+        assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: picard: dt must lie in (0, 0.5]")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["check-smallness", "picard-verify"])
     def test_zero_alpha_reports_both_inequalities_violated(self, tmp_path, capsys, command):
         # min(1, alpha, kappa, k_b) = 0: both right-hand sides vanish

@@ -1,9 +1,68 @@
-"""The package's public surface: every name a module exports exists."""
+"""The package's public surface: every name a module exports exists, and
+the program runs on numpy alone."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import thermoch
+
+SRC = str(Path(thermoch.__file__).resolve().parents[1])
+
+# A 2D run of 10 steps, and a 1D fixed-point check of 4 snapshots.
+SIMULATE = """
+[grid]
+dim = 2
+n = 16
+
+[run]
+model = a2
+dt = 0.0002
+t_end = 0.002
+output_every = 5
+
+[init]
+kind = spinodal
+amplitude = 0.001
+seed = 7
+mean = 0.1
+"""
+
+PICARD = """
+[grid]
+dim = 1
+n = 16
+
+[physics]
+theta_bar = 100.0
+
+[run]
+model = a2
+
+[init]
+kind = single_mode
+amplitude = 5e-5
+
+[picard]
+chi = 4e-6
+t_end = 0.003
+n_iter = 4
+dt = 0.001
+"""
+
+
+def run_python(code, cwd) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter on this package, with warnings as errors."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
 
 
 def test_every_name_in_all_exists():
@@ -14,3 +73,33 @@ def test_every_name_in_all_exists():
             exported[f"{info.name}.{attr}"] = hasattr(module, attr)
     missing = [name for name, found in exported.items() if not found]
     assert exported and not missing, missing
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # the transforms are numpy.fft's: scipy's import cost stays out of every run
+    proc = run_python(
+        "import sys, thermoch.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    (tmp_path / "sim.ini").write_text(SIMULATE)
+    (tmp_path / "picard.ini").write_text(PICARD)
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "from thermoch.cli import main\n"
+        "codes = [main(['simulate', '--config', 'sim.ini', '--output', 'sim']),\n"
+        "         main(['picard-verify', '--config', 'picard.ini', '--output', 'picard'])]\n"
+        "sys.exit(max(codes))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "termination: completed" in proc.stdout
+    assert "converged: True" in proc.stdout
+    assert (tmp_path / "sim" / "diagnostics.csv").is_file()
+    assert (tmp_path / "picard" / "picard_report.csv").is_file()

@@ -413,6 +413,12 @@ class TestPicardConfig:
         with pytest.raises(ValueError, match="multiple"):
             PicardConfig(chi=1.0, t_end=1.0, dt=1.0)
 
+    def test_dt_obeys_the_direct_runs_rule(self):
+        # t_end = 1.2 covers two steps of 0.6, but simulate takes dt <= 0.5
+        with pytest.raises(ValueError, match=r"\(0, 0.5\], got 0.6"):
+            PicardConfig(chi=1.0, t_end=1.2, dt=0.6)
+        assert PicardConfig(chi=1.0, t_end=1.0, dt=0.5).times.size == 3
+
     def test_default_time_grid(self):
         cfg = PicardConfig(chi=1.0, t_end=0.5)
         times = cfg.times
