@@ -53,6 +53,12 @@ from .thermo import (
 )
 
 
+def check_dt(dt: float, name: str = "dt") -> None:
+    """The time-step rule of every direct run (SimConfig, PicardConfig)."""
+    if not (0.0 < dt <= 0.5):
+        raise ValueError(f"{name} must lie in (0, 0.5], got {dt}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Marching parameters and the [run] clock rules; the grid and physics are
@@ -65,8 +71,7 @@ class SimConfig:
     output_every: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= 0.5):
-            raise ValueError(f"dt must lie in (0, 0.5], got {self.dt}")
+        check_dt(self.dt)
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
         if self.output_every < 1:

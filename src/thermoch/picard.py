@@ -57,7 +57,15 @@ from .besov import (
     series_energies,
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
-from .model_a2 import SimConfig, _f1_hat, _f2_hat, _heat_operator, _phase_operator, simulate
+from .model_a2 import (
+    SimConfig,
+    _f1_hat,
+    _f2_hat,
+    _heat_operator,
+    _phase_operator,
+    check_dt,
+    simulate,
+)
 from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
@@ -253,8 +261,8 @@ class PicardConfig:
         n = round(self.t_end / self.step)
         if n < 2 or abs(n * self.step - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be a multiple of dt covering >= 2 steps")
-        if self.step > 0.5:  # SimConfig's rule: the direct run steps by this dt
-            raise ValueError(f"dt must lie in (0, 0.5], got {self.step}")
+        # the direct run of picard_iterate steps by this spacing
+        check_dt(self.step, "the snapshot spacing (dt or t_end/100)")
 
     @property
     def step(self) -> float:
@@ -375,10 +383,11 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
 
 
 def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) -> float:
+    dt = float(times[1] - times[0])
     cfg = SimConfig(
         grid=phi0.grid,
         params=p,
-        dt=float(times[1] - times[0]),
+        dt=dt,
         t_end=float(times[-1]),
         output_every=times.size - 1,
     )

@@ -144,16 +144,37 @@ def rebind(monkeypatch, original, replacement) -> None:
                 monkeypatch.setattr(module, key, replacement)
 
 
+NUMPY_TRANSFORMS = (
+    "fft", "ifft", "rfft", "irfft", "hfft", "ihfft",
+    "fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn",
+)  # fmt: skip
+
+
 def count_transforms(monkeypatch) -> list:
     """Make every call of grid.rfftn and grid.irfftn, the program's only
-    transforms, append its name to the returned list.  The oracle's own
+    transforms, append its name to the returned list.  A numpy.fft transform
+    called outside those two appends "numpy.fft.<name>", so a transform that
+    bypasses grid breaks every budget and every name check.  The oracle's own
     c2c transforms (fftn, ifftn_real) are scipy's and are not counted."""
     calls = []
+    depth = [0]  # > 0 while a grid transform runs
     for original in (rfftn, irfftn):
 
         def counted(*args, _name=original.__name__, _original=original, **kwargs):
             calls.append(_name)
-            return _original(*args, **kwargs)
+            depth[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         rebind(monkeypatch, original, counted)
+    for name in NUMPY_TRANSFORMS:
+
+        def bypass(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            if not depth[0]:
+                calls.append(f"numpy.fft.{_name}")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, bypass)
     return calls

@@ -448,7 +448,9 @@ class TestAnalysisCommands:
         cfg = write_config(tmp_path, text)
         assert main(["picard-verify", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: picard: dt must lie in (0, 0.5]")
+        assert err.startswith(
+            "config error: picard: the snapshot spacing (dt or t_end/100) must lie in (0, 0.5]"
+        )
         assert "Traceback" not in err
         assert not out.exists()
 

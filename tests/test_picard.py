@@ -418,6 +418,10 @@ class TestPicardConfig:
         with pytest.raises(ValueError, match=r"\(0, 0.5\], got 0.6"):
             PicardConfig(chi=1.0, t_end=1.2, dt=0.6)
         assert PicardConfig(chi=1.0, t_end=1.0, dt=0.5).times.size == 3
+        # with dt unset the spacing is t_end/100, and the message names it
+        spacing = r"^the snapshot spacing \(dt or t_end/100\) must lie in \(0, 0\.5\], got 0\.6$"
+        with pytest.raises(ValueError, match=spacing):
+            PicardConfig(chi=1.0, t_end=60.0)
 
     def test_default_time_grid(self):
         cfg = PicardConfig(chi=1.0, t_end=0.5)
