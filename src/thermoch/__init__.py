@@ -12,8 +12,7 @@ a-priori estimates) are test oracles, outside the package.
 Modules
 -------
 grid        periodic grids, half-spectrum FFTs, spectral derivatives
-thermo      free-energy functional, chemical potential, entropy production
-model_a1    a1 terms: transported-entropy coupling flux and mixture velocity
+thermo      free energy, chemical potential, dissipation, a1 velocity and coupling
 model_a2    IMEX stepper and simulation driver for the a2, a1 and isothermal models
 picard      exact mode-wise propagators and contraction-mapping verification
 besov       dyadic partition of unity and frequency-block (Besov-type) norms

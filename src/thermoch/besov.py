@@ -252,7 +252,7 @@ def _time_then_blocks(energy: np.ndarray, times, s: float, rho, part: DyadicPart
         agg = dts[0] * np.sum(np.sqrt(energy[:-1]), axis=0)
     elif rho == 2:
         agg = np.sqrt(dts[0] * np.sum(energy[:-1], axis=0))
-    elif rho in (np.inf, math.inf, "inf"):
+    elif rho == math.inf:
         agg = np.sqrt(np.max(energy, axis=0))
     else:
         raise ValueError(f"rho must be 1, 2 or inf, got {rho!r}")

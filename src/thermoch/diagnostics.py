@@ -6,7 +6,7 @@ re-running a simulation reproduces the diagnostics stream byte for byte.
 An audit reads the thermo.StateTerms of its state: model_a2.march builds
 one per state and hands the same terms to the next step, so the audit
 transforms only what no step needs (lap theta and, outside a1, grad theta);
-its production squares the step's force, thermo.dissipative_force.  The
+its production is the step's thermo.dissipation, at the state's rate.  The
 terms start from what the state owns (thermo.ThermoState), so sharing them
 changes no step.
 The central check is a discrete residual of the entropy balance

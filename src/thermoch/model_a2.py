@@ -20,9 +20,10 @@ Gauss-Seidel staggering consistent with the scheme's first-order accuracy.
 
 ModelParams.model selects the variant.  "a2" is the system above (the
 fixed-background model).  "a1" is the same system plus the transport of
-entropy by the mixture velocity: f1 gains the coupling flux and f2 gains
--div(s u), both from model_a1.  "isothermal" freezes theta and takes the
-phase update alone.  imex_step and simulate serve all three.
+entropy by the mixture velocity u: f1 gains the coupling flux and f2 gains
+-div(s u), both stated in thermo (StateTerms.coupling, mixture_velocity).
+"isothermal" freezes theta and takes the phase update alone.  imex_step and
+simulate serve all three.
 
 The forcings and the solve return fresh arrays: they write into no input and
 no StateTerms term.
@@ -41,14 +42,14 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRow, audit
 from .grid import Field, GridSpec, dealias_in_place, div_hat, grad_from_hat, irfftn, rfftn
-from .model_a1 import _require_invertible_entropy_slope, entropy_transport_hat
 from .thermo import (
     ModelParams,
     NumericalError,
     StateTerms,
     ThermoState,
-    _sum_sq,
-    dissipative_force,
+    _require_invertible_entropy_slope,
+    dissipation,
+    mixture_velocity,
     total_energy,
 )
 
@@ -72,6 +73,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_dt(self.dt)
+        if not np.isfinite(self.t_end):  # round() below would fail without naming it
+            raise ValueError(f"t_end must be finite, got {self.t_end}")
         if self.t_end < self.dt:
             raise ValueError("t_end must cover at least one step")
         if self.output_every < 1:
@@ -119,12 +122,11 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     """Spectrum of the explicit heat forcing f2 for the phase rate `rate`,
     whose gradient is grad_rate.
 
-    Four groups: alpha*rate^2; eps*theta grad(rate).grad(phi); the chain-rule
-    bracket -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged
-    temperature rate; and the square of thermo.dissipative_force at this
-    rate, with the grad mu the audit's production shares.  The conduction
-    part of the production cancels against the implicit heat operator and
-    is absent by construction.
+    Three groups: eps*theta grad(rate).grad(phi); the chain-rule bracket
+    -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged temperature
+    rate; and thermo.dissipation at this rate, with the force the audit's
+    production shares.  The conduction part of the production cancels
+    against the implicit heat operator and is absent by construction.
     """
     grid, p = t.grid, t.p
     _, db_dphi, db_dtheta = t.bracket
@@ -136,8 +138,7 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     if t.state.dtheta_dt is not None:  # no temperature rate at t = 0
         out -= db_dtheta * t.state.dtheta_dt.values
     out *= t.theta
-    out += _sum_sq(dissipative_force(t, grad_rate))
-    out += (p.alpha * rate) * rate
+    out += dissipation(t, rate, grad_rate)
     return dealias_in_place(grid, rfftn(grid, out))
 
 
@@ -169,11 +170,12 @@ def imex_step(t: StateTerms, dt: float) -> StateTerms:
     "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
     requires an invertible entropy slope, then adds the coupling flux to f1
     and -div(s u) to f2, with u recomputed from this state
-    (model_a1.entropy_transport_hat).  "isothermal" stops after the phase
-    update and keeps theta.  Every spectrum and derived field of the state
-    is formed once, in t (march audits with the same t), and f1, f2 reach
-    the solves as spectra under the 2/3 rule.  The returned terms start
-    from the grad phi_new that f2's rate gradient was formed of.
+    (thermo.mixture_velocity; zero while the state has no rates).
+    "isothermal" stops after the phase update and keeps theta.  Every
+    spectrum and derived field of the state is formed once, in t (march
+    audits with the same t), and f1, f2 reach the solves as spectra under
+    the 2/3 rule.  The returned terms start from the grad phi_new that f2's
+    rate gradient was formed of.
     """
     grid, p, state = t.grid, t.p, t.state
     a1 = p.model == "a1"
@@ -198,7 +200,7 @@ def imex_step(t: StateTerms, dt: float) -> StateTerms:
     grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
     f2_hat = _f2_hat(t, rate, grad_rate)
     if a1 and state.dphi_dt is not None:
-        f2_hat -= entropy_transport_hat(t)
+        f2_hat -= div_hat(grid, [t.entropy * u for u in mixture_velocity(t)], mask=True)
     new_theta_hat = _implicit_solve(_heat_operator(grid, p), dt, t.theta_hat, f2_hat)
     new_theta = irfftn(grid, new_theta_hat)
     new = ThermoState(

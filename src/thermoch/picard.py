@@ -248,16 +248,12 @@ class PicardConfig:
     dt: float | None = None
 
     def __post_init__(self):
-        if self.chi <= 0.0:
-            raise ValueError("chi must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        for name, value in (("chi", self.chi), ("t_end", self.t_end), ("tol", self.tol),
+                            ("dt", self.step)):
+            if not (value > 0.0 and np.isfinite(value)):  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.n_iter < 2:
             raise ValueError("n_iter must be at least 2")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.step <= 0.0:
-            raise ValueError("dt must be positive")
         n = round(self.t_end / self.step)
         if n < 2 or abs(n * self.step - self.t_end) > 1e-9 * self.t_end:
             raise ValueError("t_end must be a multiple of dt covering >= 2 steps")

@@ -26,8 +26,43 @@ never collapsed to -eps*theta*lap(phi) (the forms differ when grad theta != 0).
 The identities s = -d(psi)/d(theta), mu = the Gateaux derivative of the total
 free energy and the energy rate are checked by centered differences in the
 tests (tests/analysis_oracle.py, which also owns psi), not here.
+
 Every kernel here returns fresh arrays and updates in place only its own
 temporaries, never an input or a StateTerms term.
+
+Both models dissipate |F|^2 + alpha (dphi/dt)^2 (dissipation), F the force
+grad(mu) + alpha grad(dphi/dt), plus s grad(theta)/phi for a1
+(dissipative_force).  Model "a1" adds the transport of entropy by the
+mixture velocity
+
+    u = -(grad(mu) + alpha grad(dphi/dt) + s grad(theta)/phi)/phi,
+
+the a1 force over phi (mixture_velocity).  The phase equation gains the
+coupling flux div(s grad(theta)/phi) (StateTerms.coupling), and the
+temperature equation is the transported entropy balance
+
+    theta d/dt[s] + div(s u) = theta div(kappa grad(theta)/theta) + production.
+
+Every reciprocal of phi is regularized as 1/phi ~ phi/(phi^2 + delta^2),
+delta = ModelParams.reg_delta (StateTerms.recip): odd, smooth, bounded by
+1/(2 delta), and vanishing at phi = 0, which switches the transport off
+exactly where the mixture has no majority phase.  Expanding theta d/dt[s] by
+the chain rule gives the pointwise coefficient theta ds/dtheta = k_b + theta
+dB/dtheta on the temperature rate; the step (model_a2.imex_step) keeps the
+constant k_b part implicit (the same per-mode heat factor as the
+fixed-background model), carries theta dB/dtheta against the lagged rate,
+and aborts if ds/dtheta loses positivity anywhere
+(_require_invertible_entropy_slope), since the expansion is then no longer
+invertible for the rate.  The step recomputes u from the state it starts
+from, and takes it as zero while the state has no rates yet (t = 0, like the
+rate caches).  Its force is the one the audit's production of the state
+squares: the dealiased grad mu (StateTerms.grad_mu) that the heat forcing
+also reads, and the grad(dphi/dt) that the step which produced the state
+formed, (grad phi_new - grad phi)/dt, which the state owns (ThermoState), so
+a run restarted from any recorded state continues bit for bit.  With
+grad(theta_0) = 0 the first a1 step is the fixed-background step exactly, and
+u lags the step by one rate, which is first-order consistent, matching the
+overall scheme order.
 """
 
 from __future__ import annotations
@@ -62,6 +97,8 @@ __all__ = [
     "entropy_density",
     "internal_energy_density",
     "dissipative_force",
+    "dissipation",
+    "mixture_velocity",
     "entropy_production",
     "total_energy",
 ]
@@ -114,20 +151,16 @@ class ModelParams:
     reg_delta: float = 1e-2
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-        if self.theta_bar <= 0.0:
-            raise ValueError("theta_bar must be positive")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
-        if self.k_b <= 0.0:
-            raise ValueError("k_b must be positive")
+        for name in ("eps", "theta_bar", "alpha", "kappa", "k_b", "reg_delta"):
+            value = getattr(self, name)
+            if name in ("alpha", "reg_delta"):
+                ok, rule = value >= 0.0, ">= 0"
+            else:
+                ok, rule = value > 0.0, "positive"
+            if not (ok and np.isfinite(value)):  # NaN fails every comparison
+                raise ValueError(f"{name} must be {rule} and finite, got {value}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.reg_delta < 0.0:
-            raise ValueError("reg_delta must be >= 0")
 
 
 @dataclass
@@ -356,8 +389,7 @@ class StateTerms:
 def dissipative_force(t: StateTerms, grad_rate: list[np.ndarray]) -> list[np.ndarray]:
     """The force t.grad_mu + alpha*grad_rate, plus t.coupling for model "a1",
     for the phase rate whose gradient is grad_rate: the one place it is
-    formed.  The heat forcing (model_a2._f2_hat) and the entropy production
-    square it, and the a1 velocity is -t.recip times it.
+    formed.  dissipation squares it, and the a1 velocity is -t.recip times it.
     """
     force = [gm + t.p.alpha * gr for gm, gr in zip(t.grad_mu, grad_rate)]
     if t.p.model == "a1":
@@ -365,16 +397,49 @@ def dissipative_force(t: StateTerms, grad_rate: list[np.ndarray]) -> list[np.nda
     return force
 
 
+def dissipation(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
+    """|dissipative_force|^2 + alpha*rate^2 for the phase rate `rate`, whose
+    gradient is grad_rate: the one place the dissipation is formed.  The heat
+    forcing (model_a2._f2_hat) takes it at the step's fresh rate, the
+    entropy production at the state's own."""
+    out = _sum_sq(dissipative_force(t, grad_rate))
+    out += (t.p.alpha * rate) * rate
+    return out
+
+
+def mixture_velocity(t: StateTerms) -> list[np.ndarray]:
+    """a1's u = -t.recip times the state's dissipative force at its own
+    grad(dphi/dt), whose coupling is s grad(theta) t.recip.
+
+    Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
+    regularization width p.reg_delta shrinks (checked in the tests at
+    delta = 1e-5).
+    """
+    return [-t.recip * f for f in dissipative_force(t, t.grad_rate)]
+
+
+def _require_invertible_entropy_slope(t: StateTerms):
+    """The a1 chain-rule expansion divides by theta*ds/dtheta; require
+    ds/dtheta > 1e-10 pointwise (the free energy's theta-convexity, checked
+    at runtime)."""
+    ds_dtheta = t.p.k_b / t.theta + t.bracket[2]
+    worst = float(np.min(ds_dtheta))
+    if worst <= 1e-10:
+        loc = first_min_index(ds_dtheta)
+        raise SingularityError(
+            f"entropy slope ds/dtheta = {worst:.6e} at index {loc} is not "
+            "invertible; the transported update cannot be solved for the rate"
+        )
+
+
 def entropy_production(t: StateTerms) -> np.ndarray:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
-    sum of squares.
-
-    |dissipative_force|^2 at the state's own grad(dphi/dt), + alpha*dphi_dt^2
-    + kappa|grad theta|^2/theta; every transform it reads is a term of t.
-    """
-    p, dphi_dt = t.p, t.state.dphi_dt_values()
-    force_sq = _sum_sq(dissipative_force(t, t.grad_rate))
-    return force_sq + p.alpha * dphi_dt**2 + p.kappa * _sum_sq(t.grad_theta) / t.theta
+    sum of squares: the dissipation at the state's own dphi/dt and
+    grad(dphi/dt), + kappa|grad theta|^2/theta.  Every transform it reads is
+    a term of t."""
+    out = dissipation(t, t.state.dphi_dt_values(), t.grad_rate)
+    out += t.p.kappa * _sum_sq(t.grad_theta) / t.theta
+    return out
 
 
 def total_energy(t: StateTerms) -> float:

@@ -329,6 +329,12 @@ class TestCheminLerner:
         with pytest.raises(ValueError, match="rho"):
             chemin_lerner_norm([f, f], [0.0, 0.1], 1.0, 3, PART)
 
+    def test_rho_inf_is_the_float_not_the_string(self):
+        f = Field(GRID, np.zeros(GRID.shape))
+        assert chemin_lerner_norm([f, f], [0.0, 0.1], 1.0, math.inf, PART) == 0.0
+        with pytest.raises(ValueError, match=r"^rho must be 1, 2 or inf, got 'inf'$"):
+            chemin_lerner_norm([f, f], [0.0, 0.1], 1.0, "inf", PART)
+
 
 class TestSmallness:
     def test_boundary_equality_not_satisfied(self):

@@ -133,7 +133,7 @@ class TestLoadConfig:
         assert cfg.theta_init.kind == "constant"
         assert cfg.picard is None
 
-    def test_model_a1_maps_to_params(self):
+    def test_a1_model_maps_to_params(self):
         cfg = loads_config(
             MINIMAL.replace("model = a2", "model = a1")
             + "\n[physics]\nreg_delta = 0.05\n"

@@ -18,9 +18,14 @@ from thermoch.grid import (
     laplacian_array,
     mean,
 )
-from thermoch.model_a1 import _velocity
 from thermoch.model_a2 import SimConfig, imex_step, simulate
-from thermoch.thermo import ModelParams, SingularityError, StateTerms, ThermoState
+from thermoch.thermo import (
+    ModelParams,
+    SingularityError,
+    StateTerms,
+    ThermoState,
+    mixture_velocity,
+)
 
 GRID = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
@@ -40,7 +45,7 @@ def coupling_flux(s, p):
 
 def velocity(s, p):
     """The mixture velocity the a1 step transports the entropy with, from the state's mu."""
-    return _velocity(StateTerms(s, p))
+    return mixture_velocity(StateTerms(s, p))
 
 
 class TestCouplingFlux:

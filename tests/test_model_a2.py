@@ -10,7 +10,7 @@ import pytest
 
 from analysis_oracle import chemical_potential
 from collect import collect
-from spectral_oracle import band_limited, count_transforms, dealias, k_squared
+from spectral_oracle import band_limited, count_transforms, dealias, k_squared, rebind
 from thermoch import model_a2
 from thermoch.diagnostics import audit
 from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, rfftn
@@ -35,6 +35,7 @@ from thermoch.thermo import (
     _bracket_b,
     _regularized_recip,
     bulk_potential,
+    dissipation,
     total_energy,
 )
 
@@ -91,6 +92,11 @@ class TestSimConfig:
             SimConfig(grid=GRID2, params=p, dt=0.1, t_end=1.0, output_every=0)
         cfg = SimConfig(grid=GRID2, params=p, dt=0.1, t_end=1.0)
         assert cfg.n_steps == 10
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_named(self, t_end):
+        with pytest.raises(ValueError, match=f"^t_end must be finite, got {t_end}$"):
+            SimConfig(grid=GRID2, params=params(), dt=0.1, t_end=t_end)
 
 
 class TestRhsF1:
@@ -784,6 +790,25 @@ class TestSharedTerms:
         assert traj.termination == "completed" and len(traj.diagnostics) == n + 1
         assert 0 < len(calls) <= 19 * n
         assert set(calls) <= {"rfftn", "irfftn"}
+
+    @pytest.mark.parametrize("model", ["a2", "a1"])
+    def test_dissipation_formed_once_per_step_and_per_audit(self, monkeypatch, model):
+        # the heat forcing and the audit's production share thermo.dissipation
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dissipation(*args, **kwargs)
+
+        rebind(monkeypatch, dissipation, counted)
+        p = params(model=model)
+        terms = imex_step(StateTerms(smooth_state(GRID2, 13), p), 1e-4)  # the a1 velocity is live
+        calls.clear()
+        new = imex_step(terms, 1e-4)
+        assert len(calls) == 1
+        calls.clear()
+        audit(new, 1e-4, prev_entropy=terms.entropy, e_ref=total_energy(terms))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("output_every", [1, 5])
     def test_one_state_built_per_step(self, monkeypatch, output_every):

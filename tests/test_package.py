@@ -75,6 +75,14 @@ def test_every_name_in_all_exists():
     assert exported and not missing, missing
 
 
+def test_module_table_lists_every_module():
+    # a module added or deleted cannot leave a stale row in the package docstring
+    table = thermoch.__doc__.split("Modules\n-------\n", 1)[1]
+    listed = [line.split()[0] for line in table.splitlines() if line.strip()]
+    found = [info.name for info in pkgutil.iter_modules(thermoch.__path__)]
+    assert sorted(listed) == sorted(found)
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # the transforms are numpy.fft's: scipy's import cost stays out of every run
     proc = run_python(

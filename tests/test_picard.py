@@ -413,6 +413,14 @@ class TestPicardConfig:
         with pytest.raises(ValueError, match="multiple"):
             PicardConfig(chi=1.0, t_end=1.0, dt=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["chi", "t_end", "tol", "dt"])
+    def test_non_finite_value_named(self, name, value):
+        # a NaN chi puts no iterate in the ball, a NaN tol never converges
+        kwargs = dict(chi=1.0, t_end=1.0, dt=0.01) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            PicardConfig(**kwargs)
+
     def test_dt_obeys_the_direct_runs_rule(self):
         # t_end = 1.2 covers two steps of 0.6, but simulate takes dt <= 0.5
         with pytest.raises(ValueError, match=r"\(0, 0.5\], got 0.6"):

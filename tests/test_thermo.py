@@ -11,7 +11,6 @@ from analysis_oracle import (
 from spectral_oracle import band_limited, count_transforms, fftn, ifftn_real, k_squared
 from thermoch import thermo
 from thermoch.grid import Field, GridSpec, grad_arrays, grad_from_hat
-from thermoch.model_a1 import _velocity
 from thermoch.thermo import (
     ModelParams,
     NonFiniteError,
@@ -24,6 +23,7 @@ from thermoch.thermo import (
     entropy_density,
     entropy_production,
     internal_energy_density,
+    mixture_velocity,
     total_energy,
 )
 
@@ -55,6 +55,13 @@ class TestModelParams:
     def test_negative_reg_delta_rejected(self):
         with pytest.raises(ValueError, match="reg_delta"):
             params(reg_delta=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["eps", "theta_bar", "alpha", "kappa", "k_b", "reg_delta"])
+    def test_non_finite_value_rejected_by_name(self, name, value):
+        # NaN passes every `<= 0` test, so each check must ask for finiteness
+        with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got {value}$"):
+            params(**{name: value})
 
 
 class TestBulkPotential:
@@ -301,7 +308,7 @@ class TestEntropyProduction:
         )
         got = entropy_production(StateTerms(st, p))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(want))
-        for u, f in zip(_velocity(StateTerms(st, p)), force):
+        for u, f in zip(mixture_velocity(StateTerms(st, p)), force):
             np.testing.assert_allclose(u, -recip * f, rtol=1e-12, atol=1e-12 * np.max(np.abs(f)))
 
     def test_a1_singularity_guard(self):
