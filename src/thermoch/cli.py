@@ -8,7 +8,6 @@ Subcommands:
   check-smallness  evaluate both admissibility inequalities on the initial data
   picard-verify    run the fixed-point iteration and report contraction ratios
   besov-norm       print the per-block norm table for a stored field
-  demo-caginalp    print the energy-drift demonstration for the classic model
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (positivity loss, singularity, non-finite state or audit row, early
@@ -30,7 +29,7 @@ from pathlib import Path
 from . import fieldio
 from .besov import besov_norm, build_partition, check_smallness
 from .config import ConfigError, RunConfig, generate_initial, load_config, with_seed
-from .diagnostics import CSV_HEADER, caginalp_demo
+from .diagnostics import CSV_HEADER
 from .fieldio import FieldIOError
 from .model_a2 import simulate
 from .picard import picard_iterate
@@ -81,11 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     besov.add_argument("--field", required=True, help="path to a .bin field file")
     besov.add_argument("--s", type=_finite, default=1.0, help="regularity index (default 1.0)")
     besov.set_defaults(handler=_cmd_besov_norm)
-
-    demo = sub.add_parser(
-        "demo-caginalp", help="energy-drift demonstration for the classic model"
-    )
-    demo.set_defaults(handler=_cmd_demo)
     return parser
 
 
@@ -197,11 +191,6 @@ def _cmd_besov_norm(args) -> int:
     field = fieldio.read_field(args.field)
     part = build_partition(field.grid)
     print(besov_norm(field, args.s, part).to_text())
-    return EXIT_OK
-
-
-def _cmd_demo(args) -> int:
-    print(caginalp_demo())
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, mean, rfftn
+from .grid import Field, irfftn, l2_norm, mean
 from .thermo import NonFiniteError, StateTerms, _sum_sq, entropy_production, total_energy
 
 CSV_HEADER = (
@@ -125,70 +125,3 @@ def audit(
         if value is not None and not np.isfinite(value):
             raise NonFiniteError(f"{name} must be finite, got {value}")
     return row
-
-
-# --------------------------------------------------------------------------
-# classic two-field phase model demo (not a gated test)
-
-
-def caginalp_demo(
-    n: int = 64,
-    steps: int = 400,
-    dt: float = 1e-3,
-    seed: int = 7,
-    sample_every: int = 80,
-) -> str:
-    """Demonstrate that the classic coupled phase/heat model drifts in energy.
-
-    The demo evolves the two-field system
-
-        tau dphi/dt = xi^2 lap( (phi^3 - phi)/(2a) - 2 theta - xi^2 lap(phi) )
-        dtheta/dt + (l/2) dphi/dt = k lap(theta)
-
-    whose candidate conserved density e = W + theta*s collapses to the
-    interface energy xi^2 |grad phi|^2 / 2 + (phi^2-1)^2 / (8a).  That density
-    is dissipated, not conserved, so its space integral visibly decays — in
-    contrast to the coupled model integrated by this package, whose total
-    energy drift vanishes with the step size.  The stiffest operator is kept
-    implicit; the mobility sign is chosen so the fourth-order term damps
-    (the conserved-order-parameter reading of the model).
-    """
-    tau, xi, a_well, latent, conduct = 1.0, 1.0, 0.5, 1.0, 1.0
-    grid = GridSpec(dim=2, n=n, box_len=2.0 * np.pi)
-    rng = np.random.default_rng(seed)
-    phi = 0.5 * rng.uniform(-1.0, 1.0, grid.shape)
-    phi -= phi.mean()
-    theta = np.zeros(grid.shape)
-
-    def interface_energy(phi_vals: np.ndarray) -> float:
-        grads = grad_arrays(grid, phi_vals)
-        density = 0.5 * xi**2 * sum(g * g for g in grads)
-        density += (phi_vals**2 - 1.0) ** 2 / (8.0 * a_well)
-        return float(np.sum(density) * (grid.box_len / grid.n) ** grid.dim)
-
-    k2 = -grid.half_lap
-    phi_denom = 1.0 + dt * xi**4 * k2**2 / tau
-    theta_denom = 1.0 + dt * conduct * k2
-
-    lines = [
-        "classic coupled phase/heat model: candidate energy e = W + theta*s",
-        "step        t     total_e     rel_drift",
-    ]
-    e0 = interface_energy(phi)
-    lines.append(f"{0:>4} {0.0:>8.4f} {e0:>11.6f} {0.0:>13.3e}")
-    for j in range(1, steps + 1):
-        bulk = (phi**3 - phi) / (2.0 * a_well) - 2.0 * theta
-        f_hat = -xi**2 * k2 * rfftn(grid, bulk)
-        phi_hat_new = (rfftn(grid, phi) + dt * f_hat / tau) / phi_denom
-        phi_new = irfftn(grid, phi_hat_new)
-        dphi_dt = (phi_new - phi) / dt
-        theta_hat = (rfftn(grid, theta - dt * 0.5 * latent * dphi_dt)) / theta_denom
-        theta = irfftn(grid, theta_hat)
-        phi = phi_new
-        if j % sample_every == 0 or j == steps:
-            e = interface_energy(phi)
-            lines.append(
-                f"{j:>4} {j * dt:>8.4f} {e:>11.6f} {abs(e - e0) / abs(e0):>13.3e}"
-            )
-    lines.append("the drift is O(1): this system does not conserve e.")
-    return "\n".join(lines)

@@ -475,20 +475,12 @@ class TestAnalysisCommands:
             assert code == EXIT_IO
             assert str(path) in capsys.readouterr().err
 
-    def test_demo_caginalp_prints_drift_table(self, capsys):
-        assert main(["demo-caginalp"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "rel_drift" in out
-        # the classic model's candidate energy visibly decays
-        rows = out.splitlines()[2:-1]
-        first, last = (float(rows[0].split()[2]), float(rows[-1].split()[2]))
-        assert last < 0.5 * first
-
 
 class TestParser:
-    def test_unknown_subcommand_is_a_usage_error(self):
+    @pytest.mark.parametrize("command", ["frobnicate", "demo-caginalp"])
+    def test_unknown_subcommand_is_a_usage_error(self, command):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
+            main([command])
         assert exc.value.code == 2
 
     def test_config_flag_is_required(self):

@@ -1,4 +1,4 @@
-"""Snapshot audits, the isothermal interface energy, and the energy-drift demo."""
+"""Snapshot audits and the isothermal interface energy."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from analysis_oracle import ginzburg_landau_energy
 from collect import collect
 from spectral_oracle import band_limited
-from thermoch.diagnostics import CSV_HEADER, audit, caginalp_demo
+from thermoch.diagnostics import CSV_HEADER, audit
 from thermoch.grid import Field, GridSpec, mean
 from thermoch.model_a2 import SimConfig, simulate
 from thermoch.thermo import ModelParams, StateTerms, ThermoState, total_energy
@@ -112,19 +112,3 @@ class TestIsothermalCheck:
         # W(0, theta_bar) = 1/4, no gradient part
         expected = 0.25 / (p.eps * p.theta_bar) * GRID.box_len**2
         assert ginzburg_landau_energy(phi, p) == pytest.approx(expected, rel=1e-12)
-
-
-class TestCaginalpDemo:
-    def test_energy_visibly_drifts(self):
-        text = caginalp_demo(n=32, steps=200, dt=1e-3, sample_every=100)
-        assert "does not conserve" in text
-        last_data = [
-            ln for ln in text.splitlines() if ln.strip() and ln.strip()[0].isdigit()
-        ][-1]
-        drift = float(last_data.split()[-1])
-        assert drift > 1e-3
-
-    def test_deterministic(self):
-        a = caginalp_demo(n=32, steps=50, dt=1e-3, sample_every=25)
-        b = caginalp_demo(n=32, steps=50, dt=1e-3, sample_every=25)
-        assert a == b

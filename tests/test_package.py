@@ -1,16 +1,24 @@
-"""The package's public surface: every name a module exports exists, and
-the program runs on numpy alone."""
+"""The package's public surface: every name a module exports exists, every
+list of the CLI's subcommands names the same ones, and the program runs on
+numpy alone."""
 
+import argparse
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import thermoch
+from thermoch import cli, fieldio
+from thermoch.grid import Field, GridSpec
 
 SRC = str(Path(thermoch.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # A 2D run of 10 steps, and a 1D fixed-point check of 4 snapshots.
 SIMULATE = """
@@ -83,6 +91,20 @@ def test_module_table_lists_every_module():
     assert sorted(listed) == sorted(found)
 
 
+def test_subcommand_lists_name_the_parsers_commands():
+    # a subcommand added or deleted cannot leave a stale row in the README
+    # table or in the cli docstring
+    section = README.read_text().split("### Subcommands\n\n", 1)[1].split("\n\n", 1)[0]
+    in_readme = re.findall(r"^\| ``([\w-]+)`` \|", section, flags=re.MULTILINE)
+    listing = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    in_docstring = re.findall(r"^  (\S+)", listing, flags=re.MULTILINE)
+    (action,) = (
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    in_parser = list(action.choices)
+    assert in_parser and in_readme == in_parser and in_docstring == in_parser
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # the transforms are numpy.fft's: scipy's import cost stays out of every run
     proc = run_python(
@@ -95,19 +117,26 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_commands_run_with_scipy_blocked(tmp_path):
+    # every subcommand, each once
     (tmp_path / "sim.ini").write_text(SIMULATE)
     (tmp_path / "picard.ini").write_text(PICARD)
+    grid = GridSpec(dim=1, n=16, box_len=2 * np.pi)
+    fieldio.write_field(tmp_path / "mode.bin", Field(grid, np.cos(3 * grid.axes[0])))
     proc = run_python(
         "import sys\n"
         "sys.modules['scipy'] = None  # any import of scipy now fails\n"
         "from thermoch.cli import main\n"
         "codes = [main(['simulate', '--config', 'sim.ini', '--output', 'sim']),\n"
-        "         main(['picard-verify', '--config', 'picard.ini', '--output', 'picard'])]\n"
+        "         main(['check-smallness', '--config', 'sim.ini', '--output', 'small']),\n"
+        "         main(['picard-verify', '--config', 'picard.ini', '--output', 'picard']),\n"
+        "         main(['besov-norm', '--field', 'mode.bin'])]\n"
         "sys.exit(max(codes))",
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert "termination: completed" in proc.stdout
     assert "converged: True" in proc.stdout
+    assert "torus dyadic norm, s = 1" in proc.stdout
     assert (tmp_path / "sim" / "diagnostics.csv").is_file()
+    assert (tmp_path / "small" / "smallness_report.txt").is_file()
     assert (tmp_path / "picard" / "picard_report.csv").is_file()
