@@ -14,6 +14,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 termination, fixed-point divergence; a run's error names its step, a
 state's its field, grid index and value), 4 I/O error (held lock,
 unreadable files).  A sentinel lock guards the output directory.
+
+The CLI runs in one thread: thermoch calls no BLAS routine, so it sets
+OPENBLAS_NUM_THREADS=1 unless the environment already sets it; importing
+thermoch modules as a library changes nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# OpenBLAS starts a spinning worker per extra core when numpy loads, and
+# thermoch calls no BLAS routine.  This must run before numpy's import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import fieldio
 from .besov import besov_norm, build_partition, check_smallness

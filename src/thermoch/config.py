@@ -221,7 +221,11 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return loads_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {path} (byte {exc.start})") from None
+    return loads_config(text)
 
 
 # --------------------------------------------------------------------------

@@ -233,6 +233,17 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "not found" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(GENTLE.format(out=out).encode() + b"\xff\n")
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert str(cfg) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_from_file_missing_field_exits_4(self, tmp_path, capsys):
         # a missing file, then malformed ones: an invalid header grid, a NaN payload
         paths = [tmp_path / "ghost.bin", *malformed_field_files(tmp_path).values()]

@@ -265,6 +265,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
 
+    def test_non_utf8_file_error_names_it(self, tmp_path):
+        # read as UTF-8 whatever the locale; a bad byte names the file and its offset
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"# \xff\n" + MINIMAL.encode())
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"config file is not UTF-8: {path} (byte 2)"
+
     def test_load_from_disk(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(MINIMAL)

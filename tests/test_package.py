@@ -1,6 +1,6 @@
 """The package's public surface: every name a module exports exists, every
 list of the CLI's subcommands names the same ones, and the program runs on
-numpy alone."""
+numpy alone, in one thread."""
 
 import argparse
 import importlib
@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import thermoch
 from thermoch import cli, fieldio
@@ -62,14 +63,15 @@ dt = 0.001
 """
 
 
-def run_python(code, cwd) -> subprocess.CompletedProcess:
-    """code in a fresh interpreter on this package, with warnings as errors."""
+def run_python(code, cwd, env=None) -> subprocess.CompletedProcess:
+    """code in a fresh interpreter on this package, with warnings as errors;
+    env (default os.environ) is the child's environment."""
     return subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=dict(os.environ if env is None else env, PYTHONPATH=SRC),
     )
 
 
@@ -114,6 +116,41 @@ def test_cli_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    # the CLI's thread setting must come before numpy's import, so the
+    # package itself imports nothing
+    proc = run_python("import sys, thermoch\nprint('numpy' in sys.modules)", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_runs_one_thread(tmp_path):
+    # thermoch calls no BLAS routine, so OpenBLAS starts no worker pool.
+    # Without the setting this reads 2 or more on a machine with 2 or more
+    # CPUs; with 1 CPU OpenBLAS starts no worker, and the test cannot fail.
+    # The suite's own import of thermoch.cli has set the variable: drop it.
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    proc = run_python(
+        "import os, thermoch.cli\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])",
+        tmp_path,
+        env={key: value for key, value in os.environ.items() if key not in names},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_cli_import_keeps_the_users_blas_threads(tmp_path):
+    proc = run_python(
+        "import os, thermoch.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])",
+        tmp_path,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="3"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "3"
 
 
 def test_commands_run_with_scipy_blocked(tmp_path):
