@@ -233,10 +233,9 @@ class BesovReport:
 def besov_norm(f: Field, s: float, part: DyadicPartition) -> BesovReport:
     if f.grid != part.grid:
         raise ValueError("a field lives on a different grid")
-    block = np.sqrt(block_energies(rfftn(part.grid, f.values), part))
-    weighted = [
-        (q, float(2.0 ** (q * s) * block[i])) for i, q in enumerate(part.qs)
-    ]
+    # Python floats: a product beyond the double range is inf, with no numpy warning
+    block = np.sqrt(block_energies(rfftn(part.grid, f.values), part)).tolist()
+    weighted = [(q, 2.0 ** (q * s) * b) for q, b in zip(part.qs, block)]
     return BesovReport(s=s, per_block=weighted, total=float(sum(v for _, v in weighted)))
 
 

@@ -9,7 +9,7 @@ Subcommands:
   picard-verify    run the fixed-point iteration and report contraction ratios
   besov-norm       print the per-block norm table for a stored field
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 (positivity loss, singularity, non-finite state or audit row, early
 termination, fixed-point divergence; a run's error names its step, a
 state's its field, grid index and value), 4 I/O error (held lock,
@@ -198,6 +198,8 @@ def _cmd_picard_verify(args) -> int:
 def _cmd_besov_norm(args) -> int:
     field = fieldio.read_field(args.field)
     part = build_partition(field.grid)
+    if (q_top := max(part.qs, key=lambda q: q * args.s)) * args.s >= sys.float_info.max_exp:
+        raise ConfigError(f"--s {args.s:g}: the weight 2^(q s) of block q = {q_top} overflows")
     print(besov_norm(field, args.s, part).to_text())
     return EXIT_OK
 

@@ -136,6 +136,12 @@ class TestBesovNorm:
         assert rep.total == pytest.approx(sum(v for _, v in rep.per_block), rel=1e-14)
         assert all(v >= 0.0 for _, v in rep.per_block)
 
+    def test_weighted_block_beyond_double_range_is_inf_without_warning(self):
+        # 2^(5 s) is finite just below s = 1024/5; times a block norm above 1 it is not
+        rep = besov_norm(random_field(GRID, np.random.default_rng(21), amp=1e3), 204.7, PART)
+        assert rep.per_block[-1] == (5, math.inf)
+        assert rep.total == math.inf
+
 
 def full_lattice_blocks(grid, part, values, multiplier=None):
     """Oracle: block L2 norms from np.fft.fftn and the full-lattice symbols."""

@@ -434,6 +434,19 @@ class TestAnalysisCommands:
         assert exc.value.code == 2
         assert f"argument --s: expected a finite number, got '{s}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s, q", [("300", 4), ("2000", 4), ("-2000", -1)])
+    def test_besov_norm_overflowing_weight_is_a_usage_error(self, tmp_path, capsys, s, q):
+        # 16^3 has blocks q = -1 .. 4: 2^(q s) passes the double range at q s = 1024
+        grid = GridSpec(dim=3, n=16, box_len=2.0 * math.pi)
+        path = tmp_path / "f.bin"
+        fieldio.write_field(path, Field(grid, np.random.default_rng(6).normal(size=grid.shape)))
+        assert main(["besov-norm", "--field", str(path), f"--s={s}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: --s {s}: the weight 2^(q s) of block q = {q} overflows\n"
+        )
+
     @pytest.mark.parametrize("command", ["check-smallness", "picard-verify"])
     @pytest.mark.parametrize(
         "clock",

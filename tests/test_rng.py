@@ -1,9 +1,23 @@
-"""Documented-generator stream: frozen words, doubles, field fills."""
+"""Documented-generator stream: frozen words, doubles, field fills, and the
+lane fill's bit identity with the scalar algorithm (tests/rng_oracle.py)."""
+
+import functools
+import hashlib
 
 import numpy as np
 import pytest
 
+from rng_oracle import ScalarXoshiro256StarStar
 from thermoch.rng import Xoshiro256StarStar, _splitmix64_words
+
+ORACLE_SEEDS = [0, 1, 7, 2**64 - 1]
+ORACLE_COUNTS = [0, 1, 2, 3, 15, 16, 17, 4095, 4096, 16384, 16385]
+
+
+@functools.cache
+def oracle_doubles(seed: int) -> np.ndarray:
+    """The first max(ORACLE_COUNTS) doubles of the scalar stream."""
+    return np.array(ScalarXoshiro256StarStar(seed).doubles(max(ORACLE_COUNTS)))
 
 
 class TestSplitmix64:
@@ -30,13 +44,15 @@ class TestXoshiroCore:
         #   out2 = rotl(262149*5, 7)*9 = 1310745*128*9 = 1509978240
         # matching the published reference sequence for this algorithm
         gen = Xoshiro256StarStar(0)
-        gen._s = [1, 2, 3, 4]
-        assert [gen.next_u64() for _ in range(3)] == [11520, 0, 1509978240]
+        gen._s = np.array([1, 2, 3, 4], dtype=np.uint64)
+        assert gen._u64s(3).tolist() == [11520, 0, 1509978240]
+        oracle = ScalarXoshiro256StarStar(state=[1, 2, 3, 4])
+        assert [oracle.next_u64() for _ in range(3)] == [11520, 0, 1509978240]
 
     def test_first_double_from_unit_state_takes_top_53_bits(self):
         gen = Xoshiro256StarStar(0)
-        gen._s = [1, 2, 3, 4]
-        assert gen.next_double() == (11520 >> 11) * 2.0**-53
+        gen._s = np.array([1, 2, 3, 4], dtype=np.uint64)
+        assert gen.doubles(1).tolist() == [(11520 >> 11) * 2.0**-53]
 
     def test_seed_validation(self):
         with pytest.raises(ValueError, match="64-bit"):
@@ -73,3 +89,60 @@ class TestStreams:
         flat = Xoshiro256StarStar(5).doubles(12)
         grid = Xoshiro256StarStar(5).uniform_symmetric(1.0, (3, 4))
         assert np.allclose(grid.ravel(order="C"), 2.0 * flat - 1.0)
+
+
+class TestLaneFillMatchesOracle:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("count", ORACLE_COUNTS)
+    def test_fill_is_bit_identical(self, seed, count):
+        fill = Xoshiro256StarStar(seed).doubles(count)
+        assert fill.shape == (count,)
+        assert fill.dtype == np.float64
+        assert fill.tobytes() == oracle_doubles(seed)[:count].tobytes()
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_raw_outputs_are_bit_identical(self, seed):
+        oracle = ScalarXoshiro256StarStar(seed)
+        assert Xoshiro256StarStar(seed)._u64s(4097).tolist() == [
+            oracle.next_u64() for _ in range(4097)
+        ]
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("a, b", [(0, 17), (1, 1), (3, 4096), (16, 15), (4095, 16385 - 4095)])
+    def test_one_instance_is_one_stream(self, seed, a, b):
+        gen = Xoshiro256StarStar(seed)
+        first, second = gen.doubles(a), gen.doubles(b)
+        whole = Xoshiro256StarStar(seed).doubles(a + b)
+        assert np.concatenate([first, second]).tobytes() == whole.tobytes()
+        assert whole.tobytes() == oracle_doubles(seed)[: a + b].tobytes()
+
+    @pytest.mark.parametrize(
+        "seed, amplitude, shape, digest",
+        [
+            (1, 1e-3, (128, 128), "ee806407ac7ea83f"),
+            (7, 1e-3, (64, 64), "43aa8ad402138a81"),
+            (20261017, 1e-3, (128, 128), "d143f8d019c4d04e"),
+            (2**64 - 1, 1.0, (16, 16, 16), "92182393738bbc8e"),
+        ],
+    )
+    def test_uniform_symmetric_fields_are_pinned(self, seed, amplitude, shape, digest):
+        # sha256 prefixes of fields drawn by the scalar generator
+        vals = Xoshiro256StarStar(seed).uniform_symmetric(amplitude, shape)
+        assert hashlib.sha256(vals.astype("<f8").tobytes()).hexdigest()[:16] == digest
+
+
+class TestSizeValidation:
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count must be non-negative, got -3"):
+            Xoshiro256StarStar(1).doubles(-3)
+
+    @pytest.mark.parametrize("shape", [(-1, 4), (4, -1), (-2, -2)])
+    def test_negative_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape must have non-negative sizes") as exc:
+            Xoshiro256StarStar(1).uniform_symmetric(1.0, shape)
+        assert str(shape) in str(exc.value)
+
+    def test_empty_shape_gives_empty_field_and_keeps_the_stream(self):
+        gen = Xoshiro256StarStar(1)
+        assert gen.uniform_symmetric(1.0, (0, 4)).shape == (0, 4)
+        assert gen.doubles(5).tobytes() == oracle_doubles(1)[:5].tobytes()
