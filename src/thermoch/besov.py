@@ -35,10 +35,10 @@ gathered product and one np.add.reduceat over the block starts.
 SeriesEnergies is the one contraction: an accumulator that takes a series
 one snapshot at a time, forms |f_hat|^2 (and, when asked, that of the
 backward-difference rate) and contracts it, so no (n_times, ...) stack of
-rates, powers, bins or weighted products is ever formed.  A caller that
-produces the snapshots one by one, as the Picard map does, feeds them as it
-writes them; series_energies feeds a stack or any other iterable of
-snapshots, and block_energies is its case with one weight.  The symbols are
+rates, powers, bins or weighted products is ever formed.  Every caller
+feeds it spectra directly, the Picard map as it writes them; the smallness
+check weights |phi0_hat|^2 by |k|^4 (half_bilap) for lap phi0.  Energies
+beyond the double range are inf, with no numpy warning.  The symbols are
 sampled on the half lattice too; being radial, they take the same value on
 a point and its conjugate partner.
 """
@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, GridSpec, laplacian_array, rfftn
+from .grid import Field, GridSpec, rfftn
 from .thermo import ModelParams
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
     "SmallnessReport",
     "build_partition",
     "SeriesEnergies",
-    "series_energies",
-    "block_energies",
     "besov_norm",
     "check_smallness",
 ]
@@ -141,7 +139,7 @@ class SeriesEnergies:
     snapshot, a half spectrum, and copies what it keeps, so a caller may
     hand it one buffer rewritten between calls.  energies, of shape
     (len(weights) + len(rate_weights), n_times, n_blocks), holds the
-    series' rows first.
+    series' rows first; it is read once all n_times snapshots are in.
 
     The snapshot goes to one of two half-lattice buffers, and the rate
     overwrites the last snapshot once it is read.  Each |.|^2 is contracted
@@ -164,22 +162,28 @@ class SeriesEnergies:
         self._weights = np.stack([on_rings(w) for w in (*weights, *rate_weights)])
         self._plain = slice(0, len(weights))
         self._rates = slice(len(weights), None)
-        self.energies = np.zeros((len(self._weights), n_times, len(part.symbols)))
+        self._energies = np.zeros((len(self._weights), n_times, len(part.symbols)))
         self._rows = np.empty((2, math.prod(self._shape)), dtype=complex)  # this and the last
         self._inv_dt = 1.0 / np.diff(np.asarray(times, float)) if rate_weights else None
         self._t = 0
+
+    @property
+    def energies(self) -> np.ndarray:
+        if self._t != (n := self._energies.shape[1]):
+            raise ValueError(f"the series has {self._t} snapshots, not {n}")
+        return self._energies
 
     def _contract(self, values, rows):
         power = np.abs(values)
         products = np.square(power, out=power)[self._point] * self._weights[rows]
         blocks = np.add.reduceat(products, self._starts, axis=1)
-        self.energies[rows, self._t, self._blocks] = blocks
+        self._energies[rows, self._t, self._blocks] = blocks
 
     def add(self, hat: np.ndarray) -> None:
         t = self._t
         if hat.shape != self._shape:
             raise ValueError(f"a spectrum of shape {hat.shape} does not fit {self._shape}")
-        if t == self.energies.shape[1]:
+        if t == self._energies.shape[1]:
             raise ValueError(f"the series has more than {t} snapshots")
         row, last = self._rows[t % 2], self._rows[(t - 1) % 2]
         np.copyto(row, hat.reshape(row.shape))
@@ -189,29 +193,6 @@ class SeriesEnergies:
             rate *= self._inv_dt[t - 1]
             self._contract(rate, self._rates)
         self._t = t + 1
-
-
-def series_energies(hats, part: DyadicPartition, weights, rate_weights=(), times=None):
-    """SeriesEnergies of a series of half spectra fed one snapshot at a
-    time: a stack of shape (n, *half_shape) or, when times are given, any
-    iterable of exactly times.size snapshots.  Returns the energies, shape
-    (len(weights) + len(rate_weights), n, n_blocks)."""
-    n = len(hats) if times is None else len(times)
-    acc = SeriesEnergies(part, n, weights, rate_weights, times)
-    for hat in hats:
-        acc.add(hat)
-    if acc._t != n:
-        raise ValueError(f"the series has {acc._t} snapshots, not {n}")
-    return acc.energies
-
-
-def block_energies(hats: np.ndarray, part: DyadicPartition, weight=None) -> np.ndarray:
-    """Squared L2 norms of every dyadic block: series_energies under the one
-    operator weight (or none).  hats holds half spectra, shape (...,
-    *half_shape); returns (..., n_blocks)."""
-    lead = hats.shape[: hats.ndim - part.grid.dim]
-    (out,) = series_energies(hats.reshape(-1, *part.grid.half_shape), part, (weight,))
-    return out.reshape(lead + (len(part.symbols),))
 
 
 @dataclass
@@ -233,8 +214,16 @@ class BesovReport:
 def besov_norm(f: Field, s: float, part: DyadicPartition) -> BesovReport:
     if f.grid != part.grid:
         raise ValueError("a field lives on a different grid")
+    with np.errstate(all="ignore"):  # a block beyond the double range is inf
+        return _besov(rfftn(part.grid, f.values), s, part)
+
+
+def _besov(hat: np.ndarray, s: float, part: DyadicPartition, weight=None) -> BesovReport:
+    """besov_norm of the half spectrum hat under an operator weight, or none."""
+    acc = SeriesEnergies(part, 1, (weight,))
+    acc.add(hat)
     # Python floats: a product beyond the double range is inf, with no numpy warning
-    block = np.sqrt(block_energies(rfftn(part.grid, f.values), part)).tolist()
+    block = np.sqrt(acc.energies[0, 0]).tolist()
     weighted = [(q, 2.0 ** (q * s) * b) for q, b in zip(part.qs, block)]
     return BesovReport(s=s, per_block=weighted, total=float(sum(v for _, v in weighted)))
 
@@ -324,28 +313,28 @@ def check_smallness(
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
     g = phi0.grid
+    if part.grid != g or theta0.grid != g:
+        raise ValueError("a field lives on a different grid")
     s = g.dim / 2.0
     m_min = min(1.0, p.alpha, p.kappa, p.k_b)
 
-    lap_phi0 = Field(g, laplacian_array(g, phi0.values))
-    phi0_norm = besov_norm(phi0, s, part).total
-    lhs1 = p.eps * besov_norm(lap_phi0, s, part).total + (1.0 / p.theta_bar) * max(
-        1.0, 1.0 / p.eps
-    ) * (1.0 + phi0_norm) ** 4
+    with np.errstate(all="ignore"):  # numpy scalars: a side beyond the double range is inf
+        phi0_hat = rfftn(g, phi0.values)
+        phi0_norm = _besov(phi0_hat, s, part).total
+        lap_phi0_norm = _besov(phi0_hat, s, part, g.half_bilap).total  # |lap|^2 = |k|^4
+        quartic = np.float64(1.0 + phi0_norm) ** 4
+        lhs1 = float(p.eps * lap_phi0_norm + (1.0 / p.theta_bar) * max(1.0, 1.0 / p.eps) * quartic)
+        lhs2 = _besov(rfftn(g, theta0.values - p.theta_bar), s, part).total
+        small = min(np.float64(p.eps) ** 2, 1.0 / (1.0 + p.eps)) * eps0 * m_min
+        rhs2 = float(np.float64(small / (p.theta_bar * (1.0 + p.alpha))) ** 2)
     rhs1 = eps0 * m_min
-
-    dtheta = Field(g, theta0.values - p.theta_bar)
-    lhs2 = besov_norm(dtheta, s, part).total
-    rhs2 = (
-        min(p.eps**2, 1.0 / (1.0 + p.eps)) * eps0 * m_min / (p.theta_bar * (1.0 + p.alpha))
-    ) ** 2
 
     chi_range = (4.0 * lhs2 / m_min, 4.0 * rhs2 / m_min) if m_min > 0.0 else None
     return SmallnessReport(
-        lhs1=float(lhs1),
-        rhs1=float(rhs1),
-        lhs2=float(lhs2),
-        rhs2=float(rhs2),
+        lhs1=lhs1,
+        rhs1=rhs1,
+        lhs2=lhs2,
+        rhs2=rhs2,
         eps0=eps0,
         satisfied=(lhs1 < rhs1, lhs2 < rhs2),
         chi_range=chi_range,

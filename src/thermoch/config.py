@@ -129,10 +129,6 @@ class RunConfig(SimConfig):
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError("run.eps0 must lie in (0, 1)")
 
-    @property
-    def model(self) -> str:
-        return self.params.model
-
 
 # --------------------------------------------------------------------------
 # parsing
@@ -248,7 +244,7 @@ def canonical_text(cfg: RunConfig) -> str:
         owner = owners[section]
         if owner is None or (kinds is not None and owner.kind not in kinds):
             continue
-        value = getattr(owner, key)
+        value = getattr(cfg.params if key == "model" else owner, key)  # as loads_config puts it
         if value is None:
             continue
         if section != current:

@@ -35,7 +35,6 @@ __all__ = [
     "div_hat",
     "dealias_in_place",
     "grad_arrays",
-    "laplacian_array",
 ]
 
 
@@ -200,7 +199,3 @@ def div_hat(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.n
 def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     """All gradient components of a real array, via one forward FFT."""
     return grad_from_hat(grid, rfftn(grid, values))
-
-
-def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    return irfftn(grid, rfftn(grid, values) * grid.half_lap)

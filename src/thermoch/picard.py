@@ -54,7 +54,6 @@ from .besov import (
     SmallnessReport,
     _time_then_blocks,
     check_smallness,
-    series_energies,
 )
 from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
 from .model_a2 import (
@@ -192,11 +191,12 @@ def k_norm(dphi, dtheta, part: DyadicPartition, times) -> KNormReport:
     times = _check_times(times)
     if times.size < 3:
         raise ValueError("need at least 3 snapshots for the iterate norm")
-    energies = (
-        series_energies(hats, part, *w, times)
-        for hats, w in zip((dphi, dtheta), _norm_weights(part.grid))
-    )
-    return _norm_report(*energies, part, times)
+    accs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(part.grid)]
+    with np.errstate(all="ignore"):  # norms no longer finite fail the KNormReport
+        for hats, acc in zip((dphi, dtheta), accs):
+            for hat in hats:
+                acc.add(hat)
+        return _norm_report(*(acc.energies for acc in accs), part, times)
 
 
 def _norm_weights(grid: GridSpec):
@@ -387,7 +387,10 @@ def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) 
         t_end=float(times[-1]),
         output_every=times.size - 1,
     )
-    traj = simulate(cfg, ThermoState(phi0, theta0))
+    try:
+        traj = simulate(cfg, ThermoState(phi0, theta0))
+    except NumericalError:  # the direct run fails at step 0
+        return math.inf
     if traj.termination != "completed":
         return math.inf
     phi_direct = traj.states[-1].phi
@@ -415,10 +418,11 @@ def picard_iterate(
     temperature's.  Stops early on convergence (difference below cfg.tol)
     or after three consecutive non-contracting ratios (reported as
     diverged; further iterations of a non-contracting map only overflow).
-    An iterate that leaves the domain of the map (a thermo.NumericalError,
-    never a SingularityError for the map of model a2, or a
-    FloatingPointError) is reported as diverged too, and the final fields
-    come from the last accepted iterate; any other error propagates.
+    The map and the size norm run with numpy's warnings off, as
+    model_a2.march runs the step; an iterate that leaves the domain of the
+    map (a thermo.NumericalError) is reported as diverged too, the final
+    fields come from the last accepted iterate, and any other error
+    propagates.  A direct run that fails has simulate_rel_diff inf.
     """
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
@@ -443,14 +447,15 @@ def picard_iterate(
     for m in range(1, cfg.n_iter + 1):
         last = (dphi[-1].copy(), dtheta[-1].copy())
         try:
-            diff = _map_in_place(grid, dphi, dtheta, hat0, p, times, part).total
+            with np.errstate(all="ignore"):  # k_norm sets its own
+                diff = _map_in_place(grid, dphi, dtheta, hat0, p, times, part).total
             size = k_norm(
                 _spectra(grid, dphi, box, times),
                 _spectra(grid, dtheta, box, times, theta_flow),
                 part,
                 times,
             ).total
-        except (NumericalError, FloatingPointError):
+        except NumericalError:
             # the iterate left the domain of the map (temperature through
             # zero, or norms no longer finite): empirical divergence.  The
             # final fields are read from the last slot, which goes back to

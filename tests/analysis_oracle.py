@@ -26,15 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spectral_oracle import half_spectra
+from spectral_oracle import block_energies, fed, half_spectra, laplacian_array
 from thermoch import thermo
-from thermoch.besov import (
-    DyadicPartition,
-    _time_then_blocks,
-    besov_norm,
-    block_energies,
-    series_energies,
-)
+from thermoch.besov import DyadicPartition, SeriesEnergies, _time_then_blocks, besov_norm
 from thermoch.grid import (
     Field,
     GridSpec,
@@ -43,7 +37,6 @@ from thermoch.grid import (
     inner,
     irfftn,
     l2_norm,
-    laplacian_array,
     rfftn,
 )
 from thermoch.model_a2 import _heat_operator, _phase_operator
@@ -253,9 +246,9 @@ def phi_apriori_ratios(
 
     g_hat = half_spectra(g, grid, times.size)
     sol_hat = linear_solve(_phase_operator, g_hat, phi0, p, times)
-    sol, lap, bilap, rate, rate_grad = series_energies(
-        sol_hat, part, (None, grid.half_bilap, grid.half_bilap**2), (None, grid.half_grad_sq), times
-    )
+    weights = (None, grid.half_bilap, grid.half_bilap**2), (None, grid.half_grad_sq)
+    acc = SeriesEnergies(part, times.size, *weights, times)
+    sol, lap, bilap, rate, rate_grad = fed(acc, sol_hat)
     g_energy = block_energies(g_hat, part)
 
     phi0_n = besov_norm(phi0, s, part).total
@@ -298,7 +291,8 @@ def theta_apriori_ratios(h, theta0: Field, p: ModelParams, times, part: DyadicPa
 
     h_hat = half_spectra(h, grid, times.size)
     sol_hat = linear_solve(_heat_operator, h_hat, theta0, p, times)
-    sol, lap, rate = series_energies(sol_hat, part, (None, grid.half_bilap), (None,), times)
+    acc = SeriesEnergies(part, times.size, (None, grid.half_bilap), (None,), times)
+    sol, lap, rate = fed(acc, sol_hat)
     sup = norm(sol, math.inf)
     lap_l1 = norm(lap, 1)
     rate_l1 = norm(rate, 1)

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 import thermoch
-from thermoch.besov import chi_bump
+from thermoch.besov import SeriesEnergies, chi_bump
 from thermoch.fieldio import MAGIC, VERSION
 from thermoch.grid import Field, irfftn, rfftn
 
@@ -82,6 +82,29 @@ def half_spectra(series, grid, n_times):
     if any(f.grid != grid for f in series):
         raise ValueError("a field lives on a different grid")
     return np.stack([rfftn(grid, f.values) for f in series])
+
+
+def laplacian_array(grid, values):
+    """The Laplacian of a real array through its half spectrum."""
+    return irfftn(grid, rfftn(grid, values) * grid.half_lap)
+
+
+def fed(acc, hats):
+    """The energies of the besov.SeriesEnergies acc once every snapshot of
+    hats is added."""
+    for hat in hats:
+        acc.add(hat)
+    return acc.energies
+
+
+def block_energies(hats, part, weight=None):
+    """Block energies of a stack of half spectra, shape (..., *half_shape),
+    under one operator weight (None: the field itself), fed one snapshot at
+    a time to besov.SeriesEnergies; returns (..., n_blocks)."""
+    lead = hats.shape[: hats.ndim - part.grid.dim]
+    flat = hats.reshape(-1, *part.grid.half_shape)
+    (out,) = fed(SeriesEnergies(part, len(flat), (weight,)), flat)
+    return out.reshape(lead + (len(part.symbols),))
 
 
 def dealias(grid, values):

@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from analysis_oracle import chemin_lerner_norm
-from spectral_oracle import band_limited, full_symbols, grad_symbol, k_squared, project_block
-from thermoch.besov import (
-    besov_norm,
+from spectral_oracle import (
+    band_limited,
     block_energies,
+    count_transforms,
+    fed,
+    full_symbols,
+    grad_symbol,
+    k_squared,
+    laplacian_array,
+    project_block,
+)
+from thermoch.besov import (
+    SeriesEnergies,
+    besov_norm,
     build_partition,
     check_smallness,
     chi_bump,
-    series_energies,
 )
 from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn
 from thermoch.thermo import ModelParams
@@ -142,6 +151,13 @@ class TestBesovNorm:
         assert rep.per_block[-1] == (5, math.inf)
         assert rep.total == math.inf
 
+    def test_block_energy_beyond_double_range_is_inf_without_warning(self):
+        # |f_hat|^2 itself passes the double range
+        f = Field(GRID, 1e200 * np.cos(3.0 * GRID.axes[0]) * np.ones(GRID.shape))
+        rep = besov_norm(f, 1.0, PART)
+        assert rep.total == math.inf
+        assert math.inf in [v for _, v in rep.per_block]
+
 
 def full_lattice_blocks(grid, part, values, multiplier=None):
     """Oracle: block L2 norms from np.fft.fftn and the full-lattice symbols."""
@@ -201,14 +217,26 @@ class TestHalfLatticeBlocks:
     def test_stack_gives_one_row_per_snapshot(self):
         rng = np.random.default_rng(70)
         hats = np.stack([rfftn(GRID, rng.standard_normal(GRID.shape)) for _ in range(4)])
-        rows = block_energies(hats, PART)
+        (rows,) = fed(SeriesEnergies(PART, 4, (None,)), hats)
         assert rows.shape == (4, len(PART.symbols))
         for hat, row in zip(hats, rows):
-            assert np.array_equal(block_energies(hat, PART), row)
+            assert np.array_equal(fed(SeriesEnergies(PART, 1, (None,)), [hat])[0, 0], row)
+
+    def test_energies_need_every_snapshot(self):
+        hat = np.ones(GRID.half_shape, dtype=complex)
+        acc = SeriesEnergies(PART, 3, (None,))
+        with pytest.raises(ValueError, match="^the series has 0 snapshots, not 3$"):
+            acc.energies
+        fed_two = SeriesEnergies(PART, 3, (None,))
+        with pytest.raises(ValueError, match="^the series has 2 snapshots, not 3$"):
+            fed(fed_two, [hat, hat])
+        with pytest.raises(ValueError, match="^the series has more than 3 snapshots$"):
+            fed(acc, [hat] * 4)
+        assert acc.energies.shape == (1, 3, len(PART.symbols))
 
     def test_streamed_series_matches_explicit_stacks_bitwise(self):
         # the backward rate and every weight of one streamed series against
-        # block_energies of stacks formed explicitly
+        # the block energies of stacks formed explicitly
         rng = np.random.default_rng(71)
         times = np.linspace(0.0, 0.3, 5)
         hats = np.stack([rfftn(GRID, rng.standard_normal(GRID.shape)) for _ in times])
@@ -220,7 +248,7 @@ class TestHalfLatticeBlocks:
         buffer = np.empty_like(hats[0])
         streamed = (np.copyto(buffer, hat) or buffer for hat in hats)
         for series in (hats, streamed):
-            got = series_energies(series, PART, weights, rate_weights, times)
+            got = fed(SeriesEnergies(PART, times.size, weights, rate_weights, times), series)
             want = [block_energies(hats, PART, w) for w in weights]
             want += [block_energies(rates, PART, w) for w in rate_weights]
             assert got.shape == (4, times.size, len(PART.symbols))
@@ -394,6 +422,58 @@ class TestSmallness:
         t0 = Field(GRID, np.full(GRID.shape, 10.0))
         rep = check_smallness(z, t0, p, 0.5, PART)
         assert "margin" in rep.to_text()
+
+    def test_fields_off_the_partitions_grid_rejected(self):
+        p = ModelParams(eps=1.0, theta_bar=1.0, alpha=1.0, kappa=1.0, k_b=1.0)
+        other = GridSpec(dim=2, n=64, box_len=3.0)  # same shape, other box
+        z, o = Field(GRID, np.zeros(GRID.shape)), Field(other, np.ones(other.shape))
+        for phi0, theta0 in ((z, o), (Field(other, z.values), Field(GRID, o.values))):
+            with pytest.raises(ValueError, match="different grid"):
+                check_smallness(phi0, theta0, p, 0.5, PART)
+
+    def test_two_transforms(self, monkeypatch):
+        # phi0 and theta0 - theta_bar once each: lap phi0 is a weight on phi0_hat
+        p = ModelParams(eps=1.0, theta_bar=10.0, alpha=1.0, kappa=1.0, k_b=1.0)
+        phi0 = band_limited(GRID, np.random.default_rng(22))
+        theta0 = Field(GRID, 10.0 + phi0.values)
+        calls = count_transforms(monkeypatch)
+        check_smallness(phi0, theta0, p, 0.5, PART)
+        assert calls == ["rfftn", "rfftn"]
+
+    @pytest.mark.parametrize("grid", HALF_GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_lhs1_matches_the_laplacian_round_trip(self, grid):
+        # lap phi0 taken through physical space and measured as a field
+        part = build_partition(grid)
+        p = ModelParams(eps=0.7, theta_bar=1e3, alpha=1.0, kappa=1.0, k_b=1.0)
+        rng = np.random.default_rng(23 + grid.dim)
+        phi0 = Field(grid, rng.standard_normal(grid.shape))
+        theta0 = Field(grid, 1e3 + 1e-3 * rng.standard_normal(grid.shape))
+        s = grid.dim / 2.0
+        lap_n = besov_norm(Field(grid, laplacian_array(grid, phi0.values)), s, part).total
+        phi0_n = besov_norm(phi0, s, part).total
+        want = p.eps * lap_n + (1.0 / p.theta_bar) * max(1.0, 1.0 / p.eps) * (1.0 + phi0_n) ** 4
+        rep = check_smallness(phi0, theta0, p, 0.5, part)
+        assert rep.lhs1 == pytest.approx(want, rel=1e-12, abs=0.0)
+        dtheta = Field(grid, theta0.values - p.theta_bar)
+        assert rep.lhs2 == besov_norm(dtheta, s, part).total
+
+    @pytest.mark.parametrize("amplitude", [1e80, 1e100])
+    def test_side_beyond_double_range_is_inf_and_violated(self, amplitude):
+        # (1 + ||phi0||)^4 passes the double range: no OverflowError, no warning
+        p = ModelParams(eps=1.0, theta_bar=10.0, alpha=1.0, kappa=1.0, k_b=1.0)
+        phi0 = Field(GRID, amplitude * np.sin(GRID.axes[0]) * np.ones(GRID.shape))
+        rep = check_smallness(phi0, Field(GRID, np.full(GRID.shape, 10.0)), p, 0.5, PART)
+        assert rep.lhs1 == math.inf
+        assert rep.satisfied == (False, True)
+        assert "lhs = inf" in rep.to_text() and "margin x0]" in rep.to_text()
+
+    def test_huge_eps_reports_without_overflow(self):
+        # eps^2 passes the double range; min(eps^2, 1/(1 + eps)) does not
+        p = ModelParams(eps=1e200, theta_bar=10.0, alpha=1.0, kappa=1.0, k_b=1.0)
+        phi0 = Field(GRID, np.zeros(GRID.shape))
+        rep = check_smallness(phi0, Field(GRID, np.full(GRID.shape, 10.0)), p, 0.5, PART)
+        assert (rep.lhs1, rep.rhs2) == (0.1, 0.0)
+        assert rep.satisfied == (True, False)
 
 
 class TestProductContinuity:

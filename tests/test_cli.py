@@ -14,6 +14,7 @@ import pytest
 import thermoch
 from collect import collect
 from spectral_oracle import malformed_field_files
+from test_package import run_python
 from thermoch import cli, fieldio
 from thermoch.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, LOCK_NAME, main
 from thermoch.config import generate_initial, load_config
@@ -498,6 +499,69 @@ class TestAnalysisCommands:
             code = main(["besov-norm", "--field", str(path)])
             assert code == EXIT_IO
             assert str(path) in capsys.readouterr().err
+
+
+HUGE = """
+[grid]
+dim = {dim}
+n = 16
+
+[physics]
+eps = {eps}
+
+[run]
+model = a2
+output_dir = out
+
+[init]
+kind = single_mode
+amplitude = {amplitude}
+
+[picard]
+chi = 1e-4
+t_end = 1e-2
+dt = 1e-3
+"""
+
+
+class TestDataBeyondTheDoubleRange:
+    """A side or a norm beyond the double range is inf in a report: no
+    traceback and no numpy warning, with warnings as errors."""
+
+    def run(self, tmp_path, text, args):
+        write_config(tmp_path, text)
+        code = f"import sys\nfrom thermoch.cli import main\nsys.exit(main({args!r}))"
+        proc = run_python(code, tmp_path)
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+        return proc
+
+    @pytest.mark.parametrize(
+        "amplitude, eps", [("1e80", "1.0"), ("1e100", "1.0"), ("0.01", "1e200")]
+    )
+    def test_check_smallness_reports_inf_sides(self, tmp_path, amplitude, eps):
+        text = HUGE.format(dim=1, eps=eps, amplitude=amplitude)
+        proc = self.run(tmp_path, text, ["check-smallness", "--config", "run.ini"])
+        assert proc.returncode == EXIT_OK
+        report = (tmp_path / "out" / "smallness_report.txt").read_text()
+        assert "VIOLATED" in report
+        if eps == "1.0":
+            assert "inequality 1: lhs = inf" in report and "VIOLATED, margin x0]" in report
+
+    def test_besov_norm_of_a_huge_field(self, tmp_path):
+        grid = GridSpec(dim=1, n=16, box_len=2.0 * math.pi)
+        fieldio.write_field(tmp_path / "big.bin", Field(grid, 1e200 * np.cos(3 * grid.axes[0])))
+        proc = self.run(tmp_path, "", ["besov-norm", "--field", "big.bin"])
+        assert proc.returncode == EXIT_OK
+        assert "total : inf" in proc.stdout
+
+    @pytest.mark.parametrize("amplitude", ["1e30", "1e80"])
+    def test_picard_verify_diverges_with_both_reports(self, tmp_path, amplitude):
+        text = HUGE.format(dim=2, eps="1.0", amplitude=amplitude)
+        proc = self.run(tmp_path, text, ["picard-verify", "--config", "run.ini"])
+        assert proc.returncode == EXIT_NUMERICAL
+        assert "diverged: True" in proc.stdout
+        for name in ("picard_report.csv", "smallness_report.txt"):
+            assert (tmp_path / "out" / name).is_file()
 
 
 class TestParser:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from analysis_oracle import divergence_arrays
-from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared
+from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared, laplacian_array
 from thermoch.grid import (
     Field,
     GridSpec,
@@ -13,7 +13,6 @@ from thermoch.grid import (
     inner,
     irfftn,
     l2_norm,
-    laplacian_array,
     mean,
     rfftn,
 )

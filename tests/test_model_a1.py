@@ -7,7 +7,7 @@ import pytest
 
 from analysis_oracle import chemical_potential
 from collect import collect
-from spectral_oracle import band_limited
+from spectral_oracle import band_limited, laplacian_array
 from thermoch.grid import (
     Field,
     GridSpec,
@@ -15,7 +15,6 @@ from thermoch.grid import (
     grad_arrays,
     irfftn,
     l2_norm,
-    laplacian_array,
     mean,
 )
 from thermoch.model_a2 import SimConfig, imex_step, simulate

@@ -15,10 +15,11 @@ from spectral_oracle import (
     half_spectra,
     k_abs,
     k_squared,
+    laplacian_array,
 )
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
-from thermoch.grid import Field, GridSpec, irfftn, laplacian_array, rfftn
+from thermoch.grid import Field, GridSpec, irfftn, rfftn
 from thermoch.model_a2 import _heat_operator, _implicit_solve, _phase_operator
 from thermoch.picard import (
     KNormReport,
@@ -581,6 +582,20 @@ class TestPicardIterate:
         assert len(injected.rows) == 1
         for got, want in zip(finals(injected), finals(accepted)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("amplitude", [1e30, 1e80])
+    def test_data_beyond_the_double_range_diverge_without_warning(self, amplitude):
+        # the map and the size norm overflow, the suite's warnings are
+        # errors; at 1e80 the direct run fails at step 0 as well
+        g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+        p = params()
+        phi0 = Field(g, amplitude * np.cos(g.axes[0]) * np.ones(g.shape))
+        theta0 = Field(g, np.full(g.shape, p.theta_bar))
+        cfg = PicardConfig(chi=1e-4, t_end=1e-2, dt=1e-3)
+        rep = picard_iterate(phi0, theta0, p, cfg, build_partition(g))
+        assert rep.diverged and not rep.rows
+        assert rep.simulate_rel_diff == math.inf
+        assert not rep.smallness.satisfied[0]
 
     def test_program_error_in_the_map_propagates(self, monkeypatch):
         def broken(terms):
