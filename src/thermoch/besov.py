@@ -261,10 +261,12 @@ class SmallnessReport:
                   < (min(eps^2, 1/(1+eps)) * eps0 * min(1, alpha, kappa, k_b)
                      / (theta_bar * (1 + alpha)))^2
 
-    chi_range is the admissible ball-radius interval derived from the second
-    inequality with the dimension constant set to 1 (documented convention),
-    None when alpha = 0 zeroes both right-hand sides; eps_theta_bar is
-    displayed because admissibility forces eps*theta_bar > 1.
+    m_min = min(1, alpha, kappa, k_b); satisfied and chi_range follow from
+    the four sides.  chi_range is the admissible ball-radius interval
+    (4 lhs2, 4 rhs2)/m_min derived from the second inequality with the
+    dimension constant set to 1 (documented convention), None unless that
+    inequality holds; eps_theta_bar is displayed because admissibility
+    forces eps*theta_bar > 1.
     """
 
     lhs1: float
@@ -272,9 +274,18 @@ class SmallnessReport:
     lhs2: float
     rhs2: float
     eps0: float
-    satisfied: tuple[bool, bool]
-    chi_range: tuple[float, float] | None
+    m_min: float
     eps_theta_bar: float
+
+    @property
+    def satisfied(self) -> tuple[bool, bool]:
+        return (self.lhs1 < self.rhs1, self.lhs2 < self.rhs2)
+
+    @property
+    def chi_range(self) -> tuple[float, float] | None:
+        if not self.satisfied[1]:  # else rhs2 > 0, so m_min > 0
+            return None
+        return (4.0 * self.lhs2 / self.m_min, 4.0 * self.rhs2 / self.m_min)
 
     @property
     def margins(self) -> tuple[float, float]:
@@ -285,6 +296,7 @@ class SmallnessReport:
     def to_text(self) -> str:
         m1, m2 = self.margins
         ok = lambda b: "satisfied" if b else "VIOLATED"
+        why = "min(1, alpha, kappa, k_b) = 0" if self.m_min == 0.0 else "inequality 2 VIOLATED"
         return "\n".join(
             [
                 "smallness report (torus dyadic norms, s = dim/2; heuristic lattice transfer)",
@@ -298,7 +310,7 @@ class SmallnessReport:
                 f"  admissible ball radius chi in ({self.chi_range[0]:.6e},"
                 f" {self.chi_range[1]:.6e})  [dimension constant set to 1]"
                 if self.chi_range is not None
-                else "  no admissible ball radius chi: min(1, alpha, kappa, k_b) = 0",
+                else f"  no admissible ball radius chi: {why}",
             ]
         )
 
@@ -327,16 +339,12 @@ def check_smallness(
         lhs2 = _besov(rfftn(g, theta0.values - p.theta_bar), s, part).total
         small = min(np.float64(p.eps) ** 2, 1.0 / (1.0 + p.eps)) * eps0 * m_min
         rhs2 = float(np.float64(small / (p.theta_bar * (1.0 + p.alpha))) ** 2)
-    rhs1 = eps0 * m_min
-
-    chi_range = (4.0 * lhs2 / m_min, 4.0 * rhs2 / m_min) if m_min > 0.0 else None
     return SmallnessReport(
         lhs1=lhs1,
-        rhs1=rhs1,
+        rhs1=eps0 * m_min,
         lhs2=lhs2,
         rhs2=rhs2,
         eps0=eps0,
-        satisfied=(lhs1 < rhs1, lhs2 < rhs2),
-        chi_range=chi_range,
+        m_min=m_min,
         eps_theta_bar=p.eps * p.theta_bar,
     )

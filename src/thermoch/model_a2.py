@@ -36,7 +36,7 @@ property rather than a round-off accident.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,38 +54,38 @@ from .thermo import (
 )
 
 
-def check_dt(dt: float, name: str = "dt") -> None:
-    """The time-step rule of every direct run (SimConfig, PicardConfig)."""
+def run_clock(dt: float, t_end: float, name: str = "dt") -> int:
+    """The clock rule of every direct run (SimConfig, PicardConfig): dt in
+    (0, 0.5], named name in the message, and t_end a finite whole multiple
+    of dt, one step at least.  Returns the step count."""
     if not (0.0 < dt <= 0.5):
         raise ValueError(f"{name} must lie in (0, 0.5], got {dt}")
+    if not np.isfinite(t_end):  # round() below would fail without naming it
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if t_end < dt:
+        raise ValueError("t_end must cover at least one step")
+    n = round(t_end / dt)
+    if abs(n * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return n
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Marching parameters and the [run] clock rules; the grid and physics are
-    carried along.  config.RunConfig extends it, so load_config checks them."""
+    """Marching parameters on a run_clock clock, n_steps its step count; the
+    grid and physics are carried along.  config.RunConfig extends it."""
 
     grid: GridSpec
     params: ModelParams
     dt: float
     t_end: float
     output_every: int = 1
+    n_steps: int = field(init=False)  # run_clock's step count
 
     def __post_init__(self):
-        check_dt(self.dt)
-        if not np.isfinite(self.t_end):  # round() below would fail without naming it
-            raise ValueError(f"t_end must be finite, got {self.t_end}")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must cover at least one step")
+        object.__setattr__(self, "n_steps", run_clock(self.dt, self.t_end))
         if self.output_every < 1:
             raise ValueError("output_every must be a positive integer")
-        n = round(self.t_end / self.dt)
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, abs(self.t_end)):
-            raise ValueError("t_end must be an integer multiple of dt")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)

@@ -19,31 +19,30 @@ of the forcing at the snapshot times (left endpoints).
 Every forcing the map applies is cut by the 2/3 rule, so the phase
 correction and the temperature's departure from its free heat flow have no
 spectrum off the 2/3-rule box.  The Picard loop carries that pair as
-compact stacks of their rfftn half spectra on the box (the flat indices of
-grid.half_dealias_mask), shape (n_times, n_box), and each application of
-the map updates them in place; the free flows hat0 * exp(-lam t) of the
-initial phase and of the initial temperature offset are formed per
-snapshot where they are read, not kept.  One application inverts each
-snapshot's two absolute fields once, forms both forcings from one
-thermo.StateTerms and advances the box by one exact interval, so no
-forcing series is kept; the old snapshot it overwrites waits in one box
-buffer per series until the next forcing has read it.  A snapshot is
-expanded to a full half spectrum, in a reused buffer, only where a
-transform or a norm reads it.  The iterate norm measures the spectra
-directly and streams them: one snapshot at a time, it forms |f_hat|^2 and
-the backward rate's power in reusable half-lattice buffers and contracts
-them against the dyadic rings (besov.SeriesEnergies), every derivative a
-weight on |f_hat|^2.  So k_norm makes no transform, and the map measures
-the successive difference snapshot by snapshot as it writes it, with no
-old or difference stack.  k_norm takes any two series of half spectra (a
-stack is one; picard_iterate passes the expanded box), and picard_iterate
-takes the initial Fields.
+compact stacks of their rfftn half spectra on the box, shape
+(n_times, n_box), and each application of the map updates them in place.
+A run forms its propagators once (_propagators): the box, each equation's
+free flow hat0 * exp(-lam t), evaluated per snapshot where it is read, and
+its one-interval ETD pair on the box; the map, the size norm and the final
+fields read them.  One application inverts each snapshot's two absolute
+fields once, forms both forcings from one thermo.StateTerms and advances
+the box by one exact interval, so no forcing series is kept; the old
+snapshot it overwrites waits in one box buffer per series until the next
+forcing has read it.  A snapshot is expanded to a full half spectrum, in a
+reused buffer, only where a transform or a norm reads it.  The iterate
+norm streams the spectra without a transform: one snapshot at a time, it
+forms |f_hat|^2 and the backward rate's power and contracts them against
+the dyadic rings (besov.SeriesEnergies), every derivative a weight on
+|f_hat|^2, so the map measures the successive difference as it writes it.
+k_norm takes any two series of half spectra (a stack is one), and
+picard_iterate takes the initial Fields.  A run's clock is PicardConfig's,
+which keeps model_a2.run_clock, the rule of the direct run it ends with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -62,7 +61,7 @@ from .model_a2 import (
     _f2_hat,
     _heat_operator,
     _phase_operator,
-    check_dt,
+    run_clock,
     simulate,
 )
 from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
@@ -95,12 +94,6 @@ def _free_flow(hat0: np.ndarray, lam: np.ndarray, t: float, out=None) -> np.ndar
     """Half spectrum of the unforced flow hat0 * exp(-lam t) at the time t,
     written to out when given."""
     return np.multiply(hat0, np.exp(-t * lam), out=out)
-
-
-def _box(grid: GridSpec) -> np.ndarray:
-    """Flat indices of the 2/3-rule box on the half lattice, where the map's
-    corrections live."""
-    return np.flatnonzero(grid.half_dealias_mask)
 
 
 def _expand(out: np.ndarray, box: np.ndarray, values, flow=None, t: float = 0.0) -> np.ndarray:
@@ -136,6 +129,22 @@ def _etd_factors(operator, dt: float) -> tuple[np.ndarray, np.ndarray]:
     positive = lam > 0.0
     weight = np.where(positive, -np.expm1(-lam * dt) / np.where(positive, lam, 1.0), dt)
     return np.exp(-lam * dt), weight / mass
+
+
+def _propagators(grid: GridSpec, p: ModelParams, hat0, dt: float):
+    """A run's exact propagators, formed once: (box, flows, etds).
+
+    box holds the flat indices of the 2/3-rule box on the half lattice,
+    where the map's corrections live.  Per equation (phase, heat), flows
+    holds the free flow (hat0, lam) of its initial half spectrum at the
+    decay rate _rate, and etds the one-interval ETD pair (decay, gain) of
+    the snapshot spacing dt (_etd_factors), gathered to the box.
+    """
+    box = np.flatnonzero(grid.half_dealias_mask)
+    operators = (_phase_operator(grid, p), _heat_operator(grid, p))
+    flows = [(h, _rate(op)) for h, op in zip(hat0, operators)]
+    etds = [tuple(np.take(a, box) for a in _etd_factors(op, dt)) for op in operators]
+    return box, flows, etds
 
 
 # --------------------------------------------------------------------------
@@ -239,13 +248,15 @@ def _norm_report(phi_energies, theta_energies, part: DyadicPartition, times) -> 
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Ball radius, horizon and stopping rules for the fixed-point loop."""
+    """Ball radius, clock and stopping rules for the fixed-point loop; the
+    clock obeys model_a2.run_clock, with n_steps >= 2."""
 
     chi: float
     t_end: float
     n_iter: int = 8
     tol: float = 1e-10
     dt: float | None = None
+    n_steps: int = field(init=False)  # run_clock's step count
 
     def __post_init__(self):
         for name, value in (("chi", self.chi), ("t_end", self.t_end), ("tol", self.tol),
@@ -254,11 +265,11 @@ class PicardConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.n_iter < 2:
             raise ValueError("n_iter must be at least 2")
-        n = round(self.t_end / self.step)
-        if n < 2 or abs(n * self.step - self.t_end) > 1e-9 * self.t_end:
+        if self.t_end < 2.0 * self.step:
             raise ValueError("t_end must be a multiple of dt covering >= 2 steps")
-        # the direct run of picard_iterate steps by this spacing
-        check_dt(self.step, "the snapshot spacing (dt or t_end/100)")
+        # the direct run of picard_iterate steps on this clock
+        n = run_clock(self.step, self.t_end, "the snapshot spacing (dt or t_end/100)")
+        object.__setattr__(self, "n_steps", n)
 
     @property
     def step(self) -> float:
@@ -267,7 +278,7 @@ class PicardConfig:
 
     @cached_property
     def times(self) -> np.ndarray:
-        return self.step * np.arange(round(self.t_end / self.step) + 1)
+        return self.step * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -318,36 +329,23 @@ class PicardReport:
         return "\n".join(lines) + "\n"
 
 
-def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, part):
+def _map_in_place(grid: GridSpec, dphi, dtheta, props, p: ModelParams, times, part):
     """One application of the solution map, in place: freeze forcings, solve
     linear; returns the KNormReport of the successive difference.
 
-    dphi and dtheta hold the current iterate as compact stacks on the
-    2/3-rule box (_box), shape (n_times, n_box): the phase correction, and
-    the temperature's departure from the free heat flow of hat0[1]; they
-    leave holding those of the next iterate.  The forcings are the two
-    expanded right-hand sides evaluated on the absolute fields of the
-    current iterate (the free flows of hat0 = (phi0_hat, dtheta0_hat),
-    formed per snapshot, plus the expanded box), with backward-difference
-    rates.  The forcings vanish off the box, so the new box solves the
-    damped bilaplacian / heat problems from rest, one exact interval per
-    snapshot, with the ETD factors gathered to the box once; the free flows
-    carry the initial data.  Writing snapshot j + 1 needs the current
-    iterate only up to j, so before slot j + 1 is overwritten its old
-    snapshot goes to one box buffer per series, where the next forcing reads
-    it, and new - old, expanded into a reused buffer that stays zero off the
-    box, goes to the accumulators of the iterate norm: the difference is
-    measured as the map writes it.  A snapshot inverts its two fields once,
-    and one StateTerms, started from the phase spectrum the iterate holds,
-    serves both forcings; the rate gradient is the difference of consecutive
-    snapshot gradients, as in model_a2.imex_step.  The last state is
-    validated but acts beyond the horizon.
+    props is the run's (box, flows, etds) (_propagators).  dphi and dtheta
+    hold the current iterate on the box, shape (n_times, n_box): the phase
+    correction and the temperature's departure from its free heat flow;
+    they leave holding the next iterate.  Snapshot j's two forcings, formed
+    from one StateTerms of the absolute fields (free flow plus expanded box)
+    with backward-difference rates, the rate gradient as in
+    model_a2.imex_step, vanish off the box and advance it from rest by one
+    exact interval to slot j + 1.  That slot's old snapshot waits in one box
+    buffer per series until the next forcing reads it, and new - old goes
+    to the accumulators of the iterate norm.  The last state is validated
+    but acts beyond the horizon.
     """
-    step = times[1] - times[0]  # uniform (PicardConfig.times)
-    box = _box(grid)
-    operators = [op(grid, p) for op in (_phase_operator, _heat_operator)]
-    lams = [_rate(op) for op in operators]
-    decays, gains = zip(*((np.take(a, box) for a in _etd_factors(op, step)) for op in operators))
+    box, flows, etds = props
     diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
     hats = np.empty((2, *grid.half_shape), dtype=complex)  # the absolute spectra
     diff = np.zeros(grid.half_shape, dtype=complex)  # new - old, zero off the box
@@ -357,8 +355,8 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
     held = (dphi[0].copy(), dtheta[0].copy())
     prev = prev_grad = None
     for j, t in enumerate(times):
-        for hat, h0, lam, c in zip(hats, hat0, lams, held):
-            _expand(hat, box, c, (h0, lam), t)
+        for hat, flow, c in zip(hats, flows, held):
+            _expand(hat, box, c, flow, t)
         now = (irfftn(grid, hats[0]), p.theta_bar + irfftn(grid, hats[1]))
         dt = t - times[j - 1] if j else 1.0  # the first rates are now - now = 0
         rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
@@ -368,8 +366,8 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
             terms = StateTerms(state, p)
             grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
             forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate))
-            series = zip((dphi, dtheta), held, decays, gains, forcings, diffs)
-            for stack, c, decay, gain, f, acc in series:
+            series = zip((dphi, dtheta), held, etds, forcings, diffs)
+            for stack, c, (decay, gain), f, acc in series:
                 np.copyto(c, stack[j + 1])
                 stack[j + 1] = decay * stack[j] + gain * np.take(f, box)
                 acc.add(_expand(diff, box, stack[j + 1] - c))
@@ -378,17 +376,12 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, hat0, p: ModelParams, times, par
     return _norm_report(*(acc.energies for acc in diffs), part, times)
 
 
-def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, times) -> float:
-    dt = float(times[1] - times[0])
-    cfg = SimConfig(
-        grid=phi0.grid,
-        params=p,
-        dt=dt,
-        t_end=float(times[-1]),
-        output_every=times.size - 1,
-    )
+def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, cfg) -> float:
+    """Relative l2 gap of phi_picard to the final phase of a direct run on the
+    clock of cfg, inf when that run stops early."""
+    sim = SimConfig(phi0.grid, p, cfg.step, cfg.t_end, output_every=cfg.n_steps)
     try:
-        traj = simulate(cfg, ThermoState(phi0, theta0))
+        traj = simulate(sim, ThermoState(phi0, theta0))
     except NumericalError:  # the direct run fails at step 0
         return math.inf
     if traj.termination != "completed":
@@ -432,9 +425,8 @@ def picard_iterate(
     times = cfg.times
 
     hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
-    phi_flow = (hat0[0], _rate(_phase_operator(grid, p)))
-    theta_flow = (hat0[1], _rate(_heat_operator(grid, p)))
-    box = _box(grid)
+    props = _propagators(grid, p, hat0, cfg.step)
+    box, (phi_flow, theta_flow), _ = props
     # the phase correction and the temperature's departure from its heat
     # flow, both at rest
     dphi = np.zeros((times.size, box.size), dtype=complex)
@@ -448,7 +440,7 @@ def picard_iterate(
         last = (dphi[-1].copy(), dtheta[-1].copy())
         try:
             with np.errstate(all="ignore"):  # k_norm sets its own
-                diff = _map_in_place(grid, dphi, dtheta, hat0, p, times, part).total
+                diff = _map_in_place(grid, dphi, dtheta, props, p, times, part).total
             size = k_norm(
                 _spectra(grid, dphi, box, times),
                 _spectra(grid, dtheta, box, times, theta_flow),
@@ -464,15 +456,7 @@ def picard_iterate(
             diverged = True
             break
         ratio = diff / prev_diff if prev_diff else math.nan
-        rows.append(
-            PicardRow(
-                iteration=m,
-                k_norm=size,
-                diff_norm=diff,
-                ratio=ratio,
-                in_ball=size <= cfg.chi,
-            )
-        )
+        rows.append(PicardRow(m, k_norm=size, diff_norm=diff, ratio=ratio, in_ball=size <= cfg.chi))
         prev_diff = diff
         if diff < cfg.tol:
             converged = True
@@ -491,7 +475,7 @@ def picard_iterate(
         converged=converged,
         diverged=diverged,
         chi=cfg.chi,
-        simulate_rel_diff=_simulate_rel_diff(final_phi, phi0, theta0, p, times),
+        simulate_rel_diff=_simulate_rel_diff(final_phi, phi0, theta0, p, cfg),
         smallness=check_smallness(phi0, theta0, p, eps0, part),
         final_phi=final_phi,
         final_theta=final_theta,

@@ -88,6 +88,11 @@ class TestPartition:
 
 
 class TestBesovNorm:
+    def test_field_off_the_partitions_grid_rejected(self):
+        other = GridSpec(dim=2, n=64, box_len=3.0)  # same shape, other box
+        with pytest.raises(ValueError, match="^a field lives on a different grid$"):
+            besov_norm(Field(other, np.ones(other.shape)), 1.0, PART)
+
     def test_single_mode_against_direct_sum_oracle(self):
         # f = a sin(kx): coefficients live at +-k only, so each block norm is
         # phi_q(|k|) * a * sqrt(L^d / 2); evaluated with scalar chi calls
@@ -474,6 +479,23 @@ class TestSmallness:
         rep = check_smallness(phi0, Field(GRID, np.full(GRID.shape, 10.0)), p, 0.5, PART)
         assert (rep.lhs1, rep.rhs2) == (0.1, 0.0)
         assert rep.satisfied == (True, False)
+        assert rep.chi_range is None
+        assert "no admissible ball radius chi: inequality 2 VIOLATED" in rep.to_text()
+
+    def test_violated_second_inequality_admits_no_radius(self):
+        # lhs2 > rhs2 with every constant 1: the bounds 4 lhs2 and 4 rhs2
+        # would give the empty interval (5.757e-01, 6.25e-02)
+        grid = GridSpec(dim=1, n=16, box_len=2.0 * np.pi)
+        p = ModelParams(eps=1.0, theta_bar=1.0, alpha=1.0, kappa=1.0, k_b=1.0)
+        phi0 = Field(grid, np.zeros(grid.shape))
+        theta0 = Field(grid, 1.0 + 0.1 * np.sin(grid.axes[0]))
+        rep = check_smallness(phi0, theta0, p, 0.5, build_partition(grid))
+        assert rep.rhs2 == 0.125**2 < rep.lhs2
+        assert rep.satisfied == (False, False)
+        assert rep.chi_range is None
+        text = rep.to_text()
+        assert "no admissible ball radius chi: inequality 2 VIOLATED" in text
+        assert "chi in (" not in text
 
 
 class TestProductContinuity:

@@ -546,6 +546,9 @@ class TestDataBeyondTheDoubleRange:
         assert "VIOLATED" in report
         if eps == "1.0":
             assert "inequality 1: lhs = inf" in report and "VIOLATED, margin x0]" in report
+        else:  # rhs2 underflows to 0, so no ball radius is admissible
+            assert "no admissible ball radius chi: inequality 2 VIOLATED" in report
+            assert "chi in (" not in report
 
     def test_besov_norm_of_a_huge_field(self, tmp_path):
         grid = GridSpec(dim=1, n=16, box_len=2.0 * math.pi)

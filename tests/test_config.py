@@ -182,6 +182,18 @@ class TestLoadConfig:
         assert isinstance(cfg, SimConfig)
         assert cfg.n_steps == 100
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_u64_range_rejected(self, seed):
+        message = rf"^init\.seed must be an unsigned 64-bit integer, got {seed}$"
+        with pytest.raises(ConfigError, match=message):
+            loads_config(SPINODAL.replace("seed = 42", f"seed = {seed}"))
+
+    @pytest.mark.parametrize("eps0", ["0.0", "1.0"])
+    def test_eps0_outside_the_unit_interval_rejected(self, eps0):
+        # MINIMAL ends in its [run] section
+        with pytest.raises(ConfigError, match=r"^run\.eps0 must lie in \(0, 1\)$"):
+            loads_config(MINIMAL + f"eps0 = {eps0}\n")
+
     def test_type_error_names_section_and_key(self):
         with pytest.raises(ConfigError, match=r"grid\.dim.*'three'"):
             loads_config(MINIMAL.replace("dim = 1", "dim = three"))
@@ -415,6 +427,11 @@ class TestGenerateInitial:
         assert abs(theta.mean() - 1.0) < 1e-14
         assert abs(theta.max() - 1.2) < 1e-12
         assert abs(theta.min() - 0.8) < 1e-12
+
+    def test_theta_sine_wavenumber_bounds(self):
+        cfg = loads_config(MINIMAL_2D + "\n[theta_init]\nkind = constant_plus_sine\nk = 16\n")
+        with pytest.raises(ConfigError, match=r"^theta_init\.k must lie in \[1, 15\], got 16$"):
+            generate_initial(cfg)
 
     def test_theta_from_file_must_stay_positive(self, tmp_path):
         grid = GridSpec(dim=1, n=128, box_len=2.0 * math.pi)

@@ -34,6 +34,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(dim=dim, n=n, box_len=L)
 
+    def test_field_of_the_wrong_shape_rejected(self):
+        g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+        message = r"^field shape \(16, 8\) does not match grid \(16, 16\)$"
+        with pytest.raises(ValueError, match=message):
+            Field(g, np.zeros((16, 8)))
+
     def test_wavenumber_range(self):
         # full axes hold -n/2..n/2-1; the half lattice's last axis 0..n/2
         g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)

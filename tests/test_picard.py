@@ -20,14 +20,14 @@ from spectral_oracle import (
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
 from thermoch.grid import Field, GridSpec, irfftn, rfftn
-from thermoch.model_a2 import _heat_operator, _implicit_solve, _phase_operator
+from thermoch.model_a2 import SimConfig, _heat_operator, _implicit_solve, _phase_operator
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
     REPORT_CSV_HEADER,
-    _box,
     _free_flow,
     _map_in_place,
+    _propagators,
     _rate,
     k_norm,
     picard_iterate,
@@ -432,6 +432,17 @@ class TestPicardConfig:
         with pytest.raises(ValueError, match=spacing):
             PicardConfig(chi=1.0, t_end=60.0)
 
+    def test_clock_is_the_direct_runs(self):
+        # one rule and one tolerance, 1e-9 max(1, t_end): 1e-10 off a
+        # multiple of dt passes both, 1e-8 off fails both
+        t_end = 1e-2 + 1e-10
+        sim = SimConfig(GRID2, params(), 1e-4, t_end)
+        assert PicardConfig(chi=1.0, t_end=t_end, dt=1e-4).n_steps == sim.n_steps == 100
+        for make in (lambda: SimConfig(GRID2, params(), 1e-4, 1e-2 + 1e-8),
+                     lambda: PicardConfig(chi=1.0, t_end=1e-2 + 1e-8, dt=1e-4)):
+            with pytest.raises(ValueError, match="^t_end must be an integer multiple of dt$"):
+                make()
+
     def test_default_time_grid(self):
         cfg = PicardConfig(chi=1.0, t_end=0.5)
         times = cfg.times
@@ -443,15 +454,17 @@ class TestPicardConfig:
 
 
 def admissible_data(part=PART2):
-    """Small single-mode phase and a temperature offset at 2.05x margin."""
+    """Small single-mode phase and a temperature offset at 2.05x margin, the
+    offset a product of cosines along every axis."""
     grid = part.grid
-    x, y = grid.axes
+    x, *others = grid.axes
+    rest = math.prod(np.cos(ax) for ax in others)
     p = ModelParams(eps=1.0, theta_bar=100.0, alpha=1.0, kappa=1.0, k_b=1.0)
-    phi0 = Field(grid, 5e-5 * np.cos(x) * np.ones_like(y))
-    probe = Field(grid, p.theta_bar + np.cos(x) * np.cos(y))
+    phi0 = Field(grid, 5e-5 * np.cos(x) * np.ones(grid.shape))
+    probe = Field(grid, p.theta_bar + np.cos(x) * rest)
     rep = check_smallness(phi0, probe, p, 0.5, part)
     a = rep.rhs2 / (2.05 * rep.lhs2)
-    theta0 = Field(grid, p.theta_bar + a * np.cos(x) * np.cos(y))
+    theta0 = Field(grid, p.theta_bar + a * np.cos(x) * rest)
     return phi0, theta0, p
 
 
@@ -472,21 +485,22 @@ def finals(rep):
     return rep.final_phi.values, rep.final_theta.values, rep.simulate_rel_diff
 
 
-def initial_iterate(phi0, theta0, p, times):
+def initial_iterate(phi0, theta0, p, cfg):
     """picard_iterate's starting pair (0, heat flow of theta0 - theta_bar), as
     the map holds it: the compact box of the phase correction and of the
-    temperature's departure from its heat flow, both at rest, and the initial
-    spectra (phi0_hat, dtheta0_hat) of the free flows."""
+    temperature's departure from its heat flow, both at rest, and the run's
+    propagators, whose free flows start from (phi0_hat, dtheta0_hat)."""
     grid = phi0.grid
     hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
-    dphi = np.zeros((times.size, _box(grid).size), dtype=complex)
-    return dphi, np.zeros_like(dphi), hat0
+    props = _propagators(grid, p, hat0, cfg.step)
+    dphi = np.zeros((cfg.times.size, props[0].size), dtype=complex)
+    return dphi, np.zeros_like(dphi), props
 
 
 def expanded(grid, stack):
     """Half spectra of a compact stack on the 2/3-rule box, zero off it."""
     out = np.zeros((len(stack), *grid.half_shape), dtype=complex)
-    out.reshape(len(stack), -1)[:, _box(grid)] = stack
+    out.reshape(len(stack), -1)[:, np.flatnonzero(grid.half_dealias_mask)] = stack
     return out
 
 
@@ -527,6 +541,51 @@ class TestPicardIterate:
                 assert row.ratio <= 0.9
         assert rep.simulate_rel_diff <= 0.05
         assert all(rep.smallness.satisfied)
+
+    def test_contraction_on_admissible_data_in_3d(self):
+        # criterion 11's problem and bounds at 16^3: it converges in 3
+        # applications with ratios near 2e-4
+        part = build_partition(GridSpec(dim=3, n=16, box_len=2.0 * np.pi))
+        phi0, theta0, p = admissible_data(part)
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=6, dt=1e-4)
+        rep = picard_iterate(phi0, theta0, p, cfg, part)
+        assert all(rep.smallness.satisfied) and min(rep.smallness.margins) >= 2.0
+        assert rep.converged and not rep.diverged
+        assert all(row.in_ball for row in rep.rows)
+        assert all(row.ratio <= 0.9 for row in rep.rows if row.iteration >= 2)
+        assert rep.simulate_rel_diff <= 0.05
+
+    def test_three_non_contracting_ratios_in_a_row_diverge(self):
+        # the map stays defined and its norms finite, but it stops
+        # contracting: ratios nan, 0.725, 1.347, 0.975, 1.464, 1.427, 1.558.
+        # The 0.975 row resets the streak, so the run stops at row 7, not 5
+        g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+        x, y = g.axes
+        p = params(theta_bar=5.0, alpha=1.0)
+        phi0 = Field(g, 0.8 * np.cos(x) * np.cos(y))
+        theta0 = Field(g, 5.0 + 1.5 * np.cos(x) * np.ones(g.shape))
+        cfg = PicardConfig(chi=1e6, t_end=0.05, n_iter=8, dt=2.5e-3)
+        rep = picard_iterate(phi0, theta0, p, cfg, build_partition(g))
+        assert rep.diverged and not rep.converged
+        ratios = [row.ratio for row in rep.rows]
+        assert math.isnan(ratios[0])
+        assert [r >= 1.0 for r in ratios[1:]] == [False, True, False, True, True, True]
+        assert all(math.isfinite(row.k_norm) and row.in_ball for row in rep.rows)
+
+    def test_propagators_formed_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(picard, name)
+            monkeypatch.setattr(picard, name, lambda *a: calls.append(name) or real(*a))
+
+        for name in ("_etd_factors", "_phase_operator", "_heat_operator"):
+            counting(name)
+        phi0, theta0, p = admissible_data()
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=3, tol=1e-300, dt=1e-3)
+        rep = picard_iterate(phi0, theta0, p, cfg, PART2)
+        assert len(rep.rows) == 3
+        assert sorted(calls) == ["_etd_factors"] * 2 + ["_heat_operator", "_phase_operator"]
 
     def test_divergence_is_reported_not_raised(self):
         phi0, theta0, p, cfg, part = divergent_problem()
@@ -624,21 +683,23 @@ class TestPicardIterate:
         # 10 transforms per snapshot that forces, plus the two inversions of
         # the last one
         phi0, theta0, p = admissible_data()
-        times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
-        dphi, dtheta, hat0 = initial_iterate(phi0, theta0, p, times)
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3)
+        times = cfg.times
+        dphi, dtheta, props = initial_iterate(phi0, theta0, p, cfg)
         calls = count_transforms(monkeypatch)
-        _map_in_place(GRID2, dphi, dtheta, hat0, p, times, PART2)
+        _map_in_place(GRID2, dphi, dtheta, props, p, times, PART2)
         assert 0 < len(calls) <= 10 * (times.size - 1) + 2
         assert set(calls) <= {"rfftn", "irfftn"}
-        assert dphi.shape == dtheta.shape == (times.size, _box(GRID2).size)
+        assert dphi.shape == dtheta.shape == (times.size, np.sum(GRID2.half_dealias_mask))
 
     def test_streamed_difference_is_the_norm_of_the_difference(self):
         phi0, theta0, p = admissible_data()
-        times = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3).times
-        dphi, dtheta, hat0 = initial_iterate(phi0, theta0, p, times)
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, dt=1e-3)
+        times = cfg.times
+        dphi, dtheta, props = initial_iterate(phi0, theta0, p, cfg)
         for _ in range(2):
             old = (dphi.copy(), dtheta.copy())
-            got = _map_in_place(GRID2, dphi, dtheta, hat0, p, times, PART2)
+            got = _map_in_place(GRID2, dphi, dtheta, props, p, times, PART2)
             assert np.any(dphi != old[0]) and np.any(dtheta != old[1])
             # the heat flow cancels: the difference is that of the compact box
             want = k_norm(
@@ -706,6 +767,12 @@ class TestPicardIterate:
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
         with pytest.raises(ValueError, match="grid"):
             picard_iterate(zero(GRID1), zero(GRID1), params(), cfg, PART2)
+
+    def test_model_a1_rejected(self):
+        cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
+        theta0 = Field(GRID2, np.full(GRID2.shape, 2.0))
+        with pytest.raises(ValueError, match="^the solution map linearizes model 'a2', got 'a1'$"):
+            picard_iterate(zero(GRID2), theta0, params(model="a1"), cfg, PART2)
 
 
 def random_series(grid, rng, n, amp):

@@ -183,6 +183,10 @@ class TestDensities:
         with pytest.raises(PositivityError, match="min\\(theta\\)"):
             ThermoState(Field(GRID1, np.zeros(GRID1.shape)), Field(GRID1, vals))
 
+    def test_fields_on_different_grids_rejected(self):
+        with pytest.raises(ValueError, match="^phi and theta live on different grids$"):
+            ThermoState(Field(GRID1, np.zeros(GRID1.shape)), Field(GRID2, np.ones(GRID2.shape)))
+
     @pytest.mark.parametrize("name", ["phi", "theta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_rejected_naming_field_and_index(self, name, bad):
