@@ -34,7 +34,6 @@ __all__ = [
     "grad_from_hat",
     "div_hat",
     "dealias_in_place",
-    "grad_arrays",
 ]
 
 
@@ -107,6 +106,12 @@ class GridSpec:
     def half_lap(self) -> np.ndarray:
         """-|k|^2 on the half lattice (the Laplacian)."""
         return -sum(ki**2 for ki in self.half_k_axes)
+
+    @cached_property
+    def half_inv_lap(self) -> np.ndarray:
+        """1/half_lap, the inverse Laplacian on mean-free fields: 0 at k = 0."""
+        lap = self.half_lap
+        return np.divide(1.0, lap, out=np.zeros_like(lap), where=lap != 0.0)
 
     @cached_property
     def half_bilap(self) -> np.ndarray:
@@ -195,7 +200,3 @@ def div_hat(grid: GridSpec, comps: list[np.ndarray], mask: bool = False) -> np.n
         out += rfftn(grid, v) * g
     return dealias_in_place(grid, out) if mask else out
 
-
-def grad_arrays(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
-    """All gradient components of a real array, via one forward FFT."""
-    return grad_from_hat(grid, rfftn(grid, values))

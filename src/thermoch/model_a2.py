@@ -1,4 +1,4 @@
-"""Semi-implicit pseudospectral marching for all three models.
+"""Exponential-integrator pseudospectral marching for all three models.
 
 The evolved system, after expanding the temperature equation against the
 entropy's chain rule, reads
@@ -8,15 +8,17 @@ entropy's chain rule, reads
 
 where f1 = lap P(mu + eps*theta_bar lap(phi)), with mu the state's one
 chemical potential (thermo.StateTerms.mu_hat) and P the two-thirds rule,
-and f2 collects the rate-quadratic heating, the chain-rule bracket
-of the entropy's bulk part, and the dissipation density.  Each equation's
-linear part, mass dy/dt + stiffness y, is stated once as its per-mode
-(mass, stiffness) (_phase_operator, _heat_operator), which picard's exact
-propagators read too; one implicit solve inverts both exactly per Fourier
-mode (_implicit_solve), and f1 and f2 are treated explicitly.  Within a step
-the phase field is updated first, its fresh backward difference feeds f2,
-and the temperature rate enters f2 lagged by one step (zero initially) — a
-Gauss-Seidel staggering consistent with the scheme's first-order accuracy.
+and f2 collects the rate-quadratic heating, the chain-rule bracket of the
+entropy's bulk part, and the dissipation density.  Each equation's linear
+part, mass dy/dt + stiffness y (_phase_operator, _heat_operator), is
+integrated exactly per Fourier mode with its forcing frozen over the step
+(ETD1, exponential time differencing): y_new = decay y + gain f.  The one
+set of pairs per (grid, params, dt), _etd_factors, serves the step and
+picard's solution map.  Within a step the phase field is updated first, its
+rate spectrum gives the dissipative force that f2 squares and the new state
+owns (thermo.dissipative_force), and the temperature rate enters f2 lagged
+by one step (zero initially) — a Gauss-Seidel staggering consistent with
+the scheme's first-order accuracy.
 
 ModelParams.model selects the variant.  "a2" is the system above (the
 fixed-background model).  "a1" is the same system plus the transport of
@@ -25,18 +27,19 @@ entropy by the mixture velocity u: f1 gains the coupling flux and f2 gains
 "isothermal" freezes theta and takes the phase update alone.  imex_step and
 simulate serve all three.
 
-The forcings and the solve return fresh arrays: they write into no input and
-no StateTerms term.
+The forcings and the propagators return fresh arrays: they write into no
+input, no StateTerms term and no cached pair.
 
 The zero mode of the phase field is preserved exactly: f1 is a total
 Laplacian, so its mean vanishes identically and the update is skipped for
-k = 0 (the solve's one override), making mass conservation a structural
+k = 0 (the step's one override), making mass conservation a structural
 property rather than a round-off accident.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .thermo import (
     ThermoState,
     _require_invertible_entropy_slope,
     dissipation,
+    dissipative_force,
     mixture_velocity,
     total_energy,
 )
@@ -118,15 +122,15 @@ def _f1_hat(t: StateTerms) -> np.ndarray:
     return dealias_in_place(grid, inner * grid.half_lap)
 
 
-def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
+def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray], force) -> np.ndarray:
     """Spectrum of the explicit heat forcing f2 for the phase rate `rate`,
-    whose gradient is grad_rate.
+    whose gradient is grad_rate and whose dissipative force is force.
 
     Three groups: eps*theta grad(rate).grad(phi); the chain-rule bracket
     -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged temperature
-    rate; and thermo.dissipation at this rate, with the force the audit's
-    production shares.  The conduction part of the production cancels
-    against the implicit heat operator and is absent by construction.
+    rate; and thermo.dissipation of this rate and force, which the new
+    state owns for the audit's production.  The conduction part of the
+    production belongs to the heat operator and is absent by construction.
     """
     grid, p = t.grid, t.p
     _, db_dphi, db_dtheta = t.bracket
@@ -138,7 +142,7 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.
     if t.state.dtheta_dt is not None:  # no temperature rate at t = 0
         out -= db_dtheta * t.state.dtheta_dt.values
     out *= t.theta
-    out += dissipation(t, rate, grad_rate)
+    out += dissipation(t, rate, force)
     return dealias_in_place(grid, rfftn(grid, out))
 
 
@@ -154,38 +158,57 @@ def _heat_operator(grid: GridSpec, p: ModelParams):
     return p.k_b, -p.kappa * grid.half_lap
 
 
-def _implicit_solve(operator, dt: float, y_hat, f_hat) -> np.ndarray:
-    """One implicit step of mass dy/dt + stiffness y = f per mode: the half
-    spectrum (mass y_hat + dt f_hat)/(mass + dt stiffness) of the new y,
-    times the real reciprocal of the denominator, not a complex division."""
+def _rate(operator) -> np.ndarray:
+    """Per-mode decay rate stiffness/mass of an equation's linear part:
+    eps*theta_bar k^4 / (1 + alpha k^2) for the phase, kappa k^2 / k_b for
+    the heat."""
     mass, stiffness = operator
-    return (mass * y_hat + dt * f_hat) * (1.0 / (mass + dt * stiffness))
+    return stiffness / mass
+
+
+@lru_cache(maxsize=4)
+def _etd_factors(grid: GridSpec, p: ModelParams, dt: float):
+    """The (decay, gain) pairs of the phase and the heat equation for one
+    step dt, formed once per (grid, p, dt): imex_step and picard's
+    propagators read these arrays and write into none.  A mode of mass y' +
+    stiffness y = g, integrated exactly with g frozen, gives y(t + dt) =
+    decay y(t) + gain g, with decay = e^{-lam dt}, lam = _rate, and gain =
+    (1 - e^{-lam dt})/(lam mass), or dt/mass where lam = 0."""
+    pairs = []
+    for operator in (_phase_operator(grid, p), _heat_operator(grid, p)):
+        lam_dt = _rate(operator) * dt
+        damped = lam_dt > 0.0
+        weight = np.where(damped, -np.expm1(-lam_dt) / np.where(damped, lam_dt, 1.0), 1.0)
+        pairs.append((np.exp(-lam_dt), weight * (dt / operator[0])))
+    return tuple(pairs)
 
 
 def imex_step(t: StateTerms, dt: float) -> StateTerms:
     """Advance t.state by one step of model t.p.model; returns the
     StateTerms of the new state, which has fresh rate caches and owns the
-    terms the step formed of it (thermo.ThermoState).
+    terms the step formed of it (thermo.ThermoState), the force f2 squared
+    included.
 
-    "a2" assembles f1 and f2 and takes both implicit solves.  "a1" first
-    requires an invertible entropy slope, then adds the coupling flux to f1
-    and -div(s u) to f2, with u recomputed from this state
-    (thermo.mixture_velocity; zero while the state has no rates).
+    "a2" assembles f1 and f2 and advances both spectra by _etd_factors.  "a1"
+    also requires an invertible entropy slope, adds the coupling flux to f1
+    and -div(s u) to f2, with u from the force this state owns
+    (thermo.mixture_velocity; zero while the state has no rate).
     "isothermal" stops after the phase update and keeps theta.  Every
     spectrum and derived field of the state is formed once, in t (march
-    audits with the same t), and f1, f2 reach the solves as spectra under
-    the 2/3 rule.  The returned terms start from the grad phi_new that f2's
-    rate gradient was formed of.
+    audits with the same t), and f1, f2 reach the propagators as spectra
+    under the 2/3 rule.  The returned terms start from the grad phi_new of
+    f2's rate gradient.
     """
     grid, p, state = t.grid, t.p, t.state
     a1 = p.model == "a1"
+    (phi_decay, phi_gain), (heat_decay, heat_gain) = _etd_factors(grid, p, dt)
 
+    new_phi_hat = _f1_hat(t)
     if a1:
         _require_invertible_entropy_slope(t)
-    f1_hat = _f1_hat(t)
-    if a1:
-        f1_hat += div_hat(grid, t.coupling, mask=True)
-    new_phi_hat = _implicit_solve(_phase_operator(grid, p), dt, t.phi_hat, f1_hat)
+        new_phi_hat += t.coupling_hat
+    new_phi_hat *= phi_gain
+    new_phi_hat += phi_decay * t.phi_hat
     origin = (0,) * grid.dim
     new_phi_hat[origin] = t.phi_hat[origin]  # f1 has no mean: keep it exactly
     new_phi = irfftn(grid, new_phi_hat)
@@ -198,10 +221,12 @@ def imex_step(t: StateTerms, dt: float) -> StateTerms:
 
     grad_phi = grad_from_hat(grid, new_phi_hat)
     grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
-    f2_hat = _f2_hat(t, rate, grad_rate)
+    force = dissipative_force(t, (new_phi_hat - t.phi_hat) * (1.0 / dt))
+    new_theta_hat = _f2_hat(t, rate, grad_rate, force)
     if a1 and state.dphi_dt is not None:
-        f2_hat -= div_hat(grid, [t.entropy * u for u in mixture_velocity(t)], mask=True)
-    new_theta_hat = _implicit_solve(_heat_operator(grid, p), dt, t.theta_hat, f2_hat)
+        new_theta_hat -= div_hat(grid, [t.entropy * u for u in mixture_velocity(t)], mask=True)
+    new_theta_hat *= heat_gain
+    new_theta_hat += heat_decay * t.theta_hat
     new_theta = irfftn(grid, new_theta_hat)
     new = ThermoState(
         Field(grid, new_phi),
@@ -209,18 +234,13 @@ def imex_step(t: StateTerms, dt: float) -> StateTerms:
         dphi_dt=Field(grid, rate),
         dtheta_dt=Field(grid, (new_theta - t.theta) * (1.0 / dt)),
     )
-    new.phi_hat, new.theta_hat, new.grad_rate = new_phi_hat, new_theta_hat, grad_rate
+    new.phi_hat, new.theta_hat, new.force = new_phi_hat, new_theta_hat, force
     terms = StateTerms(new, p)
     terms.grad_phi = grad_phi
     return terms
 
 
-def march(
-    cfg: SimConfig,
-    init: ThermoState,
-    step_fn,
-    sink=None,
-) -> Trajectory:
+def march(cfg: SimConfig, init: ThermoState, step_fn, sink=None) -> Trajectory:
     """Shared marching loop: calls step_fn(terms) repeatedly with the
     StateTerms of the current state, takes the StateTerms of the next state
     it returns, records snapshots every output_every steps (plus the initial

@@ -4,13 +4,13 @@ The solution is sought as (phi, theta) = (phi_free + dphi, theta_bar +
 dtheta): the free part solves the damped bilaplacian flow with the full
 initial phase, and the corrections solve forced linear problems whose
 forcings are re-evaluated on the previous iterate.  This module provides
-the exact per-mode linear propagators of the two equations' linear parts
-(each the (mass, stiffness) pair model_a2's implicit step solves with,
-model_a2._phase_operator and _heat_operator, decaying at the rate
-stiffness/mass, _rate), the seven-term space-time norm that measures
-iterates, and the Picard loop with contraction diagnostics.  The
-numerical checks of the linear a-priori estimates behind the construction
-are test oracles (tests/analysis_oracle.py), built on these propagators.
+the free flows of the two equations' linear parts (model_a2's (mass,
+stiffness) pairs, decaying at the rate stiffness/mass, model_a2._rate), the
+seven-term space-time norm that measures iterates, and the Picard loop with
+contraction diagnostics.  Its one-interval propagators are the direct run's
+own (model_a2._etd_factors).  The numerical checks of the linear a-priori
+estimates behind the construction are test oracles
+(tests/analysis_oracle.py), built on these propagators.
 
 All propagators are diagonal in Fourier space and integrate piecewise-
 constant forcing exactly, so the only discretization left is the sampling
@@ -57,28 +57,23 @@ from .besov import (
 from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
 from .model_a2 import (
     SimConfig,
+    _etd_factors,
     _f1_hat,
     _f2_hat,
     _heat_operator,
     _phase_operator,
+    _rate,
     run_clock,
     simulate,
 )
-from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
+from .thermo import (ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState,
+                     dissipative_force)
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 
 
 # --------------------------------------------------------------------------
 # exact linear propagators (diagonal in Fourier space)
-
-
-def _rate(operator) -> np.ndarray:
-    """Per-mode decay rate stiffness/mass of an equation's linear part, as
-    model_a2 states it: mass y' + stiffness y = g.  The phase rate is
-    eps*theta_bar k^4 / (1 + alpha k^2), the heat rate kappa k^2 / k_b."""
-    mass, stiffness = operator
-    return stiffness / mass
 
 
 def _check_times(times) -> np.ndarray:
@@ -115,35 +110,19 @@ def _spectra(grid: GridSpec, stack: np.ndarray, box: np.ndarray, times, flow=Non
     return (_expand(out, box, c, flow, t) for t, c in zip(times, stack))
 
 
-def _etd_factors(operator, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(decay, gain) on the half lattice of one interval of exact mode-wise
-    integration of the linear part operator = (mass, stiffness) with frozen
-    forcing: y(t + dt) = decay * y(t) + gain * g.
-
-    Each mode solves y' = -lam y + g / mass with lam = _rate(operator), hence
-    decay = e^{-lam dt} and gain = (1 - e^{-lam dt})/(lam mass), with the
-    lam -> 0 limit dt/mass on undamped modes.
-    """
-    mass = operator[0]
-    lam = _rate(operator)
-    positive = lam > 0.0
-    weight = np.where(positive, -np.expm1(-lam * dt) / np.where(positive, lam, 1.0), dt)
-    return np.exp(-lam * dt), weight / mass
-
-
 def _propagators(grid: GridSpec, p: ModelParams, hat0, dt: float):
     """A run's exact propagators, formed once: (box, flows, etds).
 
     box holds the flat indices of the 2/3-rule box on the half lattice,
     where the map's corrections live.  Per equation (phase, heat), flows
     holds the free flow (hat0, lam) of its initial half spectrum at the
-    decay rate _rate, and etds the one-interval ETD pair (decay, gain) of
-    the snapshot spacing dt (_etd_factors), gathered to the box.
+    decay rate _rate, and etds the direct run's ETD pair (decay, gain) of
+    the snapshot spacing dt (model_a2._etd_factors), gathered to the box.
     """
     box = np.flatnonzero(grid.half_dealias_mask)
     operators = (_phase_operator(grid, p), _heat_operator(grid, p))
     flows = [(h, _rate(op)) for h, op in zip(hat0, operators)]
-    etds = [tuple(np.take(a, box) for a in _etd_factors(op, dt)) for op in operators]
+    etds = [tuple(np.take(a, box) for a in pair) for pair in _etd_factors(grid, p, dt)]
     return box, flows, etds
 
 
@@ -307,7 +286,7 @@ class PicardReport:
     iterate left the domain of the map (temperature through zero, norms no
     longer finite); reported, never raised, since mapping where contraction
     fails is the point of the tool.  simulate_rel_diff compares the final
-    phase against a direct semi-implicit run on the same horizon.
+    phase against a direct run on the same horizon.
     """
 
     rows: tuple[PicardRow, ...]
@@ -338,12 +317,12 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, props, p: ModelParams, times, pa
     correction and the temperature's departure from its free heat flow;
     they leave holding the next iterate.  Snapshot j's two forcings, formed
     from one StateTerms of the absolute fields (free flow plus expanded box)
-    with backward-difference rates, the rate gradient as in
-    model_a2.imex_step, vanish off the box and advance it from rest by one
-    exact interval to slot j + 1.  That slot's old snapshot waits in one box
-    buffer per series until the next forcing reads it, and new - old goes
-    to the accumulators of the iterate norm.  The last state is validated
-    but acts beyond the horizon.
+    with backward-difference rates, rate gradient and force (of the rate
+    spectrum) as in model_a2.imex_step, vanish off the box and advance it
+    from rest by one exact interval to slot j + 1.  That slot's old
+    snapshot waits in one box buffer per series until the next forcing reads
+    it, and new - old goes to the accumulators of the iterate norm.  The
+    last state is validated but acts beyond the horizon.
     """
     box, flows, etds = props
     diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
@@ -353,7 +332,7 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, props, p: ModelParams, times, pa
     for acc in diffs:
         acc.add(diff)
     held = (dphi[0].copy(), dtheta[0].copy())
-    prev = prev_grad = None
+    prev = prev_grad = prev_hat = None
     for j, t in enumerate(times):
         for hat, flow, c in zip(hats, flows, held):
             _expand(hat, box, c, flow, t)
@@ -365,13 +344,14 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, props, p: ModelParams, times, pa
             state.phi_hat = hats[0]
             terms = StateTerms(state, p)
             grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
-            forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate))
+            force = dissipative_force(terms, (hats[0] - (hats[0] if j == 0 else prev_hat)) / dt)
+            forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate, force))
             series = zip((dphi, dtheta), held, etds, forcings, diffs)
             for stack, c, (decay, gain), f, acc in series:
                 np.copyto(c, stack[j + 1])
                 stack[j + 1] = decay * stack[j] + gain * np.take(f, box)
                 acc.add(_expand(diff, box, stack[j + 1] - c))
-            prev_grad = terms.grad_phi
+            prev_grad, prev_hat = terms.grad_phi, hats[0].copy()
         prev = now
     return _norm_report(*(acc.energies for acc in diffs), part, times)
 

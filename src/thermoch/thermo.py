@@ -31,14 +31,19 @@ Every kernel here returns fresh arrays and updates in place only its own
 temporaries, never an input or a StateTerms term.
 
 Both models dissipate |F|^2 + alpha (dphi/dt)^2 (dissipation), F the force
-grad(mu) + alpha grad(dphi/dt), plus s grad(theta)/phi for a1
-(dissipative_force).  Model "a1" adds the transport of entropy by the
-mixture velocity
+grad(mu) + alpha grad(dphi/dt), plus c = s grad(theta)/phi for a1.  Since
+the phase equation reads (1 - alpha lap) dphi/dt = lap(mu) + P div(c), P the
+2/3 rule, the force is a function of the rate alone: F = grad lap^-1(r) + c
+with r = dphi/dt - P div(c), zero at k = 0 (dissipative_force).  The step
+forms it from the rate spectrum its own phase update made, the heat forcing
+squares it, and the state the step produces owns it (ThermoState.force), so
+the audit's production squares the same array.  Model "a1" adds the
+transport of entropy by the mixture velocity
 
     u = -(grad(mu) + alpha grad(dphi/dt) + s grad(theta)/phi)/phi,
 
 the a1 force over phi (mixture_velocity).  The phase equation gains the
-coupling flux div(s grad(theta)/phi) (StateTerms.coupling), and the
+coupling flux P div(s grad(theta)/phi) (StateTerms.coupling_hat), and the
 temperature equation is the transported entropy balance
 
     theta d/dt[s] + div(s u) = theta div(kappa grad(theta)/theta) + production.
@@ -49,20 +54,15 @@ delta = ModelParams.reg_delta (StateTerms.recip): odd, smooth, bounded by
 exactly where the mixture has no majority phase.  Expanding theta d/dt[s] by
 the chain rule gives the pointwise coefficient theta ds/dtheta = k_b + theta
 dB/dtheta on the temperature rate; the step (model_a2.imex_step) keeps the
-constant k_b part implicit (the same per-mode heat factor as the
+constant k_b part in its heat propagator (the same per-mode factors as the
 fixed-background model), carries theta dB/dtheta against the lagged rate,
 and aborts if ds/dtheta loses positivity anywhere
 (_require_invertible_entropy_slope), since the expansion is then no longer
-invertible for the rate.  The step recomputes u from the state it starts
-from, and takes it as zero while the state has no rates yet (t = 0, like the
-rate caches).  Its force is the one the audit's production of the state
-squares: the dealiased grad mu (StateTerms.grad_mu) that the heat forcing
-also reads, and the grad(dphi/dt) that the step which produced the state
-formed, (grad phi_new - grad phi)/dt, which the state owns (ThermoState), so
-a run restarted from any recorded state continues bit for bit.  With
-grad(theta_0) = 0 the first a1 step is the fixed-background step exactly, and
-u lags the step by one rate, which is first-order consistent, matching the
-overall scheme order.
+invertible for the rate.  The step takes u from the force of the state it
+starts from, zero while the state has no rate yet (t = 0), so u lags the
+step by one rate, which is first-order consistent, matching the overall
+scheme order.  With grad(theta_0) = 0 the first a1 step is the
+fixed-background step exactly.
 """
 
 from __future__ import annotations
@@ -76,10 +76,8 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
-    dealias_in_place,
     div_hat,
     first_min_index,
-    grad_arrays,
     grad_from_hat,
     rfftn,
 )
@@ -173,15 +171,16 @@ class ThermoState:
     Construction is the one check of a valid state: phi and theta finite
     (else NonFiniteError), theta positive (else PositivityError).
 
-    Owned terms: phi_hat, theta_hat and grad_rate, which the step that
+    Owned terms: phi_hat, theta_hat and force, which the step that
     produced the state formed (model_a2.imex_step; an isothermal step owns
-    phi_hat only): its solves' spectra and its rate gradient (grad phi_new
-    - grad phi)/dt, which a transform of dphi_dt reproduces only to
-    round-off.  StateTerms reads them before forming its own, so a run
-    continued from any recorded state is bit for bit the uninterrupted
-    run.  They are not init arguments: ThermoState(...) and
-    dataclasses.replace start without them (None) and never inherit terms
-    of other values.  Gradients are StateTerms caches, never owned.
+    phi_hat only): its propagators' spectra and the dissipative force its
+    heat forcing squared, which the a1 force holds with the coupling of
+    the state before.  StateTerms reads them before forming its own, so the
+    audit squares the step's force and a run continued from any recorded
+    state is bit for bit the uninterrupted run.  They are not init
+    arguments: ThermoState(...) and dataclasses.replace start without them
+    (None) and never inherit terms of other values.  Gradients are
+    StateTerms caches, never owned.
     """
 
     phi: Field
@@ -190,7 +189,7 @@ class ThermoState:
     dtheta_dt: Field | None = None
     phi_hat: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     theta_hat: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    grad_rate: list[np.ndarray] | None = field(default=None, init=False, compare=False, repr=False)
+    force: list[np.ndarray] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.phi.grid != self.theta.grid:
@@ -212,11 +211,6 @@ class ThermoState:
     @property
     def grid(self) -> GridSpec:
         return self.phi.grid
-
-    def dphi_dt_values(self) -> np.ndarray:
-        if self.dphi_dt is None:
-            return np.zeros(self.grid.shape)
-        return self.dphi_dt.values
 
 
 # --------------------------------------------------------------------------
@@ -306,13 +300,11 @@ class StateTerms:
     model_a2.march builds one per state for the step that starts from it and
     for diagnostics.audit of the step that produced it; every density of
     the state takes it.  It reads the terms the state owns (ThermoState:
-    phi_hat, theta_hat, grad_rate) before forming its own, and forms the
-    rest from the state's values.  It holds the state's one chemical
-    potential, mu_hat, undealiased: the step's f1 (model_a2._f1_hat) and
-    grad_mu apply the 2/3 rule to it, and grad_mu enters only
-    dissipative_force, which the step and the audit share.  Its one bulk
-    entropy, bracket (B and its slopes), serves the state's entropy and
-    energy and the step's heat forcing alike.
+    phi_hat, theta_hat, force) before forming its own, and forms the rest
+    from the state's values.  It holds the state's one chemical potential,
+    mu_hat, undealiased, which only the step's f1 (model_a2._f1_hat) reads,
+    under the 2/3 rule.  Its one bulk entropy, bracket (B and its slopes),
+    serves the state's entropy and energy and the step's heat forcing alike.
     """
 
     def __init__(self, state: ThermoState, p: ModelParams):
@@ -338,14 +330,14 @@ class StateTerms:
         return grad_from_hat(self.grid, self.theta_hat)
 
     @cached_property
-    def grad_rate(self) -> list[np.ndarray]:
-        """grad(dphi/dt) of the state's rate cache (zero at t = 0); a
-        stepped state owns the step's (grad phi_new - grad phi)/dt."""
-        if self.state.grad_rate is not None:
-            return self.state.grad_rate
+    def force(self) -> list[np.ndarray]:
+        """The dissipative force of the state's rate: the one a stepped state
+        owns, else formed from the rate's spectrum, zero without a rate."""
+        if self.state.force is not None:
+            return self.state.force
         if self.state.dphi_dt is None:
             return [np.zeros(self.grid.shape) for _ in range(self.grid.dim)]
-        return grad_arrays(self.grid, self.state.dphi_dt.values)
+        return dissipative_force(self, rfftn(self.grid, self.state.dphi_dt.values))
 
     @cached_property
     def bulk(self) -> tuple[np.ndarray, np.ndarray]:
@@ -360,11 +352,6 @@ class StateTerms:
         out = rfftn(self.grid, self.bulk[1] / eps_theta)
         out -= div_hat(self.grid, flux)
         return out
-
-    @cached_property
-    def grad_mu(self) -> list[np.ndarray]:
-        """grad mu of the step: the gradient of mu_hat under the 2/3 rule."""
-        return grad_from_hat(self.grid, dealias_in_place(self.grid, self.mu_hat.copy()))
 
     @cached_property
     def bracket(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -385,37 +372,43 @@ class StateTerms:
         """a1's transported-entropy force s*grad(theta)*phi/(phi^2 + delta^2)."""
         return [self.entropy * gt * self.recip for gt in self.grad_theta]
 
+    @cached_property
+    def coupling_hat(self) -> np.ndarray:
+        """Spectrum of a1's coupling flux P div(coupling) under the 2/3 rule."""
+        return div_hat(self.grid, self.coupling, mask=True)
 
-def dissipative_force(t: StateTerms, grad_rate: list[np.ndarray]) -> list[np.ndarray]:
-    """The force t.grad_mu + alpha*grad_rate, plus t.coupling for model "a1",
-    for the phase rate whose gradient is grad_rate: the one place it is
-    formed.  dissipation squares it, and the a1 velocity is -t.recip times it.
-    """
-    force = [gm + t.p.alpha * gr for gm, gr in zip(t.grad_mu, grad_rate)]
-    if t.p.model == "a1":
-        force = [f + c for f, c in zip(force, t.coupling)]
+
+def dissipative_force(t: StateTerms, rate_hat: np.ndarray) -> list[np.ndarray]:
+    """The force grad(mu) + alpha grad(dphi/dt), plus t.coupling for model
+    "a1", of the phase rate with half spectrum rate_hat leaving t.state, the
+    one place it is formed: grad lap^-1(rate - t.coupling_hat) + t.coupling,
+    zero at k = 0, as the phase equation (1 - alpha lap) dphi/dt = lap(mu) +
+    P div(coupling) implies.  dissipation squares it."""
+    a1 = t.p.model == "a1"
+    inner = rate_hat - t.coupling_hat if a1 else rate_hat
+    force = grad_from_hat(t.grid, inner * t.grid.half_inv_lap)
+    if a1:
+        for f, c in zip(force, t.coupling):
+            f += c
     return force
 
 
-def dissipation(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray]) -> np.ndarray:
-    """|dissipative_force|^2 + alpha*rate^2 for the phase rate `rate`, whose
-    gradient is grad_rate: the one place the dissipation is formed.  The heat
+def dissipation(t: StateTerms, rate: np.ndarray, force: list[np.ndarray]) -> np.ndarray:
+    """|force|^2 + alpha*rate^2 for the phase rate `rate` and its force
+    (dissipative_force): the one place the dissipation is formed.  The heat
     forcing (model_a2._f2_hat) takes it at the step's fresh rate, the
     entropy production at the state's own."""
-    out = _sum_sq(dissipative_force(t, grad_rate))
+    out = _sum_sq(force)
     out += (t.p.alpha * rate) * rate
     return out
 
 
 def mixture_velocity(t: StateTerms) -> list[np.ndarray]:
-    """a1's u = -t.recip times the state's dissipative force at its own
-    grad(dphi/dt), whose coupling is s grad(theta) t.recip.
-
-    Consistency: -div(phi u) approaches lap(mu) + the coupling flux as the
-    regularization width p.reg_delta shrinks (checked in the tests at
-    delta = 1e-5).
-    """
-    return [-t.recip * f for f in dissipative_force(t, t.grad_rate)]
+    """a1's u = -t.recip times the state's force (StateTerms.force): as
+    p.reg_delta shrinks, -div(phi u) approaches div(force) = dphi/dt + (I -
+    P) div(coupling), the rate the phase equation transports (checked in
+    the tests at delta = 1e-5)."""
+    return [-t.recip * f for f in t.force]
 
 
 def _require_invertible_entropy_slope(t: StateTerms):
@@ -434,10 +427,11 @@ def _require_invertible_entropy_slope(t: StateTerms):
 
 def entropy_production(t: StateTerms) -> np.ndarray:
     """Pointwise theta*Delta^* of the state t.state for model t.p.model; a
-    sum of squares: the dissipation at the state's own dphi/dt and
-    grad(dphi/dt), + kappa|grad theta|^2/theta.  Every transform it reads is
-    a term of t."""
-    out = dissipation(t, t.state.dphi_dt_values(), t.grad_rate)
+    sum of squares: the dissipation at the state's own dphi/dt and force
+    (StateTerms.force), + kappa|grad theta|^2/theta.  Every transform it
+    reads is a term of t."""
+    rate = t.state.dphi_dt
+    out = dissipation(t, 0.0 if rate is None else rate.values, t.force)
     out += t.p.kappa * _sum_sq(t.grad_theta) / t.theta
     return out
 

@@ -14,7 +14,8 @@ Picard verifier.  The checks of the analysis behind them live here:
 * ginzburg_landau_energy: the isothermal interface energy, criterion 07;
 * linear_solve, phi_apriori_ratios and theta_apriori_ratios: the forced
   linear flows behind local well-posedness and the ratios of their linear
-  a-priori estimates, criterion 10;
+  a-priori estimates, criterion 10, integrated by etd_oracle, an ETD1
+  interval written out apart from the program's;
 * divergence_arrays: the spectral divergence the energy-rate identity reads;
 * chemical_potential: mu in divergence form, the mu the Gateaux check reads;
 * chemin_lerner_norm: the time-then-frequency norm of one series, which the
@@ -26,21 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spectral_oracle import block_energies, fed, half_spectra, laplacian_array
+from spectral_oracle import block_energies, fed, grad_arrays, half_spectra, laplacian_array
 from thermoch import thermo
 from thermoch.besov import DyadicPartition, SeriesEnergies, _time_then_blocks, besov_norm
 from thermoch.grid import (
     Field,
     GridSpec,
     div_hat,
-    grad_arrays,
     inner,
     irfftn,
     l2_norm,
     rfftn,
 )
 from thermoch.model_a2 import _heat_operator, _phase_operator
-from thermoch.picard import _check_times, _etd_factors
+from thermoch.picard import _check_times
 from thermoch.thermo import ModelParams, StateTerms, ThermoState, bulk_potential
 
 
@@ -205,17 +205,26 @@ def ginzburg_landau_energy(phi: Field, p: ModelParams) -> float:
 # the forced linear flows and their a-priori estimates (criterion 10)
 
 
+def etd_oracle(lam, mass, dt):
+    """One ETD1 interval of mass y' + stiffness y = g per mode, lam =
+    stiffness/mass: decay e^(-lam dt) and gain (1 - e^(-lam dt))/(lam mass),
+    dt/mass where lam = 0."""
+    x = lam * dt
+    safe = np.where(x > 0.0, x, 1.0)
+    return np.exp(-x), np.where(x > 0.0, -np.expm1(-safe) / safe, 1.0) * dt / mass
+
+
 def linear_solve(operator, g, y0: Field, p: ModelParams, times) -> np.ndarray:
     """Half spectra of the forced linear flow at every time, the forcing g
     frozen on each interval; operator is model_a2's _phase_operator or
     _heat_operator, the equation's (mass, stiffness) per mode."""
     grid, times = y0.grid, _check_times(times)
-    pair = operator(grid, p)
+    mass, stiffness = operator(grid, p)
     g_hats = half_spectra(g, grid, times.size)
     out = np.empty((times.size, *grid.half_shape), dtype=complex)
     out[0] = rfftn(grid, y0.values)
     for n in range(times.size - 1):
-        decay, gain = _etd_factors(pair, times[n + 1] - times[n])
+        decay, gain = etd_oracle(stiffness / mass, mass, times[n + 1] - times[n])
         out[n + 1] = decay * out[n] + gain * g_hats[n]
     return out
 

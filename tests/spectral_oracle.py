@@ -20,7 +20,7 @@ import scipy.fft
 import thermoch
 from thermoch.besov import SeriesEnergies, chi_bump
 from thermoch.fieldio import MAGIC, VERSION
-from thermoch.grid import Field, irfftn, rfftn
+from thermoch.grid import Field, grad_from_hat, irfftn, rfftn
 
 
 def fftn(values):
@@ -82,6 +82,17 @@ def half_spectra(series, grid, n_times):
     if any(f.grid != grid for f in series):
         raise ValueError("a field lives on a different grid")
     return np.stack([rfftn(grid, f.values) for f in series])
+
+
+def grad_arrays(grid, values):
+    """All gradient components of a real array through its half spectrum."""
+    return grad_from_hat(grid, rfftn(grid, values))
+
+
+def inverse_laplacian(grid, values):
+    """lap^-1 of a real array on the full lattice, 0 at k = 0."""
+    k2 = k_squared(grid)
+    return ifftn_real(fftn(values) * np.divide(-1.0, k2, out=np.zeros_like(k2), where=k2 > 0))
 
 
 def laplacian_array(grid, values):

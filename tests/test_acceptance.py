@@ -1,9 +1,11 @@
 """Acceptance gate: thirteen must-hold behaviors, one test per criterion.
 
 Run ``pytest tests/test_acceptance.py -v`` to get one pass/fail line per
-criterion (two for criterion 04: its slope and its drift floor).  Every
-tolerance is pinned in the assertions; the three-run refinement study
-(criteria 04-06) is built once per module and shared.
+criterion (two for criterion 04: its slope and its drift floor; two for
+criterion 11: the contraction and the direct-run oracle).  Every tolerance
+is pinned in the assertions; the three-run refinement study (criteria
+04-06) and the contraction run (criterion 11) are built once per module and
+shared.
 """
 
 import math
@@ -19,18 +21,11 @@ from analysis_oracle import (
     verify_variational_identities,
 )
 from collect import collect
-from spectral_oracle import band_limited, fftn, project_block
+from spectral_oracle import band_limited, fftn, grad_arrays, project_block
 from thermoch.besov import besov_norm, build_partition, check_smallness, chi_bump
 from thermoch.cli import EXIT_OK, main
-from thermoch.grid import Field, GridSpec, grad_arrays, irfftn, l2_norm, rfftn
-from thermoch.model_a2 import (
-    SimConfig,
-    _heat_operator,
-    _implicit_solve,
-    _phase_operator,
-    imex_step,
-    simulate,
-)
+from thermoch.grid import Field, GridSpec, irfftn, l2_norm, rfftn
+from thermoch.model_a2 import SimConfig, _etd_factors, imex_step, simulate
 from thermoch.picard import PicardConfig, picard_iterate
 from thermoch.rng import Xoshiro256StarStar
 from thermoch.thermo import ModelParams, StateTerms, ThermoState, entropy_production
@@ -202,13 +197,10 @@ def test_criterion_08_heat_kernel_oracle():
         Field(GRID_1D, 1.0 + b * np.cos(mode * x)),
     )
     zero = np.zeros(GRID_1D.n // 2 + 1)  # half spectrum of the zero forcing
+    (phi_decay, phi_gain), (heat_decay, heat_gain) = _etd_factors(GRID_1D, p, dt)
     for _ in range(round(t_end / dt)):
-        phi_hat = _implicit_solve(
-            _phase_operator(GRID_1D, p), dt, rfftn(GRID_1D, state.phi.values), zero
-        )
-        theta_hat = _implicit_solve(
-            _heat_operator(GRID_1D, p), dt, rfftn(GRID_1D, state.theta.values), zero
-        )
+        phi_hat = phi_decay * rfftn(GRID_1D, state.phi.values) + phi_gain * zero
+        theta_hat = heat_decay * rfftn(GRID_1D, state.theta.values) + heat_gain * zero
         state = ThermoState(
             Field(GRID_1D, irfftn(GRID_1D, phi_hat)),
             Field(GRID_1D, irfftn(GRID_1D, theta_hat)),
@@ -302,7 +294,9 @@ def test_criterion_10_linear_apriori_estimates():
     assert np.all(holdout <= constant)
 
 
-def test_criterion_11_empirical_contraction():
+@pytest.fixture(scope="module")
+def contraction_run():
+    """Criterion 11's problem: its smallness report and its contraction run."""
     part = build_partition(GRID)
     p = params(theta_bar=100.0, alpha=1.0)
     x, y = GRID.axes
@@ -315,15 +309,25 @@ def test_criterion_11_empirical_contraction():
         GRID, p.theta_bar + (gauge.rhs2 / (2.05 * gauge.lhs2)) * np.cos(x) * np.cos(y)
     )
     smallness = check_smallness(phi0, theta0, p, 0.5, part)
+    cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=6, dt=1e-4)
+    return smallness, picard_iterate(phi0, theta0, p, cfg, part, eps0=0.5)
+
+
+def test_criterion_11_empirical_contraction(contraction_run):
+    smallness, report = contraction_run
     assert min(smallness.margins) >= 2.0
     assert all(smallness.satisfied)
-
-    cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=6, dt=1e-4)
-    report = picard_iterate(phi0, theta0, p, cfg, part, eps0=0.5)
     assert report.converged and not report.diverged
     assert all(row.in_ball for row in report.rows)
     assert all(row.ratio <= 0.9 for row in report.rows if row.iteration >= 2)
     assert report.simulate_rel_diff <= 0.05
+
+
+def test_criterion_11_fixed_point_is_the_direct_run(contraction_run):
+    # the map and the step share one propagator (model_a2._etd_factors), so
+    # on these data the fixed point is the direct run up to round-off
+    _, report = contraction_run
+    assert report.simulate_rel_diff <= 1e-9
 
 
 def test_criterion_12_a1_a2_agreement():

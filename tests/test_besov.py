@@ -12,6 +12,7 @@ from spectral_oracle import (
     count_transforms,
     fed,
     full_symbols,
+    grad_arrays,
     grad_symbol,
     k_squared,
     laplacian_array,
@@ -24,7 +25,7 @@ from thermoch.besov import (
     check_smallness,
     chi_bump,
 )
-from thermoch.grid import Field, GridSpec, grad_arrays, l2_norm, rfftn
+from thermoch.grid import Field, GridSpec, l2_norm, rfftn
 from thermoch.thermo import ModelParams
 
 

@@ -134,9 +134,10 @@ class TestSimulate:
         assert "entropy slope" in captured.err
         assert (out / "diagnostics.csv").is_file()
 
-    def test_step0_singularity_exits_3_without_traceback(self, tmp_path, capsys):
-        # at reg_delta = 0 the step-0 audit of a phase field crossing zero
-        # has no a1 entropy production
+    def test_a1_singularity_stops_at_step_1_with_its_label(self, tmp_path, capsys):
+        # at reg_delta = 0 a phase field crossing zero has no a1 coupling.
+        # The initial state has no rate, hence no force, and its audit needs
+        # no 1/phi; the first step's coupling flux does
         grid = GridSpec(dim=2, n=32, box_len=2.0 * math.pi)
         x, y = np.meshgrid(*grid.axes, indexing="ij")
         fieldio.write_field(tmp_path / "phi0.bin", Field(grid, 0.9 * np.sin(x)))
@@ -151,9 +152,11 @@ class TestSimulate:
         )
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure:")
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert "termination: singularity" in captured.out
+        assert "(singularity): step 1: 1/phi is singular" in captured.err
+        assert "Traceback" not in captured.err
+        assert csv_steps(out / "diagnostics.csv") == [0]
         assert not (out / LOCK_NAME).exists()
 
     def test_held_lock_exits_4_and_is_not_stolen(self, tmp_path, capsys):
@@ -337,7 +340,7 @@ class TestStreaming:
         # this data loses positivity in step 2, so the last valid state,
         # step 1, is no output step and is recorded as the run stops
         out = tmp_path / "out"
-        text = GENTLE.format(out=out).replace("amplitude = 0.001", "amplitude = 0.05")
+        text = GENTLE.format(out=out).replace("amplitude = 0.001", "amplitude = 0.2")
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(cfg)]) == EXIT_NUMERICAL
         assert "termination: positivity" in capsys.readouterr().out

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from analysis_oracle import divergence_arrays
-from spectral_oracle import fftn, grad_symbol, ifftn_real, k_axes, k_squared, laplacian_array
+from spectral_oracle import (
+    fftn,
+    grad_arrays,
+    grad_symbol,
+    ifftn_real,
+    k_axes,
+    k_squared,
+    laplacian_array,
+)
 from thermoch.grid import (
     Field,
     GridSpec,
     dealias_in_place,
-    grad_arrays,
     inner,
     irfftn,
     l2_norm,
@@ -100,6 +107,13 @@ class TestDerivatives:
         lap = laplacian_array(g, f.values)
         expect = -(kx**2 + ky**2) * f.values
         assert np.max(np.abs(lap - expect)) < 1e-12 * (kx**2 + ky**2)
+
+    def test_inverse_laplacian_inverts_off_the_zero_mode(self):
+        g = GridSpec(dim=3, n=8, box_len=1.7)
+        product = g.half_inv_lap * g.half_lap
+        assert product[0, 0, 0] == 0.0 and g.half_inv_lap[0, 0, 0] == 0.0
+        product[0, 0, 0] = 1.0
+        assert np.max(np.abs(product - 1.0)) <= 1e-15
 
     def test_laplacian_twice_equals_bilaplacian(self):
         rng = np.random.default_rng(3)

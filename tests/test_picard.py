@@ -20,7 +20,7 @@ from spectral_oracle import (
 from thermoch import picard
 from thermoch.besov import build_partition, besov_norm, check_smallness
 from thermoch.grid import Field, GridSpec, irfftn, rfftn
-from thermoch.model_a2 import SimConfig, _heat_operator, _implicit_solve, _phase_operator
+from thermoch.model_a2 import SimConfig, _etd_factors, _heat_operator, _phase_operator, _rate
 from thermoch.picard import (
     KNormReport,
     PicardConfig,
@@ -28,7 +28,6 @@ from thermoch.picard import (
     _free_flow,
     _map_in_place,
     _propagators,
-    _rate,
     k_norm,
     picard_iterate,
 )
@@ -178,21 +177,19 @@ class TestLinearSolvers:
 
     @pytest.mark.parametrize("operator", [_phase_operator, _heat_operator])
     def test_one_implicit_step_matches_exact_decay_to_second_order(self, operator):
-        # zero forcing: the step's amplification 1/(1 + lam dt) and the exact
-        # e^(-lam dt) of the same (mass, stiffness) differ by at most
-        # (lam dt)^2/2 per mode, and by no more than round-off where lam = 0
+        # zero forcing: the step's propagator of (mass, stiffness) is the
+        # exact decay e^(-lam dt) of the free flow, to round-off on every
+        # mode, the stiff ones included
         rng = np.random.default_rng(12)
         p = params(eps=0.8, theta_bar=1.5, alpha=0.3, kappa=1.7, k_b=0.8)
         dt = 1e-3
         hat0 = rfftn(GRID2, rng.standard_normal(GRID2.shape))
         lam = _rate(operator(GRID2, p))
-        implicit = _implicit_solve(operator(GRID2, p), dt, hat0, 0.0)
+        decay, gain = _etd_factors(GRID2, p, dt)[[_phase_operator, _heat_operator].index(operator)]
+        step = decay * hat0 + gain * 0.0
         exact = _free_flow(hat0, lam, dt)
         assert np.max(lam * dt) > 1.0  # the stiff modes are reached
-        gap = np.abs(implicit - exact)
-        assert np.all(gap <= (0.5 * (lam * dt) ** 2 + 1e-15) * np.abs(hat0))
-        small = (lam > 0.0) & (lam * dt < 1e-2)
-        assert np.all(gap[small] >= 0.4 * (lam[small] * dt) ** 2 * np.abs(hat0[small]))
+        assert np.all(np.abs(step - exact) <= 1e-15 * np.abs(hat0))
 
     def test_forcing_grid_mismatch_rejected(self):
         times = np.linspace(0.0, 0.1, 3)
@@ -470,7 +467,7 @@ def admissible_data(part=PART2):
 
 def divergent_problem():
     """Data on which the map stops contracting: the iterate loses temperature
-    positivity in the middle of application 5."""
+    positivity in the middle of application 4."""
     g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
     part = build_partition(g)
     x, y = g.axes
@@ -557,19 +554,20 @@ class TestPicardIterate:
 
     def test_three_non_contracting_ratios_in_a_row_diverge(self):
         # the map stays defined and its norms finite, but it stops
-        # contracting: ratios nan, 0.725, 1.347, 0.975, 1.464, 1.427, 1.558.
-        # The 0.975 row resets the streak, so the run stops at row 7, not 5
+        # contracting: ratios nan, 0.641, 0.913, 1.027, 0.935, 1.156, 1.023,
+        # 1.268.  The 0.935 row resets the streak, so the run stops at row 8
+        # as diverged, where a streak that did not reset would end at row 7
         g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
         x, y = g.axes
-        p = params(theta_bar=5.0, alpha=1.0)
+        p = params(theta_bar=5.5, alpha=1.0)
         phi0 = Field(g, 0.8 * np.cos(x) * np.cos(y))
-        theta0 = Field(g, 5.0 + 1.5 * np.cos(x) * np.ones(g.shape))
+        theta0 = Field(g, 5.5 + 1.1 * np.cos(x) * np.ones(g.shape))
         cfg = PicardConfig(chi=1e6, t_end=0.05, n_iter=8, dt=2.5e-3)
         rep = picard_iterate(phi0, theta0, p, cfg, build_partition(g))
         assert rep.diverged and not rep.converged
         ratios = [row.ratio for row in rep.rows]
         assert math.isnan(ratios[0])
-        assert [r >= 1.0 for r in ratios[1:]] == [False, True, False, True, True, True]
+        assert [r >= 1.0 for r in ratios[1:]] == [False, False, True, False, True, True, True]
         assert all(math.isfinite(row.k_norm) and row.in_ball for row in rep.rows)
 
     def test_propagators_formed_once_per_run(self, monkeypatch):
@@ -585,7 +583,23 @@ class TestPicardIterate:
         cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=3, tol=1e-300, dt=1e-3)
         rep = picard_iterate(phi0, theta0, p, cfg, PART2)
         assert len(rep.rows) == 3
-        assert sorted(calls) == ["_etd_factors"] * 2 + ["_heat_operator", "_phase_operator"]
+        assert sorted(calls) == ["_etd_factors", "_heat_operator", "_phase_operator"]
+
+    def test_step_and_map_share_one_propagator(self):
+        # a picard run and its direct run form the ETD pairs of their
+        # (grid, params, dt) once between them, every step reads them, and
+        # the map's pairs are the step's, gathered to the 2/3-rule box
+        _etd_factors.cache_clear()
+        phi0, theta0, p = admissible_data()
+        cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=3, tol=1e-300, dt=1e-3)
+        rep = picard_iterate(phi0, theta0, p, cfg, PART2)
+        assert len(rep.rows) == 3 and math.isfinite(rep.simulate_rel_diff)
+        info = _etd_factors.cache_info()
+        assert info.misses == 1 and info.hits == cfg.n_steps
+        pairs = _etd_factors(GRID2, p, cfg.step)
+        box, _, etds = initial_iterate(phi0, theta0, p, cfg)[2]
+        for got, want in zip(etds, pairs):
+            assert all(np.array_equal(g, np.take(w, box)) for g, w in zip(got, want))
 
     def test_divergence_is_reported_not_raised(self):
         phi0, theta0, p, cfg, part = divergent_problem()
@@ -597,8 +611,8 @@ class TestPicardIterate:
     def test_failed_run_keeps_its_last_accepted_iterate(self, monkeypatch):
         phi0, theta0, p, cfg, part = divergent_problem()
         stopped = picard_iterate(phi0, theta0, p, cfg, part)
-        assert stopped.diverged and len(stopped.rows) == 4
-        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=4), part)
+        assert stopped.diverged and len(stopped.rows) == 3
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=3), part)
         for got, want in zip(finals(stopped), finals(accepted)):
             assert np.array_equal(got, want)
 
@@ -645,14 +659,17 @@ class TestPicardIterate:
     @pytest.mark.parametrize("amplitude", [1e30, 1e80])
     def test_data_beyond_the_double_range_diverge_without_warning(self, amplitude):
         # the map and the size norm overflow, the suite's warnings are
-        # errors; at 1e80 the direct run fails at step 0 as well
+        # errors; at 1e80 the direct run fails at step 0 as well.  At 1e30
+        # the first application stays finite, its first snapshot's force
+        # being that of the zero rate, and the second overflows
         g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
         p = params()
         phi0 = Field(g, amplitude * np.cos(g.axes[0]) * np.ones(g.shape))
         theta0 = Field(g, np.full(g.shape, p.theta_bar))
         cfg = PicardConfig(chi=1e-4, t_end=1e-2, dt=1e-3)
         rep = picard_iterate(phi0, theta0, p, cfg, build_partition(g))
-        assert rep.diverged and not rep.rows
+        assert rep.diverged and len(rep.rows) == (1 if amplitude == 1e30 else 0)
+        assert not any(row.in_ball for row in rep.rows)
         assert rep.simulate_rel_diff == math.inf
         assert not rep.smallness.satisfied[0]
 

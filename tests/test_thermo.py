@@ -8,9 +8,19 @@ from analysis_oracle import (
     free_energy_density,
     verify_variational_identities,
 )
-from spectral_oracle import band_limited, count_transforms, fftn, ifftn_real, k_squared
+from spectral_oracle import (
+    band_limited,
+    count_transforms,
+    dealias,
+    fftn,
+    grad_arrays,
+    grad_symbol,
+    ifftn_real,
+    inverse_laplacian,
+    k_squared,
+)
 from thermoch import thermo
-from thermoch.grid import Field, GridSpec, grad_arrays, grad_from_hat
+from thermoch.grid import Field, GridSpec
 from thermoch.thermo import (
     ModelParams,
     NonFiniteError,
@@ -268,22 +278,25 @@ class TestEntropyProduction:
         prod1 = entropy_production(StateTerms(st, p1))
         assert np.max(np.abs(prod1 - prod2)) < 1e-14
 
-    def test_no_rate_gives_a_zero_rate_gradient_without_a_transform(self, monkeypatch):
-        # a run's initial state has no rate: its grad(dphi/dt) is zero and
-        # forming it transforms nothing
+    def test_no_rate_gives_a_zero_force_without_a_transform(self, monkeypatch):
+        # a run's initial state has no rate: its force is zero, a1's
+        # coupling notwithstanding, and forming it transforms nothing
         rng = np.random.default_rng(33)
-        st = ThermoState(band_limited(GRID2, rng, 0.5), Field(GRID2, np.full(GRID2.shape, 2.0)))
-        t = StateTerms(st, params())
+        phi = Field(GRID2, 1.0 + band_limited(GRID2, rng, 0.5).values)
+        st = ThermoState(phi, Field(GRID2, 2.0 + band_limited(GRID2, rng, 0.4).values))
+        t = StateTerms(st, params(model="a1"))
         calls = count_transforms(monkeypatch)
-        grad_rate = t.grad_rate
+        force = t.force
         assert calls == []
-        assert len(grad_rate) == GRID2.dim
-        assert all(g.shape == GRID2.shape and not g.any() for g in grad_rate)
+        assert len(force) == GRID2.dim
+        assert all(f.shape == GRID2.shape and not f.any() for f in force)
 
     @pytest.mark.parametrize("model", ["a2", "a1"])
-    def test_force_takes_the_steps_dealiased_grad_mu(self, model):
-        # a cosine at 13 = 0.8 k_max puts energy of mu off the 2/3 box, so the
-        # step's P grad mu and the undealiased grad mu differ there
+    def test_force_is_formed_from_the_rate_spectrum(self, model):
+        # a state that owns no force takes the one its rate implies, grad
+        # lap^-1(dphi/dt - P div c) + c with c the a1 coupling (zero for a2).
+        # A cosine at 13 = 0.8 k_max puts energy of c off the 2/3 box, so
+        # P div c and div c differ there
         rng = np.random.default_rng(33)
         p = params(model=model)
         x = GRID2.axes[0]
@@ -294,17 +307,15 @@ class TestEntropyProduction:
 
         t = StateTerms(st, p)
         grad_theta = grad_arrays(GRID2, theta)
-        force = [
-            gm + p.alpha * gr
-            for gm, gr in zip(
-                grad_from_hat(GRID2, t.mu_hat * GRID2.half_dealias_mask),
-                grad_arrays(GRID2, dphi_dt.values),
-            )
-        ]
         recip = phi / (phi**2 + p.reg_delta**2)
+        coupling, rate = [0.0] * GRID2.dim, dphi_dt.values
         if model == "a1":
             s = entropy_density(t)
-            force = [f + s * gt * recip for f, gt in zip(force, grad_theta)]
+            coupling = [s * gt * recip for gt in grad_theta]
+            div = sum(ifftn_real(fftn(c) * grad_symbol(GRID2, i)) for i, c in enumerate(coupling))
+            rate = rate - dealias(GRID2, div)
+        grad_inverse = grad_arrays(GRID2, inverse_laplacian(GRID2, rate))
+        force = [g + c for g, c in zip(grad_inverse, coupling)]
         want = (
             sum(f * f for f in force)
             + p.alpha * dphi_dt.values**2
@@ -316,8 +327,10 @@ class TestEntropyProduction:
             np.testing.assert_allclose(u, -recip * f, rtol=1e-12, atol=1e-12 * np.max(np.abs(f)))
 
     def test_a1_singularity_guard(self):
+        # the force of a rate, zero included, needs the a1 coupling, hence 1/phi
         p = params(model="a1", reg_delta=0.0)
         st = uniform_state(GRID1, 0.0, 1.0)  # phi == 0 everywhere
+        st = ThermoState(st.phi, st.theta, dphi_dt=st.phi)
         with pytest.raises(SingularityError, match="reg_delta"):
             entropy_production(StateTerms(st, p))
 
