@@ -12,13 +12,15 @@ and f2 collects the rate-quadratic heating, the chain-rule bracket of the
 entropy's bulk part, and the dissipation density.  Each equation's linear
 part, mass dy/dt + stiffness y (_phase_operator, _heat_operator), is
 integrated exactly per Fourier mode with its forcing frozen over the step
-(ETD1, exponential time differencing): y_new = decay y + gain f.  The one
-set of pairs per (grid, params, dt), _etd_factors, serves the step and
-picard's solution map.  Within a step the phase field is updated first, its
-rate spectrum gives the dissipative force that f2 squares and the new state
-owns (thermo.dissipative_force), and the temperature rate enters f2 lagged
-by one step (zero initially) — a Gauss-Seidel staggering consistent with
-the scheme's first-order accuracy.
+(ETD1, exponential time differencing): y_new = decay y + gain f.  Within a
+step the phase field is updated first, f2 reads its fresh rate, whose
+spectrum gives the dissipative force that f2 squares and the new state owns
+(thermo.dissipative_force), and the temperature rate enters f2 lagged by
+one step (zero initially) — a Gauss-Seidel staggering consistent with the
+scheme's first-order accuracy.  One forcing assembly per equation
+(phase_forcing, heat_forcing) and one set of pairs per (grid, params, dt)
+(_etd_factors) serve the step and picard's solution map alike, so the
+map's fixed point is the direct run up to round-off.
 
 ModelParams.model selects the variant.  "a2" is the system above (the
 fixed-background model).  "a1" is the same system plus the transport of
@@ -113,26 +115,40 @@ class Trajectory:
     message: str = ""
 
 
-def _f1_hat(t: StateTerms) -> np.ndarray:
-    """Spectrum of f1 = lap P(mu + eps theta_bar lap(phi)), the explicit phase
-    forcing: lap(mu) of the state's one mu (StateTerms.mu_hat) without the
-    stiff eps*theta_bar lap^2 part, under the two-thirds rule P."""
+def phase_forcing(t: StateTerms) -> np.ndarray:
+    """Spectrum of the explicit phase forcing f1 of the state t.state:
+    lap P(mu + eps theta_bar lap(phi)), lap(mu) of the state's one mu
+    (StateTerms.mu_hat) without the stiff eps*theta_bar lap^2 part, under the
+    two-thirds rule P.  "a1" requires an invertible entropy slope and adds
+    the coupling flux (StateTerms.coupling_hat)."""
     grid, p = t.grid, t.p
     inner = (p.eps * p.theta_bar * grid.half_lap) * t.phi_hat + t.mu_hat
-    return dealias_in_place(grid, inner * grid.half_lap)
+    out = dealias_in_place(grid, inner * grid.half_lap)
+    if p.model == "a1":
+        _require_invertible_entropy_slope(t)
+        out += t.coupling_hat
+    return out
 
 
-def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray], force) -> np.ndarray:
-    """Spectrum of the explicit heat forcing f2 for the phase rate `rate`,
-    whose gradient is grad_rate and whose dissipative force is force.
+def heat_forcing(t: StateTerms, phi_hat: np.ndarray, phi: np.ndarray, dt: float):
+    """(f2_hat, stepped) of a step dt from t.state to the phase phi with half
+    spectrum phi_hat: the spectrum of the explicit heat forcing f2 at the
+    fresh rate (phi - t.phi)/dt, and stepped(theta), the StateTerms of the
+    new state at the temperature values theta, with fresh rates, owning
+    phi_hat and the rate spectrum's force, its grad(phi) already formed.
 
     Three groups: eps*theta grad(rate).grad(phi); the chain-rule bracket
     -theta*(dB/dphi rate + dB/dtheta dtheta/dt) with the lagged temperature
-    rate; and thermo.dissipation of this rate and force, which the new
-    state owns for the audit's production.  The conduction part of the
-    production belongs to the heat operator and is absent by construction.
+    rate; and thermo.dissipation of this rate and force.  "a1" adds -div(s
+    u), u from the force of t.state (thermo.mixture_velocity; zero while it
+    has no rate).  The conduction part of the production belongs to the
+    heat operator and is absent by construction.
     """
     grid, p = t.grid, t.p
+    rate = (phi - t.phi) * (1.0 / dt)  # a scalar reciprocal: no array division
+    grad_phi = grad_from_hat(grid, phi_hat)
+    grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
+    force = dissipative_force(t, (phi_hat - t.phi_hat) * (1.0 / dt))
     _, db_dphi, db_dtheta = t.bracket
     out = grad_rate[0] * t.grad_phi[0]  # theta (eps cross - bracket rate), in place
     for gr, gp in zip(grad_rate[1:], t.grad_phi[1:]):
@@ -143,7 +159,20 @@ def _f2_hat(t: StateTerms, rate: np.ndarray, grad_rate: list[np.ndarray], force)
         out -= db_dtheta * t.state.dtheta_dt.values
     out *= t.theta
     out += dissipation(t, rate, force)
-    return dealias_in_place(grid, rfftn(grid, out))
+    out = dealias_in_place(grid, rfftn(grid, out))
+    if p.model == "a1" and t.state.dphi_dt is not None:
+        out -= div_hat(grid, [t.entropy * u for u in mixture_velocity(t)], mask=True)
+    theta_before = t.theta  # stepped holds this, not t: t's terms may be dropped
+
+    def stepped(theta: np.ndarray) -> StateTerms:
+        new = ThermoState(Field(grid, phi), Field(grid, theta), dphi_dt=Field(grid, rate),
+                          dtheta_dt=Field(grid, (theta - theta_before) * (1.0 / dt)))
+        new.phi_hat, new.force = phi_hat, force
+        terms = StateTerms(new, p)
+        terms.grad_phi = grad_phi
+        return terms
+
+    return out, stepped
 
 
 def _phase_operator(grid: GridSpec, p: ModelParams):
@@ -189,54 +218,32 @@ def imex_step(t: StateTerms, dt: float) -> StateTerms:
     terms the step formed of it (thermo.ThermoState), the force f2 squared
     included.
 
-    "a2" assembles f1 and f2 and advances both spectra by _etd_factors.  "a1"
-    also requires an invertible entropy slope, adds the coupling flux to f1
-    and -div(s u) to f2, with u from the force this state owns
-    (thermo.mixture_velocity; zero while the state has no rate).
-    "isothermal" stops after the phase update and keeps theta.  Every
-    spectrum and derived field of the state is formed once, in t (march
-    audits with the same t), and f1, f2 reach the propagators as spectra
-    under the 2/3 rule.  The returned terms start from the grad phi_new of
-    f2's rate gradient.
+    f1 (phase_forcing) and f2 (heat_forcing, at the fresh rate) advance
+    both spectra by _etd_factors; "isothermal" stops after the phase update
+    and keeps theta.  Every term of the state is formed once, in t (march
+    audits with the same t), and heat_forcing builds the new state's terms.
     """
     grid, p, state = t.grid, t.p, t.state
-    a1 = p.model == "a1"
     (phi_decay, phi_gain), (heat_decay, heat_gain) = _etd_factors(grid, p, dt)
 
-    new_phi_hat = _f1_hat(t)
-    if a1:
-        _require_invertible_entropy_slope(t)
-        new_phi_hat += t.coupling_hat
+    new_phi_hat = phase_forcing(t)
     new_phi_hat *= phi_gain
     new_phi_hat += phi_decay * t.phi_hat
     origin = (0,) * grid.dim
     new_phi_hat[origin] = t.phi_hat[origin]  # f1 has no mean: keep it exactly
     new_phi = irfftn(grid, new_phi_hat)
-    rate = (new_phi - t.phi) * (1.0 / dt)  # a scalar reciprocal: no array division
 
     if p.model == "isothermal":
-        new = ThermoState(Field(grid, new_phi), state.theta, dphi_dt=Field(grid, rate))
+        rate = Field(grid, (new_phi - t.phi) * (1.0 / dt))
+        new = ThermoState(Field(grid, new_phi), state.theta, dphi_dt=rate)
         new.phi_hat = new_phi_hat
         return StateTerms(new, p)
 
-    grad_phi = grad_from_hat(grid, new_phi_hat)
-    grad_rate = [(gn - g) * (1.0 / dt) for gn, g in zip(grad_phi, t.grad_phi)]
-    force = dissipative_force(t, (new_phi_hat - t.phi_hat) * (1.0 / dt))
-    new_theta_hat = _f2_hat(t, rate, grad_rate, force)
-    if a1 and state.dphi_dt is not None:
-        new_theta_hat -= div_hat(grid, [t.entropy * u for u in mixture_velocity(t)], mask=True)
+    new_theta_hat, stepped = heat_forcing(t, new_phi_hat, new_phi, dt)
     new_theta_hat *= heat_gain
     new_theta_hat += heat_decay * t.theta_hat
-    new_theta = irfftn(grid, new_theta_hat)
-    new = ThermoState(
-        Field(grid, new_phi),
-        Field(grid, new_theta),
-        dphi_dt=Field(grid, rate),
-        dtheta_dt=Field(grid, (new_theta - t.theta) * (1.0 / dt)),
-    )
-    new.phi_hat, new.theta_hat, new.force = new_phi_hat, new_theta_hat, force
-    terms = StateTerms(new, p)
-    terms.grad_phi = grad_phi
+    terms = stepped(irfftn(grid, new_theta_hat))
+    terms.state.theta_hat = new_theta_hat
     return terms
 
 

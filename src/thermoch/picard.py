@@ -18,25 +18,18 @@ of the forcing at the snapshot times (left endpoints).
 
 Every forcing the map applies is cut by the 2/3 rule, so the phase
 correction and the temperature's departure from its free heat flow have no
-spectrum off the 2/3-rule box.  The Picard loop carries that pair as
-compact stacks of their rfftn half spectra on the box, shape
-(n_times, n_box), and each application of the map updates them in place.
-A run forms its propagators once (_propagators): the box, each equation's
-free flow hat0 * exp(-lam t), evaluated per snapshot where it is read, and
-its one-interval ETD pair on the box; the map, the size norm and the final
-fields read them.  One application inverts each snapshot's two absolute
-fields once, forms both forcings from one thermo.StateTerms and advances
-the box by one exact interval, so no forcing series is kept; the old
-snapshot it overwrites waits in one box buffer per series until the next
-forcing has read it.  A snapshot is expanded to a full half spectrum, in a
-reused buffer, only where a transform or a norm reads it.  The iterate
-norm streams the spectra without a transform: one snapshot at a time, it
-forms |f_hat|^2 and the backward rate's power and contracts them against
-the dyadic rings (besov.SeriesEnergies), every derivative a weight on
-|f_hat|^2, so the map measures the successive difference as it writes it.
-k_norm takes any two series of half spectra (a stack is one), and
-picard_iterate takes the initial Fields.  A run's clock is PicardConfig's,
-which keeps model_a2.run_clock, the rule of the direct run it ends with.
+spectrum off the 2/3-rule box; the Picard loop carries that pair as compact
+stacks of their rfftn half spectra on the box, shape (n_times, n_box),
+which each application updates in place.  A run forms its propagators once
+(_propagators).  The map forces each snapshot as the step does, through
+model_a2's one forcing assembly at the fresh rate towards the iterate's
+next snapshot, whose inversion it hands on: every snapshot is inverted
+once, and wherever the map contracts its fixed point is the direct run up
+to round-off.  The iterate norm streams the spectra without a transform,
+one snapshot at a time, against the dyadic rings (besov.SeriesEnergies),
+so the map measures the successive difference as it writes it.  A run's
+clock is PicardConfig's, which keeps model_a2.run_clock, the rule of the
+direct run it ends with.
 """
 
 from __future__ import annotations
@@ -58,16 +51,15 @@ from .grid import Field, GridSpec, irfftn, l2_norm, rfftn
 from .model_a2 import (
     SimConfig,
     _etd_factors,
-    _f1_hat,
-    _f2_hat,
     _heat_operator,
     _phase_operator,
     _rate,
+    heat_forcing,
+    phase_forcing,
     run_clock,
     simulate,
 )
-from .thermo import (ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState,
-                     dissipative_force)
+from .thermo import ModelParams, NonFiniteError, NumericalError, StateTerms, ThermoState
 
 REPORT_CSV_HEADER = "iteration,k_norm,diff_norm,ratio,in_ball"
 
@@ -110,20 +102,25 @@ def _spectra(grid: GridSpec, stack: np.ndarray, box: np.ndarray, times, flow=Non
     return (_expand(out, box, c, flow, t) for t, c in zip(times, stack))
 
 
-def _propagators(grid: GridSpec, p: ModelParams, hat0, dt: float):
-    """A run's exact propagators, formed once: (box, flows, etds).
+def _propagators(phi0: Field, theta0: Field, p: ModelParams, dt: float):
+    """A run's exact propagators, formed once: (box, flows, etds, terms).
 
     box holds the flat indices of the 2/3-rule box on the half lattice,
     where the map's corrections live.  Per equation (phase, heat), flows
-    holds the free flow (hat0, lam) of its initial half spectrum at the
-    decay rate _rate, and etds the direct run's ETD pair (decay, gain) of
-    the snapshot spacing dt (model_a2._etd_factors), gathered to the box.
+    holds the free flow (hat0, lam) of its initial half spectrum (of phi0,
+    of theta0 - theta_bar) at the decay rate _rate, and etds the direct
+    run's ETD pair (decay, gain) of the snapshot spacing dt
+    (model_a2._etd_factors), gathered to the box.  terms is the StateTerms
+    of the direct run's initial state, the map's snapshot 0.
     """
+    grid = phi0.grid
+    terms = StateTerms(ThermoState(phi0, theta0), p)
     box = np.flatnonzero(grid.half_dealias_mask)
+    hat0 = (terms.phi_hat, rfftn(grid, theta0.values - p.theta_bar))
     operators = (_phase_operator(grid, p), _heat_operator(grid, p))
     flows = [(h, _rate(op)) for h, op in zip(hat0, operators)]
     etds = [tuple(np.take(a, box) for a in pair) for pair in _etd_factors(grid, p, dt)]
-    return box, flows, etds
+    return box, flows, etds, terms
 
 
 # --------------------------------------------------------------------------
@@ -312,62 +309,56 @@ def _map_in_place(grid: GridSpec, dphi, dtheta, props, p: ModelParams, times, pa
     """One application of the solution map, in place: freeze forcings, solve
     linear; returns the KNormReport of the successive difference.
 
-    props is the run's (box, flows, etds) (_propagators).  dphi and dtheta
-    hold the current iterate on the box, shape (n_times, n_box): the phase
-    correction and the temperature's departure from its free heat flow;
-    they leave holding the next iterate.  Snapshot j's two forcings, formed
-    from one StateTerms of the absolute fields (free flow plus expanded box)
-    with backward-difference rates, rate gradient and force (of the rate
-    spectrum) as in model_a2.imex_step, vanish off the box and advance it
-    from rest by one exact interval to slot j + 1.  That slot's old
-    snapshot waits in one box buffer per series until the next forcing reads
-    it, and new - old goes to the accumulators of the iterate norm.  The
-    last state is validated but acts beyond the horizon.
+    props is the run's (box, flows, etds, terms) (_propagators).  dphi and
+    dtheta hold the current iterate on the box, shape (n_times, n_box): the
+    phase correction and the temperature's departure from its free heat
+    flow; they leave holding the next iterate.  Snapshot j's forcings are
+    the step's (model_a2.phase_forcing, heat_forcing) towards the iterate's
+    snapshot j + 1, read before its slot is overwritten; they vanish off the
+    box and advance it from rest by one exact interval to slot j + 1, and
+    new - old goes to the iterate norm's accumulators.  Snapshot j + 1's
+    terms are built from its one inversion as the step builds its new
+    state's (heat_forcing's stepped); snapshot 0's are props', the direct
+    run's initial state.  The last state is validated but acts beyond the
+    horizon.
     """
-    box, flows, etds = props
+    box, flows, etds, terms = props
+    dt = times[1] - times[0]  # the spacing itself: times[0] is 0
     diffs = [SeriesEnergies(part, times.size, *w, times) for w in _norm_weights(grid)]
-    hats = np.empty((2, *grid.half_shape), dtype=complex)  # the absolute spectra
     diff = np.zeros(grid.half_shape, dtype=complex)  # new - old, zero off the box
     # snapshot 0, the initial data, is never rewritten: its difference is zero
     for acc in diffs:
         acc.add(diff)
-    held = (dphi[0].copy(), dtheta[0].copy())
-    prev = prev_grad = prev_hat = None
-    for j, t in enumerate(times):
-        for hat, flow, c in zip(hats, flows, held):
-            _expand(hat, box, c, flow, t)
-        now = (irfftn(grid, hats[0]), p.theta_bar + irfftn(grid, hats[1]))
-        dt = t - times[j - 1] if j else 1.0  # the first rates are now - now = 0
-        rate, theta_rate = ((a - b) / dt for a, b in zip(now, prev or now))
-        state = ThermoState(*(Field(grid, a) for a in (*now, rate, theta_rate)))
-        if j + 1 < times.size:
-            state.phi_hat = hats[0]
-            terms = StateTerms(state, p)
-            grad_rate = [(g - h) / dt for g, h in zip(terms.grad_phi, prev_grad or terms.grad_phi)]
-            force = dissipative_force(terms, (hats[0] - (hats[0] if j == 0 else prev_hat)) / dt)
-            forcings = (_f1_hat(terms), _f2_hat(terms, rate, grad_rate, force))
-            series = zip((dphi, dtheta), held, etds, forcings, diffs)
-            for stack, c, (decay, gain), f, acc in series:
-                np.copyto(c, stack[j + 1])
-                stack[j + 1] = decay * stack[j] + gain * np.take(f, box)
-                acc.add(_expand(diff, box, stack[j + 1] - c))
-            prev_grad, prev_hat = terms.grad_phi, hats[0].copy()
-        prev = now
+    stacks = (dphi, dtheta)
+    for j, t in enumerate(times[1:]):
+        # the iterate's snapshot j + 1, read before the map overwrites it
+        phi_hat, theta_hat = (
+            _expand(np.empty(grid.half_shape, dtype=complex), box, stack[j + 1], flow, t)
+            for stack, flow in zip(stacks, flows)
+        )
+        phi, theta = irfftn(grid, phi_hat), p.theta_bar + irfftn(grid, theta_hat)
+        f1 = phase_forcing(terms)
+        f2, stepped = heat_forcing(terms, phi_hat, phi, dt)
+        for stack, (decay, gain), f, acc in zip(stacks, etds, (f1, f2), diffs):
+            new = decay * stack[j] + gain * np.take(f, box)
+            acc.add(_expand(diff, box, new - stack[j + 1]))
+            stack[j + 1] = new
+        terms = stepped(theta)
     return _norm_report(*(acc.energies for acc in diffs), part, times)
 
 
-def _simulate_rel_diff(phi_picard: Field, phi0: Field, theta0: Field, p, cfg) -> float:
-    """Relative l2 gap of phi_picard to the final phase of a direct run on the
-    clock of cfg, inf when that run stops early."""
-    sim = SimConfig(phi0.grid, p, cfg.step, cfg.t_end, output_every=cfg.n_steps)
+def _simulate_rel_diff(phi_picard: Field, init: ThermoState, p, cfg) -> float:
+    """Relative l2 gap of phi_picard to the final phase of a direct run from
+    init on the clock of cfg, inf when that run stops early."""
+    sim = SimConfig(init.grid, p, cfg.step, cfg.t_end, output_every=cfg.n_steps)
     try:
-        traj = simulate(sim, ThermoState(phi0, theta0))
+        traj = simulate(sim, init)
     except NumericalError:  # the direct run fails at step 0
         return math.inf
     if traj.termination != "completed":
         return math.inf
     phi_direct = traj.states[-1].phi
-    gap = l2_norm(Field(phi0.grid, phi_picard.values - phi_direct.values))
+    gap = l2_norm(Field(init.grid, phi_picard.values - phi_direct.values))
     return gap / max(l2_norm(phi_direct), 1e-30)
 
 
@@ -395,7 +386,8 @@ def picard_iterate(
     model_a2.march runs the step; an iterate that leaves the domain of the
     map (a thermo.NumericalError) is reported as diverged too, the final
     fields come from the last accepted iterate, and any other error
-    propagates.  A direct run that fails has simulate_rel_diff inf.
+    propagates, as does that of initial data no thermo.ThermoState admits.
+    A direct run that fails has simulate_rel_diff inf.
     """
     grid = phi0.grid
     if theta0.grid != grid or part.grid != grid:
@@ -404,9 +396,8 @@ def picard_iterate(
         raise ValueError(f"the solution map linearizes model 'a2', got {p.model!r}")
     times = cfg.times
 
-    hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
-    props = _propagators(grid, p, hat0, cfg.step)
-    box, (phi_flow, theta_flow), _ = props
+    props = _propagators(phi0, theta0, p, cfg.step)
+    box, (phi_flow, theta_flow), _, terms0 = props
     # the phase correction and the temperature's departure from its heat
     # flow, both at rest
     dphi = np.zeros((times.size, box.size), dtype=complex)
@@ -455,7 +446,7 @@ def picard_iterate(
         converged=converged,
         diverged=diverged,
         chi=cfg.chi,
-        simulate_rel_diff=_simulate_rel_diff(final_phi, phi0, theta0, p, cfg),
+        simulate_rel_diff=_simulate_rel_diff(final_phi, terms0.state, p, cfg),
         smallness=check_smallness(phi0, theta0, p, eps0, part),
         final_phi=final_phi,
         final_theta=final_theta,

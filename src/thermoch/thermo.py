@@ -302,8 +302,8 @@ class StateTerms:
     the state takes it.  It reads the terms the state owns (ThermoState:
     phi_hat, theta_hat, force) before forming its own, and forms the rest
     from the state's values.  It holds the state's one chemical potential,
-    mu_hat, undealiased, which only the step's f1 (model_a2._f1_hat) reads,
-    under the 2/3 rule.  Its one bulk entropy, bracket (B and its slopes),
+    mu_hat, undealiased, which only model_a2.phase_forcing reads, under the
+    2/3 rule.  Its one bulk entropy, bracket (B and its slopes),
     serves the state's entropy and energy and the step's heat forcing alike.
     """
 
@@ -396,7 +396,7 @@ def dissipative_force(t: StateTerms, rate_hat: np.ndarray) -> list[np.ndarray]:
 def dissipation(t: StateTerms, rate: np.ndarray, force: list[np.ndarray]) -> np.ndarray:
     """|force|^2 + alpha*rate^2 for the phase rate `rate` and its force
     (dissipative_force): the one place the dissipation is formed.  The heat
-    forcing (model_a2._f2_hat) takes it at the step's fresh rate, the
+    forcing (model_a2.heat_forcing) takes it at the step's fresh rate, the
     entropy production at the state's own."""
     out = _sum_sq(force)
     out += (t.p.alpha * rate) * rate

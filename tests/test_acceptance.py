@@ -1,8 +1,9 @@
 """Acceptance gate: thirteen must-hold behaviors, one test per criterion.
 
 Run ``pytest tests/test_acceptance.py -v`` to get one pass/fail line per
-criterion (two for criterion 04: its slope and its drift floor; two for
-criterion 11: the contraction and the direct-run oracle).  Every tolerance
+criterion (two for criterion 04: its slope and its drift floor; three for
+criterion 11: the contraction and the direct-run oracle on its data and on
+nonlinear data).  Every tolerance
 is pinned in the assertions; the three-run refinement study (criteria
 04-06) and the contraction run (criterion 11) are built once per module and
 shared.
@@ -324,10 +325,25 @@ def test_criterion_11_empirical_contraction(contraction_run):
 
 
 def test_criterion_11_fixed_point_is_the_direct_run(contraction_run):
-    # the map and the step share one propagator (model_a2._etd_factors), so
-    # on these data the fixed point is the direct run up to round-off
+    # the map and the step share one propagator (model_a2._etd_factors) and
+    # one forcing assembly (model_a2.phase_forcing, heat_forcing), so the
+    # fixed point is the direct run up to round-off
     _, report = contraction_run
-    assert report.simulate_rel_diff <= 1e-9
+    assert report.simulate_rel_diff <= 1e-12
+
+
+def test_criterion_11_fixed_point_is_the_direct_run_on_nonlinear_data():
+    # far from criterion 11's small data, in a ball wide enough to hold the
+    # iterates: the map contracts, and its fixed point is still the direct run
+    grid = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
+    p = params(theta_bar=100.0, alpha=0.5)
+    x, y = grid.axes
+    phi0 = Field(grid, 0.05 * np.cos(x) * np.cos(y))
+    theta0 = Field(grid, p.theta_bar + 0.5 * np.cos(y) * np.ones(grid.shape))
+    cfg = PicardConfig(chi=1e6, t_end=1e-2, n_iter=12, dt=2e-4)
+    report = picard_iterate(phi0, theta0, p, cfg, build_partition(grid))
+    assert report.converged and not report.diverged
+    assert report.simulate_rel_diff <= 1e-12
 
 
 def test_criterion_12_a1_a2_agreement():

@@ -25,12 +25,12 @@ from thermoch.grid import Field, GridSpec, grad_from_hat, irfftn, rfftn
 from thermoch.model_a2 import (
     SimConfig,
     _etd_factors,
-    _f1_hat,
-    _f2_hat,
     _heat_operator,
     _phase_operator,
+    heat_forcing,
     imex_step,
     march,
+    phase_forcing,
     simulate,
 )
 from thermoch.thermo import (
@@ -44,7 +44,6 @@ from thermoch.thermo import (
     _regularized_recip,
     bulk_potential,
     dissipation,
-    dissipative_force,
     total_energy,
 )
 
@@ -79,15 +78,15 @@ def unforced_solves(grid, p, dt, state):
 
 def f1_values(state, p):
     """f1 in real space, from the spectrum the step forms."""
-    return irfftn(state.grid, _f1_hat(StateTerms(state, p)))
+    return irfftn(state.grid, phase_forcing(StateTerms(state, p)))
 
 
 def f2_values(state, rate, p):
-    """f2 in real space for the phase rate array `rate` and the force of its
-    spectrum, from the spectrum the step forms."""
-    terms = StateTerms(state, p)
-    force = dissipative_force(terms, rfftn(state.grid, rate))
-    return irfftn(state.grid, _f2_hat(terms, rate, grad_arrays(state.grid, rate), force))
+    """f2 in real space for the phase rate array `rate`, from the spectrum
+    the step forms: one unit step to the phase phi + rate."""
+    phi = state.phi.values + rate
+    f2_hat, _ = heat_forcing(StateTerms(state, p), rfftn(state.grid, phi), phi, 1.0)
+    return irfftn(state.grid, f2_hat)
 
 
 class TestSimConfig:
@@ -277,6 +276,26 @@ class TestImexStep:
         lam = kappa * m**2 / k_b
         exact = b * math.exp(-lam * t_end)
         assert abs(amp - exact) / exact <= 2.0 * dt * lam * t_end
+
+    @pytest.mark.parametrize("field", ["phi", "theta"])
+    def test_unforced_single_mode_decay_is_exact(self, field):
+        # the step's propagators integrate the linear part exactly: over 100
+        # steps a single mode decays by e^(-lam t) to round-off, where a
+        # first-order scheme would miss it by O(dt lam t)
+        b, m, dt, n = 0.3, 2, 1e-3, 100
+        p = params(eps=1.1, theta_bar=1.4, alpha=0.6, kappa=1.7, k_b=0.8)
+        wave = b * np.cos(m * GRID1.axes[0])
+        phase = field == "phi"
+        s = ThermoState(Field(GRID1, wave * phase), Field(GRID1, 1.5 + wave * (not phase)))
+        for _ in range(n):
+            s = unforced_solves(GRID1, p, dt, s)
+        values = getattr(s, field).values
+        if phase:
+            lam = p.eps * p.theta_bar * m**4 / (1.0 + p.alpha * m**2)
+        else:
+            lam = p.kappa * m**2 / p.k_b
+        exact = b * math.exp(-lam * n * dt)
+        assert abs((values.max() - values.min()) / 2.0 - exact) / exact <= 1e-12
 
     def test_mean_preserved_over_1000_steps(self):
         rng = np.random.default_rng(8)

@@ -31,7 +31,7 @@ from thermoch.picard import (
     k_norm,
     picard_iterate,
 )
-from thermoch.thermo import ModelParams, NonFiniteError
+from thermoch.thermo import ModelParams, NonFiniteError, PositivityError
 
 GRID1 = GridSpec(dim=1, n=64, box_len=2.0 * np.pi)
 GRID2 = GridSpec(dim=2, n=32, box_len=2.0 * np.pi)
@@ -466,8 +466,8 @@ def admissible_data(part=PART2):
 
 
 def divergent_problem():
-    """Data on which the map stops contracting: the iterate loses temperature
-    positivity in the middle of application 4."""
+    """Data on which the map stops contracting: ratios nan, 0.33, 1.98, 390,
+    and the iterate loses temperature positivity in application 5."""
     g = GridSpec(dim=2, n=16, box_len=2.0 * np.pi)
     part = build_partition(g)
     x, y = g.axes
@@ -487,9 +487,7 @@ def initial_iterate(phi0, theta0, p, cfg):
     the map holds it: the compact box of the phase correction and of the
     temperature's departure from its heat flow, both at rest, and the run's
     propagators, whose free flows start from (phi0_hat, dtheta0_hat)."""
-    grid = phi0.grid
-    hat0 = (rfftn(grid, phi0.values), rfftn(grid, theta0.values - p.theta_bar))
-    props = _propagators(grid, p, hat0, cfg.step)
+    props = _propagators(phi0, theta0, p, cfg.step)
     dphi = np.zeros((cfg.times.size, props[0].size), dtype=complex)
     return dphi, np.zeros_like(dphi), props
 
@@ -597,7 +595,7 @@ class TestPicardIterate:
         info = _etd_factors.cache_info()
         assert info.misses == 1 and info.hits == cfg.n_steps
         pairs = _etd_factors(GRID2, p, cfg.step)
-        box, _, etds = initial_iterate(phi0, theta0, p, cfg)[2]
+        box, _, etds, _ = initial_iterate(phi0, theta0, p, cfg)[2]
         for got, want in zip(etds, pairs):
             assert all(np.array_equal(g, np.take(w, box)) for g, w in zip(got, want))
 
@@ -611,25 +609,25 @@ class TestPicardIterate:
     def test_failed_run_keeps_its_last_accepted_iterate(self, monkeypatch):
         phi0, theta0, p, cfg, part = divergent_problem()
         stopped = picard_iterate(phi0, theta0, p, cfg, part)
-        assert stopped.diverged and len(stopped.rows) == 3
-        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=3), part)
+        assert stopped.diverged and len(stopped.rows) == 4
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=4), part)
         for got, want in zip(finals(stopped), finals(accepted)):
             assert np.array_equal(got, want)
 
         # a failure after the map has written the last slot: in the size
-        # norm of application 3
-        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=2), part)
+        # norm of application 4
+        accepted = picard_iterate(phi0, theta0, p, replace(cfg, n_iter=3), part)
         calls = []
 
         def failing_k_norm(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:
+            if len(calls) == 4:
                 raise NonFiniteError("summand phi_sup must be finite and >= 0, got inf")
             return k_norm(*args, **kwargs)
 
         monkeypatch.setattr(picard, "k_norm", failing_k_norm)
         injected = picard_iterate(phi0, theta0, p, cfg, part)
-        assert injected.diverged and len(injected.rows) == 2
+        assert injected.diverged and len(injected.rows) == 3
         for got, want in zip(finals(injected), finals(accepted)):
             assert np.array_equal(got, want)
 
@@ -639,14 +637,14 @@ class TestPicardIterate:
         accepted = picard_iterate(phi0, theta0, p, replace(cfg, tol=1e300), part)
         assert accepted.converged and len(accepted.rows) == 1
         # each application forces every snapshot but the last once
-        per_map, calls, right_f1 = cfg.times.size - 1, [], picard._f1_hat
+        per_map, calls, right_f1 = cfg.times.size - 1, [], picard.phase_forcing
 
         def nan_in_map_2(terms):
             calls.append(1)
             f1 = right_f1(terms)
             return f1 * np.nan if len(calls) > per_map else f1
 
-        monkeypatch.setattr(picard, "_f1_hat", nan_in_map_2)
+        monkeypatch.setattr(picard, "phase_forcing", nan_in_map_2)
         # the NaN forcing reaches the map's own difference norm, whose
         # summand check raises NonFiniteError: empirical divergence
         injected = picard_iterate(phi0, theta0, p, cfg, part)
@@ -677,7 +675,7 @@ class TestPicardIterate:
         def broken(terms):
             raise ValueError("operands could not be broadcast together")
 
-        monkeypatch.setattr(picard, "_f1_hat", broken)
+        monkeypatch.setattr(picard, "phase_forcing", broken)
         phi0, theta0, p = admissible_data()
         cfg = PicardConfig(chi=4e-6, t_end=1e-2, n_iter=3, dt=1e-3)
         with pytest.raises(ValueError, match="broadcast"):
@@ -729,19 +727,19 @@ class TestPicardIterate:
     def test_corrections_live_on_the_box(self, grid, monkeypatch):
         # off the 2/3-rule box the iterate is the free flow: phase free flow
         # and theta_bar plus the free heat flow, in the states the second
-        # application transforms (the iterate after one application) and in
-        # the final fields
+        # application forces (the iterate after one application, snapshot 0
+        # the initial data) and in the final fields
         phi0, theta0, p = off_box_data(grid)
         part = build_partition(grid)
         cfg = PicardConfig(chi=1.0, t_end=1e-2, n_iter=2, tol=1e-300, dt=1e-3)
         seen = []
 
-        def recording(state, params):
-            seen.append((state.phi.values.copy(), state.theta.values.copy()))
-            return real(state, params)
+        def recording(terms, *args):
+            seen.append((terms.phi.copy(), terms.theta.copy()))
+            return real(terms, *args)
 
-        real = picard.StateTerms
-        monkeypatch.setattr(picard, "StateTerms", recording)
+        real = picard.heat_forcing
+        monkeypatch.setattr(picard, "heat_forcing", recording)
         rep = picard_iterate(phi0, theta0, p, cfg, part)
         assert len(rep.rows) == 2
         times = cfg.times
@@ -784,6 +782,14 @@ class TestPicardIterate:
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
         with pytest.raises(ValueError, match="grid"):
             picard_iterate(zero(GRID1), zero(GRID1), params(), cfg, PART2)
+
+    def test_initial_temperature_through_zero_raises(self):
+        # the initial data are the map's snapshot 0 and the direct run's
+        # initial state: not an iterate that leaves the domain
+        cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
+        theta0 = Field(GRID2, np.cos(GRID2.axes[0]) * np.ones(GRID2.shape))
+        with pytest.raises(PositivityError, match="^theta must stay positive"):
+            picard_iterate(zero(GRID2), theta0, params(), cfg, PART2)
 
     def test_model_a1_rejected(self):
         cfg = PicardConfig(chi=1.0, t_end=1e-2, dt=1e-3)
